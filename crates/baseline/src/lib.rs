@@ -5,7 +5,7 @@
 //! variants are provided, all implementing [`dpc_core::DpcIndex`] so they can
 //! be dropped anywhere an index is expected:
 //!
-//! * [`MatrixDpc`] — precomputes the full pairwise distance matrix
+//! * [`MatrixDpc`] — precomputes the full pairwise squared-distance matrix
 //!   (`Θ(n²)` memory). This matches the paper's remark that *"the pairwise
 //!   distances can be reused after firstly computed"*: repeated queries for
 //!   different `dc` avoid recomputing distances, at a large memory cost.
@@ -16,11 +16,12 @@
 //!   a configurable number of threads via the shared chunked engine of
 //!   [`dpc_core::exec`]. Not part of the paper; provided as a reference
 //!   point for the benchmarks.
+//!
+//! The lean and parallel variants wrap the [`dpc_core::brute`] kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod brute;
 pub mod lean;
 pub mod matrix;
 pub mod parallel;

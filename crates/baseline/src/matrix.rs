@@ -1,14 +1,16 @@
-//! Distance-matrix baseline: pairwise distances are computed once and reused
-//! across queries for different `dc`.
+//! Distance-matrix baseline: pairwise squared distances are computed once
+//! and reused across queries for different `dc`.
 
 use std::time::Duration;
 
 use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Result, Rho, TieBreak, Timer,
+    closer, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Result, Rho, TieBreak, Timer,
 };
 
-/// Condensed symmetric pairwise-distance matrix.
+/// Condensed symmetric matrix of pairwise *squared* distances, the values
+/// every comparison of the distance contract works on (see
+/// [`dpc_core::metric`]).
 ///
 /// Only the strict upper triangle is stored (`n·(n−1)/2` entries, `f64`), so
 /// the memory cost is half of a full matrix but still quadratic — this is the
@@ -22,14 +24,14 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes the pairwise distance matrix of a dataset.
+    /// Computes the pairwise squared-distance matrix of a dataset.
     pub fn compute(dataset: &Dataset) -> Self {
         let n = dataset.len();
         let mut entries = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
         let pts = dataset.points();
         for i in 0..n {
             for j in (i + 1)..n {
-                entries.push(pts[i].distance(&pts[j]));
+                entries.push(pts[i].distance_squared(&pts[j]));
             }
         }
         DistanceMatrix { n, entries }
@@ -45,9 +47,9 @@ impl DistanceMatrix {
         self.n == 0
     }
 
-    /// Distance between points `i` and `j` (0 when `i == j`).
+    /// Squared distance between points `i` and `j` (0 when `i == j`).
     #[inline]
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
+    pub fn distance_squared(&self, i: usize, j: usize) -> f64 {
         if i == j {
             return 0.0;
         }
@@ -73,7 +75,8 @@ pub struct MatrixDpc {
 }
 
 impl MatrixDpc {
-    /// Builds the baseline: computes and stores all pairwise distances.
+    /// Builds the baseline: computes and stores all pairwise squared
+    /// distances.
     pub fn build(dataset: &Dataset) -> Self {
         Self::build_with_tie_break(dataset, TieBreak::default())
     }
@@ -108,10 +111,11 @@ impl DpcIndex for MatrixDpc {
     fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
         validate_dc(dc)?;
         let n = self.dataset.len();
+        let dc2 = dc * dc;
         let mut rho = vec![0.0 as Rho; n];
         for i in 0..n {
             for j in (i + 1)..n {
-                if self.matrix.distance(i, j) < dc {
+                if self.matrix.distance_squared(i, j) < dc2 {
                     rho[i] += 1.0;
                     rho[j] += 1.0;
                 }
@@ -127,26 +131,22 @@ impl DpcIndex for MatrixDpc {
         let order = DensityOrder::with_tie_break(rho, self.tie);
         let mut result = DeltaResult::unset(n);
         for p in 0..n {
-            let mut best = f64::INFINITY;
+            let mut best_sq = f64::INFINITY;
             let mut best_q = None;
-            let mut max_dist = 0.0f64;
+            let mut max_sq = 0.0f64;
             for q in 0..n {
                 if q == p {
                     continue;
                 }
-                let d = self.matrix.distance(p, q);
-                max_dist = max_dist.max(d);
-                if order.is_denser(q, p) && d < best {
-                    best = d;
+                let d2 = self.matrix.distance_squared(p, q);
+                max_sq = max_sq.max(d2);
+                if closer(d2, q, best_sq, best_q) && order.is_denser(q, p) {
+                    best_sq = d2;
                     best_q = Some(q);
                 }
             }
-            if best_q.is_some() {
-                result.delta[p] = best;
-                result.mu[p] = best_q;
-            } else {
-                result.delta[p] = max_dist;
-            }
+            result.delta[p] = if best_q.is_some() { best_sq } else { max_sq }.sqrt();
+            result.mu[p] = best_q;
         }
         Ok(result)
     }
@@ -187,8 +187,9 @@ mod tests {
         let m = DistanceMatrix::compute(&data);
         for i in 0..data.len() {
             for j in 0..data.len() {
-                assert!(
-                    (m.distance(i, j) - data.distance(i, j)).abs() < 1e-12,
+                assert_eq!(
+                    m.distance_squared(i, j),
+                    data.point(i).distance_squared(&data.point(j)),
                     "({i},{j})"
                 );
             }
@@ -199,9 +200,9 @@ mod tests {
     fn matrix_diagonal_is_zero_and_symmetric() {
         let m = DistanceMatrix::compute(&dataset());
         for i in 0..5 {
-            assert_eq!(m.distance(i, i), 0.0);
+            assert_eq!(m.distance_squared(i, i), 0.0);
             for j in 0..5 {
-                assert_eq!(m.distance(i, j), m.distance(j, i));
+                assert_eq!(m.distance_squared(i, j), m.distance_squared(j, i));
             }
         }
     }
@@ -222,10 +223,7 @@ mod tests {
             let (r1, d1) = baseline.rho_delta(dc).unwrap();
             let (r2, d2) = reference.rho_delta(dc).unwrap();
             assert_eq!(r1, r2, "dc = {dc}");
-            assert_eq!(d1.mu, d2.mu, "dc = {dc}");
-            for p in 0..data.len() {
-                assert!((d1.delta(p) - d2.delta(p)).abs() < 1e-12);
-            }
+            assert_eq!(d1, d2, "dc = {dc}");
         }
     }
 

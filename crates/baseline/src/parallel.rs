@@ -4,9 +4,9 @@
 //! useful reference point: it shows how far brute force can be pushed by
 //! parallelism alone before the index structures still win asymptotically.
 //! The chunked work partitioning lives in [`dpc_core::exec`] and the
-//! per-point kernels in the crate-private `brute` module (both shared with
-//! [`LeanDpc`](crate::LeanDpc)),
-//! so this type is little more than a stored thread count. Each query
+//! per-point kernels in [`dpc_core::brute`] (both shared with
+//! [`LeanDpc`](crate::LeanDpc)), so this type is little more than a stored
+//! thread count. Each query
 //! remains `Θ(n²)` total work, streamed over the dataset's
 //! structure-of-arrays coordinate slices so the inner loops vectorise.
 
@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Result, Rho, TieBreak,
-    Timer,
+    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Result, Rho,
+    TieBreak, Timer,
 };
 
 /// The parallel O(n²) baseline.
@@ -88,14 +88,14 @@ impl DpcIndex for ParallelDpc {
 
     fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
         validate_dc(dc)?;
-        Ok(crate::brute::rho_scan(&self.dataset, dc, policy))
+        Ok(brute::rho_scan(&self.dataset, dc, policy))
     }
 
     fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(crate::brute::delta_scan(&self.dataset, &order, policy))
+        Ok(brute::delta_scan(&self.dataset, &order, policy))
     }
 
     fn memory_bytes(&self) -> usize {

@@ -163,7 +163,9 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
                         SplitMix64::new(0xBE4C_4E21 ^ (i as u64).wrapping_mul(0x9E37_79B9));
                     let mut tally = ReaderTally::default();
                     let mut seen = reader.epoch();
-                    while !stop.load(Ordering::Acquire) {
+                    // At least one query each, even when the writer finishes
+                    // before this thread is first scheduled.
+                    while tally.queries == 0 || !stop.load(Ordering::Acquire) {
                         match rng.next_u64() % 3 {
                             0 => {
                                 let snap = reader.current();

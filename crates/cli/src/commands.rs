@@ -1073,8 +1073,11 @@ mod tests {
     use super::*;
     use crate::run;
 
-    fn temp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dpc-cli-test-{}", std::process::id()));
+    /// A scratch directory private to the test tagged `tag` (every test
+    /// passes its own): the harness runs tests on parallel threads, and
+    /// each test removes its directory when done.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dpc-cli-test-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1124,7 +1127,7 @@ mod tests {
 
     #[test]
     fn generate_then_cluster_end_to_end() {
-        let dir = temp_dir();
+        let dir = temp_dir("gen");
         let points = dir.join("points.csv");
         let truth = dir.join("truth.csv");
         let labels = dir.join("labels.csv");
@@ -1197,7 +1200,7 @@ mod tests {
 
     #[test]
     fn threads_flag_changes_nothing_but_the_thread_count() {
-        let dir = temp_dir();
+        let dir = temp_dir("par");
         let points = dir.join("par-points.csv");
         let seq_labels = dir.join("par-labels-seq.csv");
         let par_labels = dir.join("par-labels-par.csv");
@@ -1255,7 +1258,7 @@ mod tests {
 
     #[test]
     fn stream_replays_a_csv_and_reports_epochs() {
-        let dir = temp_dir();
+        let dir = temp_dir("stream");
         let points = dir.join("stream-points.csv");
         run(args(&[
             "generate",
@@ -1417,7 +1420,7 @@ mod tests {
 
     #[test]
     fn stream_with_weighted_kernel_and_decay_replays_end_to_end() {
-        let dir = temp_dir();
+        let dir = temp_dir("decay");
         let points = dir.join("kernel-points.csv");
         run(args(&[
             "generate",
@@ -1528,7 +1531,7 @@ mod tests {
 
     #[test]
     fn stream_observability_flags_emit_json_metrics_and_a_chrome_trace() {
-        let dir = temp_dir();
+        let dir = temp_dir("obs");
         let points = dir.join("obs-points.csv");
         run(args(&[
             "generate",
@@ -1616,7 +1619,7 @@ mod tests {
 
     #[test]
     fn serve_replays_with_readers_and_reports_latencies() {
-        let dir = temp_dir();
+        let dir = temp_dir("serve");
         let points = dir.join("serve-points.csv");
         run(args(&[
             "generate",

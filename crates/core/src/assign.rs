@@ -45,7 +45,8 @@ impl AssignmentOptions {
 ///
 /// Points whose `µ` is unknown (the global peak when it is not itself a
 /// centre, or points truncated by an approximate index) fall back to the
-/// nearest centre by Euclidean distance, which keeps the assignment total.
+/// nearest centre by squared distance (ties to the earlier centre), which
+/// keeps the assignment total.
 pub fn assign_clusters(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
@@ -120,11 +121,11 @@ pub fn assign_clusters(
 /// Index (cluster id) of the centre nearest to `p`.
 fn nearest_center(dataset: &Dataset, p: PointId, centers: &[PointId]) -> usize {
     let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
+    let mut best_d2 = f64::INFINITY;
     for (cluster_id, &c) in centers.iter().enumerate() {
-        let d = dataset.distance(p, c);
-        if d < best_d {
-            best_d = d;
+        let d2 = dataset.point(p).distance_squared(&dataset.point(c));
+        if d2 < best_d2 {
+            best_d2 = d2;
             best = cluster_id;
         }
     }
@@ -142,12 +143,13 @@ fn compute_halo(
     num_clusters: usize,
     dc: f64,
 ) -> Vec<bool> {
-    let n = dataset.len();
+    let (n, pts) = (dataset.len(), dataset.points());
     let rho = order.rho();
+    let dc2 = dc * dc;
     let mut border_density = vec![0.0f64; num_clusters];
     for i in 0..n {
         for j in (i + 1)..n {
-            if labels[i] != labels[j] && dataset.distance(i, j) < dc {
+            if labels[i] != labels[j] && pts[i].distance_squared(&pts[j]) < dc2 {
                 border_density[labels[i]] = border_density[labels[i]].max(rho[i]);
                 border_density[labels[j]] = border_density[labels[j]].max(rho[j]);
             }

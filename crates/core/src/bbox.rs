@@ -5,7 +5,8 @@
 //! bounding rectangle of its children. The pruning rules of the paper
 //! (Observation 1, Lemma 2) are phrased in terms of the minimum and maximum
 //! distance from a query point to such a region, which is what
-//! [`BoundingBox::min_dist`] and [`BoundingBox::max_dist`] provide.
+//! [`BoundingBox::min_dist_squared`] and [`BoundingBox::max_dist_squared`]
+//! provide — squared, like every distance comparison in the workspace.
 
 use crate::point::Point;
 
@@ -193,22 +194,13 @@ impl BoundingBox {
         }
     }
 
-    /// Minimum Euclidean distance from `p` to any point of the box.
-    ///
-    /// This is the `dmin(p, node)` function of the paper: it is `0` when `p`
-    /// lies inside the box. Returns `+∞` for the empty box so that empty
-    /// regions are always pruned.
-    pub fn min_dist(&self, p: Point) -> f64 {
-        self.min_dist_squared(p).sqrt()
-    }
-
     /// Squared minimum Euclidean distance from `p` to any point of the box.
     ///
-    /// The sqrt-free variant of [`min_dist`](Self::min_dist), used by the
-    /// ρ-query hot loop which compares against a precomputed `dc²` instead of
-    /// paying a square root per node (safe: squaring is monotone on
-    /// non-negative distances, see the discussion in
-    /// [`crate::metric`]). Returns `+∞` for the empty box.
+    /// This is the `dmin(p, node)` bound of the paper, in squared space: `0`
+    /// when `p` lies inside the box, `+∞` for the empty box so that empty
+    /// regions are always pruned. It is never larger than the
+    /// [`Point::distance_squared`] from `p` to any point of the box — exactly,
+    /// not up to rounding (see the distance contract in [`crate::metric`]).
     #[inline]
     pub fn min_dist_squared(&self, p: Point) -> f64 {
         if self.is_empty() {
@@ -231,21 +223,13 @@ impl BoundingBox {
         dx * dx + dy * dy
     }
 
-    /// Maximum Euclidean distance from `p` to any point of the box.
-    ///
-    /// This is the `dmax(p, node)` function of the paper, used to detect that
-    /// a node is *fully contained* in the query circle. Returns `0` for the
-    /// empty box (an empty region can always be counted as fully contained —
-    /// it contributes nothing).
-    pub fn max_dist(&self, p: Point) -> f64 {
-        self.max_dist_squared(p).sqrt()
-    }
-
     /// Squared maximum Euclidean distance from `p` to any point of the box.
     ///
-    /// The sqrt-free variant of [`max_dist`](Self::max_dist); see
-    /// [`min_dist_squared`](Self::min_dist_squared). Returns `0` for the
-    /// empty box.
+    /// This is the `dmax(p, node)` bound of the paper, in squared space, used
+    /// to detect that a node is *fully contained* in the query circle. Never
+    /// smaller than the [`Point::distance_squared`] from `p` to any point of
+    /// the box; `0` for the empty box (an empty region can always be counted
+    /// as fully contained — it contributes nothing).
     #[inline]
     pub fn max_dist_squared(&self, p: Point) -> f64 {
         if self.is_empty() {
@@ -306,8 +290,8 @@ mod tests {
         assert_eq!(e.height(), 0.0);
         assert_eq!(e.area(), 0.0);
         assert!(!e.contains(Point::origin()));
-        assert_eq!(e.min_dist(Point::origin()), f64::INFINITY);
-        assert_eq!(e.max_dist(Point::origin()), 0.0);
+        assert_eq!(e.min_dist_squared(Point::origin()), f64::INFINITY);
+        assert_eq!(e.max_dist_squared(Point::origin()), 0.0);
     }
 
     #[test]
@@ -342,74 +326,52 @@ mod tests {
     }
 
     #[test]
-    fn squared_distances_are_squares_of_the_true_ones() {
+    fn min_dist_squared_inside_is_zero() {
         let bb = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        for p in [
-            Point::new(5.0, 5.0),
-            Point::new(13.0, 5.0),
-            Point::new(-2.0, -3.0),
-            Point::new(11.0, 14.0),
-        ] {
-            assert_eq!(bb.min_dist(p), bb.min_dist_squared(p).sqrt());
-            assert_eq!(bb.max_dist(p), bb.max_dist_squared(p).sqrt());
-        }
-        let e = BoundingBox::EMPTY;
-        assert_eq!(e.min_dist_squared(Point::origin()), f64::INFINITY);
-        assert_eq!(e.max_dist_squared(Point::origin()), 0.0);
+        assert_eq!(bb.min_dist_squared(Point::new(5.0, 5.0)), 0.0);
+        assert_eq!(bb.min_dist_squared(Point::new(0.0, 0.0)), 0.0); // boundary
     }
 
     #[test]
-    fn min_dist_inside_is_zero() {
+    fn min_dist_squared_outside_axis_aligned_and_corner() {
         let bb = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        assert_eq!(bb.min_dist(Point::new(5.0, 5.0)), 0.0);
-        assert_eq!(bb.min_dist(Point::new(0.0, 0.0)), 0.0); // boundary
+        assert_eq!(bb.min_dist_squared(Point::new(13.0, 5.0)), 9.0);
+        assert_eq!(bb.min_dist_squared(Point::new(5.0, -4.0)), 16.0);
+        assert_eq!(bb.min_dist_squared(Point::new(13.0, 14.0)), 25.0);
     }
 
     #[test]
-    fn min_dist_outside_axis_aligned() {
+    fn max_dist_squared_is_to_farthest_corner() {
         let bb = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        assert_eq!(bb.min_dist(Point::new(13.0, 5.0)), 3.0);
-        assert_eq!(bb.min_dist(Point::new(5.0, -4.0)), 4.0);
-    }
-
-    #[test]
-    fn min_dist_outside_corner() {
-        let bb = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        assert_eq!(bb.min_dist(Point::new(13.0, 14.0)), 5.0);
-    }
-
-    #[test]
-    fn max_dist_is_to_farthest_corner() {
-        let bb = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        let d = bb.max_dist(Point::new(1.0, 1.0));
-        let expected = Point::new(1.0, 1.0).distance(&Point::new(10.0, 10.0));
-        assert!((d - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_dist_bounds_all_contained_points() {
-        let bb = BoundingBox::new(-2.0, -2.0, 7.0, 3.0);
         let q = Point::new(1.0, 1.0);
-        let dmax = bb.max_dist(q);
-        for &p in &[
-            Point::new(-2.0, -2.0),
-            Point::new(7.0, 3.0),
-            Point::new(0.0, 0.0),
-            Point::new(7.0, -2.0),
-        ] {
-            assert!(q.distance(&p) <= dmax + 1e-12);
-        }
+        assert_eq!(
+            bb.max_dist_squared(q),
+            q.distance_squared(&Point::new(10.0, 10.0))
+        );
     }
 
     #[test]
-    fn min_dist_never_exceeds_max_dist() {
-        let bb = BoundingBox::new(0.0, 0.0, 4.0, 2.0);
-        for &q in &[
+    fn squared_bounds_hold_exactly_for_every_member() {
+        // No epsilon: rounding is monotone, so the bounds hold bit-exactly,
+        // including for members on the box boundary.
+        let bb = BoundingBox::new(-2.0, -2.0, 7.0, 3.0);
+        for q in [
+            Point::new(1.0, 1.0),
             Point::new(-3.0, 5.0),
-            Point::new(2.0, 1.0),
+            Point::new(0.1, -7.3),
             Point::new(10.0, -10.0),
         ] {
-            assert!(bb.min_dist(q) <= bb.max_dist(q));
+            assert!(bb.min_dist_squared(q) <= bb.max_dist_squared(q));
+            for p in [
+                Point::new(-2.0, -2.0),
+                Point::new(7.0, 3.0),
+                Point::new(0.0, 0.0),
+                Point::new(7.0, -2.0),
+                Point::new(0.3, 2.9),
+            ] {
+                assert!(bb.min_dist_squared(q) <= q.distance_squared(&p));
+                assert!(q.distance_squared(&p) <= bb.max_dist_squared(q));
+            }
         }
     }
 

@@ -15,13 +15,14 @@
 //!
 //! The paper defines "denser" as `ρ(q) > ρ(p)` and implicitly breaks ties by
 //! object id (its running example states *"suppose a smaller object ID
-//! represents a higher local density"*). Ties are not an edge case in
-//! practice: integer densities collide all the time, and without a total
-//! order different indices could legitimately return different `µ`
-//! assignments, which would make cross-index validation impossible. We
-//! therefore make the tie-breaking rule explicit in [`TieBreak`] and use the
-//! resulting **total order** ([`DensityOrder`]) everywhere: list indices,
-//! tree indices and the naive baseline all agree bit-for-bit.
+//! represents a higher local density"*). Integer densities collide all the
+//! time, so the rule is explicit in [`TieBreak`], and the resulting total
+//! order is [`DensityOrder`]. Distance ties follow the distance contract of
+//! [`crate::metric`]: `µ(p)` is the lexicographic minimum of `(fl(d²), id)`
+//! over the denser points and `δ(p)` the root of that `fl(d²)`, so two
+//! candidates one ulp apart in `fl(d²)` are not tied even when their roots
+//! are. List indices, tree indices, the baselines and the streaming engine
+//! all agree bit-for-bit with the [`crate::brute`] kernels.
 
 use crate::density::Rho;
 use crate::error::{DpcError, Result};

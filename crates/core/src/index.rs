@@ -64,17 +64,23 @@ impl IndexStats {
 /// cut-off distance.
 ///
 /// Implementations must agree on the exact semantics defined in
-/// [`crate::density`] and [`crate::delta`]:
+/// [`crate::density`] and [`crate::delta`], under the distance contract of
+/// [`crate::metric`]:
 ///
-/// * `ρ(p)` counts *other* points strictly within `dc`;
+/// * `ρ(p)` counts the *other* points `q` with `fl(d²(p, q)) < fl(dc²)`;
 /// * "denser" is the total order of [`DensityOrder`](crate::DensityOrder)
 ///   with the index's [`tie_break`](DpcIndex::tie_break) rule;
-/// * the global peak gets `µ = None` and `δ` = max distance to any point.
+/// * `µ(p)` is the lexicographic minimum of `(fl(d²), id)` over the points
+///   denser than `p` ([`closer`](crate::metric::closer)), and `δ(p)` the
+///   root of that `fl(d²)`;
+/// * the global peak gets `µ = None` and `δ` = the root of its largest
+///   `fl(d²)` to any other point.
 ///
-/// Exact indices (List, CH, Quadtree, R-tree) return results identical to the
-/// naive baseline. Approximate indices (RN-List with threshold `τ`) may
-/// return a clipped `δ` for points whose dependent neighbour is farther than
-/// `τ`; see `dpc-list-index` for details.
+/// Exact indices (List, CH, Quadtree, R-tree, k-d tree, grid and the
+/// baselines) return results bit-identical to the [`crate::brute`] kernels.
+/// Approximate indices (RN-List with threshold `τ`) may return a clipped `δ`
+/// for points whose dependent neighbour is farther than `τ`; see
+/// `dpc-list-index` for details.
 pub trait DpcIndex {
     /// Short, stable name used in reports and plots (e.g. `"list"`,
     /// `"ch"`, `"quadtree"`, `"rtree"`).
@@ -437,7 +443,8 @@ pub trait UpdatableIndex: DpcIndex {
 /// [`UpdatableIndex::eps_neighbors`] used by the index-free baselines
 /// (`NaiveReferenceIndex`, `LeanDpc`); real indexes answer the same query
 /// through their structure. Keeping one copy pins the contract — strict
-/// `dist < eps`, same validation as a cut-off distance — in one place.
+/// `fl(d²) < fl(eps²)`, same validation as a cut-off distance — in one
+/// place.
 pub fn eps_neighbors_scan(dataset: &Dataset, center: Point, eps: f64) -> Result<Vec<PointId>> {
     validate_dc(eps)?;
     let (xs, ys) = dataset.coord_slices();
@@ -550,12 +557,6 @@ pub fn validate_rho_len(rho: &[Rho], expected: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Convenience used by index constructors that want to fail early on invalid
-/// datasets (currently only emptiness is rejected lazily, at query time).
-pub fn dataset_len(dataset: &Dataset) -> usize {
-    dataset.len()
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //!
 //! * [`Point`], [`Dataset`], [`BoundingBox`] — the data model,
 //! * [`Metric`] and the concrete metrics ([`Euclidean`], [`Manhattan`], …),
+//!   plus the distance contract every ρ/δ comparison follows ([`metric`],
+//!   [`closer`]) and its brute-force kernels ([`brute`]),
 //! * [`DensityOrder`] — the total order on densities used for `δ`,
 //! * [`DpcIndex`] — the trait implemented by every index,
 //! * [`ExecPolicy`] and the chunked parallel query engine ([`exec`]),
@@ -56,6 +58,7 @@
 
 pub mod assign;
 pub mod bbox;
+pub mod brute;
 pub mod cluster;
 pub mod dc_estimation;
 pub mod decision;
@@ -84,7 +87,7 @@ pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
 pub use index::{BatchOp, DpcIndex, IndexStats, UpdatableIndex};
 pub use kernel::Kernel;
-pub use metric::{Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
+pub use metric::{closer, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};

@@ -6,36 +6,51 @@
 //! mobility data) while every index in the workspace defaults to
 //! [`Euclidean`].
 //!
-//! ## Where squared distances are safe — and where they are not
+//! ## Where squared distances are safe — the distance contract
 //!
-//! The hot loops of the workspace avoid square roots wherever the comparison
-//! allows it, and this is the one place that documents the rule:
+//! This section is the single statement of how the workspace compares
+//! distances. Every ρ and δ computation works on the f64 value
+//! `fl(d²) = dx*dx + dy*dy` of [`Point::distance_squared`], never on a
+//! rounded root:
 //!
-//! * **Safe: the ρ threshold test.** `ρ` counts points with
-//!   `dist(p, q) < dc`. Squaring is strictly monotone on non-negative reals,
-//!   so `dist < dc ⟺ dist² < dc²` (and
-//!   [`validate_dc`](crate::index::validate_dc) rejects degenerate cut-offs
-//!   whose square would underflow f64, keeping the squared comparison
-//!   well-defined); the baselines and the tree traversals
-//!   therefore compare [`Point::distance_squared`] (and
-//!   [`BoundingBox::min_dist_squared`](crate::BoundingBox::min_dist_squared) /
-//!   [`BoundingBox::max_dist_squared`](crate::BoundingBox::max_dist_squared))
-//!   against a precomputed `dc²` and never take a root. The same holds for
-//!   any *pure comparison* of two distances from the same query point, e.g.
-//!   a nearest-neighbour argmin.
-//! * **Unsafe: δ pruning and anything built on the triangle inequality.**
-//!   Lemma 2 of the paper prunes a node `N` because
-//!   `dmin(p, N) ≤ dist(p, q)` for every `q ∈ N` — a geometric lower bound
-//!   that the best-first δ-search compares against the best candidate δ so
-//!   far, and that downstream consumers (the decision graph, the RN-List
-//!   threshold reasoning of §3.3, halo boundaries) combine *additively* with
-//!   other distances. Squared "distance" is not a metric: it violates the
-//!   triangle inequality (`d²(a,c) ≰ d²(a,b) + d²(b,c)`), so any bound that
-//!   offsets, sums or subtracts distances breaks after squaring. The δ-query
-//!   therefore keeps true metric distances throughout, and
-//!   [`SquaredEuclidean`] is documented as a comparison-only pseudo-metric.
+//! * **ρ.** A pair is within `dc` iff `fl(d²) < fl(dc²)`, with `dc²`
+//!   computed once as `dc * dc`.
+//! * **µ.** `µ(p)` is the lexicographic minimum of `(fl(d²), id)` over the
+//!   points denser than `p`; [`closer`] is that order.
+//! * **δ.** `δ(p)` is the square root of the winning `fl(d²)`; for the global
+//!   peak, the square root of the largest `fl(d²)` to any other point.
+//! * **Pruning.** Bounds are squared too. Rounding is monotone, so each step
+//!   of [`BoundingBox::min_dist_squared`](crate::BoundingBox::min_dist_squared)
+//!   (clamped difference, square, sum) rounds a value no larger than the
+//!   same step for any member of the box: the bound never exceeds a member's
+//!   `fl(d²)`, and `max_dist_squared` is likewise never below it. Strict
+//!   prune tests against them are therefore exact, not conservative.
+//!
+//! Comparing rounded roots instead would break ties differently: two
+//! squared distances one ulp apart can share a root, and a pair whose root
+//! rounds to exactly `dc` can still have `fl(d²) < fl(dc²)`.
+//!
+//! What squared distances cannot do is stand in for distances in
+//! *arithmetic*. Squared "distance" is not a metric: it violates the
+//! triangle inequality (`d²(a,c) ≰ d²(a,b) + d²(b,c)`), so any bound that
+//! offsets, sums or subtracts distances must take roots first.
+//! [`SquaredEuclidean`] is a comparison-only pseudo-metric for the same
+//! reason.
 
-use crate::point::Point;
+use crate::point::{Point, PointId};
+
+/// The µ order of the distance contract: whether candidate `q` at squared
+/// distance `d2` precedes the incumbent `(best_d2, best)` in the
+/// lexicographic `(fl(d²), id)` order.
+///
+/// `best = None` means there is no incumbent yet (pair it with
+/// `best_d2 = f64::INFINITY`): any candidate wins.
+#[inline]
+pub fn closer(d2: f64, q: PointId, best_d2: f64, best: Option<PointId>) -> bool {
+    // `<=` first, so a losing candidate (the common case in every scan)
+    // costs one comparison.
+    d2 <= best_d2 && (d2 < best_d2 || best.is_none_or(|b| q < b))
+}
 
 /// A distance function over 2-D points.
 ///
@@ -123,6 +138,19 @@ mod tests {
 
     const A: Point = Point::new(1.0, 2.0);
     const B: Point = Point::new(4.0, 6.0);
+    const INF: f64 = f64::INFINITY;
+
+    #[test]
+    fn closer_orders_by_squared_distance_then_id() {
+        let one_ulp_up = 1.0 + f64::EPSILON;
+        assert!(closer(1.0, 1, INF, None));
+        assert!(closer(INF, 1, INF, None));
+        assert!(closer(1.0, 7, one_ulp_up, Some(0)));
+        assert!(!closer(one_ulp_up, 0, 1.0, Some(7)));
+        assert!(closer(1.0, 3, 1.0, Some(4)));
+        assert!(!closer(1.0, 4, 1.0, Some(3)));
+        assert!(!closer(1.0, 3, 1.0, Some(3)));
+    }
 
     #[test]
     fn euclidean_matches_point_distance() {

@@ -3,15 +3,18 @@
 //!
 //! This is *not* the paper's baseline (that lives in the `dpc-baseline`
 //! crate, with matrix-based, memory-lean and parallel variants); it is the
-//! smallest possible implementation of [`DpcIndex`], used as ground truth in
-//! unit tests, doctests and property tests throughout the workspace, and as
-//! the default index for tiny datasets in examples.
+//! smallest possible implementation of [`DpcIndex`] — a dataset handed to
+//! the sequential [`brute`] kernels — used as ground truth in unit tests,
+//! doctests and property tests throughout the workspace, and as the default
+//! index for tiny datasets in examples.
 
 use std::time::Duration;
 
+use crate::brute;
 use crate::delta::{DeltaResult, DensityOrder, TieBreak};
 use crate::density::Rho;
 use crate::error::Result;
+use crate::exec::ExecPolicy;
 use crate::index::{
     eps_neighbors_scan, validate_dc, validate_rho_len, DpcIndex, IndexStats, UpdatableIndex,
 };
@@ -62,52 +65,18 @@ impl DpcIndex for NaiveReferenceIndex {
 
     fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
         validate_dc(dc)?;
-        let pts = self.dataset.points();
-        let n = pts.len();
-        let mut rho = vec![0.0 as Rho; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if pts[i].distance(&pts[j]) < dc {
-                    rho[i] += 1.0;
-                    rho[j] += 1.0;
-                }
-            }
-        }
-        Ok(rho)
+        Ok(brute::rho_scan(&self.dataset, dc, ExecPolicy::Sequential))
     }
 
     fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
-        let pts = self.dataset.points();
-        let n = pts.len();
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        let mut result = DeltaResult::unset(n);
-        for p in 0..n {
-            let mut best = f64::INFINITY;
-            let mut best_q = None;
-            let mut max_dist = 0.0f64;
-            for q in 0..n {
-                if q == p {
-                    continue;
-                }
-                let d = pts[p].distance(&pts[q]);
-                max_dist = max_dist.max(d);
-                if order.is_denser(q, p) && d < best {
-                    best = d;
-                    best_q = Some(q);
-                }
-            }
-            if best_q.is_some() {
-                result.delta[p] = best;
-                result.mu[p] = best_q;
-            } else {
-                // Global peak: δ is the maximum distance to any other point.
-                result.delta[p] = max_dist;
-                result.mu[p] = None;
-            }
-        }
-        Ok(result)
+        Ok(brute::delta_scan(
+            &self.dataset,
+            &order,
+            ExecPolicy::Sequential,
+        ))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -202,7 +171,7 @@ mod tests {
             .filter(|&q| q != peak)
             .map(|q| data.distance(peak, q))
             .fold(0.0, f64::max);
-        assert!((dres.delta(peak) - expected).abs() < 1e-12);
+        assert_eq!(dres.delta(peak), expected);
     }
 
     #[test]
@@ -221,7 +190,7 @@ mod tests {
         let (_, dres) = idx.rho_delta(0.2).unwrap();
         for p in 0..data.len() {
             if let Some(q) = dres.mu(p) {
-                assert!((dres.delta(p) - data.distance(p, q)).abs() < 1e-12);
+                assert_eq!(dres.delta(p), data.distance(p, q));
             }
         }
     }

@@ -1,9 +1,13 @@
 //! Property-based tests of the core geometric and ordering primitives.
 //!
-//! The pruning rules of the tree indices are only correct if `min_dist` /
-//! `max_dist` really bound every point-to-region distance, and the δ
-//! semantics are only well defined if the density order is a strict total
-//! order — these are the invariants checked here on random inputs.
+//! The pruning rules of the tree indices are only correct if
+//! `min_dist_squared` / `max_dist_squared` really bound every point-to-region
+//! squared distance — exactly, with no rounding slack — and the δ semantics
+//! are only well defined if the density order is a strict total order —
+//! these are the invariants checked here on random inputs. The definition
+//! checks of the reference index are written out from the distance contract
+//! here rather than calling `dpc_core::brute`, so the kernel is checked
+//! against code it does not share.
 
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
@@ -36,14 +40,15 @@ proptest! {
         points in points_strategy(50),
         query in point_strategy()
     ) {
+        // Monotone rounding makes both bounds exact: no epsilon.
         let bb = BoundingBox::from_points(&points);
-        let dmin = bb.min_dist(query);
-        let dmax = bb.max_dist(query);
-        prop_assert!(dmin <= dmax + 1e-12);
+        let dmin2 = bb.min_dist_squared(query);
+        let dmax2 = bb.max_dist_squared(query);
+        prop_assert!(dmin2 <= dmax2);
         for p in &points {
-            let d = query.distance(p);
-            prop_assert!(d + 1e-9 >= dmin, "point closer than min_dist");
-            prop_assert!(d <= dmax + 1e-9, "point farther than max_dist");
+            let d2 = query.distance_squared(p);
+            prop_assert!(dmin2 <= d2, "point closer than min_dist_squared");
+            prop_assert!(d2 <= dmax2, "point farther than max_dist_squared");
         }
     }
 
@@ -118,22 +123,31 @@ proptest! {
         let index = NaiveReferenceIndex::build(&data);
         let (rho, deltas) = index.rho_delta(dc).unwrap();
         let order = DensityOrder::new(&rho);
+        let d2 = |p: usize, q: usize| data.point(p).distance_squared(&data.point(q));
         // Definition of rho.
         for (p, &rho_p) in rho.iter().enumerate() {
             let expected = (0..data.len())
-                .filter(|&q| q != p && data.distance(p, q) < dc)
+                .filter(|&q| q != p && d2(p, q) < dc * dc)
                 .count() as f64;
             prop_assert_eq!(rho_p, expected);
         }
         // Structural validity of delta.
         deltas.validate(&order).unwrap();
-        // Minimality of delta.
+        // Definition of delta and mu: the (d², id) minimum over the denser
+        // points, rooted once; the global peak gets its largest distance.
         for p in 0..data.len() {
-            if deltas.mu(p).is_some() {
-                for q in 0..data.len() {
-                    if q != p && order.is_denser(q, p) {
-                        prop_assert!(data.distance(p, q) >= deltas.delta(p) - 1e-9);
+            match deltas.mu(p) {
+                Some(m) => {
+                    prop_assert_eq!(deltas.delta(p), d2(p, m).sqrt());
+                    for q in 0..data.len() {
+                        if q != p && order.is_denser(q, p) {
+                            prop_assert!((d2(p, q), q) >= (d2(p, m), m), "{} beats mu({})", q, p);
+                        }
                     }
+                }
+                None => {
+                    let max = (0..data.len()).map(|q| d2(p, q)).fold(0.0, f64::max);
+                    prop_assert_eq!(deltas.delta(p), max.sqrt());
                 }
             }
         }

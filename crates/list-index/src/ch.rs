@@ -2,10 +2,12 @@
 //!
 //! On top of every object's N-List the CH Index stores a cumulative
 //! histogram with bin width `w`: bin `k` records how many neighbours lie at
-//! distance `< (k+1)·w` (Algorithm 3). The ρ-query (Algorithm 4) first jumps
-//! to the bin containing `dc` in `O(1)` and then searches only the list
-//! section covered by that single bin, so with a well chosen `w` the per-
-//! object cost is constant and the whole ρ-query is `O(n)` (Theorem 2).
+//! `d² < ((k+1)·w)²` (Algorithm 3; each edge is computed by multiplication,
+//! never accumulated, so build and query see the same f64). The ρ-query
+//! (Algorithm 4) first finds the bin containing `dc`, once per query, and
+//! then searches only the list section covered by that single bin, so with
+//! a well chosen `w` the per-object cost is constant and the whole ρ-query
+//! is `O(n)` (Theorem 2).
 //!
 //! The δ-query is unchanged from the List Index — the histogram only helps
 //! ρ — and the approximate RN-List variant composes with the histogram in the
@@ -60,8 +62,10 @@ pub struct ChIndex {
     dataset: Dataset,
     lists: NeighborLists,
     /// `histograms[p][k]` = number of neighbours of `p` with
-    /// `dist < (k+1) * bin_width`.
+    /// `d² < bin_edge_sq(k)`.
     histograms: Vec<Vec<u32>>,
+    /// Length of the longest histogram.
+    max_bins: usize,
     bin_width: f64,
     tie: TieBreak,
     construction_time: Duration,
@@ -100,6 +104,7 @@ impl ChIndex {
         ChIndex {
             dataset: dataset.clone(),
             lists,
+            max_bins: histograms.iter().map(Vec::len).max().unwrap_or(0),
             histograms,
             bin_width: config.bin_width,
             tie: config.tie_break,
@@ -121,6 +126,7 @@ impl ChIndex {
         ChIndex {
             dataset: dataset.clone(),
             lists,
+            max_bins: histograms.iter().map(Vec::len).max().unwrap_or(0),
             histograms,
             bin_width,
             tie: TieBreak::default(),
@@ -154,51 +160,68 @@ impl ChIndex {
         self.histograms.iter().map(Vec::len).sum()
     }
 
-    /// ρ of a single object — Algorithm 4, one iteration.
-    fn rho_one(&self, p: PointId, dc: f64) -> Rho {
-        let list = self.lists.list(p);
-        if list.is_empty() {
-            return 0.0;
+    /// The first bin whose edge exceeds `dc²`, found by binary search over
+    /// the non-decreasing edges. Entries before `hist[b-1]` are then
+    /// provably inside `dc` (`d² < edge(b-1) ≤ dc²`) and entries from
+    /// `hist[b]` on provably outside (`d² ≥ edge(b) > dc²`).
+    fn first_bin_above(&self, dc2: f64) -> usize {
+        let (mut lo, mut hi) = (0, self.max_bins);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if bin_edge_sq(mid, self.bin_width) <= dc2 {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        lo
+    }
+
+    /// ρ of a single object — Algorithm 4, one iteration — given the
+    /// query's [`first_bin_above`](Self::first_bin_above).
+    fn rho_one(&self, p: PointId, bin: usize, dc2: f64) -> Rho {
+        let list = self.lists.list(p);
         let hist = &self.histograms[p];
-        let bin = (dc / self.bin_width).floor();
-        if bin >= hist.len() as f64 {
-            // dc reaches past the last bin: every stored neighbour counts.
+        if bin >= hist.len() {
+            // Every edge up to the last one is within dc²: every stored
+            // neighbour counts.
             return list.len() as Rho;
         }
-        let bin = bin as usize;
         let prev = if bin == 0 { 0 } else { hist[bin - 1] as usize };
         let last = hist[bin] as usize;
-        // Only the section [prev, last) of the list can contain neighbours
-        // with dist in [bin*w, dc); everything before `prev` is already
-        // strictly below bin*w <= dc.
-        let extra = list[prev..last].partition_point(|nb| nb.dist < dc);
+        // Only the section [prev, last) can straddle dc.
+        let extra = list[prev..last].partition_point(|nb| nb.dist_sq < dc2);
         (prev + extra) as Rho
     }
 }
 
+/// The squared upper edge of histogram bin `k`: `((k+1)·w)²`, by
+/// multiplication so that build and query see the same f64.
+#[inline]
+fn bin_edge_sq(k: usize, bin_width: f64) -> f64 {
+    let edge = (k as f64 + 1.0) * bin_width;
+    edge * edge
+}
+
 /// Builds the per-object cumulative histograms (Algorithm 3).
 fn build_histograms(lists: &NeighborLists, bin_width: f64) -> Vec<Vec<u32>> {
-    let mut histograms = Vec::with_capacity(lists.len());
-    for p in 0..lists.len() {
-        let list = lists.list(p);
-        let mut hist: Vec<u32> = Vec::new();
-        let mut upper = bin_width;
-        let mut i = 0usize;
-        while i < list.len() {
-            if list[i].dist < upper {
-                i += 1;
-            } else {
-                hist.push(i as u32);
-                upper += bin_width;
+    (0..lists.len())
+        .map(|p| {
+            let list = lists.list(p);
+            let mut hist: Vec<u32> = Vec::new();
+            let mut edge = bin_edge_sq(0, bin_width);
+            for (i, nb) in list.iter().enumerate() {
+                while nb.dist_sq >= edge {
+                    hist.push(i as u32);
+                    edge = bin_edge_sq(hist.len(), bin_width);
+                }
             }
-        }
-        // Last bin: total number of stored neighbours.
-        hist.push(i as u32);
-        hist.shrink_to_fit();
-        histograms.push(hist);
-    }
-    histograms
+            // Last bin: total number of stored neighbours.
+            hist.push(list.len() as u32);
+            hist.shrink_to_fit();
+            hist
+        })
+        .collect()
 }
 
 impl DpcIndex for ChIndex {
@@ -224,8 +247,10 @@ impl DpcIndex for ChIndex {
 
     fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
         validate_dc(dc)?;
+        let dc2 = dc * dc;
+        let bin = self.first_bin_above(dc2);
         let mut rho = vec![0 as Rho; self.dataset.len()];
-        exec::fill_slice(&mut rho, policy, || (), |p, ()| self.rho_one(p, dc));
+        exec::fill_slice(&mut rho, policy, || (), |p, ()| self.rho_one(p, bin, dc2));
         Ok(rho)
     }
 
@@ -233,7 +258,7 @@ impl DpcIndex for ChIndex {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan_policy(&order, policy))
+        Ok(self.lists.delta_by_scan(&order, policy).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -272,10 +297,7 @@ mod tests {
             "rho mismatch at dc = {dc} (w = {})",
             index.bin_width()
         );
-        assert_eq!(d1.mu, d2.mu, "mu mismatch at dc = {dc}");
-        for p in 0..data.len() {
-            assert!((d1.delta(p) - d2.delta(p)).abs() < 1e-9);
-        }
+        assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
 
     #[test]

@@ -96,14 +96,17 @@ impl KnnDpc {
 
     /// Distance from `p` to its k-th nearest neighbour.
     pub fn knn_distance(&self, p: PointId, k: usize) -> f64 {
-        self.lists.list(p)[k - 1].dist
+        self.lists.list(p)[k - 1].dist_sq.sqrt()
     }
 
     /// The kNN density score of one point: `k / Σ_{i≤k} dist(p, nnᵢ)`.
     /// Larger is denser. Coincident points get `+∞`-like scores capped by the
     /// rank conversion, so they are simply the densest.
     pub fn density_score(&self, p: PointId, k: usize) -> f64 {
-        let sum: f64 = self.lists.list(p)[..k].iter().map(|nb| nb.dist).sum();
+        let sum: f64 = self.lists.list(p)[..k]
+            .iter()
+            .map(|nb| nb.dist_sq.sqrt())
+            .sum();
         if sum <= 0.0 {
             f64::INFINITY
         } else {
@@ -156,7 +159,7 @@ impl KnnDpc {
     ) -> Result<(Vec<Rho>, DeltaResult)> {
         let ranks = self.density_ranks_with_policy(k, policy)?;
         let order = DensityOrder::with_tie_break(&ranks, self.tie);
-        let deltas = self.lists.delta_by_scan_policy(&order, policy);
+        let (deltas, _) = self.lists.delta_by_scan(&order, policy);
         Ok((ranks, deltas))
     }
 

@@ -87,7 +87,7 @@ impl ListIndex {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan_with_probes(&order))
+        Ok(self.lists.delta_by_scan(&order, ExecPolicy::Sequential))
     }
 }
 
@@ -128,7 +128,7 @@ impl DpcIndex for ListIndex {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan_policy(&order, policy))
+        Ok(self.lists.delta_by_scan(&order, policy).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -162,13 +162,7 @@ mod tests {
         let (r1, d1) = index.rho_delta(dc).unwrap();
         let (r2, d2) = baseline.rho_delta(dc).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
-        assert_eq!(d1.mu, d2.mu, "mu mismatch at dc = {dc}");
-        for p in 0..data.len() {
-            assert!(
-                (d1.delta(p) - d2.delta(p)).abs() < 1e-9,
-                "delta mismatch at dc = {dc}, p = {p}"
-            );
-        }
+        assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
 
     #[test]
@@ -206,7 +200,7 @@ mod tests {
         for p in 0..data.len() {
             if d_a.mu(p).is_some() {
                 assert_eq!(d_a.mu(p), d_e.mu(p), "p = {p}");
-                assert!((d_a.delta(p) - d_e.delta(p)).abs() < 1e-9);
+                assert_eq!(d_a.delta(p), d_e.delta(p), "p = {p}");
             }
         }
     }

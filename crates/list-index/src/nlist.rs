@@ -5,16 +5,22 @@
 //! paper). The RN-List of §3.3 is the same structure truncated at a neighbour
 //! threshold `τ`: only objects with `dist < τ` are kept, which reduces the
 //! quadratic memory cost to whatever the local neighbourhoods contain.
+//!
+//! Entries store the *squared* distance and are sorted by `(fl(d²), id)`,
+//! the µ order of the distance contract (see [`dpc_core::metric`]): ρ is a
+//! partition on `d² < dc²`, truncation keeps `d² < τ²`, and the first denser
+//! entry of a list is exactly the brute-force `µ`.
 
 use dpc_core::stats::vec_bytes;
 use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
 
-/// One entry of a neighbour list: a neighbour id and its distance to the
-/// list's owner.
+/// One entry of a neighbour list: a neighbour id and its squared distance
+/// to the list's owner.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
-    /// Distance from the list owner to this neighbour.
-    pub dist: f64,
+    /// Squared distance from the list owner to this neighbour
+    /// ([`Point::distance_squared`](dpc_core::Point::distance_squared)).
+    pub dist_sq: f64,
     /// Id of the neighbour (u32 keeps the entry at 16 bytes; datasets above
     /// 4 G points are far outside the scope of this index).
     pub id: u32,
@@ -22,9 +28,9 @@ pub struct Neighbor {
 
 impl Neighbor {
     /// Creates an entry.
-    pub fn new(dist: f64, id: PointId) -> Self {
+    pub fn new(dist_sq: f64, id: PointId) -> Self {
         Neighbor {
-            dist,
+            dist_sq,
             id: id as u32,
         }
     }
@@ -49,7 +55,7 @@ impl NeighborLists {
     ///
     /// `tau = None` builds full N-Lists (every other object appears in every
     /// list); `tau = Some(t)` builds RN-Lists containing only neighbours with
-    /// `dist < t`.
+    /// `d² < t²`.
     pub fn build(dataset: &Dataset, tau: Option<f64>) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -82,6 +88,7 @@ impl NeighborLists {
             return NeighborLists { lists, tau };
         }
         let (xs, ys) = dataset.coord_slices();
+        let tau2 = tau.map(|t| t * t);
         exec::fill_slice(
             &mut lists,
             ExecPolicy::Threads(threads),
@@ -95,17 +102,15 @@ impl NeighborLists {
                         continue;
                     }
                     let (dx, dy) = (xq - xp, yq - yp);
-                    let d = (dx * dx + dy * dy).sqrt();
-                    if tau.is_none_or(|t| d < t) {
-                        entries.push(Neighbor::new(d, q));
+                    let d2 = dx * dx + dy * dy;
+                    if tau2.is_none_or(|t2| d2 < t2) {
+                        entries.push(Neighbor::new(d2, q));
                     }
                 }
-                entries.sort_by(|a, b| {
-                    a.dist
-                        .partial_cmp(&b.dist)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.id.cmp(&b.id))
-                });
+                // Ids are unique within a list, so the (d², id) keys are too
+                // and an unstable sort is deterministic.
+                entries
+                    .sort_unstable_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.id.cmp(&b.id)));
                 entries.shrink_to_fit();
                 entries
             },
@@ -129,19 +134,20 @@ impl NeighborLists {
         self.tau
     }
 
-    /// The (R)N-List of one object, sorted by non-decreasing distance.
+    /// The (R)N-List of one object, sorted by `(d², id)`.
     pub fn list(&self, p: PointId) -> &[Neighbor] {
         &self.lists[p]
     }
 
-    /// Number of neighbours of `p` with distance strictly below `dc`
-    /// (a binary search over the sorted list).
+    /// Number of neighbours of `p` with `d² < dc²` (a binary search over the
+    /// sorted list).
     ///
     /// For RN-Lists this is exact whenever `dc <= τ` and a lower bound
     /// otherwise (everything stored is counted, anything beyond `τ` is
     /// missed) — exactly the approximation the paper describes.
     pub fn count_within(&self, p: PointId, dc: f64) -> usize {
-        self.lists[p].partition_point(|nb| nb.dist < dc)
+        let dc2 = dc * dc;
+        self.lists[p].partition_point(|nb| nb.dist_sq < dc2)
     }
 
     /// Total number of stored entries across all lists.
@@ -161,7 +167,9 @@ impl NeighborLists {
 
     /// The δ-query of Algorithm 2 (lines 7–13): for every object, scan its
     /// list from nearest to farthest and stop at the first neighbour that is
-    /// denser under `order`.
+    /// denser under `order`. Also returns the total number of list entries
+    /// probed, the quantity behind the paper's remark that *"less than 1% of
+    /// the total number of objects were probed"*.
     ///
     /// * With full N-Lists the only object for which the scan can fail is the
     ///   global peak; its `δ` is set to its maximum stored distance (the
@@ -169,32 +177,11 @@ impl NeighborLists {
     /// * With RN-Lists the scan can also fail for a point whose dependent
     ///   neighbour lies beyond `τ`; such points get the sentinel
     ///   `δ = +∞`, `µ = None` ("set to a large value" in §3.3).
-    pub fn delta_by_scan(&self, order: &DensityOrder<'_>) -> DeltaResult {
-        self.delta_by_scan_with_probes(order).0
-    }
-
-    /// Like [`delta_by_scan`](Self::delta_by_scan) but also returns the total
-    /// number of list entries probed, the quantity behind the paper's remark
-    /// that *"less than 1% of the total number of objects were probed"*.
-    pub fn delta_by_scan_with_probes(&self, order: &DensityOrder<'_>) -> (DeltaResult, u64) {
-        self.delta_by_scan_with_probes_policy(order, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_by_scan`](Self::delta_by_scan) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn delta_by_scan_policy(
-        &self,
-        order: &DensityOrder<'_>,
-        policy: ExecPolicy,
-    ) -> DeltaResult {
-        self.delta_by_scan_with_probes_policy(order, policy).0
-    }
-
-    /// [`delta_by_scan_with_probes`](Self::delta_by_scan_with_probes) under
-    /// an explicit execution policy. The per-point scans are partitioned
-    /// across worker threads; each worker counts its own probes and the
-    /// counters are summed after the join.
-    pub fn delta_by_scan_with_probes_policy(
+    ///
+    /// The per-point scans are partitioned across worker threads; each
+    /// worker counts its own probes and the counters are summed after the
+    /// join, so results are bit-identical at every thread count.
+    pub fn delta_by_scan(
         &self,
         order: &DensityOrder<'_>,
         policy: ExecPolicy,
@@ -209,27 +196,18 @@ impl NeighborLists {
             || 0u64,
             |p, delta_slot, mu_slot, probes| {
                 let list = &self.lists[p];
-                let mut found = false;
-                for nb in list {
-                    *probes += 1;
-                    if order.is_denser(nb.point_id(), p) {
-                        *delta_slot = nb.dist;
-                        *mu_slot = Some(nb.point_id());
-                        found = true;
-                        break;
+                let found = list.iter().position(|nb| order.is_denser(nb.point_id(), p));
+                *probes += found.map_or(list.len(), |i| i + 1) as u64;
+                (*delta_slot, *mu_slot) = match found {
+                    Some(i) => (list[i].dist_sq.sqrt(), Some(list[i].point_id())),
+                    // Global peak: δ = maximum distance to any other object,
+                    // which is the last entry of its full N-List.
+                    None if self.tau.is_none() => {
+                        (list.last().map_or(0.0, |nb| nb.dist_sq.sqrt()), None)
                     }
-                }
-                if !found {
-                    if self.tau.is_none() {
-                        // Global peak: δ = maximum distance to any other
-                        // object, which is the last entry of its full N-List.
-                        *delta_slot = list.last().map_or(0.0, |nb| nb.dist);
-                    } else {
-                        // Truncated list: neighbour (if any) lies beyond τ.
-                        *delta_slot = f64::INFINITY;
-                    }
-                    *mu_slot = None;
-                }
+                    // Truncated list: the neighbour (if any) lies beyond τ.
+                    None => (f64::INFINITY, None),
+                };
             },
         );
         (result, probes_per_worker.into_iter().sum())
@@ -259,13 +237,13 @@ mod tests {
             let l = lists.list(p);
             assert_eq!(l.len(), 3, "point {p}");
             for w in l.windows(2) {
-                assert!(w[0].dist <= w[1].dist);
+                assert!(w[0].dist_sq <= w[1].dist_sq);
             }
             assert!(l.iter().all(|nb| nb.point_id() != p));
         }
         // Point 0's nearest neighbour is point 1 at distance 1.
         assert_eq!(lists.list(0)[0].point_id(), 1);
-        assert_eq!(lists.list(0)[0].dist, 1.0);
+        assert_eq!(lists.list(0)[0].dist_sq, 1.0);
     }
 
     #[test]
@@ -312,10 +290,9 @@ mod tests {
             let lists = NeighborLists::build_serial(&data, tau);
             let rho: Vec<f64> = (0..data.len() as u32).map(|i| f64::from(i % 7)).collect();
             let order = DensityOrder::new(&rho);
-            let (seq, seq_probes) = lists.delta_by_scan_with_probes(&order);
+            let (seq, seq_probes) = lists.delta_by_scan(&order, ExecPolicy::Sequential);
             for threads in [1usize, 2, 3, 7] {
-                let (par, par_probes) =
-                    lists.delta_by_scan_with_probes_policy(&order, ExecPolicy::Threads(threads));
+                let (par, par_probes) = lists.delta_by_scan(&order, ExecPolicy::Threads(threads));
                 assert_eq!(par.delta, seq.delta, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par.mu, seq.mu, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par_probes, seq_probes, "threads = {threads}, tau = {tau:?}");

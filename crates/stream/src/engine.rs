@@ -62,14 +62,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dpc_core::{
-    assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
-    DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
+    assign_clusters, brute, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder,
+    DpcError, DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
 };
 use dpc_obs::{span, AttrValue, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
 use crate::handle::{Handle, HandleMap};
-use crate::maintenance::{candidate_pass, delta_point, recompute_all, recompute_targets};
+use crate::maintenance::{candidate_pass, recompute_targets};
 use crate::policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 use crate::report::{ClusterDelta, LabelChange};
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
@@ -494,7 +494,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             let stride = n / probes;
             let probing = Instant::now();
             for k in 0..probes {
-                std::hint::black_box(delta_point(index.dataset(), &order, k * stride));
+                std::hint::black_box(brute::delta_one(index.dataset(), &order, k * stride));
             }
             probing.elapsed().as_micros() as f64 / probes as f64
         };
@@ -819,12 +819,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 *r *= lambda;
             }
             let order = DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break);
-            recompute_all(
-                self.index.dataset(),
-                &order,
-                &mut self.deltas,
-                self.params.dpc.exec,
-            );
+            self.deltas = brute::delta_scan(self.index.dataset(), &order, self.params.dpc.exec);
             self.peak = order.global_peak();
         }
         let micros = started.elapsed().as_micros() as u64;
@@ -1263,7 +1258,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // to the id tie-break — so no point's (δ, µ) minimum is trustworthy
         // and the epoch always re-ranks in full.
         let mode = if lambda != 1.0 || self.needs_fallback(scratch.invalidated.len(), n) {
-            recompute_all(dataset, &order, &mut self.deltas, self.params.dpc.exec);
+            self.deltas = brute::delta_scan(dataset, &order, self.params.dpc.exec);
             EpochMode::Fallback
         } else {
             scratch.skip.clear();

@@ -7,7 +7,8 @@
 //! * a **full recomputation** of the bounded *invalidation set* `F` — points
 //!   whose set of denser neighbours may have *shrunk* (their own ρ changed,
 //!   their µ was removed or demoted, the global peak) — each recomputed from
-//!   scratch by [`delta_point`];
+//!   scratch by the brute-force kernel [`brute::delta_one`]
+//!   ([`recompute_targets`]);
 //! * a **candidate min-update pass** over everything else: for points
 //!   outside `F` the denser set can only have *gained* members (the inserted
 //!   point, neighbours whose ρ rose, a point renamed to a smaller id), so
@@ -16,48 +17,15 @@
 //!
 //! ## Tie-breaking
 //!
-//! Everything here resolves equidistant candidates towards the smaller id,
-//! the workspace-wide convention (`delta_one` in `dpc-tree-index`, the
-//! brute-force kernels in `dpc-baseline`, `NaiveReferenceIndex`). The full
-//! recomputation minimises over *squared* distances and takes one square
-//! root at the end — exactly like the baseline kernels; IEEE-754 `sqrt` is
-//! correctly rounded and monotone, so the value is bit-identical to
-//! minimising/maximising true distances.
+//! Both passes rank candidates with [`closer`], the µ order of the
+//! workspace's distance contract (see [`dpc_core::metric`]): the
+//! lexicographic minimum of `(fl(d²), id)`, with one square root taken of
+//! the winner. The batch oracle (`NaiveReferenceIndex`, which runs the same
+//! [`brute`] kernels), the baselines, the list indexes and the trees'
+//! `delta_one` all use that order, so a repaired `(δ, µ)` is bit-identical
+//! to the cold batch result.
 
-use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
-
-/// δ and µ of a single point by exhaustive scan under the given density
-/// order: the lexicographic `(distance, id)` minimum over all denser points,
-/// or the global-peak convention (max distance to any point, `µ = None`)
-/// when no denser point exists.
-pub fn delta_point(
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    p: PointId,
-) -> (f64, Option<PointId>) {
-    let (xs, ys) = dataset.coord_slices();
-    let (xp, yp) = (xs[p], ys[p]);
-    let n = dataset.len();
-    let mut best_sq = f64::INFINITY;
-    let mut best_q = None;
-    let mut max_sq = 0.0f64;
-    for q in 0..n {
-        if q == p {
-            continue;
-        }
-        let (dx, dy) = (xs[q] - xp, ys[q] - yp);
-        let d2 = dx * dx + dy * dy;
-        max_sq = max_sq.max(d2);
-        if d2 < best_sq && order.is_denser(q, p) {
-            best_sq = d2;
-            best_q = Some(q);
-        }
-    }
-    match best_q {
-        Some(q) => (best_sq.sqrt(), Some(q)),
-        None => (max_sq.sqrt(), None),
-    }
-}
+use dpc_core::{brute, closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
 
 /// Recomputes δ/µ from scratch for every point in `targets`, in parallel,
 /// and scatters the results into `deltas`.
@@ -73,34 +41,12 @@ pub fn recompute_targets(
         &mut out,
         policy,
         || (),
-        |k, ()| delta_point(dataset, order, targets[k]),
+        |k, ()| brute::delta_one(dataset, order, targets[k]),
     );
     for (k, &p) in targets.iter().enumerate() {
         deltas.delta[p] = out[k].0;
         deltas.mu[p] = out[k].1;
     }
-}
-
-/// Recomputes δ/µ from scratch for *every* point, in parallel — the
-/// documented fallback when the invalidation set exceeds the configured
-/// fraction of the window and incremental repair would not pay off.
-pub fn recompute_all(
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    deltas: &mut DeltaResult,
-    policy: ExecPolicy,
-) {
-    exec::fill_slice_pair(
-        &mut deltas.delta,
-        &mut deltas.mu,
-        policy,
-        || (),
-        |p, delta_slot, mu_slot, ()| {
-            let (d, mu) = delta_point(dataset, order, p);
-            *delta_slot = d;
-            *mu_slot = mu;
-        },
-    );
 }
 
 /// Folds a small set of *candidate entrants* into the δ/µ of every point
@@ -111,16 +57,11 @@ pub fn recompute_all(
 /// `candidates` is a superset of the points that may have *entered* that set
 /// (an entrant that was already denser folds in as a no-op: it can never
 /// beat a minimum that already accounted for it). Each candidate `c` that is
-/// denser than `p` under the *new* order is min-folded with the workspace
-/// tie rule: strictly smaller distance wins, equal distance goes to the
-/// smaller id.
+/// denser than `p` under the *new* order is min-folded with [`closer`]:
+/// strictly smaller `fl(d²)` wins, equal `fl(d²)` goes to the smaller id.
 ///
-/// The comparison happens in **squared**-distance space, like
-/// [`delta_point`] and the batch kernels: two squared distances one ulp
-/// apart can round to the same square root, and comparing the rounded values
-/// would let an id tie-break fire where the batch run sees a strict
-/// inequality. The incumbent's squared distance is recomputed from the
-/// coordinates of `µ(p)` (exact — it is the value `delta_point` minimised
+/// The incumbent's squared distance is recomputed from the coordinates of
+/// `µ(p)` (exact — it is the value the kernel that found it minimised
 /// before taking the root). A point whose `µ` is `None` (the global peak,
 /// carrying the max-distance sentinel rather than a minimum) must be masked
 /// out via `skip`; the engine always recomputes peaks from scratch.
@@ -150,16 +91,11 @@ pub fn candidate_pass(
                     continue;
                 }
                 let d2 = pts[c].distance_squared(&pts[p]);
-                let wins = match *mu_slot {
-                    Some(b) => {
-                        let incumbent_sq = pts[b].distance_squared(&pts[p]);
-                        d2 < incumbent_sq || (d2 == incumbent_sq && c < b)
-                    }
-                    // Unset (δ = ∞): any denser candidate wins. Peaks carry
-                    // a sentinel δ instead and must be masked (see above).
-                    None => true,
-                };
-                if wins {
+                // Unset µ (δ = ∞): any denser candidate wins. Peaks carry a
+                // sentinel δ instead and must be masked (see above).
+                let incumbent_sq =
+                    mu_slot.map_or(f64::INFINITY, |b| pts[b].distance_squared(&pts[p]));
+                if closer(d2, c, incumbent_sq, *mu_slot) {
                     *delta_slot = d2.sqrt();
                     *mu_slot = Some(c);
                 }
@@ -183,30 +119,6 @@ mod tests {
             (5.1, 5.0),
             (2.5, 2.5),
         ])
-    }
-
-    #[test]
-    fn delta_point_matches_reference_for_every_point() {
-        let data = dataset();
-        let (rho, expected) = NaiveReferenceIndex::build(&data).rho_delta(0.3).unwrap();
-        let order = DensityOrder::new(&rho);
-        for p in 0..data.len() {
-            let (d, mu) = delta_point(&data, &order, p);
-            assert_eq!(d, expected.delta[p], "delta of {p}");
-            assert_eq!(mu, expected.mu[p], "mu of {p}");
-        }
-    }
-
-    #[test]
-    fn recompute_all_matches_reference_at_several_thread_counts() {
-        let data = dataset();
-        let (rho, expected) = NaiveReferenceIndex::build(&data).rho_delta(0.3).unwrap();
-        let order = DensityOrder::new(&rho);
-        for threads in [1usize, 3, 8] {
-            let mut deltas = DeltaResult::unset(data.len());
-            recompute_all(&data, &order, &mut deltas, ExecPolicy::Threads(threads));
-            assert_eq!(deltas, expected, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -273,18 +185,5 @@ mod tests {
         );
         assert_eq!(deltas.mu[1], Some(0));
         assert_eq!(deltas.delta[1], 1.0);
-    }
-
-    #[test]
-    fn delta_point_peak_sentinel_is_max_distance() {
-        let data = Dataset::from_coords(vec![(0.0, 0.0), (3.0, 4.0)]);
-        let rho = vec![1.0, 1.0];
-        let order = DensityOrder::new(&rho);
-        let (d, mu) = delta_point(&data, &order, 0);
-        assert_eq!(mu, None);
-        assert_eq!(d, 5.0);
-        let (d1, mu1) = delta_point(&data, &order, 1);
-        assert_eq!(mu1, Some(0));
-        assert_eq!(d1, 5.0);
     }
 }

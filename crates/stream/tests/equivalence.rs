@@ -35,7 +35,9 @@ use dpc_core::index::eps_neighbors_scan;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Point, UpdatableIndex};
 use dpc_datasets::rng::SplitMix64;
-use dpc_datasets::testsupport::{lattice_point, test_points, TestDistribution};
+use dpc_datasets::testsupport::{
+    lattice_point, test_points, ulp_adversarial_points, TestDistribution,
+};
 use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
@@ -582,11 +584,13 @@ proptest! {
 }
 
 /// Asserts one engine's maintained state is bit-identical to a cold batch
-/// run (fresh index of the same kind + full pipeline) over its dataset.
-fn assert_cold_batch<I, F>(label: &str, build: &F, engine: &StreamingDpc<I>, dpc: &DpcParams)
+/// run (a fresh index from `build`, usually of the same kind, + the full
+/// pipeline) over its dataset.
+fn assert_cold_batch<I, J, F>(label: &str, build: &F, engine: &StreamingDpc<I>, dpc: &DpcParams)
 where
     I: UpdatableIndex,
-    F: Fn(&Dataset) -> I,
+    J: DpcIndex,
+    F: Fn(&Dataset) -> J,
 {
     let run = DpcPipeline::new(dpc.clone())
         .run(&build(engine.index().dataset()))
@@ -886,6 +890,70 @@ fn deferred_triggers_fire_once_per_epoch() {
         "60 inserts into 3-entry nodes must split: {rt:?}"
     );
     assert_cold_batch("rtree", &rt_build, &rt_engine, &dpc);
+}
+
+/// The ulp-adversarial generator through every engine: a window seeded with
+/// half of the planted points takes the rest one insert at a time, then
+/// evictions, with the δ fallback at its default, forced and disabled — and
+/// must match the cold batch run after every step. Ties one ulp apart in
+/// `fl(d²)` are where a repair that compared rounded roots, or minimised a
+/// different order than the batch kernels, would diverge.
+#[test]
+fn ulp_adversarial_streams_match_batch_for_every_engine() {
+    for (seed, dc, w) in [
+        (1u64, 0.6098847240216778, 0.05),
+        (2, 7.799999999999999, 0.3),
+        (3, 3.1, 0.7),
+    ] {
+        let points = ulp_adversarial_points(dc, w, seed);
+        let (seed_points, arrivals) = points.split_at(points.len() / 2);
+        let mut rng = SplitMix64::new(seed);
+        let mut ops: Vec<Op> = arrivals
+            .iter()
+            .map(|&point| Op {
+                insert: true,
+                point,
+                sel: 0,
+            })
+            .collect();
+        ops.extend((0..arrivals.len()).map(|_| Op {
+            insert: false,
+            point: lattice_point(0, 0),
+            sel: rng.next_u64(),
+        }));
+        for fraction in [0.25, 0.0, 1.0] {
+            for_each_updatable_index!(|name, build| {
+                check_equivalence(name, build, dc, seed_points, &ops, 2, fraction).unwrap();
+            });
+        }
+    }
+}
+
+/// Regression: a probe inserted between two denser candidates whose squared
+/// distances are one ulp apart but whose roots are equal. The repair and the
+/// cold oracle must both pick the nearer candidate in `(fl(d²), id)` order,
+/// not the farther one with the smaller id, in every engine.
+#[test]
+fn probe_between_tied_root_candidates_matches_the_cold_oracle() {
+    let dc = 0.05;
+    let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
+    let a = Point::new(0.2195841772600371, 0.9755935573265297);
+    let seed = Dataset::new(vec![
+        a,
+        Point::new(1.0, 0.0),
+        Point::new(a.x * 1.01, a.y * 1.01),
+        Point::new(1.01, 0.0),
+    ]);
+    for_each_updatable_index!(|name, build| {
+        let params = StreamParams::new(dc).with_dpc(dpc.clone());
+        let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
+        let (handle, _) = engine.insert(Point::origin()).unwrap();
+        let probe = engine.dense_of(handle).unwrap();
+        assert_eq!(engine.deltas().mu[probe], Some(1), "[{name}]");
+        assert_eq!(engine.deltas().delta[probe], 1.0, "[{name}]");
+        assert_cold_batch(name, &build, &engine, &dpc);
+        assert_cold_batch(name, &NaiveReferenceIndex::build, &engine, &dpc);
+    });
 }
 
 /// Emits one wall-clock line per engine for a fixed replay. CI runs this

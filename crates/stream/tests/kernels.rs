@@ -29,7 +29,9 @@ use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
     CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, UpdatableIndex,
 };
-use dpc_datasets::testsupport::{lattice_point, test_points, TestDistribution};
+use dpc_datasets::testsupport::{
+    lattice_point, test_points, ulp_adversarial_points, TestDistribution,
+};
 use dpc_stream::{aged_weight, CommitPolicy, EpochMode, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
@@ -119,12 +121,15 @@ macro_rules! for_each_updatable_index {
     }};
 }
 
-/// Replays `ops` as single-op epochs under `kernel`/`policy`/`threads` and
-/// asserts, after every epoch, bit-identity of the full engine state against
-/// a cold batch pipeline run (fresh index of the same kind, same kernel).
+/// Replays `ops` as single-op epochs at cut-off `dc` under
+/// `kernel`/`policy`/`threads` and asserts, after every epoch, bit-identity
+/// of the full engine state against a cold batch pipeline run (fresh index
+/// of the same kind, same kernel).
+#[allow(clippy::too_many_arguments)]
 fn check_kernel_equivalence<I, F>(
     label: &str,
     build: F,
+    dc: f64,
     kernel: Kernel,
     seed_points: &[Point],
     ops: &[Op],
@@ -135,11 +140,11 @@ where
     I: UpdatableIndex,
     F: Fn(&Dataset) -> I,
 {
-    let dpc = DpcParams::new(DC)
+    let dpc = DpcParams::new(dc)
         .with_centers(CenterSelection::GammaGap { max_centers: 8 })
         .with_kernel(kernel)
         .with_threads(threads);
-    let params = StreamParams::new(DC)
+    let params = StreamParams::new(dc)
         .with_dpc(dpc.clone())
         .with_policy(policy);
     let mut engine = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params)
@@ -216,6 +221,7 @@ where
 /// ascending-id insertion sums — so the comparison is `assert_eq!` on f64
 /// bits, not an epsilon.
 struct DecayOracle {
+    dc: f64,
     pts: Vec<Point>,
     births: Vec<u64>,
     rho: Vec<f64>,
@@ -225,11 +231,11 @@ struct DecayOracle {
 }
 
 impl DecayOracle {
-    fn new(seed: &[Point], lambda: f64, kernel: Kernel) -> Self {
+    fn new(seed: &[Point], dc: f64, lambda: f64, kernel: Kernel) -> Self {
         let pts = seed.to_vec();
         let n = pts.len();
         let mut rho = vec![0.0f64; n];
-        let dc2 = DC * DC;
+        let dc2 = dc * dc;
         // Seed densities: undecayed ascending-id sums, exactly like the
         // batch query that seeds the engine.
         for (i, r) in rho.iter_mut().enumerate() {
@@ -246,6 +252,7 @@ impl DecayOracle {
             *r = mass;
         }
         DecayOracle {
+            dc,
             pts,
             births: vec![0; n],
             rho,
@@ -266,7 +273,7 @@ impl DecayOracle {
     fn insert(&mut self, p: Point) {
         self.age += 1;
         self.decay_all();
-        let dc2 = DC * DC;
+        let dc2 = self.dc * self.dc;
         let mut mass = 0.0f64;
         for (q, other) in self.pts.iter().enumerate() {
             let d2 = other.distance_squared(&p);
@@ -287,7 +294,7 @@ impl DecayOracle {
         let removed_birth = self.births.swap_remove(loc);
         self.rho.swap_remove(loc);
         self.decay_all();
-        let dc2 = DC * DC;
+        let dc2 = self.dc * self.dc;
         for (q, other) in self.pts.iter().enumerate() {
             let d2 = other.distance_squared(&removed);
             if d2 < dc2 {
@@ -339,7 +346,7 @@ proptest! {
             for &threads in &[1usize, 4] {
                 for_each_updatable_index!(|name, build| {
                     check_kernel_equivalence(
-                        name, build, Kernel::Cutoff, &seed_points, &ops, threads, policy,
+                        name, build, DC, Kernel::Cutoff, &seed_points, &ops, threads, policy,
                     )?;
                 });
             }
@@ -380,7 +387,7 @@ proptest! {
                         TestCaseError::fail(format!("[{name}] seeding failed: {e}"))
                     })?;
                     // λ = 1: the oracle reduces to undecayed ±w(d) repair.
-                    let mut oracle = DecayOracle::new(&seed_points, 1.0, kernel);
+                    let mut oracle = DecayOracle::new(&seed_points, DC, 1.0, kernel);
                     for (step, op) in ops.iter().enumerate() {
                         if op.insert || engine.is_empty() {
                             engine.insert(op.point).map_err(|e| {
@@ -458,7 +465,7 @@ proptest! {
             let mut engine =
                 StreamingDpc::new(build(&Dataset::new(seed_points.clone())), params.clone())
                     .map_err(|e| TestCaseError::fail(format!("[{name}] seeding failed: {e}")))?;
-            let mut oracle = DecayOracle::new(&seed_points, lambda, kernel);
+            let mut oracle = DecayOracle::new(&seed_points, DC, lambda, kernel);
             prop_assert_eq!(engine.rho(), &oracle.rho[..], "[{}] seed rho", name);
 
             for (step, op) in ops.iter().enumerate() {
@@ -516,6 +523,66 @@ proptest! {
                     name,
                     step
                 );
+            }
+        });
+    }
+}
+
+/// The ulp-adversarial generator through the kernel battery: cut-off
+/// bit-identity against the cold pipeline for all five engines at threads
+/// {1, 4} under all three commit policies, and a decayed window whose δ/µ
+/// re-rank must match a from-scratch re-rank of the explicit weight table.
+#[test]
+fn ulp_adversarial_points_keep_every_engine_exact() {
+    for (seed, dc, w) in [(5u64, 0.6098847240216778, 0.1), (6, 7.799999999999999, 0.3)] {
+        let points = ulp_adversarial_points(dc, w, seed);
+        let (seed_points, arrivals) = points.split_at(points.len() / 2);
+        let ops: Vec<Op> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &point)| Op {
+                insert: i % 3 != 2,
+                point,
+                sel: seed.wrapping_mul(i as u64 + 1),
+            })
+            .collect();
+        for policy in [
+            CommitPolicy::AlwaysIncremental,
+            CommitPolicy::AlwaysRebuild,
+            CommitPolicy::Adaptive,
+        ] {
+            for threads in [1usize, 4] {
+                for_each_updatable_index!(|name, build| {
+                    check_kernel_equivalence(
+                        name,
+                        build,
+                        dc,
+                        Kernel::Cutoff,
+                        seed_points,
+                        &ops,
+                        threads,
+                        policy,
+                    )
+                    .unwrap();
+                });
+            }
+        }
+        let params = StreamParams::new(dc).with_decay(0.75);
+        for_each_updatable_index!(|name, build| {
+            let mut engine =
+                StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params.clone())
+                    .unwrap();
+            let mut oracle = DecayOracle::new(seed_points, dc, 0.75, Kernel::Cutoff);
+            for &p in arrivals {
+                engine.insert(p).unwrap();
+                oracle.insert(p);
+                engine.tick().unwrap();
+                oracle.tick();
+                assert_eq!(engine.rho(), &oracle.rho[..], "[{name}] rho");
+                let rerank = NaiveReferenceIndex::build(engine.index().dataset())
+                    .delta(dc, &oracle.rho)
+                    .unwrap();
+                assert_eq!(engine.deltas(), &rerank, "[{name}] delta/mu");
             }
         });
     }

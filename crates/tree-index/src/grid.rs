@@ -596,10 +596,7 @@ mod tests {
         let (r1, d1) = grid.rho_delta(dc).unwrap();
         let (r2, d2) = baseline.rho_delta(dc).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
-        assert_eq!(d1.mu, d2.mu, "mu mismatch at dc = {dc}");
-        for p in 0..data.len() {
-            assert!((d1.delta(p) - d2.delta(p)).abs() < 1e-9);
-        }
+        assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
 
     #[test]

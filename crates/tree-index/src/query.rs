@@ -14,10 +14,11 @@
 //!   `dmin(p, node)`, with **density pruning** (Lemma 1: a node whose
 //!   `maxrho` is below `ρ(p)` cannot contain the dependent neighbour) and
 //!   **distance pruning** (Lemma 2: a node farther than the best candidate δ
-//!   cannot improve it). The δ path deliberately keeps *true* metric
-//!   distances — Lemma 2 and everything downstream of δ combine distances
-//!   additively, which squared distances (no triangle inequality) do not
-//!   support.
+//!   cannot improve it). Candidates, heap keys and prune tests are all
+//!   squared distances, and one root is taken at the end: the rounded
+//!   squared box bound never exceeds a member's `fl(d²)`, so the strict
+//!   prune test is exact and the result is the brute-force `(fl(d²), id)`
+//!   minimum bit for bit (see the distance contract in [`dpc_core::metric`]).
 //!
 //! Both queries run per point with no data dependency between points, so
 //! they parallelise over the chunked engine of [`dpc_core::exec`]: pass an
@@ -34,7 +35,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dpc_core::{
-    exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point, PointId, Rho, TieBreak,
+    brute, closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point, PointId,
+    Rho, TieBreak,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -533,7 +535,7 @@ pub fn rho_delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     (rho, delta)
 }
 
-/// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin`.
+/// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin²`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 
@@ -553,9 +555,12 @@ impl Ord for OrdF64 {
 
 /// δ and µ of a single point — the best-first search of Algorithm 6.
 ///
-/// All node and point comparisons here use *true* Euclidean distances: the
-/// candidate δ is consumed by triangle-inequality-based reasoning downstream,
-/// which squared distances cannot serve (see [`dpc_core::metric`]).
+/// Every comparison is in squared space under the workspace's distance
+/// contract: candidates are ranked by [`closer`] on `(fl(d²), id)`, nodes
+/// are keyed and pruned on [`BoundingBox::min_dist_squared`], and the only
+/// root is the one taken of the winning `fl(d²)`.
+///
+/// [`BoundingBox::min_dist_squared`]: dpc_core::BoundingBox::min_dist_squared
 pub fn delta_one<T: SpatialPartition + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -573,21 +578,26 @@ pub fn delta_one<T: SpatialPartition + ?Sized>(
     let rho_p = order.rho()[p];
     let stats = &mut scratch.stats;
 
-    let mut best_d = f64::INFINITY;
+    let mut best_d2 = f64::INFINITY;
     let mut best_q: Option<PointId> = None;
 
-    // Min-heap on dmin: the node most likely to contain the dependent
+    // Min-heap on dmin²: the node most likely to contain the dependent
     // neighbour is explored first, so the candidate δ shrinks quickly and
     // distance pruning bites early. The heap is per-worker scratch — cleared
     // (it may hold leftovers from an early-terminated previous query) but
     // never re-allocated.
     let heap = &mut scratch.heap;
     heap.clear();
-    heap.push(Reverse((OrdF64(tree.bbox(root).min_dist(query)), root)));
+    heap.push(Reverse((
+        OrdF64(tree.bbox(root).min_dist_squared(query)),
+        root,
+    )));
 
-    while let Some(Reverse((OrdF64(dmin), node))) = heap.pop() {
-        if config.distance_pruning && dmin > best_d {
-            // The heap is ordered by dmin, so every remaining node is at
+    while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
+        // Strict `>`: a node at exactly the best d² may still hold a
+        // candidate with a smaller id.
+        if config.distance_pruning && dmin2 > best_d2 {
+            // The heap is ordered by dmin², so every remaining node is at
             // least this far: nothing can improve the candidate any more.
             stats.nodes_distance_pruned += heap.len() as u64 + 1;
             break;
@@ -600,12 +610,9 @@ pub fn delta_one<T: SpatialPartition + ?Sized>(
                 if q == p || !order.is_denser(q, p) {
                     continue;
                 }
-                let d = pts[q].distance(&query);
-                // Lexicographic (distance, id) comparison keeps µ identical
-                // to the list-based indices and the baseline when several
-                // denser neighbours are equidistant.
-                if d < best_d || (d == best_d && best_q.is_none_or(|b| q < b)) {
-                    best_d = d;
+                let d2 = pts[q].distance_squared(&query);
+                if closer(d2, q, best_d2, best_q) {
+                    best_d2 = d2;
                     best_q = Some(q);
                 }
             }
@@ -615,30 +622,21 @@ pub fn delta_one<T: SpatialPartition + ?Sized>(
                     stats.nodes_density_pruned += 1;
                     continue;
                 }
-                let child_dmin = tree.bbox(c).min_dist(query);
-                if config.distance_pruning && child_dmin > best_d {
+                let child_dmin2 = tree.bbox(c).min_dist_squared(query);
+                if config.distance_pruning && child_dmin2 > best_d2 {
                     stats.nodes_distance_pruned += 1;
                     continue;
                 }
-                heap.push(Reverse((OrdF64(child_dmin), c)));
+                heap.push(Reverse((OrdF64(child_dmin2), c)));
             }
         }
     }
 
     match best_q {
-        Some(q) => (best_d, Some(q)),
-        None => {
-            // No denser point exists: p is the global peak. Its δ is the
-            // maximum distance to any other point (original DPC convention).
-            // Maximising the squared distance and taking one root at the end
-            // gives exactly the same value (sqrt is monotone) without a root
-            // per point.
-            let max_sq = pts
-                .iter()
-                .map(|q| q.distance_squared(&query))
-                .fold(0.0f64, f64::max);
-            (max_sq.sqrt(), None)
-        }
+        Some(q) => (best_d2.sqrt(), Some(q)),
+        // No denser point exists: p is the global peak, whose δ (the largest
+        // distance to any other point) only a full scan can give.
+        None => brute::delta_one(dataset, order, p),
     }
 }
 
@@ -667,10 +665,7 @@ mod tests {
             let order = DensityOrder::new(&rho);
             let maxrho = subtree_max_density(&part, &rho);
             let deltas = delta_query(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
-            assert_eq!(deltas.mu, ref_delta.mu, "dc = {dc}");
-            for p in 0..data.len() {
-                assert!((deltas.delta(p) - ref_delta.delta(p)).abs() < 1e-9);
-            }
+            assert_eq!(deltas, ref_delta, "dc = {dc}");
         }
     }
 

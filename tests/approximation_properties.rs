@@ -56,7 +56,7 @@ proptest! {
             if let Some(q_exact) = d_exact.mu(p) {
                 if d_exact.delta(p) < tau {
                     prop_assert_eq!(d_approx.mu(p), Some(q_exact), "mu mismatch at {}", p);
-                    prop_assert!((d_approx.delta(p) - d_exact.delta(p)).abs() < 1e-9);
+                    prop_assert_eq!(d_approx.delta(p), d_exact.delta(p));
                 }
             }
         }
@@ -90,7 +90,7 @@ proptest! {
         for p in 0..data.len() {
             prop_assert_eq!(delta_a.mu(p), delta_e.mu(p));
             if delta_a.mu(p).is_some() {
-                prop_assert!((delta_a.delta(p) - delta_e.delta(p)).abs() < 1e-9);
+                prop_assert_eq!(delta_a.delta(p), delta_e.delta(p));
             }
         }
     }

@@ -3,9 +3,13 @@
 //! sets and arbitrary cut-off distances.
 //!
 //! This is the central correctness claim of the reproduction: the paper's
-//! indices are pure accelerations, not approximations (Theorem 3).
+//! indices are pure accelerations, not approximations (Theorem 3). "Exactly"
+//! means bit for bit, including on inputs planted ulps away from every
+//! decision of the distance contract (`dpc_core::metric`).
 
+use density_peaks::core::naive_reference::NaiveReferenceIndex;
 use density_peaks::core::ExecPolicy;
+use density_peaks::datasets::testsupport::ulp_adversarial_points;
 use density_peaks::prelude::*;
 use dpc_baseline::MatrixDpc;
 use proptest::prelude::*;
@@ -33,6 +37,118 @@ fn all_exact_indices(data: &Dataset) -> Vec<(&'static str, Box<dyn DpcIndex>)> {
     ]
 }
 
+/// The bit patterns of a float column: `assert_eq!` on these is bit
+/// identity (no `-0.0 == 0.0` or NaN slack).
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts that every exact index — the two brute-force baselines, the
+/// matrix, the lists, CH at bin width `w` and the four spatial indexes —
+/// returns ρ, δ and µ bit-identical to the naive reference at `dc`.
+fn assert_bit_identical_everywhere(data: &Dataset, dc: f64, w: f64) {
+    let (ref_rho, ref_delta) = NaiveReferenceIndex::build(data).rho_delta(dc).unwrap();
+    let indexes: Vec<(&str, Box<dyn DpcIndex>)> = vec![
+        ("lean", Box::new(LeanDpc::build(data))),
+        (
+            "parallel",
+            Box::new(ParallelDpc::build_with_threads(data, 3)),
+        ),
+        ("matrix", Box::new(MatrixDpc::build(data))),
+        ("list", Box::new(ListIndex::build(data))),
+        ("ch", Box::new(ChIndex::build(data, w))),
+        ("quadtree", Box::new(Quadtree::build(data))),
+        ("rtree", Box::new(RTree::build(data))),
+        ("kdtree", Box::new(KdTree::build(data))),
+        ("grid", Box::new(GridIndex::build(data))),
+    ];
+    for (name, index) in indexes {
+        let (rho, delta) = index.rho_delta(dc).unwrap();
+        assert_eq!(bits(&rho), bits(&ref_rho), "{name}: rho at dc = {dc:e}");
+        assert_eq!(
+            bits(&delta.delta),
+            bits(&ref_delta.delta),
+            "{name}: delta at dc = {dc:e}"
+        );
+        assert_eq!(delta.mu, ref_delta.mu, "{name}: mu at dc = {dc:e}");
+    }
+}
+
+/// `points` scaled by `2^k`: exact, so every squared distance scales by
+/// `4^k` exactly and every decision of the contract is the same at every
+/// magnitude.
+fn scaled(points: &[(f64, f64)], k: i32) -> Dataset {
+    let s = 2f64.powi(k);
+    Dataset::from_coords(
+        points
+            .iter()
+            .map(|&(x, y)| (x * s, y * s))
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// A pair whose distance rounds to exactly `dc` but whose squared distance is
+/// below `fl(dc²)` is inside `dc`, though a rounded-root comparison would
+/// count it out.
+#[test]
+fn rho_counts_a_pair_whose_root_rounds_to_dc_but_whose_square_is_inside() {
+    let points = [(0.0, 0.0), (-0.47764100270488785, -0.379234029499025)];
+    for k in [-60, 0, 60] {
+        let data = scaled(&points, k);
+        let dc = 0.6098847240216778 * 2f64.powi(k);
+        let d2 = data.point(0).distance_squared(&data.point(1));
+        assert_eq!(d2.sqrt(), dc, "2^{k}: the pair's distance rounds to dc");
+        assert!(d2 < dc * dc, "2^{k}: the pair's square is inside dc²");
+        assert_eq!(LeanDpc::build(&data).rho(dc).unwrap(), vec![1.0, 1.0]);
+        assert_bit_identical_everywhere(&data, dc, dc / 3.0);
+    }
+}
+
+/// Two denser candidates whose squared distances are one ulp apart but whose
+/// roots are equal: µ is the nearer one in `(fl(d²), id)` order, though the
+/// farther one has the smaller id and would win a rounded-`(d, id)` order.
+#[test]
+fn mu_takes_the_smaller_square_when_two_candidates_share_a_root() {
+    let (a, b) = ((0.2195841772600371, 0.9755935573265297), (1.0, 0.0));
+    let points = [a, b, (a.0 * 1.01, a.1 * 1.01), (1.01, 0.0), (0.0, 0.0)];
+    for k in [-60, 0, 60] {
+        let data = scaled(&points, k);
+        let s = 2f64.powi(k);
+        let probe = data.point(4);
+        let (da, db) = (
+            data.point(0).distance_squared(&probe),
+            data.point(1).distance_squared(&probe),
+        );
+        assert_eq!(da.to_bits(), db.to_bits() + 1, "2^{k}: one ulp apart");
+        assert_eq!(da.sqrt(), db.sqrt(), "2^{k}: same root");
+        let (rho, delta) = LeanDpc::build(&data).rho_delta(0.05 * s).unwrap();
+        assert_eq!(rho, vec![1.0, 1.0, 1.0, 1.0, 0.0]);
+        assert_eq!((delta.mu(4), delta.delta(4)), (Some(1), s));
+        assert_bit_identical_everywhere(&data, 0.05 * s, 0.01 * s);
+    }
+}
+
+/// CH bin edges are the multiples of `w`: a running sum of `w` drifts below
+/// `26·w`, and at a `dc` just under it would miscount the entries between
+/// the drifted edge and `dc`.
+#[test]
+fn ch_bin_edges_do_not_drift_from_the_multiples_of_the_bin_width() {
+    let points = [
+        (0.0, 0.0),
+        (7.799999999999997, 0.0),
+        (7.799999999999998, 0.0),
+        (5.0, 0.0),
+        (7.9, 0.0),
+    ];
+    for k in [-60, 0, 60] {
+        let data = scaled(&points, k);
+        let (dc, w) = (7.799999999999999 * 2f64.powi(k), 0.3 * 2f64.powi(k));
+        let ch = ChIndex::build(&data, w);
+        assert_eq!(ch.rho(dc).unwrap(), vec![3.0, 4.0, 4.0, 4.0, 3.0], "2^{k}");
+        assert_bit_identical_everywhere(&data, dc, w);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -46,13 +162,30 @@ proptest! {
             let (rho, delta) = index.rho_delta(dc).unwrap();
             prop_assert_eq!(&rho, &ref_rho, "rho mismatch for {}", name);
             prop_assert_eq!(&delta.mu, &ref_delta.mu, "mu mismatch for {}", name);
-            for p in 0..data.len() {
-                prop_assert!(
-                    (delta.delta(p) - ref_delta.delta(p)).abs() < 1e-9,
-                    "delta mismatch for {} at point {}", name, p
-                );
-            }
+            prop_assert_eq!(
+                bits(&delta.delta),
+                bits(&ref_delta.delta),
+                "delta mismatch for {}", name
+            );
         }
+    }
+
+    /// The ulp-adversarial generator at the cut-offs of the regression tests
+    /// above and at random ones, at magnitudes from 2^-40 to 2^40. The bin
+    /// width splits `dc` into a whole number of bins, so `dc` lies within
+    /// an ulp or two of a bin edge, where the CH Index is easiest to get
+    /// wrong.
+    #[test]
+    fn ulp_adversarial_inputs_are_bit_identical_across_every_index(
+        seed in any::<u64>(),
+        dc in prop_oneof![Just(0.6098847240216778), Just(7.799999999999999), 0.1f64..10.0],
+        bins_per_dc in 1u32..60,
+        k in 0u32..80
+    ) {
+        let s = 2f64.powi(k as i32 - 40);
+        let (dc, w) = (dc * s, dc / f64::from(bins_per_dc) * s);
+        let data = Dataset::new(ulp_adversarial_points(dc, w, seed));
+        assert_bit_identical_everywhere(&data, dc, w);
     }
 
     #[test]
@@ -97,7 +230,7 @@ proptest! {
         let mut close_pairs = 0u64;
         for i in 0..data.len() {
             for j in (i + 1)..data.len() {
-                if data.distance(i, j) < dc {
+                if data.point(i).distance_squared(&data.point(j)) < dc * dc {
                     close_pairs += 1;
                 }
             }
@@ -116,13 +249,14 @@ proptest! {
         let (rho, delta) = index.rho_delta(dc).unwrap();
         let order = density_peaks::core::DensityOrder::new(&rho);
         delta.validate(&order).unwrap();
+        let d2 = |p: usize, q: usize| data.point(p).distance_squared(&data.point(q));
         for p in 0..data.len() {
             if let Some(q) = delta.mu(p) {
-                prop_assert!((delta.delta(p) - data.distance(p, q)).abs() < 1e-9);
-                // No denser point may be strictly closer than mu.
+                prop_assert_eq!(delta.delta(p), d2(p, q).sqrt());
+                // No denser point precedes mu in (d², id) order.
                 for r in 0..data.len() {
                     if r != p && order.is_denser(r, p) {
-                        prop_assert!(data.distance(p, r) >= delta.delta(p) - 1e-9);
+                        prop_assert!((d2(p, r), r) >= (d2(p, q), q));
                     }
                 }
             }
