@@ -3,36 +3,30 @@
 //! This is what the paper actually measures as "DPC" — `Θ(n²)` time per
 //! query and only `O(n)` working memory, so it runs (slowly) even where the
 //! distance matrix would not fit. Both queries are the [`dpc_core::brute`]
-//! kernels under the caller's execution policy.
+//! kernels under the query's kernel, execution policy and recorder; with
+//! [`ExecPolicy::Threads`](dpc_core::ExecPolicy::Threads) it is the
+//! multi-threaded brute-force baseline.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use dpc_core::index::{eps_neighbors_scan, validate_dc, validate_rho_len};
 use dpc_core::{
-    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Point, PointId,
-    Result, Rho, TieBreak, Timer, UpdatableIndex,
+    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Point, PointId, Query, Result,
+    Rho, UpdatableIndex,
 };
 
 /// The memory-lean O(n²)-time baseline.
 #[derive(Debug, Clone)]
 pub struct LeanDpc {
     dataset: Dataset,
-    tie: TieBreak,
     construction_time: Duration,
 }
 
 impl LeanDpc {
     /// Builds the baseline (only clones the dataset).
     pub fn build(dataset: &Dataset) -> Self {
-        Self::build_with_tie_break(dataset, TieBreak::default())
-    }
-
-    /// Builds the baseline with an explicit tie-break rule.
-    pub fn build_with_tie_break(dataset: &Dataset, tie: TieBreak) -> Self {
-        let timer = Timer::start();
+        let timer = Instant::now();
         LeanDpc {
             dataset: dataset.clone(),
-            tie,
             construction_time: timer.elapsed(),
         }
     }
@@ -47,24 +41,18 @@ impl DpcIndex for LeanDpc {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_policy(dc, ExecPolicy::Sequential)
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(brute::rho_scan(&self.dataset, query))
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_policy(dc, rho, ExecPolicy::Sequential)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
-        Ok(brute::rho_scan(&self.dataset, dc, policy))
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(brute::delta_scan(&self.dataset, &order, policy))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        Ok(brute::delta_scan(
+            &self.dataset,
+            &DensityOrder::new(rho),
+            query,
+        ))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -73,10 +61,6 @@ impl DpcIndex for LeanDpc {
 
     fn stats(&self) -> IndexStats {
         IndexStats::new(self.construction_time, self.memory_bytes())
-    }
-
-    fn tie_break(&self) -> TieBreak {
-        self.tie
     }
 }
 
@@ -101,7 +85,7 @@ impl UpdatableIndex for LeanDpc {
     }
 
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
-        eps_neighbors_scan(&self.dataset, center, eps)
+        brute::eps_neighbors_scan(&self.dataset, center, eps)
     }
 }
 
@@ -109,22 +93,55 @@ impl UpdatableIndex for LeanDpc {
 mod tests {
     use super::*;
     use crate::matrix::MatrixDpc;
-    use dpc_core::Point;
-    use dpc_datasets::generators::s1;
+    use dpc_core::{ExecPolicy, Kernel};
+    use dpc_datasets::generators::{query, s1};
 
     #[test]
-    fn parallel_policy_is_bit_identical_to_sequential() {
-        let data = s1(13, 0.05).into_dataset(); // 250 points
+    fn threaded_queries_are_bit_identical_to_sequential() {
+        let data = s1(3, 0.06).into_dataset(); // 300 points
         let lean = LeanDpc::build(&data);
-        let dc = 40_000.0;
-        let (seq_rho, seq_delta) = lean.rho_delta(dc).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let policy = ExecPolicy::Threads(threads);
-            let (rho, delta) = lean.rho_delta_with_policy(dc, policy).unwrap();
-            assert_eq!(rho, seq_rho, "threads = {threads}");
-            assert_eq!(delta.delta, seq_delta.delta, "threads = {threads}");
-            assert_eq!(delta.mu, seq_delta.mu, "threads = {threads}");
+        for kernel in [Kernel::Cutoff, Kernel::gaussian(30_000.0)] {
+            for dc in [20_000.0, 100_000.0] {
+                let seq = Query::new(dc).with_kernel(kernel);
+                let (seq_rho, seq_delta) = lean.rho_delta(&seq).unwrap();
+                for threads in [1usize, 2, 3, 4, 7] {
+                    let policy = ExecPolicy::Threads(threads);
+                    let (rho, delta) = lean.rho_delta(&seq.with_exec(policy)).unwrap();
+                    assert_eq!(rho, seq_rho, "threads {threads}, dc {dc}");
+                    assert_eq!(delta.delta, seq_delta.delta, "threads {threads}, dc {dc}");
+                    assert_eq!(delta.mu, seq_delta.mu, "threads {threads}, dc {dc}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn more_threads_than_points_and_empty_datasets_are_fine() {
+        let data = query(5, 0.0005).into_dataset(); // tiny
+        let many = Query::new(0.05).with_exec(ExecPolicy::Threads(64));
+        let (rho, deltas) = LeanDpc::build(&data).rho_delta(&many).unwrap();
+        assert_eq!(rho.len(), data.len());
+        assert_eq!(deltas.len(), data.len());
+        let four = Query::new(1.0).with_exec(ExecPolicy::Threads(4));
+        let (rho, deltas) = LeanDpc::build(&Dataset::new(vec![]))
+            .rho_delta(&four)
+            .unwrap();
+        assert!(rho.is_empty());
+        assert!(deltas.is_empty());
+    }
+
+    #[test]
+    fn tiny_dc_whose_square_underflows_is_rejected() {
+        // dc = 1e-170 is positive and finite but dc² underflows to 0.0,
+        // which would break the squared-distance comparisons (and previously
+        // drove `count - 1` below zero); validation rejects it up front.
+        let data = Dataset::new(vec![Point::new(0.0, 0.0); 3]);
+        let lean = LeanDpc::build(&data);
+        let threads = ExecPolicy::Threads(2);
+        assert!(lean.rho(&Query::new(1e-170).with_exec(threads)).is_err());
+        // A comfortably-above-the-limit dc counts coincident points.
+        let rho = lean.rho(&Query::new(1e-100).with_exec(threads)).unwrap();
+        assert_eq!(rho, vec![2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -133,8 +150,9 @@ mod tests {
         let lean = LeanDpc::build(&data);
         let matrix = MatrixDpc::build(&data);
         for dc in [10_000.0, 50_000.0, 200_000.0] {
-            let (r1, d1) = lean.rho_delta(dc).unwrap();
-            let (r2, d2) = matrix.rho_delta(dc).unwrap();
+            let query = Query::new(dc);
+            let (r1, d1) = lean.rho_delta(&query).unwrap();
+            let (r2, d2) = matrix.rho_delta(&query).unwrap();
             assert_eq!(r1, r2, "dc = {dc}");
             assert_eq!(d1, d2, "dc = {dc}");
         }
@@ -152,8 +170,8 @@ mod tests {
     fn strict_inequality_on_dc_boundary() {
         let data = Dataset::new(vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)]);
         let lean = LeanDpc::build(&data);
-        assert_eq!(lean.rho(2.0).unwrap(), vec![0.0, 0.0]);
-        assert_eq!(lean.rho(2.0000001).unwrap(), vec![1.0, 1.0]);
+        assert_eq!(lean.rho(&Query::new(2.0)).unwrap(), vec![0.0, 0.0]);
+        assert_eq!(lean.rho(&Query::new(2.0000001)).unwrap(), vec![1.0, 1.0]);
     }
 
     #[test]
@@ -165,9 +183,9 @@ mod tests {
         lean.remove(3).unwrap();
         lean.remove(lean.len() - 1).unwrap();
         let fresh = LeanDpc::build(lean.dataset());
-        let dc = 60_000.0;
-        let (r1, d1) = lean.rho_delta(dc).unwrap();
-        let (r2, d2) = fresh.rho_delta(dc).unwrap();
+        let query = Query::new(60_000.0);
+        let (r1, d1) = lean.rho_delta(&query).unwrap();
+        let (r2, d2) = fresh.rho_delta(&query).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(d1, d2);
     }
@@ -197,7 +215,7 @@ mod tests {
     fn rejects_invalid_inputs() {
         let data = Dataset::new(vec![Point::origin()]);
         let lean = LeanDpc::build(&data);
-        assert!(lean.rho(-1.0).is_err());
-        assert!(lean.delta(1.0, &[]).is_err());
+        assert!(lean.rho(&Query::new(-1.0)).is_err());
+        assert!(lean.delta(&Query::new(1.0), &[]).is_err());
     }
 }

@@ -1,11 +1,10 @@
 //! Distance-matrix baseline: pairwise squared distances are computed once
 //! and reused across queries for different `dc`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    closer, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Result, Rho, TieBreak, Timer,
+    brute, closer, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Query, Result, Rho,
 };
 
 /// Condensed symmetric matrix of pairwise *squared* distances, the values
@@ -70,7 +69,6 @@ impl DistanceMatrix {
 pub struct MatrixDpc {
     dataset: Dataset,
     matrix: DistanceMatrix,
-    tie: TieBreak,
     construction_time: Duration,
 }
 
@@ -78,17 +76,11 @@ impl MatrixDpc {
     /// Builds the baseline: computes and stores all pairwise squared
     /// distances.
     pub fn build(dataset: &Dataset) -> Self {
-        Self::build_with_tie_break(dataset, TieBreak::default())
-    }
-
-    /// Builds the baseline with an explicit tie-break rule.
-    pub fn build_with_tie_break(dataset: &Dataset, tie: TieBreak) -> Self {
-        let timer = Timer::start();
+        let timer = Instant::now();
         let matrix = DistanceMatrix::compute(dataset);
         MatrixDpc {
             dataset: dataset.clone(),
             matrix,
-            tie,
             construction_time: timer.elapsed(),
         }
     }
@@ -108,10 +100,15 @@ impl DpcIndex for MatrixDpc {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        // The matrix serves the cut-off count; weighted kernels take the
+        // canonical scan.
+        if !query.kernel.is_cutoff() {
+            return Ok(brute::weighted_rho_scan(&self.dataset, query));
+        }
         let n = self.dataset.len();
-        let dc2 = dc * dc;
+        let dc2 = query.dc * query.dc;
         let mut rho = vec![0.0 as Rho; n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -124,11 +121,10 @@ impl DpcIndex for MatrixDpc {
         Ok(rho)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
         let n = self.dataset.len();
-        let order = DensityOrder::with_tie_break(rho, self.tie);
+        let order = DensityOrder::new(rho);
         let mut result = DeltaResult::unset(n);
         for p in 0..n {
             let mut best_sq = f64::INFINITY;
@@ -158,10 +154,6 @@ impl DpcIndex for MatrixDpc {
     fn stats(&self) -> IndexStats {
         IndexStats::new(self.construction_time, self.memory_bytes())
             .with_counter("matrix_entries", self.matrix.entries.len() as u64)
-    }
-
-    fn tie_break(&self) -> TieBreak {
-        self.tie
     }
 }
 
@@ -220,8 +212,8 @@ mod tests {
         let baseline = MatrixDpc::build(&data);
         let reference = NaiveReferenceIndex::build(&data);
         for dc in [0.5, 1.5, 3.0, 10.0] {
-            let (r1, d1) = baseline.rho_delta(dc).unwrap();
-            let (r2, d2) = reference.rho_delta(dc).unwrap();
+            let (r1, d1) = baseline.rho_delta(&Query::new(dc)).unwrap();
+            let (r2, d2) = reference.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(r1, r2, "dc = {dc}");
             assert_eq!(d1, d2, "dc = {dc}");
         }
@@ -237,14 +229,14 @@ mod tests {
     #[test]
     fn rejects_invalid_dc() {
         let baseline = MatrixDpc::build(&dataset());
-        assert!(baseline.rho(0.0).is_err());
-        assert!(baseline.delta(f64::NAN, &[0.0; 5]).is_err());
+        assert!(baseline.rho(&Query::new(0.0)).is_err());
+        assert!(baseline.delta(&Query::new(f64::NAN), &[0.0; 5]).is_err());
     }
 
     #[test]
     fn empty_dataset() {
         let baseline = MatrixDpc::build(&Dataset::new(vec![]));
-        let (rho, deltas) = baseline.rho_delta(1.0).unwrap();
+        let (rho, deltas) = baseline.rho_delta(&Query::new(1.0)).unwrap();
         assert!(rho.is_empty());
         assert!(deltas.is_empty());
     }

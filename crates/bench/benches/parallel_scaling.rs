@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use dpc_core::{DpcIndex, ExecPolicy};
+use dpc_core::{DpcIndex, ExecPolicy, Query};
 use dpc_datasets::generators::s1;
 use dpc_datasets::DatasetKind;
 use dpc_tree_index::{GridIndex, KdTree};
@@ -24,12 +24,12 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     let grid = GridIndex::build(&data);
     let kdtree = KdTree::build(&data);
     for &threads in &[1usize, 2, 4, 8] {
-        let policy = ExecPolicy::Threads(threads);
+        let query = Query::new(DC).with_exec(ExecPolicy::Threads(threads));
         group.bench_with_input(BenchmarkId::new("grid", threads), &threads, |b, _| {
-            b.iter(|| grid.rho_delta_with_policy(DC, policy).unwrap())
+            b.iter(|| grid.rho_delta(&query).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("kdtree", threads), &threads, |b, _| {
-            b.iter(|| kdtree.rho_delta_with_policy(DC, policy).unwrap())
+            b.iter(|| kdtree.rho_delta(&query).unwrap())
         });
     }
     group.finish();

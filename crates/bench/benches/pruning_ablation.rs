@@ -3,18 +3,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use dpc_core::DpcIndex;
+use dpc_core::Query;
 use dpc_datasets::DatasetKind;
+use dpc_tree_index::query as tree_query;
 use dpc_tree_index::{DeltaQueryConfig, Quadtree, RTree};
 
 fn bench_pruning(c: &mut Criterion) {
     let kind = DatasetKind::Birch;
     let data = kind.generate(42, 0.02).into_dataset(); // 2 000 points
-    let dc = kind.default_dc();
+    let query = Query::new(kind.default_dc());
     let quadtree = Quadtree::build(&data);
     let rtree = RTree::build(&data);
-    let rho_q = quadtree.rho(dc).unwrap();
-    let rho_r = rtree.rho(dc).unwrap();
+    let (rho_q, _) = tree_query::rho(&quadtree, &data, &query);
+    let (rho_r, _) = tree_query::rho(&rtree, &data, &query);
 
     let variants = [
         ("both", DeltaQueryConfig::default()),
@@ -41,10 +42,10 @@ fn bench_pruning(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     for (name, config) in variants {
         group.bench_with_input(BenchmarkId::new("quadtree", name), &config, |b, cfg| {
-            b.iter(|| quadtree.delta_with_config(dc, &rho_q, cfg).unwrap())
+            b.iter(|| tree_query::delta(&quadtree, &data, &rho_q, cfg, &query))
         });
         group.bench_with_input(BenchmarkId::new("rtree", name), &config, |b, cfg| {
-            b.iter(|| rtree.delta_with_config(dc, &rho_r, cfg).unwrap())
+            b.iter(|| tree_query::delta(&rtree, &data, &rho_r, cfg, &query))
         });
     }
     group.finish();

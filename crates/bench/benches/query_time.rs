@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dpc_bench::IndexKind;
-use dpc_core::DpcIndex;
+use dpc_core::{DpcIndex, Query};
 use dpc_datasets::DatasetKind;
 
 fn bench_query_time(c: &mut Criterion) {
@@ -31,7 +31,7 @@ fn bench_query_time(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(kind.name(), format!("dc={dc}")),
                 &dc,
-                |b, &dc| b.iter(|| index.rho_delta(dc).unwrap()),
+                |b, &dc| b.iter(|| index.rho_delta(&Query::new(dc)).unwrap()),
             );
         }
     }

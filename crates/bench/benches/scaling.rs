@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dpc_baseline::LeanDpc;
-use dpc_core::DpcIndex;
+use dpc_core::{DpcIndex, Query};
 use dpc_datasets::generators::s1;
 use dpc_datasets::DatasetKind;
 use dpc_list_index::{ChIndex, ListIndex};
@@ -30,15 +30,15 @@ fn bench_query_scaling(c: &mut Criterion) {
         let ch = ChIndex::build(&data, DatasetKind::S1.default_bin_width());
 
         group.bench_with_input(BenchmarkId::new("list", n), &n, |b, _| {
-            b.iter(|| list.rho_delta(DC).unwrap())
+            b.iter(|| list.rho_delta(&Query::new(DC)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("ch", n), &n, |b, _| {
-            b.iter(|| ch.rho_delta(DC).unwrap())
+            b.iter(|| ch.rho_delta(&Query::new(DC)).unwrap())
         });
         if n <= 2_000 {
             let naive = LeanDpc::build(&data);
             group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-                b.iter(|| naive.rho_delta(DC).unwrap())
+                b.iter(|| naive.rho_delta(&Query::new(DC)).unwrap())
             });
         }
     }

@@ -8,10 +8,11 @@
 //! heavily skewed Gowalla) and each tree index, the δ-query runs with both
 //! prunings, each pruning alone, and no pruning at all.
 
-use dpc_core::{DeltaResult, Rho};
+use dpc_core::{Dataset, Query};
 use dpc_datasets::DatasetKind;
 use dpc_metrics::ResultTable;
-use dpc_tree_index::{DeltaQueryConfig, GridIndex, KdTree, Quadtree, QueryStats, RTree};
+use dpc_tree_index::query as tree_query;
+use dpc_tree_index::{DeltaQueryConfig, GridIndex, KdTree, Quadtree, RTree, SpatialPartition};
 
 use crate::experiments::support;
 use crate::ExperimentConfig;
@@ -50,11 +51,6 @@ fn ablate_one(kind: DatasetKind, config: &ExperimentConfig) -> ResultTable {
     let data = support::dataset_for(kind, config);
     let dc = kind.default_dc();
 
-    let quadtree = Quadtree::build(&data);
-    let rtree = RTree::build(&data);
-    let kdtree = KdTree::build(&data);
-    let grid = GridIndex::build(&data);
-
     let mut table = ResultTable::new(
         format!(
             "Pruning ablation ({}) — delta-query cost per index and pruning configuration (n = {}, dc = {dc})",
@@ -63,53 +59,66 @@ fn ablate_one(kind: DatasetKind, config: &ExperimentConfig) -> ResultTable {
         ),
         &["index", "pruning", "delta time (s)", "points scanned", "nodes visited"],
     );
-
-    type DeltaFn<'a> = Box<dyn Fn(&[Rho], &DeltaQueryConfig) -> (DeltaResult, QueryStats) + 'a>;
-    let indices: Vec<(&str, Vec<Rho>, DeltaFn)> = vec![
-        (
-            "Quadtree",
-            dpc_core::DpcIndex::rho(&quadtree, dc).expect("rho"),
-            Box::new(|rho: &[Rho], cfg: &DeltaQueryConfig| {
-                quadtree.delta_with_config(dc, rho, cfg).expect("delta")
-            }),
-        ),
-        (
-            "R-tree",
-            dpc_core::DpcIndex::rho(&rtree, dc).expect("rho"),
-            Box::new(|rho: &[Rho], cfg: &DeltaQueryConfig| {
-                rtree.delta_with_config(dc, rho, cfg).expect("delta")
-            }),
-        ),
-        (
-            "k-d tree",
-            dpc_core::DpcIndex::rho(&kdtree, dc).expect("rho"),
-            Box::new(|rho: &[Rho], cfg: &DeltaQueryConfig| {
-                kdtree.delta_with_config(dc, rho, cfg).expect("delta")
-            }),
-        ),
-        (
-            "Grid",
-            dpc_core::DpcIndex::rho(&grid, dc).expect("rho"),
-            Box::new(|rho: &[Rho], cfg: &DeltaQueryConfig| {
-                grid.delta_with_config(dc, rho, cfg).expect("delta")
-            }),
-        ),
-    ];
-
-    for (name, rho, delta_fn) in &indices {
-        for (pruning_name, pruning) in pruning_variants() {
-            let reps = config.repetitions.max(1);
-            let (time, (_, stats)) = dpc_metrics::measure_median(reps, || delta_fn(rho, &pruning));
-            table.add_row(&[
-                name.to_string(),
-                pruning_name.to_string(),
-                support::secs(time),
-                stats.points_scanned.to_string(),
-                stats.nodes_visited.to_string(),
-            ]);
-        }
-    }
+    let query = Query::new(dc);
+    let reps = config.repetitions.max(1);
+    ablate_tree(
+        &mut table,
+        "Quadtree",
+        &Quadtree::build(&data),
+        &data,
+        &query,
+        reps,
+    );
+    ablate_tree(
+        &mut table,
+        "R-tree",
+        &RTree::build(&data),
+        &data,
+        &query,
+        reps,
+    );
+    ablate_tree(
+        &mut table,
+        "k-d tree",
+        &KdTree::build(&data),
+        &data,
+        &query,
+        reps,
+    );
+    ablate_tree(
+        &mut table,
+        "Grid",
+        &GridIndex::build(&data),
+        &data,
+        &query,
+        reps,
+    );
     table
+}
+
+/// One table row per pruning configuration: the generic δ-query over `tree`
+/// with that configuration, on the densities of one ρ-query.
+fn ablate_tree<T: SpatialPartition + Sync>(
+    table: &mut ResultTable,
+    name: &str,
+    tree: &T,
+    data: &Dataset,
+    query: &Query<'_>,
+    reps: usize,
+) {
+    let (rho, _) = tree_query::rho(tree, data, query);
+    for (pruning_name, pruning) in pruning_variants() {
+        let (time, (_, stats)) = dpc_metrics::measure_median(reps, || {
+            tree_query::delta(tree, data, &rho, &pruning, query)
+        });
+        table.add_row(&[
+            name.to_string(),
+            pruning_name.to_string(),
+            support::secs(time),
+            stats.points_scanned.to_string(),
+            stats.nodes_visited.to_string(),
+        ]);
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! (i.e. it is a density peak at the chosen scale) — and report how the
 //! number of clusters and the assignment change with `dc`.
 
-use dpc_core::{assign_clusters, AssignmentOptions, CenterSelection, DecisionGraph, DensityOrder};
+use dpc_core::{
+    assign_clusters, AssignmentOptions, CenterSelection, DecisionGraph, DensityOrder, Query,
+};
 use dpc_datasets::DatasetKind;
 use dpc_metrics::ResultTable;
 
@@ -40,7 +42,9 @@ pub fn run(config: &ExperimentConfig) -> Vec<ResultTable> {
     for dc in FIG1_DC_VALUES {
         let (query_time, (rho, deltas)) =
             dpc_metrics::measure_median(config.repetitions.max(1), || {
-                index.rho_delta(dc).expect("queries must succeed")
+                index
+                    .rho_delta(&Query::new(dc))
+                    .expect("queries must succeed")
             });
         let graph = DecisionGraph::new(rho.clone(), &deltas).expect("decision graph");
         // Centres: above-average density and a dependent distance larger than

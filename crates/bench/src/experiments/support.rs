@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, Rho};
+use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, Query, Rho};
 use dpc_datasets::{DatasetKind, DatasetSpec};
 use dpc_metrics::ResultTable;
 
@@ -45,11 +45,9 @@ pub fn scaled_distance(value: f64, _kind: DatasetKind, _config: &ExperimentConfi
 /// sequential).
 pub fn query_time(index: &dyn DpcIndex, dc: f64, config: &ExperimentConfig) -> Duration {
     let reps = config.repetitions.max(1);
-    let policy = config.exec_policy();
+    let query = Query::new(dc).with_exec(config.exec_policy());
     let (time, _) = dpc_metrics::measure_median(reps, || {
-        index
-            .rho_delta_with_policy(dc, policy)
-            .expect("query must succeed")
+        index.rho_delta(&query).expect("query must succeed")
     });
     time
 }
@@ -57,12 +55,8 @@ pub fn query_time(index: &dyn DpcIndex, dc: f64, config: &ExperimentConfig) -> D
 /// Measures only the ρ-query time, under the configured thread count.
 pub fn rho_time(index: &dyn DpcIndex, dc: f64, config: &ExperimentConfig) -> (Duration, Vec<Rho>) {
     let reps = config.repetitions.max(1);
-    let policy = config.exec_policy();
-    dpc_metrics::measure_median(reps, || {
-        index
-            .rho_with_policy(dc, policy)
-            .expect("rho query must succeed")
-    })
+    let query = Query::new(dc).with_exec(config.exec_policy());
+    dpc_metrics::measure_median(reps, || index.rho(&query).expect("rho query must succeed"))
 }
 
 /// Standard clustering parameters used when an experiment needs an actual

@@ -5,10 +5,10 @@
 //! Index, while the List Index column reports the full N-List (or RN-List)
 //! construction.
 
-use dpc_core::Timer;
 use dpc_datasets::PAPER_DATASETS;
 use dpc_list_index::{ChIndex, NeighborLists};
 use dpc_metrics::ResultTable;
+use dpc_obs::Timer;
 
 use crate::experiments::support;
 use crate::{ExperimentConfig, IndexKind};

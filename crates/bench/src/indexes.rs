@@ -139,6 +139,7 @@ impl std::fmt::Display for IndexKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_core::Query;
     use dpc_datasets::generators::s1;
 
     #[test]
@@ -173,7 +174,7 @@ mod tests {
         ];
         for kind in kinds {
             let index = kind.build(&data, DatasetKind::S1);
-            let (rho, deltas) = index.rho_delta(30_000.0).unwrap();
+            let (rho, deltas) = index.rho_delta(&Query::new(30_000.0)).unwrap();
             assert_eq!(rho.len(), data.len(), "{kind}");
             assert_eq!(deltas.len(), data.len(), "{kind}");
             assert!(index.memory_bytes() > 0, "{kind}");
@@ -185,7 +186,7 @@ mod tests {
         let data = s1(2, 0.02).into_dataset();
         let dc = 40_000.0;
         let reference = IndexKind::Naive.build(&data, DatasetKind::S1);
-        let (ref_rho, ref_delta) = reference.rho_delta(dc).unwrap();
+        let (ref_rho, ref_delta) = reference.rho_delta(&Query::new(dc)).unwrap();
         for kind in [
             IndexKind::List,
             IndexKind::Ch,
@@ -195,7 +196,7 @@ mod tests {
             IndexKind::Grid,
         ] {
             let index = kind.build(&data, DatasetKind::S1);
-            let (rho, delta) = index.rho_delta(dc).unwrap();
+            let (rho, delta) = index.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(rho, ref_rho, "{kind}");
             assert_eq!(delta.mu, ref_delta.mu, "{kind}");
         }

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use dpc_core::{DpcIndex, ExecPolicy};
+use dpc_core::{DpcIndex, ExecPolicy, Query};
 use dpc_datasets::{DatasetKind, DatasetSpec};
 use dpc_tree_index::{GridIndex, KdTree, Quadtree, RTree};
 
@@ -71,8 +71,7 @@ pub struct ScalingReport {
 }
 
 /// Runs the sweep: builds each tree index once over an S1 dataset of
-/// `options.n` points, then measures `rho_delta_with_policy` for every thread
-/// count. Results are bit-identical across the sweep (asserted here), only
+/// `options.n` points, then measures `rho_delta` for every thread count. Results are bit-identical across the sweep (asserted here), only
 /// the wall-clock time varies.
 ///
 /// # Panics
@@ -101,15 +100,16 @@ pub fn run(options: &ScalingOptions) -> ScalingReport {
         .unwrap_or(1);
     let mut measurements = Vec::new();
     for (name, index) in &indexes {
+        let sequential = Query::new(options.dc);
         let reference = index
-            .rho_delta(options.dc)
+            .rho_delta(&sequential)
             .expect("sequential query must succeed");
         let mut base = Duration::ZERO;
         for &threads in &options.threads {
-            let policy = ExecPolicy::Threads(threads);
+            let query = sequential.with_exec(ExecPolicy::Threads(threads));
             let (median, result) = dpc_metrics::measure_median(options.repetitions, || {
                 index
-                    .rho_delta_with_policy(options.dc, policy)
+                    .rho_delta(&query)
                     .expect("parallel query must succeed")
             });
             assert_eq!(

@@ -206,7 +206,7 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
             })
             .collect();
 
-        let timer = dpc_core::Timer::start();
+        let timer = dpc_obs::Timer::start();
         for chunk in arriving.chunks(options.batch) {
             server
                 .engine_mut()

@@ -420,7 +420,7 @@ where
         // per epoch — noise next to the repair work it measures.
         let metrics = Arc::new(MetricsRecorder::new());
         stream.set_recorder(Arc::clone(&metrics) as SharedRecorder);
-        let timer = dpc_core::Timer::start();
+        let timer = dpc_obs::Timer::start();
         for chunk in arriving.chunks(batch) {
             stream
                 .advance(chunk, chunk.len())

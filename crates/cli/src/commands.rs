@@ -26,10 +26,7 @@ pub fn generate(args: &ParsedArgs) -> Result<String, String> {
             args.require("dataset").unwrap_or("")
         )
     })?;
-    let scale: f64 = args.get_or("scale", 0.02)?;
-    if scale <= 0.0 {
-        return Err("--scale must be positive".into());
-    }
+    let scale = positive_flag(args, "scale")?.unwrap_or(0.02);
     let seed: u64 = args.get_or("seed", 42)?;
     let output = PathBuf::from(args.require("output")?);
 
@@ -83,9 +80,11 @@ pub fn cluster(args: &ParsedArgs) -> Result<String, String> {
     ])?;
     let data = load_points(args.require("input")?)?;
     let dc: f64 = args.require_parsed("dc")?;
+    // Checked before the build: CH derives its default bin width from dc.
+    dpc_core::index::validate_dc(dc).map_err(|e| e.to_string())?;
     let index_name = args.get("index").unwrap_or("rtree");
-    let bin_width: Option<f64> = args.get_parsed("bin-width")?;
-    let tau: Option<f64> = args.get_parsed("tau")?;
+    let bin_width = positive_flag(args, "bin-width")?;
+    let tau = positive_flag(args, "tau")?;
     let selection = parse_centers(args.get("centers").unwrap_or("auto"))?;
     let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
     let halo = args.has_switch("halo");
@@ -244,7 +243,7 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
         json,
         recorder,
     };
-    let seed_timer = dpc_core::Timer::start();
+    let seed_timer = dpc_obs::Timer::start();
     // The engine is seeded inside the call arguments, before `replay` starts
     // its own timer — so the reported updates/s covers only the streamed
     // updates, not the one-off index build + batch seeding query.
@@ -426,7 +425,7 @@ fn replay<I: UpdatableIndex>(
             engine.clustering().num_clusters()
         ));
     }
-    let timer = dpc_core::Timer::start();
+    let timer = dpc_obs::Timer::start();
     for chunk in rest.chunks(batch).take(max_epochs) {
         let (_, delta) = engine
             .advance(chunk, chunk.len())
@@ -794,7 +793,7 @@ fn serve_replay<I: UpdatableIndex>(
     }
 
     let stop = AtomicBool::new(false);
-    let timer = dpc_core::Timer::start();
+    let timer = dpc_obs::Timer::start();
     let (writer_result, tallies) = std::thread::scope(|s| {
         let stop = &stop;
         let eps = serve_opts.eps;
@@ -932,6 +931,18 @@ pub fn parse_kernel(name: Option<&str>, bandwidth: Option<f64>) -> Result<Kernel
     };
     kernel.validate().map_err(|e| e.to_string())?;
     Ok(kernel)
+}
+
+/// Parses the optional flag `--name` as a positive finite number; zero,
+/// negative, NaN and infinite values fail with the value and the valid
+/// range, before anything is built from them.
+fn positive_flag(args: &ParsedArgs, name: &str) -> Result<Option<f64>, String> {
+    match args.get_parsed::<f64>(name)? {
+        Some(v) if !(v.is_finite() && v > 0.0) => Err(format!(
+            "--{name} must be a positive finite number (valid range: 0 < {name} < inf), got {v}"
+        )),
+        v => Ok(v),
+    }
 }
 
 /// Human-readable kernel description for exit summaries.
@@ -1072,6 +1083,7 @@ fn truncated(sizes: &[usize], max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::run;
+    use dpc_core::Query;
 
     /// A scratch directory private to the test tagged `tag` (every test
     /// passes its own): the harness runs tests on parallel threads, and
@@ -1084,6 +1096,82 @@ mod tests {
 
     fn args(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The error of `dpc cluster` over a three-point file with the flags
+    /// `extra` (`--dc 1` unless they give one), asserting it names `flag`,
+    /// the bad value and the valid range.
+    fn cluster_rejects(tag: &str, extra: &[&str], flag: &str, value: &str) {
+        let dir = temp_dir(tag);
+        let points = dir.join("points.csv");
+        std::fs::write(&points, "0,0\n1,0\n5,5\n").unwrap();
+        let mut argv = vec!["cluster", "--input", points.to_str().unwrap()];
+        argv.extend_from_slice(extra);
+        if !extra.contains(&"--dc") {
+            argv.extend_from_slice(&["--dc", "1"]);
+        }
+        let err = run(args(&argv)).unwrap_err();
+        for needle in [flag, value, "valid range"] {
+            assert!(err.contains(needle), "{needle:?} missing in: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_bin_width_is_rejected() {
+        cluster_rejects(
+            "bw0",
+            &["--index", "ch", "--bin-width", "0"],
+            "--bin-width",
+            "0",
+        );
+    }
+
+    #[test]
+    fn nan_bin_width_is_rejected() {
+        cluster_rejects(
+            "bwnan",
+            &["--index", "ch", "--bin-width", "nan"],
+            "--bin-width",
+            "NaN",
+        );
+    }
+
+    #[test]
+    fn negative_tau_is_rejected() {
+        cluster_rejects("tau-1", &["--index", "list", "--tau", "-1"], "--tau", "-1");
+    }
+
+    #[test]
+    fn nan_tau_is_rejected() {
+        cluster_rejects(
+            "taunan",
+            &["--index", "list", "--tau", "nan"],
+            "--tau",
+            "NaN",
+        );
+    }
+
+    #[test]
+    fn invalid_dc_is_rejected_before_the_index_is_built() {
+        // CH derives its default bin width from dc: a bad dc must fail here
+        // instead of building ~diameter/f64::MIN_POSITIVE bins.
+        cluster_rejects("dcneg", &["--index", "ch", "--dc", "-1"], "dc", "-1");
+    }
+
+    #[test]
+    fn nan_scale_is_rejected() {
+        let dir = temp_dir("scalenan");
+        let out = dir.join("points.csv");
+        let argv = ["generate", "--dataset", "s1", "--scale", "nan", "--output"];
+        let mut argv = argv.to_vec();
+        argv.push(out.to_str().unwrap());
+        let err = run(args(&argv)).unwrap_err();
+        for needle in ["--scale", "NaN", "valid range"] {
+            assert!(err.contains(needle), "{needle:?} missing in: {err}");
+        }
+        assert!(!out.exists(), "nothing is written for a rejected scale");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1117,7 +1205,11 @@ mod tests {
         let data = DatasetKind::S1.generate(1, 0.004).into_dataset(); // 20 points
         for name in ["list", "ch", "quadtree", "rtree", "kdtree", "grid", "naive"] {
             let index = build_index(&data, name, None, None, 10_000.0).unwrap();
-            assert_eq!(index.rho(10_000.0).unwrap().len(), data.len(), "{name}");
+            assert_eq!(
+                index.rho(&Query::new(10_000.0)).unwrap().len(),
+                data.len(),
+                "{name}"
+            );
         }
         assert!(build_index(&data, "wat", None, None, 1.0).is_err());
         // tau selects the approximate variants.

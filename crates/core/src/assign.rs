@@ -161,7 +161,7 @@ fn compute_halo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::DpcIndex;
+    use crate::index::{DpcIndex, Query};
     use crate::naive_reference::NaiveReferenceIndex;
     use crate::point::Point;
 
@@ -180,7 +180,9 @@ mod tests {
     }
 
     fn rho_delta(data: &Dataset, dc: f64) -> (Vec<crate::density::Rho>, DeltaResult) {
-        NaiveReferenceIndex::build(data).rho_delta(dc).unwrap()
+        NaiveReferenceIndex::build(data)
+            .rho_delta(&Query::new(dc))
+            .unwrap()
     }
 
     #[test]
@@ -365,11 +367,10 @@ mod tests {
     /// leaders (ids 0 and 2) end up with δ = 10 — the decision graph cannot
     /// separate them on (ρ, δ) alone. The pinned behaviour is the workspace
     /// convention used everywhere else: ties resolve towards the smaller id
-    /// (γ ranking is stable by id, the density order uses
-    /// `TieBreak::SmallerIdDenser`, equidistant µ candidates pick the
-    /// smaller id). The streaming engine re-runs this selection + assignment
-    /// every epoch, so any drift here would make incremental and batch runs
-    /// diverge.
+    /// (γ ranking is stable by id, the density order ranks equal densities
+    /// by the smaller id, equidistant µ candidates pick the smaller id). The
+    /// streaming engine re-runs this selection + assignment every epoch, so
+    /// any drift here would make incremental and batch runs diverge.
     #[test]
     fn equal_rho_equal_delta_peaks_assign_deterministically() {
         use crate::decision::{CenterSelection, DecisionGraph};

@@ -123,7 +123,7 @@ pub fn estimate_dc(dataset: &Dataset) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::DpcIndex;
+    use crate::index::{DpcIndex, Query};
     use crate::naive_reference::NaiveReferenceIndex;
     use crate::point::Point;
 
@@ -145,7 +145,9 @@ mod tests {
         let dc = DcEstimation::with_fraction(fraction)
             .estimate(&data)
             .unwrap();
-        let rho = NaiveReferenceIndex::build(&data).rho(dc).unwrap();
+        let rho = NaiveReferenceIndex::build(&data)
+            .rho(&Query::new(dc))
+            .unwrap();
         let mean = rho.iter().sum::<f64>() / data.len() as f64;
         let achieved = mean / data.len() as f64;
         assert!(

@@ -13,11 +13,12 @@
 //!
 //! ## Ties
 //!
-//! The paper defines "denser" as `ρ(q) > ρ(p)` and implicitly breaks ties by
-//! object id (its running example states *"suppose a smaller object ID
-//! represents a higher local density"*). Integer densities collide all the
-//! time, so the rule is explicit in [`TieBreak`], and the resulting total
-//! order is [`DensityOrder`]. Distance ties follow the distance contract of
+//! The paper defines "denser" as `ρ(q) > ρ(p)` and breaks ties by object id
+//! (its Example 1 states *"suppose a smaller object ID represents a higher
+//! local density"*). Integer densities collide all the time, so this is the
+//! one rule, everywhere: `q` is denser than `p` iff `ρ(q) > ρ(p)`, or the
+//! densities are equal and `q < p`. [`DensityOrder`] is that total order.
+//! Distance ties follow the distance contract of
 //! [`crate::metric`]: `µ(p)` is the lexicographic minimum of `(fl(d²), id)`
 //! over the denser points and `δ(p)` the root of that `fl(d²)`, so two
 //! candidates one ulp apart in `fl(d²)` are not tied even when their roots
@@ -28,41 +29,20 @@ use crate::density::Rho;
 use crate::error::{DpcError, Result};
 use crate::point::PointId;
 
-/// How to order two points with the same density.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// The point with the *smaller* id is considered denser (paper's
-    /// convention in Example 1). This is the default.
-    #[default]
-    SmallerIdDenser,
-    /// The point with the *larger* id is considered denser.
-    LargerIdDenser,
-}
-
-/// A total order on points induced by `(ρ, tie-break)`.
+/// The total order on points induced by `(ρ, id)`.
 ///
-/// `q` is denser than `p` iff `ρ(q) > ρ(p)`, or `ρ(q) = ρ(p)` and the
-/// tie-break favours `q`. Exactly one point — the [global
-/// peak](DensityOrder::global_peak) — is denser than every other point.
+/// `q` is denser than `p` iff `ρ(q) > ρ(p)`, or `ρ(q) = ρ(p)` and `q < p`.
+/// Exactly one point — the [global peak](DensityOrder::global_peak) — is
+/// denser than every other point.
 #[derive(Debug, Clone)]
 pub struct DensityOrder<'a> {
     rho: &'a [Rho],
-    tie: TieBreak,
 }
 
 impl<'a> DensityOrder<'a> {
-    /// Creates the order with the default tie-break
-    /// ([`TieBreak::SmallerIdDenser`]).
+    /// Creates the order over the given densities.
     pub fn new(rho: &'a [Rho]) -> Self {
-        DensityOrder {
-            rho,
-            tie: TieBreak::default(),
-        }
-    }
-
-    /// Creates the order with an explicit tie-break rule.
-    pub fn with_tie_break(rho: &'a [Rho], tie: TieBreak) -> Self {
-        DensityOrder { rho, tie }
+        DensityOrder { rho }
     }
 
     /// Number of points covered by the order.
@@ -80,25 +60,14 @@ impl<'a> DensityOrder<'a> {
         self.rho
     }
 
-    /// The tie-break rule in use.
-    pub fn tie_break(&self) -> TieBreak {
-        self.tie
-    }
-
     /// Whether point `q` is denser than point `p` under the total order.
     #[inline]
     pub fn is_denser(&self, q: PointId, p: PointId) -> bool {
+        // Short-circuit form: it compiles to early-exit branches, which the
+        // δ scans' mostly-"not denser" candidates predict well (a branchless
+        // select of both comparisons measured ~10% slower on the grid δ).
         let (rq, rp) = (self.rho[q], self.rho[p]);
-        if rq != rp {
-            return rq > rp;
-        }
-        if q == p {
-            return false;
-        }
-        match self.tie {
-            TieBreak::SmallerIdDenser => q < p,
-            TieBreak::LargerIdDenser => q > p,
-        }
+        rq > rp || (rq == rp && q < p)
     }
 
     /// Sort key such that a larger key means denser. Useful with
@@ -109,13 +78,9 @@ impl<'a> DensityOrder<'a> {
     /// the two zeros compare equal.
     #[inline]
     pub fn key(&self, p: PointId) -> (u64, i64) {
-        let id_key = match self.tie {
-            TieBreak::SmallerIdDenser => -(p as i64),
-            TieBreak::LargerIdDenser => p as i64,
-        };
         let r = self.rho[p];
         let rho_key = if r == 0.0 { 0u64 } else { r.to_bits() };
-        (rho_key, id_key)
+        (rho_key, -(p as i64))
     }
 
     /// The densest point under the total order (`None` for an empty order).
@@ -255,22 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn tie_break_smaller_id_default() {
+    fn equal_densities_fall_back_to_the_smaller_id() {
         let rho = vec![4.0, 4.0, 4.0];
         let ord = DensityOrder::new(&rho);
         assert!(ord.is_denser(0, 1));
         assert!(ord.is_denser(1, 2));
         assert!(!ord.is_denser(2, 0));
         assert_eq!(ord.global_peak(), Some(0));
-    }
-
-    #[test]
-    fn tie_break_larger_id() {
-        let rho = vec![4.0, 4.0, 4.0];
-        let ord = DensityOrder::with_tie_break(&rho, TieBreak::LargerIdDenser);
-        assert!(ord.is_denser(2, 1));
-        assert!(!ord.is_denser(0, 1));
-        assert_eq!(ord.global_peak(), Some(2));
     }
 
     #[test]

@@ -6,17 +6,20 @@
 //! point's result. "Faster Parallel Exact Density Peaks Clustering" (Huang,
 //! Yu & Shun, 2023) shows exact DPC scales near-linearly with cores on
 //! exactly this decomposition, so this module provides it once for the whole
-//! workspace: an [`ExecPolicy`] knob plus two chunked executors that split an
-//! output slice into contiguous per-worker chunks, run one scoped thread per
-//! chunk, and hand every worker its own scratch state (query statistics,
+//! workspace: an [`ExecPolicy`] knob plus one chunked executor that splits
+//! the output into contiguous per-worker chunks, runs one scoped thread per
+//! chunk, and hands every worker its own scratch state (query statistics,
 //! reusable traversal stacks/heaps) that the caller merges after the join.
+//! [`fill_slice`] fills one output slice, [`fill_slice_pair`] two (the shape
+//! of the δ-query); both take a [`Recorder`] and time each chunk only when
+//! it is enabled.
 //!
 //! Determinism is by construction: each output slot is written by exactly one
 //! worker running exactly the same per-point code as the sequential path, so
 //! parallel results are bit-identical to sequential results at every thread
-//! count. The chunk partitioning logic lives here and nowhere else —
-//! `ParallelDpc`, the neighbour-list builder and every index's parallel
-//! query all go through these two functions.
+//! count. The chunk partitioning logic lives here and nowhere else — the
+//! brute-force kernels, the neighbour-list builder and every index's query
+//! all go through it.
 
 use dpc_obs::Recorder;
 use std::time::Instant;
@@ -68,9 +71,104 @@ impl ExecPolicy {
 
 /// Length of each contiguous chunk when `items` work items are split across
 /// `workers` threads. This is the single source of truth for the chunk
-/// geometry used by both executors.
+/// geometry.
 fn chunk_len(items: usize, workers: usize) -> usize {
     items.div_ceil(workers.max(1)).max(1)
+}
+
+/// Output storage the executor can cut into contiguous per-worker chunks:
+/// one slice, or two slices of equal length split at the same point.
+trait Slots: Send + Sized {
+    fn len(&self) -> usize;
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> Slots for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: Send, B: Send> Slots for (&mut [A], &mut [B]) {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a0, a1) = self.0.split_at_mut(mid);
+        let (b0, b1) = self.1.split_at_mut(mid);
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// The one chunked executor: cuts `out` into contiguous chunks, one per
+/// worker, and runs `run(start, chunk, scratch)` on each (in the calling
+/// thread when there is a single worker, on scoped threads otherwise).
+/// Returns the per-worker scratches in chunk order.
+///
+/// With an enabled recorder every chunk reports one `label` span and one
+/// `<label>.items` histogram sample; a disabled recorder costs one branch
+/// per chunk — no clock reads, no allocation.
+fn run_chunks<O, S, M, R>(
+    out: O,
+    policy: ExecPolicy,
+    rec: &dyn Recorder,
+    label: &str,
+    make_scratch: M,
+    run: R,
+) -> Vec<S>
+where
+    O: Slots,
+    S: Send,
+    M: Fn() -> S + Sync,
+    R: Fn(usize, O, &mut S) + Sync,
+{
+    let n = out.len();
+    let workers = policy.workers(n);
+    let items_label = if rec.enabled() {
+        format!("{label}.items")
+    } else {
+        String::new()
+    };
+    let worker = |start: usize, chunk: O| {
+        let started = rec.enabled().then(Instant::now);
+        let items = chunk.len() as u64;
+        let mut scratch = make_scratch();
+        run(start, chunk, &mut scratch);
+        if let Some(started) = started {
+            rec.record(&items_label, items);
+            rec.span(label, started, started.elapsed());
+        }
+        scratch
+    };
+    if workers <= 1 {
+        return vec![worker(0, out)];
+    }
+    let chunk = chunk_len(n, workers);
+    let mut chunks = Vec::with_capacity(workers);
+    let (mut rest, mut start) = (out, 0);
+    while rest.len() > chunk {
+        let (head, tail) = rest.split_at(chunk);
+        chunks.push((start, head));
+        (rest, start) = (tail, start + chunk);
+    }
+    chunks.push((start, rest));
+    let worker = &worker;
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|(start, chunk)| scope.spawn(move |_| worker(start, chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("query worker thread panicked"))
+            .collect()
+    })
+    .expect("query worker thread panicked")
 }
 
 /// Fills `out[i] = body(i, scratch)` for every index `i`, partitioning
@@ -80,47 +178,35 @@ fn chunk_len(items: usize, workers: usize) -> usize {
 /// the worker's whole chunk, so per-point state (traversal stacks, heaps,
 /// statistics counters) is reused instead of re-allocated. The per-worker
 /// scratches are returned in chunk order so the caller can merge them
-/// deterministically.
-pub fn fill_slice<T, S, M, B>(out: &mut [T], policy: ExecPolicy, make_scratch: M, body: B) -> Vec<S>
+/// deterministically. With an enabled `rec`, each chunk reports one `label`
+/// span and one `<label>.items` sample, so a trace shows every worker's
+/// lane and a metrics snapshot shows chunk-size balance.
+pub fn fill_slice<T, S, M, B>(
+    out: &mut [T],
+    policy: ExecPolicy,
+    rec: &dyn Recorder,
+    label: &str,
+    make_scratch: M,
+    body: B,
+) -> Vec<S>
 where
     T: Send,
     S: Send,
     M: Fn() -> S + Sync,
     B: Fn(usize, &mut S) -> T + Sync,
 {
-    let n = out.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let mut scratch = make_scratch();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = body(i, &mut scratch);
-        }
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let mut scratch = make_scratch();
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = body(start + offset, &mut scratch);
-                    }
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
+    run_chunks(
+        out,
+        policy,
+        rec,
+        label,
+        make_scratch,
+        |start, chunk: &mut [T], scratch| {
+            for (offset, slot) in chunk.iter_mut().enumerate() {
+                *slot = body(start + offset, scratch);
+            }
+        },
+    )
 }
 
 /// Like [`fill_slice`], but fills two parallel output slices at once:
@@ -135,6 +221,8 @@ pub fn fill_slice_pair<A, B, S, M, F>(
     a: &mut [A],
     b: &mut [B],
     policy: ExecPolicy,
+    rec: &dyn Recorder,
+    label: &str,
     make_scratch: M,
     body: F,
 ) -> Vec<S>
@@ -150,193 +238,24 @@ where
         b.len(),
         "fill_slice_pair: output slices must have the same length"
     );
-    let n = a.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let mut scratch = make_scratch();
-        for (i, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            body(i, slot_a, slot_b, &mut scratch);
-        }
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .enumerate()
-            .map(|(chunk_idx, (a_chunk, b_chunk))| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let mut scratch = make_scratch();
-                    for (offset, (slot_a, slot_b)) in
-                        a_chunk.iter_mut().zip(b_chunk.iter_mut()).enumerate()
-                    {
-                        body(start + offset, slot_a, slot_b, &mut scratch);
-                    }
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
-}
-
-/// Like [`fill_slice`], but reports one `label` span and one `<label>.items`
-/// histogram sample per worker chunk to `rec`, so a trace shows every
-/// worker's lane and a metrics snapshot shows chunk-size balance.
-///
-/// With a disabled recorder this is exactly [`fill_slice`] — no clock reads,
-/// no allocation.
-pub fn fill_slice_recorded<T, S, M, B>(
-    out: &mut [T],
-    policy: ExecPolicy,
-    rec: &dyn Recorder,
-    label: &str,
-    make_scratch: M,
-    body: B,
-) -> Vec<S>
-where
-    T: Send,
-    S: Send,
-    M: Fn() -> S + Sync,
-    B: Fn(usize, &mut S) -> T + Sync,
-{
-    if !rec.enabled() {
-        return fill_slice(out, policy, make_scratch, body);
-    }
-    let items_label = format!("{label}.items");
-    let n = out.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let started = Instant::now();
-        let mut scratch = make_scratch();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = body(i, &mut scratch);
-        }
-        rec.record(&items_label, n as u64);
-        rec.span(label, started, started.elapsed());
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    let items_label = items_label.as_str();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let started = Instant::now();
-                    let items = out_chunk.len() as u64;
-                    let mut scratch = make_scratch();
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = body(start + offset, &mut scratch);
-                    }
-                    rec.record(items_label, items);
-                    rec.span(label, started, started.elapsed());
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
-}
-
-/// Like [`fill_slice_pair`], but reports one `label` span and one
-/// `<label>.items` histogram sample per worker chunk to `rec`.
-///
-/// With a disabled recorder this is exactly [`fill_slice_pair`].
-///
-/// # Panics
-/// Panics if `a` and `b` have different lengths.
-pub fn fill_slice_pair_recorded<A, B, S, M, F>(
-    a: &mut [A],
-    b: &mut [B],
-    policy: ExecPolicy,
-    rec: &dyn Recorder,
-    label: &str,
-    make_scratch: M,
-    body: F,
-) -> Vec<S>
-where
-    A: Send,
-    B: Send,
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut A, &mut B, &mut S) + Sync,
-{
-    if !rec.enabled() {
-        return fill_slice_pair(a, b, policy, make_scratch, body);
-    }
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "fill_slice_pair: output slices must have the same length"
-    );
-    let items_label = format!("{label}.items");
-    let n = a.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let started = Instant::now();
-        let mut scratch = make_scratch();
-        for (i, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            body(i, slot_a, slot_b, &mut scratch);
-        }
-        rec.record(&items_label, n as u64);
-        rec.span(label, started, started.elapsed());
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    let items_label = items_label.as_str();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .enumerate()
-            .map(|(chunk_idx, (a_chunk, b_chunk))| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let started = Instant::now();
-                    let items = a_chunk.len() as u64;
-                    let mut scratch = make_scratch();
-                    for (offset, (slot_a, slot_b)) in
-                        a_chunk.iter_mut().zip(b_chunk.iter_mut()).enumerate()
-                    {
-                        body(start + offset, slot_a, slot_b, &mut scratch);
-                    }
-                    rec.record(items_label, items);
-                    rec.span(label, started, started.elapsed());
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
+    run_chunks(
+        (a, b),
+        policy,
+        rec,
+        label,
+        make_scratch,
+        |start, (a, b): (&mut [A], &mut [B]), scratch| {
+            for (offset, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
+                body(start + offset, slot_a, slot_b, scratch);
+            }
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_obs::MetricsRecorder;
+    use dpc_obs::{MetricsRecorder, NoopRecorder};
 
     #[test]
     fn from_threads_maps_zero_and_one_to_sequential() {
@@ -376,6 +295,8 @@ mod tests {
             let scratches = fill_slice(
                 &mut out,
                 ExecPolicy::Threads(threads),
+                &NoopRecorder,
+                "",
                 || 0u64,
                 |i, calls| {
                     *calls += 1;
@@ -396,6 +317,8 @@ mod tests {
             &mut a,
             &mut b,
             ExecPolicy::Threads(5),
+            &NoopRecorder,
+            "",
             || (),
             |i, slot_a, slot_b, ()| {
                 *slot_a = i + 1;
@@ -409,10 +332,25 @@ mod tests {
     #[test]
     fn empty_outputs_are_fine() {
         let mut out: Vec<u32> = vec![];
-        let scratches = fill_slice(&mut out, ExecPolicy::Threads(8), || (), |_, ()| 0);
+        let scratches = fill_slice(
+            &mut out,
+            ExecPolicy::Threads(8),
+            &NoopRecorder,
+            "",
+            || (),
+            |_, ()| 0,
+        );
         assert_eq!(scratches.len(), 1);
         let (mut a, mut b): (Vec<u32>, Vec<u32>) = (vec![], vec![]);
-        fill_slice_pair(&mut a, &mut b, ExecPolicy::Auto, || (), |_, _, _, ()| {});
+        fill_slice_pair(
+            &mut a,
+            &mut b,
+            ExecPolicy::Auto,
+            &NoopRecorder,
+            "",
+            || (),
+            |_, _, _, ()| {},
+        );
     }
 
     #[test]
@@ -423,6 +361,8 @@ mod tests {
         let scratches = fill_slice(
             &mut out,
             ExecPolicy::Threads(2),
+            &NoopRecorder,
+            "",
             || 0u32,
             |_, served| {
                 *served += 1;
@@ -437,39 +377,26 @@ mod tests {
     #[test]
     fn recorded_fill_matches_plain_fill_and_reports_chunks() {
         let expected: Vec<u64> = (0..41u64).map(|i| i * 3).collect();
-        let metrics = MetricsRecorder::new();
-        let mut out = vec![0u64; 41];
-        fill_slice_recorded(
-            &mut out,
-            ExecPolicy::Threads(4),
-            &metrics,
-            "exec.test",
-            || (),
-            |i, ()| (i as u64) * 3,
-        );
-        assert_eq!(out, expected);
-        let snap = metrics.snapshot();
-        // 4 workers → 4 chunk spans and 4 item samples covering all 41 items.
-        let spans = snap.histogram("exec.test_us").expect("chunk spans");
-        assert_eq!(spans.count(), 4);
-        let items = snap.histogram("exec.test.items").expect("chunk items");
-        assert_eq!(items.sum(), 41);
-    }
-
-    #[test]
-    fn recorded_fill_with_noop_recorder_is_plain_fill() {
-        let noop = dpc_obs::noop();
-        let mut out = vec![0u32; 7];
-        let scratches = fill_slice_recorded(
-            &mut out,
-            ExecPolicy::Sequential,
-            &*noop,
-            "x",
-            || (),
-            |i, ()| i as u32,
-        );
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(scratches.len(), 1);
+        for (policy, chunks) in [(ExecPolicy::Threads(4), 4), (ExecPolicy::Sequential, 1)] {
+            let metrics = MetricsRecorder::new();
+            let mut out = vec![0u64; 41];
+            fill_slice(
+                &mut out,
+                policy,
+                &metrics,
+                "exec.test",
+                || (),
+                |i, ()| (i as u64) * 3,
+            );
+            assert_eq!(out, expected);
+            let snap = metrics.snapshot();
+            // One chunk span and one item sample per worker, covering all
+            // 41 items.
+            let spans = snap.histogram("exec.test_us").expect("chunk spans");
+            assert_eq!(spans.count(), chunks, "{policy:?}");
+            let items = snap.histogram("exec.test.items").expect("chunk items");
+            assert_eq!(items.sum(), 41, "{policy:?}");
+        }
     }
 
     #[test]
@@ -477,7 +404,7 @@ mod tests {
         let metrics = MetricsRecorder::new();
         let mut a = vec![0usize; 10];
         let mut b = vec![0i64; 10];
-        fill_slice_pair_recorded(
+        fill_slice_pair(
             &mut a,
             &mut b,
             ExecPolicy::Threads(2),
@@ -493,6 +420,7 @@ mod tests {
         assert!(b.iter().enumerate().all(|(i, &v)| v == i as i64 * 2));
         let snap = metrics.snapshot();
         assert_eq!(snap.histogram("exec.pair.items").map(|h| h.sum()), Some(10));
+        assert_eq!(snap.histogram("exec.pair_us").map(|h| h.count()), Some(2));
     }
 
     #[test]
@@ -504,6 +432,8 @@ mod tests {
             &mut a,
             &mut b,
             ExecPolicy::Sequential,
+            &NoopRecorder,
+            "",
             || (),
             |_, _, _, ()| {},
         );

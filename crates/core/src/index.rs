@@ -1,25 +1,161 @@
 //! The [`DpcIndex`] trait — the seam between the clustering pipeline and the
-//! concrete index structures.
+//! concrete index structures — and the [`Query`] every index answers.
 //!
 //! An index is built once over a dataset and can then answer, for *any*
 //! cut-off distance `dc`, the two expensive DPC queries:
 //!
-//! * the **ρ-query**: local density of every point,
-//! * the **δ-query**: dependent distance and dependent neighbour of every
-//!   point (given the densities).
+//! * the **ρ-query** ([`DpcIndex::rho`]): local density of every point,
+//! * the **δ-query** ([`DpcIndex::delta`]): dependent distance and dependent
+//!   neighbour of every point (given the densities).
 //!
 //! The motivation in the paper is exactly this split: the user typically runs
 //! DPC for many `dc` values while searching for a satisfactory clustering, so
-//! the index is amortised across runs.
+//! the index is amortised across runs. Everything else about a run — the
+//! density kernel, how many threads the per-point work spreads over, and
+//! where its telemetry goes — is a property of the [`Query`], not of the
+//! index, so each index has exactly one entry point per query.
 
 use std::time::Duration;
 
-use crate::delta::{DeltaResult, TieBreak};
+use dpc_obs::{NoopRecorder, Recorder};
+
+use crate::delta::DeltaResult;
 use crate::density::Rho;
 use crate::error::{DpcError, Result};
-use crate::exec::ExecPolicy;
+use crate::exec::{self, ExecPolicy};
 use crate::kernel::Kernel;
 use crate::point::{Dataset, Point, PointId};
+
+/// One ρ/δ query: the cut-off distance plus how to answer it.
+///
+/// [`Query::new`] gives the paper's setting — the cut-off kernel, sequential
+/// execution, no telemetry — and the builders change one property each:
+///
+/// ```
+/// use dpc_core::naive_reference::NaiveReferenceIndex;
+/// use dpc_core::{Dataset, DpcIndex, ExecPolicy, Kernel, Query};
+/// use dpc_obs::MetricsRecorder;
+///
+/// let data = Dataset::from_coords(vec![(0.0, 0.0), (0.5, 0.0), (3.0, 0.0)]);
+/// let index = NaiveReferenceIndex::build(&data);
+/// let (rho, _) = index.rho_delta(&Query::new(1.0)).unwrap();
+/// assert_eq!(rho, vec![1.0, 1.0, 0.0]);
+///
+/// let metrics = MetricsRecorder::new();
+/// let query = Query::new(1.0)
+///     .with_kernel(Kernel::gaussian(1.0))
+///     .with_exec(ExecPolicy::Threads(2))
+///     .with_recorder(&metrics);
+/// let (weighted, _) = index.rho_delta(&query).unwrap();
+/// assert!(weighted[0] > 0.0 && weighted[0] < 1.0);
+/// ```
+///
+/// Neither the kernel's accelerated traversal, the thread count nor the
+/// recorder changes a result: every index returns bit-identical ρ, δ and µ
+/// for the same `dc` and kernel under every policy and recorder.
+#[derive(Debug, Clone, Copy)]
+pub struct Query<'r> {
+    /// Cut-off distance defining the density neighbourhood.
+    pub dc: f64,
+    /// Density kernel weighting the neighbours within `dc`.
+    pub kernel: Kernel,
+    /// How the per-point work is partitioned across threads.
+    pub exec: ExecPolicy,
+    /// Where the query reports per-worker chunk spans and traversal
+    /// counters; the no-op recorder keeps nothing and costs one branch.
+    pub recorder: &'r dyn Recorder,
+}
+
+impl Query<'static> {
+    /// A query for `dc` with the cut-off kernel, sequential execution and
+    /// the no-op recorder.
+    pub fn new(dc: f64) -> Self {
+        Query {
+            dc,
+            kernel: Kernel::Cutoff,
+            exec: ExecPolicy::Sequential,
+            recorder: &NoopRecorder,
+        }
+    }
+}
+
+impl<'r> Query<'r> {
+    /// Sets the density kernel.
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        Query { kernel, ..self }
+    }
+
+    /// Sets the execution policy.
+    pub fn with_exec(self, exec: ExecPolicy) -> Self {
+        Query { exec, ..self }
+    }
+
+    /// Reports the query's telemetry to `recorder`.
+    pub fn with_recorder<'s>(self, recorder: &'s dyn Recorder) -> Query<'s> {
+        Query {
+            dc: self.dc,
+            kernel: self.kernel,
+            exec: self.exec,
+            recorder,
+        }
+    }
+
+    /// Checks `dc` ([`validate_dc`]) and the kernel's bandwidth
+    /// ([`Kernel::validate`]); every index calls this before a ρ-query.
+    pub fn validate(&self) -> Result<()> {
+        validate_dc(self.dc)?;
+        self.kernel.validate()
+    }
+
+    /// [`validate`](Self::validate) plus the length of the densities a
+    /// δ-query over `n` points receives.
+    pub fn validate_delta(&self, rho: &[Rho], n: usize) -> Result<()> {
+        self.validate()?;
+        validate_rho_len(rho, n)
+    }
+
+    /// Runs a per-point ρ body over `n` points on the [`exec`] engine under
+    /// this query's policy, reporting `query.rho.chunk` spans to its
+    /// recorder. Returns the densities and the per-worker scratches.
+    pub fn fill_rho<S, M, B>(&self, n: usize, make_scratch: M, body: B) -> (Vec<Rho>, Vec<S>)
+    where
+        S: Send,
+        M: Fn() -> S + Sync,
+        B: Fn(PointId, &mut S) -> Rho + Sync,
+    {
+        let mut rho = vec![0.0; n];
+        let scratches = exec::fill_slice(
+            &mut rho,
+            self.exec,
+            self.recorder,
+            "query.rho.chunk",
+            make_scratch,
+            body,
+        );
+        (rho, scratches)
+    }
+
+    /// Runs a per-point `(δ, µ)` body over `n` points like
+    /// [`fill_rho`](Self::fill_rho), reporting `query.delta.chunk` spans.
+    pub fn fill_delta<S, M, B>(&self, n: usize, make_scratch: M, body: B) -> (DeltaResult, Vec<S>)
+    where
+        S: Send,
+        M: Fn() -> S + Sync,
+        B: Fn(PointId, &mut S) -> (f64, Option<PointId>) + Sync,
+    {
+        let mut result = DeltaResult::unset(n);
+        let scratches = exec::fill_slice_pair(
+            &mut result.delta,
+            &mut result.mu,
+            self.exec,
+            self.recorder,
+            "query.delta.chunk",
+            make_scratch,
+            |p, delta, mu, scratch| (*delta, *mu) = body(p, scratch),
+        );
+        (result, scratches)
+    }
+}
 
 /// Construction-time statistics of an index, reported by every
 /// implementation and consumed by the experiment harness (Tables 3–4 of the
@@ -67,9 +203,10 @@ impl IndexStats {
 /// [`crate::density`] and [`crate::delta`], under the distance contract of
 /// [`crate::metric`]:
 ///
-/// * `ρ(p)` counts the *other* points `q` with `fl(d²(p, q)) < fl(dc²)`;
-/// * "denser" is the total order of [`DensityOrder`](crate::DensityOrder)
-///   with the index's [`tie_break`](DpcIndex::tie_break) rule;
+/// * `ρ(p)` sums the [`Kernel`] weight of the *other* points `q` with
+///   `fl(d²(p, q)) < fl(dc²)` (for the cut-off kernel: counts them);
+/// * "denser" is the total order of [`DensityOrder`](crate::DensityOrder):
+///   higher ρ, then smaller id;
 /// * `µ(p)` is the lexicographic minimum of `(fl(d²), id)` over the points
 ///   denser than `p` ([`closer`](crate::metric::closer)), and `δ(p)` the
 ///   root of that `fl(d²)`;
@@ -77,7 +214,8 @@ impl IndexStats {
 ///   `fl(d²)` to any other point.
 ///
 /// Exact indices (List, CH, Quadtree, R-tree, k-d tree, grid and the
-/// baselines) return results bit-identical to the [`crate::brute`] kernels.
+/// baselines) return results bit-identical to the [`crate::brute`] kernels,
+/// under every kernel, [`ExecPolicy`] and recorder of the [`Query`].
 /// Approximate indices (RN-List with threshold `τ`) may return a clipped `δ`
 /// for points whose dependent neighbour is farther than `τ`; see
 /// `dpc-list-index` for details.
@@ -104,140 +242,37 @@ pub trait DpcIndex {
         self.len() == 0
     }
 
-    /// Computes the local density of every point for the cut-off `dc`.
+    /// Computes the local density of every point.
     ///
-    /// Returns [`DpcError::InvalidParameter`] when `dc` is not a positive
-    /// finite number.
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>>;
+    /// Returns [`DpcError::InvalidParameter`] when the query's `dc` or
+    /// kernel is invalid ([`Query::validate`]).
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>>;
 
     /// Computes `δ` and `µ` for every point, given per-point densities
     /// previously obtained from [`rho`](DpcIndex::rho).
     ///
-    /// `dc` is passed through because approximate indices need it to decide
-    /// whether a truncated neighbourhood is sufficient.
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult>;
+    /// The query's `dc` is passed through because approximate indices need
+    /// it to decide whether a truncated neighbourhood is sufficient; the
+    /// kernel does not matter here, since δ only reads the densities through
+    /// their order.
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult>;
 
     /// Runs the ρ-query and δ-query back to back.
-    fn rho_delta(&self, dc: f64) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho(dc)?;
-        let delta = self.delta(dc, &rho)?;
+    fn rho_delta(&self, query: &Query<'_>) -> Result<(Vec<Rho>, DeltaResult)> {
+        let rho = self.rho(query)?;
+        let delta = self.delta(query, &rho)?;
         Ok((rho, delta))
     }
 
-    /// [`rho`](DpcIndex::rho) under an explicit [`ExecPolicy`].
-    ///
-    /// Implementations that support the parallel query engine override this;
-    /// the default ignores the policy and runs the sequential query, so the
-    /// result is identical either way (parallelism is a pure acceleration,
-    /// never a semantic change).
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        let _ = policy;
-        self.rho(dc)
-    }
-
-    /// [`delta`](DpcIndex::delta) under an explicit [`ExecPolicy`].
-    ///
-    /// Same contract as [`rho_with_policy`](DpcIndex::rho_with_policy):
-    /// bit-identical results at every thread count.
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        let _ = policy;
-        self.delta(dc, rho)
-    }
-
-    /// Runs both queries back to back under an explicit [`ExecPolicy`].
-    fn rho_delta_with_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho_with_policy(dc, policy)?;
-        let delta = self.delta_with_policy(dc, &rho, policy)?;
-        Ok((rho, delta))
-    }
-
-    /// [`rho`](DpcIndex::rho) under an explicit density [`Kernel`] and
-    /// [`ExecPolicy`].
-    ///
-    /// For [`Kernel::Cutoff`] this **is**
-    /// [`rho_with_policy`](DpcIndex::rho_with_policy) — same code path,
-    /// bit-identical results.
-    /// For weighted kernels the default falls back to the canonical
-    /// brute-force scan ([`weighted_rho_scan`]); indices whose structure can
-    /// enumerate the `dc`-neighbourhood override this with an accelerated
-    /// traversal that must reproduce the scan bit-for-bit (same ascending-id
-    /// summation order; see [`crate::kernel`]).
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        weighted_rho_scan(self.dataset(), dc, kernel, policy)
-    }
-
-    /// [`rho`](DpcIndex::rho) under an explicit density [`Kernel`],
-    /// sequentially.
-    fn rho_kernel(&self, dc: f64, kernel: Kernel) -> Result<Vec<Rho>> {
-        self.rho_kernel_with_policy(dc, kernel, ExecPolicy::Sequential)
-    }
-
-    /// Runs the kernel-weighted ρ-query and the δ-query back to back.
-    ///
-    /// The δ-query is kernel-agnostic: it only consumes the densities through
-    /// the total order, so every index's accelerated δ traversal works
-    /// unchanged on weighted densities.
-    fn rho_delta_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho_kernel_with_policy(dc, kernel, policy)?;
-        let delta = self.delta_with_policy(dc, &rho, policy)?;
-        Ok((rho, delta))
-    }
-
-    /// Runs both queries under an explicit [`Kernel`] and [`ExecPolicy`],
-    /// reporting query telemetry to `rec`.
-    ///
-    /// For [`Kernel::Cutoff`] this delegates to
-    /// [`rho_delta_observed`](DpcIndex::rho_delta_observed) — the exact
-    /// pre-existing instrumented path. For weighted kernels the default runs
-    /// the kernel ρ-query (unrecorded fallback unless overridden) followed by
-    /// the policy δ-query; results are bit-identical with or without the
-    /// recorder.
-    fn rho_delta_kernel_observed(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        if kernel.is_cutoff() {
-            return self.rho_delta_observed(dc, policy, rec);
-        }
-        self.rho_delta_kernel_with_policy(dc, kernel, policy)
-    }
-
-    /// Runs both queries under an explicit [`ExecPolicy`], reporting query
-    /// telemetry (per-worker chunk timings, traversal statistics) to `rec`.
-    ///
-    /// The default ignores the recorder and delegates to
-    /// [`rho_delta_with_policy`](DpcIndex::rho_delta_with_policy); indices
-    /// wired into the `dpc-obs` layer override this. The results must be
-    /// bit-identical regardless of the recorder — observability is never a
-    /// semantic change.
+    /// [`rho_delta`](DpcIndex::rho_delta) for the cut-off kernel under
+    /// `policy`, reporting to `rec`.
     fn rho_delta_observed(
         &self,
         dc: f64,
         policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
+        rec: &dyn Recorder,
     ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let _ = rec;
-        self.rho_delta_with_policy(dc, policy)
+        self.rho_delta(&Query::new(dc).with_exec(policy).with_recorder(rec))
     }
 
     /// Analytic heap footprint of the index in bytes.
@@ -245,11 +280,6 @@ pub trait DpcIndex {
 
     /// Construction statistics recorded while building the index.
     fn stats(&self) -> IndexStats;
-
-    /// The tie-break rule this index uses for the density order.
-    fn tie_break(&self) -> TieBreak {
-        TieBreak::SmallerIdDenser
-    }
 
     /// Whether the index guarantees results identical to the naive baseline
     /// (`true`) or may trade accuracy for memory (`false`).
@@ -436,72 +466,6 @@ pub trait UpdatableIndex: DpcIndex {
     fn check_invariants(&self) {}
 }
 
-/// Brute-force ε-range scan over the structure-of-arrays coordinate slices:
-/// ids of all points strictly within `eps` of `center`, ascending.
-///
-/// This is the shared reference implementation of
-/// [`UpdatableIndex::eps_neighbors`] used by the index-free baselines
-/// (`NaiveReferenceIndex`, `LeanDpc`); real indexes answer the same query
-/// through their structure. Keeping one copy pins the contract — strict
-/// `fl(d²) < fl(eps²)`, same validation as a cut-off distance — in one
-/// place.
-pub fn eps_neighbors_scan(dataset: &Dataset, center: Point, eps: f64) -> Result<Vec<PointId>> {
-    validate_dc(eps)?;
-    let (xs, ys) = dataset.coord_slices();
-    let eps2 = eps * eps;
-    Ok((0..dataset.len())
-        .filter(|&q| {
-            let (dx, dy) = (xs[q] - center.x, ys[q] - center.y);
-            dx * dx + dy * dy < eps2
-        })
-        .collect())
-}
-
-/// Canonical kernel-weighted ρ scan: for every point `p`, the sum of
-/// `kernel` weights over the *other* points strictly within `dc`, accumulated
-/// in **ascending neighbour-id order** (the workspace-wide canonical
-/// summation order for weighted densities; see [`crate::kernel`]).
-///
-/// This is the reference implementation every accelerated weighted traversal
-/// must match bit-for-bit, and the fallback behind
-/// [`DpcIndex::rho_kernel_with_policy`]. Parallelism partitions the *output*
-/// points across workers; each point's sum is still accumulated in ascending
-/// id order, so results are bit-identical at every thread count.
-pub fn weighted_rho_scan(
-    dataset: &Dataset,
-    dc: f64,
-    kernel: Kernel,
-    policy: ExecPolicy,
-) -> Result<Vec<Rho>> {
-    validate_dc(dc)?;
-    kernel.validate()?;
-    let n = dataset.len();
-    let (xs, ys) = dataset.coord_slices();
-    let dc2 = dc * dc;
-    let mut rho = vec![0.0 as Rho; n];
-    crate::exec::fill_slice(
-        &mut rho,
-        policy,
-        || (),
-        |i, ()| {
-            let (xi, yi) = (xs[i], ys[i]);
-            let mut mass = 0.0f64;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let (dx, dy) = (xs[j] - xi, ys[j] - yi);
-                let d2 = dx * dx + dy * dy;
-                if d2 < dc2 {
-                    mass += kernel.weight_from_sq(d2);
-                }
-            }
-            mass
-        },
-    );
-    Ok(rho)
-}
-
 /// Validates a cut-off distance, shared by all index implementations.
 ///
 /// Besides rejecting non-positive and non-finite values, this rejects
@@ -624,11 +588,11 @@ mod tests {
         fn dataset(&self) -> &Dataset {
             self.0.dataset()
         }
-        fn rho(&self, dc: f64) -> Result<Vec<crate::density::Rho>> {
-            self.0.rho(dc)
+        fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+            self.0.rho(query)
         }
-        fn delta(&self, dc: f64, rho: &[crate::density::Rho]) -> Result<DeltaResult> {
-            self.0.delta(dc, rho)
+        fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+            self.0.delta(query, rho)
         }
         fn memory_bytes(&self) -> usize {
             self.0.memory_bytes()
@@ -664,7 +628,11 @@ mod tests {
         assert_eq!(index.dataset().version(), 3 + 2);
         // Queries match a fresh build over the adopted dataset.
         let fresh = crate::naive_reference::NaiveReferenceIndex::build(&new);
-        assert_eq!(index.rho_delta(2.0).unwrap(), fresh.rho_delta(2.0).unwrap());
+        let query = Query::new(2.0);
+        assert_eq!(
+            index.rho_delta(&query).unwrap(),
+            fresh.rho_delta(&query).unwrap()
+        );
     }
 
     #[test]
@@ -674,46 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rho_scan_cutoff_matches_integer_counts() {
-        let data = Dataset::from_coords(vec![
-            (0.0, 0.0),
-            (0.5, 0.0),
-            (0.0, 0.5),
-            (5.0, 5.0),
-            (5.2, 5.0),
-        ]);
-        let rho = weighted_rho_scan(
-            &data,
-            1.0,
-            crate::kernel::Kernel::Cutoff,
-            ExecPolicy::Sequential,
-        )
-        .unwrap();
-        assert_eq!(rho, vec![2.0, 2.0, 2.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn weighted_rho_scan_gaussian_weights_and_truncates() {
-        let data = Dataset::from_coords(vec![(0.0, 0.0), (0.5, 0.0), (2.0, 0.0)]);
-        let k = crate::kernel::Kernel::gaussian(1.0);
-        let rho = weighted_rho_scan(&data, 1.0, k, ExecPolicy::Sequential).unwrap();
-        let w = k.weight(0.5);
-        // Point 2 is outside everyone's dc: weight truncates to exactly 0.
-        assert_eq!(rho[2], 0.0);
-        assert_eq!(rho[0], w);
-        assert_eq!(rho[1], w);
-        // Parallel partitioning is bit-identical.
-        let rho_par = weighted_rho_scan(&data, 1.0, k, ExecPolicy::Threads(4)).unwrap();
-        assert_eq!(rho, rho_par);
-    }
-
-    #[test]
-    fn weighted_rho_scan_validates_dc_and_kernel() {
-        let data = Dataset::from_coords(vec![(0.0, 0.0)]);
-        let k = crate::kernel::Kernel::gaussian(1.0);
-        assert!(weighted_rho_scan(&data, 0.0, k, ExecPolicy::Sequential).is_err());
-        let bad = crate::kernel::Kernel::gaussian(-1.0);
-        assert!(weighted_rho_scan(&data, 1.0, bad, ExecPolicy::Sequential).is_err());
+    fn query_validation_checks_dc_kernel_and_rho_length() {
+        let query = Query::new(1.0).with_kernel(Kernel::gaussian(1.0));
+        assert!(query.validate().is_ok());
+        assert!(query.validate_delta(&[0.0; 2], 2).is_ok());
+        assert!(query.validate_delta(&[0.0; 2], 3).is_err());
+        assert!(Query::new(0.0).validate().is_err());
+        let bad_kernel = Query::new(1.0).with_kernel(Kernel::gaussian(-1.0));
+        assert!(bad_kernel.validate().is_err());
+        assert!(bad_kernel.validate_delta(&[0.0; 2], 2).is_err());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   plus the distance contract every ρ/δ comparison follows ([`metric`],
 //!   [`closer`]) and its brute-force kernels ([`brute`]),
 //! * [`DensityOrder`] — the total order on densities used for `δ`,
-//! * [`DpcIndex`] — the trait implemented by every index,
+//! * [`DpcIndex`] — the trait implemented by every index, and the [`Query`]
+//!   (cut-off, kernel, execution policy, recorder) it answers,
 //! * [`ExecPolicy`] and the chunked parallel query engine ([`exec`]),
 //! * [`DecisionGraph`] and [`CenterSelection`] — cluster-centre selection,
 //! * [`assign_clusters`] / [`Clustering`] — the final assignment step,
@@ -81,15 +82,19 @@ pub use bbox::BoundingBox;
 pub use cluster::{ClusterId, Clustering};
 pub use dc_estimation::{estimate_dc, DcEstimation};
 pub use decision::{CenterSelection, DecisionGraph};
-pub use delta::{DeltaResult, DensityOrder, TieBreak};
+pub use delta::{DeltaResult, DensityOrder};
 pub use density::{DensityEstimate, Rho};
 pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
-pub use index::{BatchOp, DpcIndex, IndexStats, UpdatableIndex};
+pub use index::{BatchOp, DpcIndex, IndexStats, Query, UpdatableIndex};
 pub use kernel::Kernel;
 pub use metric::{closer, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};
 pub use snapshot::StateSnapshot;
-pub use stats::{MemoryReport, Timer};
+pub use stats::MemoryReport;
+
+/// The observability layer a [`Query`] reports to, re-exported so crates
+/// that depend only on `dpc-core` can attach a recorder.
+pub use dpc_obs as obs;

@@ -10,43 +10,32 @@
 
 use std::time::Duration;
 
+use dpc_obs::Timer;
+
 use crate::brute;
-use crate::delta::{DeltaResult, DensityOrder, TieBreak};
+use crate::delta::{DeltaResult, DensityOrder};
 use crate::density::Rho;
 use crate::error::Result;
 use crate::exec::ExecPolicy;
-use crate::index::{
-    eps_neighbors_scan, validate_dc, validate_rho_len, DpcIndex, IndexStats, UpdatableIndex,
-};
+use crate::index::{DpcIndex, IndexStats, Query, UpdatableIndex};
 use crate::point::{Dataset, Point, PointId};
-use crate::stats::Timer;
 
 /// The reference index: stores only a clone of the dataset and answers every
 /// query by scanning all pairs.
 #[derive(Debug, Clone)]
 pub struct NaiveReferenceIndex {
     dataset: Dataset,
-    tie: TieBreak,
     stats: IndexStats,
 }
 
 impl NaiveReferenceIndex {
     /// "Builds" the reference index (just clones the dataset).
     pub fn build(dataset: &Dataset) -> Self {
-        Self::build_with_tie_break(dataset, TieBreak::default())
-    }
-
-    /// Builds the reference index with an explicit tie-break rule.
-    pub fn build_with_tie_break(dataset: &Dataset, tie: TieBreak) -> Self {
         let timer = Timer::start();
         let dataset = dataset.clone();
         let memory = dataset.memory_bytes();
         let stats = IndexStats::new(timer.elapsed(), memory);
-        NaiveReferenceIndex {
-            dataset,
-            tie,
-            stats,
-        }
+        NaiveReferenceIndex { dataset, stats }
     }
 }
 
@@ -63,20 +52,15 @@ impl DpcIndex for NaiveReferenceIndex {
         self.dataset.len()
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
-        Ok(brute::rho_scan(&self.dataset, dc, ExecPolicy::Sequential))
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(brute::rho_scan(&self.dataset, &sequential(query)))
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(brute::delta_scan(
-            &self.dataset,
-            &order,
-            ExecPolicy::Sequential,
-        ))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        let order = DensityOrder::new(rho);
+        Ok(brute::delta_scan(&self.dataset, &order, &sequential(query)))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -90,10 +74,12 @@ impl DpcIndex for NaiveReferenceIndex {
             counters: self.stats.counters.clone(),
         }
     }
+}
 
-    fn tie_break(&self) -> TieBreak {
-        self.tie
-    }
+/// The reference stays single-threaded whatever the query asks for: the
+/// parallel executor is one of the things it checks.
+fn sequential<'r>(query: &Query<'r>) -> Query<'r> {
+    query.with_exec(ExecPolicy::Sequential)
 }
 
 /// The reference index is trivially updatable: it holds nothing but the
@@ -117,7 +103,7 @@ impl UpdatableIndex for NaiveReferenceIndex {
     }
 
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
-        eps_neighbors_scan(&self.dataset, center, eps)
+        brute::eps_neighbors_scan(&self.dataset, center, eps)
     }
 }
 
@@ -145,9 +131,9 @@ mod tests {
         ]);
         let idx = NaiveReferenceIndex::build(&data);
         // dc exactly equal to a pairwise distance must NOT count it.
-        let rho = idx.rho(1.0).unwrap();
+        let rho = idx.rho(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0, 0.0, 0.0]);
-        let rho = idx.rho(1.0001).unwrap();
+        let rho = idx.rho(&Query::new(1.0001)).unwrap();
         assert_eq!(rho, vec![1.0, 2.0, 1.0]);
     }
 
@@ -156,14 +142,14 @@ mod tests {
         let data = Dataset::new(vec![Point::new(0.0, 0.0), Point::new(0.0, 0.0)]);
         let idx = NaiveReferenceIndex::build(&data);
         // Coincident points: each sees the other but not itself.
-        assert_eq!(idx.rho(0.5).unwrap(), vec![1.0, 1.0]);
+        assert_eq!(idx.rho(&Query::new(0.5)).unwrap(), vec![1.0, 1.0]);
     }
 
     #[test]
     fn delta_of_global_peak_is_max_distance() {
         let data = two_blobs();
         let idx = NaiveReferenceIndex::build(&data);
-        let (rho, dres) = idx.rho_delta(0.2).unwrap();
+        let (rho, dres) = idx.rho_delta(&Query::new(0.2)).unwrap();
         let order = DensityOrder::new(&rho);
         let peak = order.global_peak().unwrap();
         assert_eq!(dres.mu(peak), None);
@@ -178,7 +164,7 @@ mod tests {
     fn delta_points_to_strictly_denser_neighbours() {
         let data = two_blobs();
         let idx = NaiveReferenceIndex::build(&data);
-        let (rho, dres) = idx.rho_delta(0.2).unwrap();
+        let (rho, dres) = idx.rho_delta(&Query::new(0.2)).unwrap();
         let order = DensityOrder::new(&rho);
         dres.validate(&order).unwrap();
     }
@@ -187,7 +173,7 @@ mod tests {
     fn delta_is_distance_to_mu() {
         let data = two_blobs();
         let idx = NaiveReferenceIndex::build(&data);
-        let (_, dres) = idx.rho_delta(0.2).unwrap();
+        let (_, dres) = idx.rho_delta(&Query::new(0.2)).unwrap();
         for p in 0..data.len() {
             if let Some(q) = dres.mu(p) {
                 assert_eq!(dres.delta(p), data.distance(p, q));
@@ -198,22 +184,22 @@ mod tests {
     #[test]
     fn queries_reject_invalid_dc() {
         let idx = NaiveReferenceIndex::build(&two_blobs());
-        assert!(idx.rho(0.0).is_err());
-        assert!(idx.rho(-2.0).is_err());
-        assert!(idx.rho(f64::NAN).is_err());
-        assert!(idx.delta(0.0, &[0.0; 5]).is_err());
+        assert!(idx.rho(&Query::new(0.0)).is_err());
+        assert!(idx.rho(&Query::new(-2.0)).is_err());
+        assert!(idx.rho(&Query::new(f64::NAN)).is_err());
+        assert!(idx.delta(&Query::new(0.0), &[0.0; 5]).is_err());
     }
 
     #[test]
     fn delta_rejects_wrong_rho_length() {
         let idx = NaiveReferenceIndex::build(&two_blobs());
-        assert!(idx.delta(0.5, &[0.0; 3]).is_err());
+        assert!(idx.delta(&Query::new(0.5), &[0.0; 3]).is_err());
     }
 
     #[test]
     fn empty_dataset_yields_empty_results() {
         let idx = NaiveReferenceIndex::build(&Dataset::new(vec![]));
-        let (rho, dres) = idx.rho_delta(1.0).unwrap();
+        let (rho, dres) = idx.rho_delta(&Query::new(1.0)).unwrap();
         assert!(rho.is_empty());
         assert!(dres.is_empty());
     }
@@ -221,7 +207,7 @@ mod tests {
     #[test]
     fn single_point_is_its_own_peak_with_zero_delta() {
         let idx = NaiveReferenceIndex::build(&Dataset::new(vec![Point::new(1.0, 1.0)]));
-        let (rho, dres) = idx.rho_delta(1.0).unwrap();
+        let (rho, dres) = idx.rho_delta(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0]);
         assert_eq!(dres.mu(0), None);
         assert_eq!(dres.delta(0), 0.0);
@@ -235,8 +221,8 @@ mod tests {
         // Removing id 1 renames the last point (5) to 1.
         assert_eq!(idx.remove(1).unwrap(), Some(5));
         let fresh = NaiveReferenceIndex::build(idx.dataset());
-        let (r1, d1) = idx.rho_delta(0.2).unwrap();
-        let (r2, d2) = fresh.rho_delta(0.2).unwrap();
+        let (r1, d1) = idx.rho_delta(&Query::new(0.2)).unwrap();
+        let (r2, d2) = fresh.rho_delta(&Query::new(0.2)).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(d1, d2);
     }
@@ -260,22 +246,5 @@ mod tests {
             vec![0, 1, 3]
         );
         assert!(idx.eps_neighbors(Point::origin(), 0.0).is_err());
-    }
-
-    #[test]
-    fn tie_break_changes_global_peak_for_symmetric_data() {
-        // Two coincident pairs: all rho equal, so the peak is decided by ties.
-        let data = Dataset::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(1.0, 1.0),
-        ]);
-        let small = NaiveReferenceIndex::build_with_tie_break(&data, TieBreak::SmallerIdDenser);
-        let large = NaiveReferenceIndex::build_with_tie_break(&data, TieBreak::LargerIdDenser);
-        let (_, d_small) = small.rho_delta(0.5).unwrap();
-        let (_, d_large) = large.rho_delta(0.5).unwrap();
-        assert_eq!(d_small.mu(0), None);
-        assert_eq!(d_large.mu(3), None);
     }
 }

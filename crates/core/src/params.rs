@@ -2,9 +2,9 @@
 
 use crate::assign::AssignmentOptions;
 use crate::decision::CenterSelection;
-use crate::delta::TieBreak;
 use crate::error::Result;
 use crate::exec::ExecPolicy;
+use crate::index::Query;
 use crate::kernel::Kernel;
 
 /// All parameters needed to turn an index's ρ/δ answers into a clustering.
@@ -18,8 +18,6 @@ pub struct DpcParams {
     pub dc: f64,
     /// How cluster centres are chosen from the decision graph.
     pub centers: CenterSelection,
-    /// Tie-break rule for the density total order.
-    pub tie_break: TieBreak,
     /// Assignment options (halo computation).
     pub assignment: AssignmentOptions,
     /// How the per-point ρ/δ queries are partitioned across threads.
@@ -37,7 +35,6 @@ impl DpcParams {
         DpcParams {
             dc,
             centers: CenterSelection::default(),
-            tie_break: TieBreak::default(),
             assignment: AssignmentOptions::default(),
             exec: ExecPolicy::default(),
             kernel: Kernel::default(),
@@ -47,12 +44,6 @@ impl DpcParams {
     /// Sets the centre-selection strategy.
     pub fn with_centers(mut self, centers: CenterSelection) -> Self {
         self.centers = centers;
-        self
-    }
-
-    /// Sets the tie-break rule.
-    pub fn with_tie_break(mut self, tie: TieBreak) -> Self {
-        self.tie_break = tie;
         self
     }
 
@@ -80,6 +71,14 @@ impl DpcParams {
         self
     }
 
+    /// The ρ/δ [`Query`] these parameters describe: `dc`, the kernel and
+    /// the execution policy, with the no-op recorder.
+    pub fn query(&self) -> Query<'static> {
+        Query::new(self.dc)
+            .with_kernel(self.kernel)
+            .with_exec(self.exec)
+    }
+
     /// Validates the parameters: `dc` must pass the same checks every index
     /// applies at query time ([`validate_dc`](crate::index::validate_dc)),
     /// and the kernel's bandwidth must be in range
@@ -98,12 +97,10 @@ mod tests {
     fn builder_sets_fields() {
         let p = DpcParams::new(0.5)
             .with_centers(CenterSelection::TopKGamma { k: 3 })
-            .with_tie_break(TieBreak::LargerIdDenser)
             .with_halo(true)
             .with_threads(4);
         assert_eq!(p.dc, 0.5);
         assert_eq!(p.centers, CenterSelection::TopKGamma { k: 3 });
-        assert_eq!(p.tie_break, TieBreak::LargerIdDenser);
         assert!(p.assignment.compute_halo);
         assert_eq!(p.exec, ExecPolicy::Threads(4));
         assert!(p.validate().is_ok());
@@ -113,7 +110,6 @@ mod tests {
     fn defaults_are_sensible() {
         let p = DpcParams::new(1.0);
         assert!(!p.assignment.compute_halo);
-        assert_eq!(p.tie_break, TieBreak::SmallerIdDenser);
         assert!(matches!(p.centers, CenterSelection::GammaGap { .. }));
         assert_eq!(p.exec, ExecPolicy::Sequential);
     }

@@ -15,6 +15,8 @@
 
 use std::time::Duration;
 
+use dpc_obs::Timer;
+
 use crate::assign::assign_clusters;
 use crate::cluster::Clustering;
 use crate::decision::DecisionGraph;
@@ -24,7 +26,6 @@ use crate::error::Result;
 use crate::index::DpcIndex;
 use crate::params::DpcParams;
 use crate::point::PointId;
-use crate::stats::Timer;
 
 /// Everything produced by one DPC run: intermediate quantities, the final
 /// clustering and per-step timings.
@@ -81,26 +82,26 @@ impl DpcPipeline {
     /// Runs the full pipeline against an index.
     pub fn run<I: DpcIndex + ?Sized>(&self, index: &I) -> Result<DpcRun> {
         self.params.validate()?;
-        let dc = self.params.dc;
+        let query = self.params.query();
 
         let timer = Timer::start();
-        let rho = index.rho_kernel_with_policy(dc, self.params.kernel, self.params.exec)?;
+        let rho = index.rho(&query)?;
         let rho_time = timer.elapsed();
 
         let timer = Timer::start();
-        let deltas = index.delta_with_policy(dc, &rho, self.params.exec)?;
+        let deltas = index.delta(&query, &rho)?;
         let delta_time = timer.elapsed();
 
         let timer = Timer::start();
         let decision_graph = DecisionGraph::new(rho.clone(), &deltas)?;
         let centers = decision_graph.select_centers(&self.params.centers)?;
-        let order = DensityOrder::with_tie_break(&rho, self.params.tie_break);
+        let order = DensityOrder::new(&rho);
         let clustering = assign_clusters(
             index.dataset(),
             &order,
             &deltas,
             &centers,
-            dc,
+            self.params.dc,
             &self.params.assignment,
         )?;
         let assign_time = timer.elapsed();
@@ -192,6 +193,21 @@ mod tests {
         let index = NaiveReferenceIndex::build(&data);
         let params = DpcParams::new(-1.0);
         assert!(DpcPipeline::new(params).run(&index).is_err());
+    }
+
+    /// Equal densities everywhere on a line: the index's δ/µ and the
+    /// assignment read one density order (higher ρ, then smaller id), so the
+    /// dependent chain of every point leads to the one centre.
+    #[test]
+    fn tie_heavy_line_assigns_along_the_one_density_order() {
+        let data = Dataset::from_coords(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
+        let index = NaiveReferenceIndex::build(&data);
+        let params = DpcParams::new(1.5).with_centers(CenterSelection::TopKGamma { k: 1 });
+        let run = DpcPipeline::new(params).run(&index).unwrap();
+        assert_eq!(run.rho, vec![1.0, 2.0, 2.0, 1.0]);
+        assert_eq!(run.deltas.mu, vec![Some(1), None, Some(1), Some(2)]);
+        assert_eq!(run.centers, vec![1]);
+        assert_eq!(run.clustering.labels(), &[0, 0, 0, 0]);
     }
 
     #[test]

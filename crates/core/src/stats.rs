@@ -6,12 +6,6 @@
 //! paper reports index sizes (Table 3, Figure 9) and keeps the numbers
 //! reproducible across platforms and allocators.
 
-// The wall-clock timer and duration formatter used to live here; they are
-// now shared workspace-wide from `dpc-obs` and re-exported so existing
-// `dpc_core::Timer` / `dpc_core::stats::format_duration` call sites keep
-// working.
-pub use dpc_obs::{format_duration, Timer};
-
 /// Heap bytes held by a `Vec<T>` (capacity-based, excluding `T`'s own heap).
 pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
@@ -103,14 +97,6 @@ pub fn format_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn timer_measures_nonnegative_time() {
-        let t = Timer::start();
-        assert!(t.elapsed_secs() >= 0.0);
-        assert!(t.elapsed() <= Duration::from_secs(60));
-    }
 
     #[test]
     fn vec_bytes_uses_capacity() {
@@ -144,12 +130,5 @@ mod tests {
         assert_eq!(format_bytes(2048), "2.00 KiB");
         assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MiB");
         assert!(format_bytes(5 * 1024 * 1024 * 1024).contains("GiB"));
-    }
-
-    #[test]
-    fn format_duration_scales_units() {
-        assert!(format_duration(Duration::from_secs(2)).ends_with(" s"));
-        assert!(format_duration(Duration::from_millis(5)).ends_with(" ms"));
-        assert!(format_duration(Duration::from_micros(7)).ends_with(" µs"));
     }
 }

@@ -12,7 +12,7 @@
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
     assign_clusters, AssignmentOptions, BoundingBox, CenterSelection, Dataset, DecisionGraph,
-    DensityOrder, DpcIndex, Point, TieBreak,
+    DensityOrder, DpcIndex, Point, Query,
 };
 use proptest::prelude::*;
 
@@ -83,13 +83,11 @@ proptest! {
 
     #[test]
     fn density_order_is_a_strict_total_order(
-        raw in prop::collection::vec(0u32..10, 2..40),
-        larger_tie in any::<bool>()
+        raw in prop::collection::vec(0u32..10, 2..40)
     ) {
         // Half-integer densities exercise the weighted-f64 order too.
         let rho: Vec<f64> = raw.iter().map(|&r| r as f64 * 0.5).collect();
-        let tie = if larger_tie { TieBreak::LargerIdDenser } else { TieBreak::SmallerIdDenser };
-        let order = DensityOrder::with_tie_break(&rho, tie);
+        let order = DensityOrder::new(&rho);
         let n = rho.len();
         for a in 0..n {
             prop_assert!(!order.is_denser(a, a), "irreflexivity");
@@ -121,7 +119,7 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let index = NaiveReferenceIndex::build(&data);
-        let (rho, deltas) = index.rho_delta(dc).unwrap();
+        let (rho, deltas) = index.rho_delta(&Query::new(dc)).unwrap();
         let order = DensityOrder::new(&rho);
         let d2 = |p: usize, q: usize| data.point(p).distance_squared(&data.point(q));
         // Definition of rho.
@@ -162,7 +160,7 @@ proptest! {
         let data = Dataset::from_coords(coords);
         let k = k.min(data.len());
         let index = NaiveReferenceIndex::build(&data);
-        let (rho, deltas) = index.rho_delta(dc).unwrap();
+        let (rho, deltas) = index.rho_delta(&Query::new(dc)).unwrap();
         let graph = DecisionGraph::new(rho, &deltas).unwrap();
         let centers = graph.select_centers(&CenterSelection::TopKGamma { k }).unwrap();
         prop_assert_eq!(centers.len(), k);
@@ -181,7 +179,7 @@ proptest! {
         let data = Dataset::from_coords(coords);
         let k = k.min(data.len());
         let index = NaiveReferenceIndex::build(&data);
-        let (rho, deltas) = index.rho_delta(dc).unwrap();
+        let (rho, deltas) = index.rho_delta(&Query::new(dc)).unwrap();
         let graph = DecisionGraph::new(rho.clone(), &deltas).unwrap();
         let centers = graph.select_centers(&CenterSelection::TopKGamma { k }).unwrap();
         let order = DensityOrder::new(&rho);
@@ -212,7 +210,7 @@ proptest! {
         // degenerate cases that pin the chain-following logic.
         let data = Dataset::from_coords(coords);
         let index = NaiveReferenceIndex::build(&data);
-        let (rho, deltas) = index.rho_delta(dc).unwrap();
+        let (rho, deltas) = index.rho_delta(&Query::new(dc)).unwrap();
         let order = DensityOrder::new(&rho);
 
         let single = vec![order.global_peak().unwrap()];

@@ -10,16 +10,16 @@
 //! is `O(n)` (Theorem 2).
 //!
 //! The δ-query is unchanged from the List Index — the histogram only helps
-//! ρ — and the approximate RN-List variant composes with the histogram in the
-//! obvious way (`τ` truncates the lists, the histogram covers what remains).
+//! the cut-off ρ, and weighted kernels take the canonical brute-force scan
+//! like the List Index does — and the approximate RN-List variant composes
+//! with the histogram in the obvious way (`τ` truncates the lists, the
+//! histogram covers what remains).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::stats::nested_vec_bytes;
 use dpc_core::{
-    exec, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, PointId, Result,
-    Rho, TieBreak, Timer,
+    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, PointId, Query, Result, Rho,
 };
 
 use crate::nlist::NeighborLists;
@@ -32,8 +32,6 @@ pub struct ChIndexConfig {
     pub bin_width: f64,
     /// Neighbour threshold `τ` (`None` = exact index).
     pub tau: Option<f64>,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Worker threads for construction (`None` = all available cores).
     pub threads: Option<usize>,
 }
@@ -44,7 +42,6 @@ impl ChIndexConfig {
         ChIndexConfig {
             bin_width,
             tau: None,
-            tie_break: TieBreak::default(),
             threads: None,
         }
     }
@@ -67,7 +64,6 @@ pub struct ChIndex {
     /// Length of the longest histogram.
     max_bins: usize,
     bin_width: f64,
-    tie: TieBreak,
     construction_time: Duration,
 }
 
@@ -93,7 +89,7 @@ impl ChIndex {
             "ChIndex: bin width must be positive and finite, got {}",
             config.bin_width
         );
-        let timer = Timer::start();
+        let timer = Instant::now();
         let threads = config.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -107,7 +103,6 @@ impl ChIndex {
             max_bins: histograms.iter().map(Vec::len).max().unwrap_or(0),
             histograms,
             bin_width: config.bin_width,
-            tie: config.tie_break,
             construction_time: timer.elapsed(),
         }
     }
@@ -121,7 +116,7 @@ impl ChIndex {
             "ChIndex: bin width must be positive and finite, got {bin_width}"
         );
         assert_eq!(lists.len(), dataset.len(), "lists must cover the dataset");
-        let timer = Timer::start();
+        let timer = Instant::now();
         let histograms = build_histograms(&lists, bin_width);
         ChIndex {
             dataset: dataset.clone(),
@@ -129,7 +124,6 @@ impl ChIndex {
             max_bins: histograms.iter().map(Vec::len).max().unwrap_or(0),
             histograms,
             bin_width,
-            tie: TieBreak::default(),
             construction_time: timer.elapsed(),
         }
     }
@@ -237,28 +231,25 @@ impl DpcIndex for ChIndex {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_policy(dc, ExecPolicy::Sequential)
-    }
-
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_policy(dc, rho, ExecPolicy::Sequential)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
-        let dc2 = dc * dc;
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        if !query.kernel.is_cutoff() {
+            return Ok(brute::weighted_rho_scan(&self.dataset, query));
+        }
+        let dc2 = query.dc * query.dc;
         let bin = self.first_bin_above(dc2);
-        let mut rho = vec![0 as Rho; self.dataset.len()];
-        exec::fill_slice(&mut rho, policy, || (), |p, ()| self.rho_one(p, bin, dc2));
-        Ok(rho)
+        let n = self.dataset.len();
+        Ok(query
+            .fill_rho(n, || (), |p, ()| self.rho_one(p, bin, dc2))
+            .0)
     }
 
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan(&order, policy).0)
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        Ok(self
+            .lists
+            .delta_by_scan(&DensityOrder::new(rho), query.exec, query.recorder)
+            .0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -269,10 +260,6 @@ impl DpcIndex for ChIndex {
         IndexStats::new(self.construction_time, self.memory_bytes())
             .with_counter("total_entries", self.lists.total_entries() as u64)
             .with_counter("total_bins", self.total_bins() as u64)
-    }
-
-    fn tie_break(&self) -> TieBreak {
-        self.tie
     }
 
     fn is_exact(&self) -> bool {
@@ -289,8 +276,8 @@ mod tests {
 
     fn assert_matches_baseline(data: &Dataset, index: &ChIndex, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = index.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = index.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(
             r1,
             r2,
@@ -325,7 +312,7 @@ mod tests {
     fn dc_larger_than_any_distance_counts_everything() {
         let data = query(71, 0.002).into_dataset(); // 100 points
         let index = ChIndex::build(&data, 0.05);
-        let rho = index.rho(10.0).unwrap();
+        let rho = index.rho(&Query::new(10.0)).unwrap();
         assert!(rho.iter().all(|&r| r as usize == data.len() - 1));
     }
 
@@ -335,7 +322,11 @@ mod tests {
         let ch = ChIndex::build(&data, 0.015);
         let list = ListIndex::build(&data);
         for dc in [0.005, 0.03, 0.5, 10.0] {
-            assert_eq!(ch.rho(dc).unwrap(), list.rho(dc).unwrap(), "dc = {dc}");
+            assert_eq!(
+                ch.rho(&Query::new(dc)).unwrap(),
+                list.rho(&Query::new(dc)).unwrap(),
+                "dc = {dc}"
+            );
         }
     }
 
@@ -371,9 +362,12 @@ mod tests {
         let tau = 40_000.0;
         let approx = ChIndex::build_approx(&data, 10_000.0, tau);
         let exact = ChIndex::build(&data, 10_000.0);
-        assert_eq!(approx.rho(20_000.0).unwrap(), exact.rho(20_000.0).unwrap());
-        let ra = approx.rho(300_000.0).unwrap();
-        let re = exact.rho(300_000.0).unwrap();
+        assert_eq!(
+            approx.rho(&Query::new(20_000.0)).unwrap(),
+            exact.rho(&Query::new(20_000.0)).unwrap()
+        );
+        let ra = approx.rho(&Query::new(300_000.0)).unwrap();
+        let re = exact.rho(&Query::new(300_000.0)).unwrap();
         assert!(ra.iter().zip(&re).all(|(a, e)| a <= e));
         assert!(ra.iter().zip(&re).any(|(a, e)| a < e));
         assert!(!approx.is_exact());
@@ -393,8 +387,8 @@ mod tests {
     fn invalid_inputs_rejected() {
         let data = s1(3, 0.01).into_dataset();
         let ch = ChIndex::build(&data, 1_000.0);
-        assert!(ch.rho(-5.0).is_err());
-        assert!(ch.delta(1.0, &[1.0, 2.0]).is_err());
+        assert!(ch.rho(&Query::new(-5.0)).is_err());
+        assert!(ch.delta(&Query::new(1.0), &[1.0, 2.0]).is_err());
     }
 
     #[test]

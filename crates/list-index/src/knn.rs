@@ -14,12 +14,13 @@
 //! `dpc-core` (the [`DensityOrder`], the δ-scan, the decision graph and the
 //! assignment step) is reused unchanged.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dpc_core::{
-    assign_clusters, exec, AssignmentOptions, CenterSelection, Clustering, Dataset, DecisionGraph,
-    DeltaResult, DensityOrder, DpcError, ExecPolicy, PointId, Result, Rho, TieBreak, Timer,
+    assign_clusters, AssignmentOptions, CenterSelection, Clustering, Dataset, DecisionGraph,
+    DeltaResult, DensityOrder, DpcError, ExecPolicy, PointId, Result, Rho,
 };
+use dpc_core::{exec, obs::NoopRecorder};
 
 use crate::nlist::NeighborLists;
 
@@ -28,19 +29,17 @@ use crate::nlist::NeighborLists;
 pub struct KnnDpc {
     dataset: Dataset,
     lists: NeighborLists,
-    tie: TieBreak,
     construction_time: Duration,
 }
 
 impl KnnDpc {
     /// Builds the kNN-DPC structure (full N-Lists).
     pub fn build(dataset: &Dataset) -> Self {
-        let timer = Timer::start();
+        let timer = Instant::now();
         let lists = NeighborLists::build(dataset, None);
         KnnDpc {
             dataset: dataset.clone(),
             lists,
-            tie: TieBreak::default(),
             construction_time: timer.elapsed(),
         }
     }
@@ -60,7 +59,6 @@ impl KnnDpc {
         KnnDpc {
             dataset: dataset.clone(),
             lists,
-            tie: TieBreak::default(),
             construction_time: Duration::ZERO,
         }
     }
@@ -117,19 +115,16 @@ impl KnnDpc {
     /// Dense ranks of the kNN density scores (0 = sparsest), suitable as the
     /// integer densities expected by the rest of the workspace. Points with
     /// equal scores share a rank.
-    pub fn density_ranks(&self, k: usize) -> Result<Vec<Rho>> {
-        self.density_ranks_with_policy(k, ExecPolicy::Sequential)
-    }
-
-    /// [`density_ranks`](Self::density_ranks) under an explicit execution
-    /// policy: the per-point score computation is partitioned across worker
-    /// threads (the rank conversion itself is a cheap sequential sort).
-    /// Results are bit-identical at every thread count.
-    pub fn density_ranks_with_policy(&self, k: usize, policy: ExecPolicy) -> Result<Vec<Rho>> {
+    ///
+    /// The per-point score computation is partitioned across the policy's
+    /// worker threads (the rank conversion itself is a cheap sequential
+    /// sort); results are bit-identical at every thread count.
+    pub fn density_ranks(&self, k: usize, policy: ExecPolicy) -> Result<Vec<Rho>> {
         self.validate_k(k)?;
         let n = self.dataset.len();
         let mut scores = vec![0.0f64; n];
-        exec::fill_slice(&mut scores, policy, || (), |p, ()| self.density_score(p, k));
+        let score = |p, _: &mut ()| self.density_score(p, k);
+        exec::fill_slice(&mut scores, policy, &NoopRecorder, "", || (), score);
         let mut by_score: Vec<PointId> = (0..n).collect();
         by_score.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
         let mut ranks = vec![0.0 as Rho; n];
@@ -144,32 +139,23 @@ impl KnnDpc {
     }
 
     /// Computes the kNN densities (as ranks) and the dependent distances in
-    /// one call.
-    pub fn rho_delta(&self, k: usize) -> Result<(Vec<Rho>, DeltaResult)> {
-        self.rho_delta_with_policy(k, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_delta`](Self::rho_delta) under an explicit execution policy:
-    /// both the density scores and the δ list scans run on the chunked
-    /// parallel engine. Results are bit-identical at every thread count.
-    pub fn rho_delta_with_policy(
-        &self,
-        k: usize,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let ranks = self.density_ranks_with_policy(k, policy)?;
-        let order = DensityOrder::with_tie_break(&ranks, self.tie);
-        let (deltas, _) = self.lists.delta_by_scan(&order, policy);
+    /// one call. Both the density scores and the δ list scans run on the
+    /// chunked parallel engine under `policy`; results are bit-identical at
+    /// every thread count.
+    pub fn rho_delta(&self, k: usize, policy: ExecPolicy) -> Result<(Vec<Rho>, DeltaResult)> {
+        let ranks = self.density_ranks(k, policy)?;
+        let order = DensityOrder::new(&ranks);
+        let (deltas, _) = self.lists.delta_by_scan(&order, policy, &NoopRecorder);
         Ok((ranks, deltas))
     }
 
     /// Full kNN-DPC clustering: density ranks, δ, centre selection and
     /// assignment. No `dc` is needed anywhere.
     pub fn cluster(&self, k: usize, selection: &CenterSelection) -> Result<Clustering> {
-        let (ranks, deltas) = self.rho_delta(k)?;
+        let (ranks, deltas) = self.rho_delta(k, ExecPolicy::Sequential)?;
         let graph = DecisionGraph::new(ranks.clone(), &deltas)?;
         let centers = graph.select_centers(selection)?;
-        let order = DensityOrder::with_tie_break(&ranks, self.tie);
+        let order = DensityOrder::new(&ranks);
         // The assignment step only uses a distance for the (disabled) halo
         // computation; the median k-distance is a sensible stand-in.
         let mut kdists: Vec<f64> = (0..self.dataset.len())
@@ -229,7 +215,7 @@ mod tests {
     fn density_ranks_are_a_permutation_compatible_ranking() {
         let data = blobs();
         let knn = KnnDpc::build(&data);
-        let ranks = knn.density_ranks(5).unwrap();
+        let ranks = knn.density_ranks(5, ExecPolicy::Sequential).unwrap();
         assert_eq!(ranks.len(), data.len());
         // Ranks are bounded by n-1 and the densest rank is achieved.
         let max = ranks.iter().copied().fold(0.0f64, f64::max) as usize;
@@ -313,11 +299,9 @@ mod tests {
     fn parallel_rho_delta_is_bit_identical_to_sequential() {
         let data = s1(73, 0.05).into_dataset(); // 250 points
         let knn = KnnDpc::build(&data);
-        let (seq_ranks, seq_deltas) = knn.rho_delta(8).unwrap();
+        let (seq_ranks, seq_deltas) = knn.rho_delta(8, ExecPolicy::Sequential).unwrap();
         for threads in [1usize, 2, 3, 7] {
-            let (ranks, deltas) = knn
-                .rho_delta_with_policy(8, ExecPolicy::Threads(threads))
-                .unwrap();
+            let (ranks, deltas) = knn.rho_delta(8, ExecPolicy::Threads(threads)).unwrap();
             assert_eq!(ranks, seq_ranks, "threads = {threads}");
             assert_eq!(deltas.delta, seq_deltas.delta, "threads = {threads}");
             assert_eq!(deltas.mu, seq_deltas.mu, "threads = {threads}");
@@ -328,9 +312,10 @@ mod tests {
     fn invalid_k_is_rejected() {
         let data = blobs();
         let knn = KnnDpc::build(&data);
-        assert!(knn.density_ranks(0).is_err());
-        assert!(knn.density_ranks(data.len()).is_err());
-        assert!(knn.rho_delta(data.len() + 5).is_err());
+        let seq = ExecPolicy::Sequential;
+        assert!(knn.density_ranks(0, seq).is_err());
+        assert!(knn.density_ranks(data.len(), seq).is_err());
+        assert!(knn.rho_delta(data.len() + 5, seq).is_err());
     }
 
     #[test]
@@ -338,7 +323,7 @@ mod tests {
         let data = blobs();
         let lists = NeighborLists::build(&data, None);
         let knn = KnnDpc::from_lists(&data, lists);
-        assert!(knn.rho_delta(4).is_ok());
+        assert!(knn.rho_delta(4, ExecPolicy::Sequential).is_ok());
     }
 
     #[test]
@@ -355,7 +340,7 @@ mod tests {
         pts.extend((1..20).map(|i| Point::new(i as f64, 0.0)));
         let data = Dataset::new(pts);
         let knn = KnnDpc::build(&data);
-        let ranks = knn.density_ranks(3).unwrap();
+        let ranks = knn.density_ranks(3, ExecPolicy::Sequential).unwrap();
         let max_rank = ranks.iter().copied().fold(0.0f64, f64::max);
         for (p, &rank) in ranks.iter().take(5).enumerate() {
             assert_eq!(

@@ -4,13 +4,14 @@
 //! distance. Queries (Algorithm 2) then answer ρ with a binary search per
 //! object and δ with a short scan from the head of each list. Building with
 //! a neighbour threshold `τ` yields the approximate RN-List variant of §3.3.
+//! Weighted density kernels take the canonical brute-force scan
+//! ([`dpc_core::brute::weighted_rho_scan`]): the lists answer the cut-off
+//! count only.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    exec, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Result, Rho,
-    TieBreak, Timer,
+    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Query, Result, Rho,
 };
 
 use crate::nlist::NeighborLists;
@@ -21,8 +22,6 @@ pub struct ListIndexConfig {
     /// Neighbour threshold `τ`; `None` builds full N-Lists, `Some(t)` builds
     /// the approximate RN-Lists of §3.3.
     pub tau: Option<f64>,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Worker threads for construction (`None` = all available cores).
     pub threads: Option<usize>,
 }
@@ -32,7 +31,6 @@ pub struct ListIndexConfig {
 pub struct ListIndex {
     dataset: Dataset,
     lists: NeighborLists,
-    tie: TieBreak,
     construction_time: Duration,
 }
 
@@ -55,7 +53,7 @@ impl ListIndex {
 
     /// Builds the index with an explicit configuration.
     pub fn with_config(dataset: &Dataset, config: &ListIndexConfig) -> Self {
-        let timer = Timer::start();
+        let timer = Instant::now();
         let threads = config.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -65,7 +63,6 @@ impl ListIndex {
         ListIndex {
             dataset: dataset.clone(),
             lists,
-            tie: config.tie_break,
             construction_time: timer.elapsed(),
         }
     }
@@ -78,16 +75,6 @@ impl ListIndex {
     /// The neighbour threshold used at construction (`None` = exact).
     pub fn tau(&self) -> Option<f64> {
         self.lists.tau()
-    }
-
-    /// δ-query that additionally reports how many list entries were probed,
-    /// used by the experiment harness to reproduce the probe-fraction numbers
-    /// quoted in §5.4.
-    pub fn delta_with_probes(&self, dc: f64, rho: &[Rho]) -> Result<(DeltaResult, u64)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan(&order, ExecPolicy::Sequential))
     }
 }
 
@@ -104,31 +91,29 @@ impl DpcIndex for ListIndex {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_policy(dc, ExecPolicy::Sequential)
-    }
-
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_probes(dc, rho).map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
-        let mut rho = vec![0 as Rho; self.dataset.len()];
-        exec::fill_slice(
-            &mut rho,
-            policy,
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        if !query.kernel.is_cutoff() {
+            return Ok(brute::weighted_rho_scan(&self.dataset, query));
+        }
+        let n = self.dataset.len();
+        let (rho, _) = query.fill_rho(
+            n,
             || (),
-            |p, ()| self.lists.count_within(p, dc) as Rho,
+            |p, ()| self.lists.count_within(p, query.dc) as Rho,
         );
         Ok(rho)
     }
 
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan(&order, policy).0)
+    /// The δ-query of Algorithm 2; the number of list entries it probed
+    /// (the probe fraction of §5.4) goes to the query's recorder as
+    /// `query.delta.probes`.
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        Ok(self
+            .lists
+            .delta_by_scan(&DensityOrder::new(rho), query.exec, query.recorder)
+            .0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -141,10 +126,6 @@ impl DpcIndex for ListIndex {
             .with_counter("max_list_len", self.lists.max_list_len() as u64)
     }
 
-    fn tie_break(&self) -> TieBreak {
-        self.tie
-    }
-
     fn is_exact(&self) -> bool {
         self.lists.tau().is_none()
     }
@@ -154,13 +135,14 @@ impl DpcIndex for ListIndex {
 mod tests {
     use super::*;
     use dpc_baseline::LeanDpc;
+    use dpc_core::obs::MetricsRecorder;
     use dpc_core::{CenterSelection, DpcParams};
     use dpc_datasets::generators::{query, s1};
 
     fn assert_same_results(data: &Dataset, index: &ListIndex, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = index.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = index.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
         assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
@@ -190,13 +172,13 @@ mod tests {
         let approx = ListIndex::build_approx(&data, tau);
         let exact = ListIndex::build(&data);
         let dc = 30_000.0; // well below tau
-        let rho_a = approx.rho(dc).unwrap();
-        let rho_e = exact.rho(dc).unwrap();
+        let rho_a = approx.rho(&Query::new(dc)).unwrap();
+        let rho_e = exact.rho(&Query::new(dc)).unwrap();
         assert_eq!(rho_a, rho_e);
         // Deltas agree except possibly for points whose mu is beyond tau
         // (peaks); every non-sentinel delta must match.
-        let d_a = approx.delta(dc, &rho_a).unwrap();
-        let d_e = exact.delta(dc, &rho_e).unwrap();
+        let d_a = approx.delta(&Query::new(dc), &rho_a).unwrap();
+        let d_e = exact.delta(&Query::new(dc), &rho_e).unwrap();
         for p in 0..data.len() {
             if d_a.mu(p).is_some() {
                 assert_eq!(d_a.mu(p), d_e.mu(p), "p = {p}");
@@ -212,8 +194,8 @@ mod tests {
         let approx = ListIndex::build_approx(&data, tau);
         let exact = ListIndex::build(&data);
         let dc = 200_000.0; // far above tau
-        let rho_a = approx.rho(dc).unwrap();
-        let rho_e = exact.rho(dc).unwrap();
+        let rho_a = approx.rho(&Query::new(dc)).unwrap();
+        let rho_e = exact.rho(&Query::new(dc)).unwrap();
         assert!(rho_a.iter().zip(&rho_e).all(|(a, e)| a <= e));
         assert!(rho_a.iter().zip(&rho_e).any(|(a, e)| a < e));
     }
@@ -236,9 +218,11 @@ mod tests {
         // constant, so the total is far below n per object.
         let data = s1(43, 0.2).into_dataset(); // 1000 points
         let index = ListIndex::build(&data);
-        let dc = 30_000.0;
-        let rho = index.rho(dc).unwrap();
-        let (_, probes) = index.delta_with_probes(dc, &rho).unwrap();
+        let metrics = MetricsRecorder::new();
+        let query = Query::new(30_000.0).with_recorder(&metrics);
+        let rho = index.rho(&query).unwrap();
+        index.delta(&query, &rho).unwrap();
+        let probes = metrics.snapshot().counter("query.delta.probes").unwrap();
         let n = data.len() as u64;
         // Worst case would be ~n per object (n^2 total); expect well below
         // 5% of that for clustered data.
@@ -270,15 +254,15 @@ mod tests {
     fn invalid_inputs_are_rejected() {
         let data = s1(3, 0.01).into_dataset();
         let index = ListIndex::build(&data);
-        assert!(index.rho(0.0).is_err());
-        assert!(index.delta(1.0, &[]).is_err());
+        assert!(index.rho(&Query::new(0.0)).is_err());
+        assert!(index.delta(&Query::new(1.0), &[]).is_err());
     }
 
     #[test]
     fn single_point_dataset() {
         let data = Dataset::new(vec![dpc_core::Point::new(1.0, 2.0)]);
         let index = ListIndex::build(&data);
-        let (rho, deltas) = index.rho_delta(1.0).unwrap();
+        let (rho, deltas) = index.rho_delta(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0]);
         assert_eq!(deltas.delta(0), 0.0);
         assert_eq!(deltas.mu(0), None);

@@ -11,6 +11,7 @@
 //! partition on `d² < dc²`, truncation keeps `d² < τ²`, and the first denser
 //! entry of a list is exactly the brute-force `µ`.
 
+use dpc_core::obs::{NoopRecorder, Recorder};
 use dpc_core::stats::vec_bytes;
 use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
 
@@ -92,6 +93,8 @@ impl NeighborLists {
         exec::fill_slice(
             &mut lists,
             ExecPolicy::Threads(threads),
+            &NoopRecorder,
+            "",
             || (),
             |p, ()| {
                 let mut entries: Vec<Neighbor> =
@@ -169,7 +172,9 @@ impl NeighborLists {
     /// list from nearest to farthest and stop at the first neighbour that is
     /// denser under `order`. Also returns the total number of list entries
     /// probed, the quantity behind the paper's remark that *"less than 1% of
-    /// the total number of objects were probed"*.
+    /// the total number of objects were probed"*, and publishes it to `rec`
+    /// as the `query.delta.probes` counter (beside one `query.delta.chunk`
+    /// span per worker).
     ///
     /// * With full N-Lists the only object for which the scan can fail is the
     ///   global peak; its `δ` is set to its maximum stored distance (the
@@ -178,13 +183,15 @@ impl NeighborLists {
     ///   neighbour lies beyond `τ`; such points get the sentinel
     ///   `δ = +∞`, `µ = None` ("set to a large value" in §3.3).
     ///
-    /// The per-point scans are partitioned across worker threads; each
-    /// worker counts its own probes and the counters are summed after the
-    /// join, so results are bit-identical at every thread count.
+    /// The per-point scans are partitioned across the policy's worker
+    /// threads; each worker counts its own probes and the counters are
+    /// summed after the join, so results are bit-identical at every thread
+    /// count.
     pub fn delta_by_scan(
         &self,
         order: &DensityOrder<'_>,
         policy: ExecPolicy,
+        rec: &dyn Recorder,
     ) -> (DeltaResult, u64) {
         let n = self.lists.len();
         debug_assert_eq!(order.len(), n, "density order must cover every object");
@@ -193,6 +200,8 @@ impl NeighborLists {
             &mut result.delta,
             &mut result.mu,
             policy,
+            rec,
+            "query.delta.chunk",
             || 0u64,
             |p, delta_slot, mu_slot, probes| {
                 let list = &self.lists[p];
@@ -210,7 +219,9 @@ impl NeighborLists {
                 };
             },
         );
-        (result, probes_per_worker.into_iter().sum())
+        let probes = probes_per_worker.into_iter().sum();
+        rec.counter("query.delta.probes", probes);
+        (result, probes)
     }
 }
 
@@ -290,9 +301,11 @@ mod tests {
             let lists = NeighborLists::build_serial(&data, tau);
             let rho: Vec<f64> = (0..data.len() as u32).map(|i| f64::from(i % 7)).collect();
             let order = DensityOrder::new(&rho);
-            let (seq, seq_probes) = lists.delta_by_scan(&order, ExecPolicy::Sequential);
+            let (seq, seq_probes) =
+                lists.delta_by_scan(&order, ExecPolicy::Sequential, &NoopRecorder);
             for threads in [1usize, 2, 3, 7] {
-                let (par, par_probes) = lists.delta_by_scan(&order, ExecPolicy::Threads(threads));
+                let policy = ExecPolicy::Threads(threads);
+                let (par, par_probes) = lists.delta_by_scan(&order, policy, &NoopRecorder);
                 assert_eq!(par.delta, seq.delta, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par.mu, seq.mu, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par_probes, seq_probes, "threads = {threads}, tau = {tau:?}");

@@ -1,7 +1,8 @@
 //! Property-based tests of the list-based index structures.
 
 use dpc_baseline::LeanDpc;
-use dpc_core::{Dataset, DensityOrder, DpcIndex};
+use dpc_core::obs::MetricsRecorder;
+use dpc_core::{Dataset, DensityOrder, DpcIndex, Query};
 use dpc_list_index::{ChIndex, ListIndex, NeighborLists};
 use proptest::prelude::*;
 
@@ -70,8 +71,8 @@ proptest! {
         let data = Dataset::from_coords(coords);
         let index = ListIndex::build(&data);
         let baseline = LeanDpc::build(&data);
-        let (rho_i, delta_i) = index.rho_delta(dc).unwrap();
-        let (rho_b, delta_b) = baseline.rho_delta(dc).unwrap();
+        let (rho_i, delta_i) = index.rho_delta(&Query::new(dc)).unwrap();
+        let (rho_b, delta_b) = baseline.rho_delta(&Query::new(dc)).unwrap();
         prop_assert_eq!(rho_i, rho_b);
         prop_assert_eq!(delta_i, delta_b);
     }
@@ -87,9 +88,9 @@ proptest! {
         let list = ListIndex::build(&data);
         let fine = ChIndex::build(&data, w1);
         let coarse = ChIndex::build(&data, w2);
-        let expected = list.rho(dc).unwrap();
-        prop_assert_eq!(fine.rho(dc).unwrap(), expected.clone());
-        prop_assert_eq!(coarse.rho(dc).unwrap(), expected);
+        let expected = list.rho(&Query::new(dc)).unwrap();
+        prop_assert_eq!(fine.rho(&Query::new(dc)).unwrap(), expected.clone());
+        prop_assert_eq!(coarse.rho(&Query::new(dc)).unwrap(), expected);
     }
 
     #[test]
@@ -107,7 +108,7 @@ proptest! {
         let mut k = 1usize;
         loop {
             let dc = k as f64 * w;
-            let rho = ch.rho(dc).unwrap();
+            let rho = ch.rho(&Query::new(dc)).unwrap();
             for p in 0..data.len() {
                 prop_assert!(rho[p] >= prev[p], "rho must be monotone in dc");
             }
@@ -130,8 +131,11 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let index = ListIndex::build(&data);
-        let rho = index.rho(dc).unwrap();
-        let (_, probes) = index.delta_with_probes(dc, &rho).unwrap();
+        let metrics = MetricsRecorder::new();
+        let query = Query::new(dc).with_recorder(&metrics);
+        let rho = index.rho(&query).unwrap();
+        index.delta(&query, &rho).unwrap();
+        let probes = metrics.snapshot().counter("query.delta.probes").unwrap();
         prop_assert!(probes <= index.lists().total_entries() as u64);
         prop_assert!(probes >= (data.len() as u64).saturating_sub(1));
     }
@@ -160,12 +164,16 @@ fn ch_bin_boundary_regression_cases() {
     let ch = ChIndex::build(&data, 1.0);
     let baseline = LeanDpc::build(&data);
     for dc in [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0] {
-        assert_eq!(ch.rho(dc).unwrap(), baseline.rho(dc).unwrap(), "dc = {dc}");
+        assert_eq!(
+            ch.rho(&Query::new(dc)).unwrap(),
+            baseline.rho(&Query::new(dc)).unwrap(),
+            "dc = {dc}"
+        );
     }
     // Delta is consistent with the density order for every dc as well.
     for dc in [1.0, 2.0, 4.0] {
-        let rho = ch.rho(dc).unwrap();
-        let deltas = ch.delta(dc, &rho).unwrap();
+        let rho = ch.rho(&Query::new(dc)).unwrap();
+        let deltas = ch.delta(&Query::new(dc), &rho).unwrap();
         deltas.validate(&DensityOrder::new(&rho)).unwrap();
     }
 }

@@ -90,8 +90,8 @@ use crate::snapshot::{EpochSnapshot, SnapshotSink};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamParams {
-    /// The clustering parameters (`dc`, centre selection, tie-break,
-    /// assignment options, execution policy). The execution policy is used
+    /// The clustering parameters (`dc`, centre selection, assignment
+    /// options, execution policy, kernel). The execution policy is used
     /// for the parallel maintenance passes as well as the seeding batch
     /// queries.
     pub dpc: DpcParams,
@@ -449,18 +449,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// Seeds the engine with an index (and the dataset it owns), running one
     /// batch ρ/δ query plus an initial clustering epoch.
     ///
-    /// Errors when the parameters are invalid, when the index's tie-break
-    /// rule disagrees with the parameters, when the index is approximate
-    /// (incremental maintenance needs exact δ/µ), or when the initial centre
-    /// selection fails.
+    /// Errors when the parameters are invalid, when the index is
+    /// approximate (incremental maintenance needs exact δ/µ), or when the
+    /// initial centre selection fails.
     pub fn new(index: I, params: StreamParams) -> Result<Self> {
         params.validate()?;
-        if index.tie_break() != params.dpc.tie_break {
-            return Err(DpcError::invalid_parameter(
-                "tie_break",
-                "the index and the stream parameters must agree on the density tie-break rule",
-            ));
-        }
         if !index.is_exact() {
             return Err(DpcError::invalid_parameter(
                 "index",
@@ -480,10 +473,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let (rho, deltas) = if n == 0 {
             (Vec::new(), DeltaResult::unset(0))
         } else {
-            index.rho_delta_kernel_with_policy(params.dpc.dc, params.dpc.kernel, params.dpc.exec)?
+            index.rho_delta(&params.dpc.query())?
         };
         let rebuild_us = seeding.elapsed().as_micros() as f64 / n.max(1) as f64;
-        let order = DensityOrder::with_tie_break(&rho, params.dpc.tie_break);
+        let order = DensityOrder::new(&rho);
         let peak = order.global_peak();
         let inc_us = if n == 0 {
             0.0
@@ -818,8 +811,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for r in &mut self.rho {
                 *r *= lambda;
             }
-            let order = DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break);
-            self.deltas = brute::delta_scan(self.index.dataset(), &order, self.params.dpc.exec);
+            let order = DensityOrder::new(&self.rho);
+            let query = self.params.dpc.query();
+            self.deltas = brute::delta_scan(self.index.dataset(), &order, &query);
             self.peak = order.global_peak();
         }
         let micros = started.elapsed().as_micros() as u64;
@@ -1197,8 +1191,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // Phase 4 — build the invalidation set F and the candidate entrants,
         // then repair δ/µ once for the whole epoch.
         let delta_span = span(&rec, "stream.phase.delta_repair");
-        let tie = self.params.dpc.tie_break;
-        let new_peak = DensityOrder::with_tie_break(&self.rho, tie).global_peak();
+        let new_peak = DensityOrder::new(&self.rho).global_peak();
         let old_peak = self.peak.and_then(|pk| scratch.final_of_old[pk]);
 
         scratch.invalidated.clear();
@@ -1211,10 +1204,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             if let Some(i) = *slot {
                 if i != o {
                     // A swap-remove renamed this survivor to a smaller id,
-                    // which moves its position in the density order (either
-                    // direction, depending on the tie-break rule): its own
-                    // denser set may have shrunk (recompute) and it may
-                    // enter other points' minima (candidate).
+                    // which raises its position among equal densities: it
+                    // may enter other points' minima (candidate), and the
+                    // points it overtook are no longer in its denser set.
                     scratch.renamed.push(i);
                 }
             }
@@ -1223,9 +1215,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // One µ scan: rename surviving µ ids into the final id space,
         // invalidate points whose µ expired or whose µ's rank may have
         // changed — because its ρ was touched (`visited`), or because the
-        // swap-remove renamed it (`m != mu_old`): under `LargerIdDenser` a
-        // smaller id *lowers* the µ's tie rank, so it can fall out of the
-        // dependent's denser set without any ρ change.
+        // swap-remove renamed it (`m != mu_old`): an id change moves the µ's
+        // position in the density order and in the `(fl(d²), id)` µ order
+        // without any ρ change, so the rename alone invalidates.
         for (p, origin) in scratch.owner.iter().enumerate() {
             if matches!(origin, Origin::New(_)) {
                 continue; // placeholder µ; already invalidated above
@@ -1250,7 +1242,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         scratch.invalidated.sort_unstable();
         scratch.invalidated.dedup();
 
-        let order = DensityOrder::with_tie_break(&self.rho, tie);
+        let order = DensityOrder::new(&self.rho);
         let dataset = self.index.dataset();
         // A decayed epoch rescaled *every* density in the pre-pass: λ-scaling
         // is order-preserving in exact arithmetic, but two neighbouring f64
@@ -1258,7 +1250,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // to the id tie-break — so no point's (δ, µ) minimum is trustworthy
         // and the epoch always re-ranks in full.
         let mode = if lambda != 1.0 || self.needs_fallback(scratch.invalidated.len(), n) {
-            self.deltas = brute::delta_scan(dataset, &order, self.params.dpc.exec);
+            self.deltas = brute::delta_scan(dataset, &order, &self.params.dpc.query());
             EpochMode::Fallback
         } else {
             scratch.skip.clear();
@@ -1344,14 +1336,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // fresh global peak; nothing to repair. The observed query also
         // reports per-worker chunk spans and traversal counters.
         let batch_query_span = span(&rec, "stream.phase.batch_query");
-        let (rho, deltas) =
-            self.index
-                .rho_delta_observed(self.params.dpc.dc, self.params.dpc.exec, &*rec)?;
+        let query = self.params.dpc.query().with_recorder(&*rec);
+        let (rho, deltas) = self.index.rho_delta(&query)?;
         drop(batch_query_span);
         self.rho = rho;
         self.deltas = deltas;
-        self.peak =
-            DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break).global_peak();
+        self.peak = DensityOrder::new(&self.rho).global_peak();
         Ok(EpochOutcome {
             planned_handles,
             mode: EpochMode::Rebuild,
@@ -1434,7 +1424,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         } else {
             let graph = DecisionGraph::new(self.rho.clone(), &self.deltas)?;
             let centers = graph.select_centers(&self.params.dpc.centers)?;
-            let order = DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break);
+            let order = DensityOrder::new(&self.rho);
             let clustering = assign_clusters(
                 self.index.dataset(),
                 &order,
@@ -1646,7 +1636,7 @@ mod tests {
     /// surviving dataset.
     fn assert_matches_cold_batch(engine: &StreamingDpc<NaiveReferenceIndex>) {
         let batch = NaiveReferenceIndex::build(engine.index().dataset());
-        let (rho, deltas) = batch.rho_delta(engine.params().dpc.dc).unwrap();
+        let (rho, deltas) = batch.rho_delta(&engine.params().dpc.query()).unwrap();
         assert_eq!(engine.rho(), &rho[..]);
         assert_eq!(engine.deltas(), &deltas);
     }
@@ -1915,14 +1905,6 @@ mod tests {
         assert_eq!(engine.stats().fallback_epochs, 2);
         assert_eq!(engine.stats().incremental_epochs, 0);
         assert_matches_cold_batch(&engine);
-    }
-
-    #[test]
-    fn mismatched_tie_break_is_rejected() {
-        let seed = Dataset::from_coords(vec![(0.0, 0.0)]);
-        let index =
-            NaiveReferenceIndex::build_with_tie_break(&seed, dpc_core::TieBreak::LargerIdDenser);
-        assert!(StreamingDpc::new(index, StreamParams::new(0.5)).is_err());
     }
 
     #[test]

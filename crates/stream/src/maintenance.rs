@@ -26,6 +26,7 @@
 //! to the cold batch result.
 
 use dpc_core::{brute, closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
+use dpc_obs::NoopRecorder;
 
 /// Recomputes δ/µ from scratch for every point in `targets`, in parallel,
 /// and scatters the results into `deltas`.
@@ -40,6 +41,8 @@ pub fn recompute_targets(
     exec::fill_slice(
         &mut out,
         policy,
+        &NoopRecorder,
+        "",
         || (),
         |k, ()| brute::delta_one(dataset, order, targets[k]),
     );
@@ -81,6 +84,8 @@ pub fn candidate_pass(
         &mut deltas.delta,
         &mut deltas.mu,
         policy,
+        &NoopRecorder,
+        "",
         || (),
         |p, delta_slot, mu_slot, ()| {
             if skip[p] {
@@ -108,7 +113,7 @@ pub fn candidate_pass(
 mod tests {
     use super::*;
     use dpc_core::naive_reference::NaiveReferenceIndex;
-    use dpc_core::DpcIndex;
+    use dpc_core::{DpcIndex, Query};
 
     fn dataset() -> Dataset {
         Dataset::from_coords(vec![
@@ -124,7 +129,9 @@ mod tests {
     #[test]
     fn recompute_targets_only_touches_targets() {
         let data = dataset();
-        let (rho, expected) = NaiveReferenceIndex::build(&data).rho_delta(0.3).unwrap();
+        let (rho, expected) = NaiveReferenceIndex::build(&data)
+            .rho_delta(&Query::new(0.3))
+            .unwrap();
         let order = DensityOrder::new(&rho);
         let mut deltas = DeltaResult::unset(data.len());
         recompute_targets(&data, &order, &[1, 4], &mut deltas, ExecPolicy::Sequential);

@@ -31,7 +31,7 @@
 //! ([`UpdatableIndex::maintenance_counters`]).
 
 use dpc_baseline::LeanDpc;
-use dpc_core::index::eps_neighbors_scan;
+use dpc_core::brute::eps_neighbors_scan;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Point, UpdatableIndex};
 use dpc_datasets::rng::SplitMix64;
@@ -746,10 +746,9 @@ fn batch_deleting_the_global_peak_matches_batch() {
         let seed = Dataset::new(test_points(TestDistribution::Clustered, 30, 5));
         let params = StreamParams::new(dc).with_dpc(dpc.clone());
         let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
-        let peak =
-            dpc_core::DensityOrder::with_tie_break(engine.rho(), engine.params().dpc.tie_break)
-                .global_peak()
-                .expect("non-empty window has a peak");
+        let peak = dpc_core::DensityOrder::new(engine.rho())
+            .global_peak()
+            .expect("non-empty window has a peak");
         let peak_handle = engine.handle_at(peak);
 
         let mut plan = dpc_stream::EpochPlan::new();
@@ -799,21 +798,16 @@ fn ephemeral_points_in_a_plan_match_batch() {
     });
 }
 
-/// Regression (caught in review): under `TieBreak::LargerIdDenser` a
-/// swap-remove rename *lowers* the renamed point's tie rank, so a stored µ
-/// can fall out of its dependent's denser set without any ρ change — the
-/// µ scan must invalidate on the rename itself, not only on `visited[µ]`.
-/// Replays tie-heavy lattice sequences (per-update and batched) under the
-/// non-default tie-break and demands cold-batch bit-identity every epoch.
+/// A swap-remove rename moves a point's rank among equal densities without
+/// any ρ change, so the µ scan must invalidate on the rename itself, not
+/// only on `visited[µ]`. Replays tie-heavy lattice sequences (per-update
+/// and batched), where equal densities and equal distances are the norm,
+/// and demands cold-batch bit-identity every epoch.
 #[test]
-fn larger_id_denser_tie_break_matches_batch() {
+fn tie_heavy_lattice_replay_matches_batch() {
     let dc = 0.8;
-    let dpc = DpcParams::new(dc)
-        .with_centers(CenterSelection::GammaGap { max_centers: 8 })
-        .with_tie_break(dpc_core::TieBreak::LargerIdDenser);
-    let build = |data: &Dataset| {
-        NaiveReferenceIndex::build_with_tie_break(data, dpc_core::TieBreak::LargerIdDenser)
-    };
+    let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
+    let build = NaiveReferenceIndex::build;
     let mut rng = SplitMix64::new(4242);
     for trial in 0..20 {
         let seed_points: Vec<Point> = (0..12)
@@ -850,7 +844,7 @@ fn larger_id_denser_tie_break_matches_batch() {
             .map(|_| lattice_point((rng.next_u64() % 5) as u32, (rng.next_u64() % 5) as u32))
             .collect();
         engine.advance(&batch, 4).unwrap();
-        assert_cold_batch("naive/larger-id", &build, &engine, &dpc);
+        assert_cold_batch("naive/lattice", &build, &engine, &dpc);
     }
 }
 

@@ -27,7 +27,8 @@
 use dpc_baseline::LeanDpc;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
-    CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, UpdatableIndex,
+    CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, Query,
+    UpdatableIndex,
 };
 use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
@@ -506,7 +507,7 @@ proptest! {
                 // (the δ-query is kernel- and decay-agnostic: it consumes ρ
                 // only through the density order).
                 let fresh = NaiveReferenceIndex::build(engine.index().dataset());
-                let deltas = fresh.delta(DC, &oracle.rho).map_err(|e| {
+                let deltas = fresh.delta(&Query::new(DC), &oracle.rho).map_err(|e| {
                     TestCaseError::fail(format!("[{name}] step {step}: delta failed: {e}"))
                 })?;
                 prop_assert_eq!(
@@ -580,7 +581,7 @@ fn ulp_adversarial_points_keep_every_engine_exact() {
                 oracle.tick();
                 assert_eq!(engine.rho(), &oracle.rho[..], "[{name}] rho");
                 let rerank = NaiveReferenceIndex::build(engine.index().dataset())
-                    .delta(dc, &oracle.rho)
+                    .delta(&Query::new(dc), &oracle.rho)
                     .unwrap();
                 assert_eq!(engine.deltas(), &rerank, "[{name}] delta/mu");
             }
@@ -625,7 +626,7 @@ fn decay_tick_reranks_without_eps_queries() {
 
     // The re-rank really happened: δ/µ equal a fresh re-rank of the scaled ρ.
     let fresh = NaiveReferenceIndex::build(engine.index().dataset());
-    let deltas = fresh.delta(60.0, &expected).unwrap();
+    let deltas = fresh.delta(&Query::new(60.0), &expected).unwrap();
     assert_eq!(&engine.deltas().delta, &deltas.delta);
     assert_eq!(&engine.deltas().mu, &deltas.mu);
 }

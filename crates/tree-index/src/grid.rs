@@ -10,17 +10,15 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::validate_dc;
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Kernel,
-    Point, PointId, Result, Rho, TieBreak, Timer, UpdatableIndex,
+    BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, Point, PointId, Query, Result, Rho,
+    UpdatableIndex,
 };
+use dpc_obs::Timer;
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{
-    delta_query_with_policy, rho_delta_query_recorded, rho_query_with_policy, subtree_max_density,
-    weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+use crate::query::{self as tree_query, DeltaQueryConfig};
 
 /// Configuration of a [`GridIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,8 +37,6 @@ pub struct GridConfig {
     /// re-bucketing; explicit `cell_size` grids never re-bucket (a fixed
     /// geometry cannot adapt). Must be greater than 1.
     pub rebucket_skew: f64,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
     pub delta: DeltaQueryConfig,
 }
@@ -51,7 +47,6 @@ impl Default for GridConfig {
             cell_size: None,
             target_points_per_cell: 32,
             rebucket_skew: 8.0,
-            tie_break: TieBreak::default(),
             delta: DeltaQueryConfig::default(),
         }
     }
@@ -241,22 +236,6 @@ impl GridIndex {
         self.root_children.len()
     }
 
-    /// ρ-query that also reports traversal statistics.
-    pub fn rho_with_stats(&self, dc: f64) -> Result<(Vec<Rho>, QueryStats)> {
-        self.rho_with_stats_policy(dc, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_with_stats`](Self::rho_with_stats) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn rho_with_stats_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, QueryStats)> {
-        validate_dc(dc)?;
-        Ok(rho_query_with_policy(self, &self.dataset, dc, policy))
-    }
-
     /// Checks the grid's structural bookkeeping: the generic partition
     /// invariants plus the cell-key map (every listed point keys to the cell
     /// listing it).
@@ -274,40 +253,6 @@ impl GridIndex {
                 );
             }
         }
-    }
-
-    /// δ-query with an explicit pruning configuration, reporting traversal
-    /// statistics.
-    pub fn delta_with_config(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        self.delta_with_config_policy(dc, rho, config, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_with_config`](Self::delta_with_config) under an explicit
-    /// execution policy.
-    pub fn delta_with_config_policy(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-        policy: ExecPolicy,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.config.tie_break);
-        let maxrho = subtree_max_density(self, rho);
-        Ok(delta_query_with_policy(
-            self,
-            &self.dataset,
-            &order,
-            &maxrho,
-            config,
-            policy,
-        ))
     }
 }
 
@@ -511,54 +456,15 @@ impl DpcIndex for GridIndex {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_stats(dc).map(|(rho, _)| rho)
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(tree_query::rho(self, &self.dataset, query).0)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_config(dc, rho, &self.config.delta)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        self.rho_with_stats_policy(dc, policy).map(|(rho, _)| rho)
-    }
-
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        validate_dc(dc)?;
-        kernel.validate()?;
-        Ok(weighted_rho_query_with_policy(self, &self.dataset, dc, kernel, policy).0)
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        self.delta_with_config_policy(dc, rho, &self.config.delta, policy)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        validate_dc(dc)?;
-        Ok(rho_delta_query_recorded(
-            self,
-            &self.dataset,
-            dc,
-            self.config.tie_break,
-            &self.config.delta,
-            policy,
-            rec,
-        ))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -578,10 +484,6 @@ impl DpcIndex for GridIndex {
             .with_counter("cells", self.cell_count() as u64)
             .with_counter("rebuckets", self.rebuckets)
     }
-
-    fn tie_break(&self) -> TieBreak {
-        self.config.tie_break
-    }
 }
 
 #[cfg(test)]
@@ -593,8 +495,8 @@ mod tests {
 
     fn assert_matches_baseline(data: &Dataset, grid: &GridIndex, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = grid.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = grid.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
         assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
@@ -675,14 +577,18 @@ mod tests {
         let grid = GridIndex::build(&data);
         check_partition_invariants(&grid, &data);
         assert_eq!(grid.cell_count(), 1);
-        assert!(grid.rho(1.0).unwrap().iter().all(|&r| r == 19.0));
+        assert!(grid
+            .rho(&Query::new(1.0))
+            .unwrap()
+            .iter()
+            .all(|&r| r == 19.0));
     }
 
     #[test]
     fn empty_dataset() {
         let grid = GridIndex::build(&Dataset::new(vec![]));
         assert_eq!(grid.root(), None);
-        assert!(grid.rho(1.0).unwrap().is_empty());
+        assert!(grid.rho(&Query::new(1.0)).unwrap().is_empty());
     }
 
     #[test]
@@ -705,8 +611,8 @@ mod tests {
         for dc in [0.05, 0.4, 20.0] {
             assert_matches_baseline(grid.dataset(), &grid, dc);
             let fresh = GridIndex::build(grid.dataset());
-            let (r1, d1) = grid.rho_delta(dc).unwrap();
-            let (r2, d2) = fresh.rho_delta(dc).unwrap();
+            let (r1, d1) = grid.rho_delta(&Query::new(dc)).unwrap();
+            let (r2, d2) = fresh.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(r1, r2, "rho vs fresh build at dc = {dc}");
             assert_eq!(d1, d2, "delta vs fresh build at dc = {dc}");
         }
@@ -727,7 +633,7 @@ mod tests {
         }
         assert_matches_baseline(grid.dataset(), &grid, 40_000.0);
         grid.remove(0).unwrap();
-        assert!(grid.rho(1.0).unwrap().is_empty());
+        assert!(grid.rho(&Query::new(1.0)).unwrap().is_empty());
     }
 
     #[test]

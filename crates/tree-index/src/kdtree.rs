@@ -34,25 +34,21 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::validate_dc;
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DensityOrder, DpcError, DpcIndex, ExecPolicy, IndexStats,
-    Kernel, Point, PointId, Result, Rho, TieBreak, Timer, UpdatableIndex,
+    BoundingBox, Dataset, DeltaResult, DpcError, DpcIndex, IndexStats, Point, PointId, Query,
+    Result, Rho, UpdatableIndex,
 };
+use dpc_obs::Timer;
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{
-    delta_query_with_policy, eps_query, rho_delta_query_recorded, rho_query_with_policy,
-    subtree_max_density, weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+use crate::query::{self as tree_query, eps_query, DeltaQueryConfig};
 
 /// Configuration of a [`KdTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KdTreeConfig {
     /// Maximum number of points per leaf.
     pub leaf_capacity: usize,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
     pub delta: DeltaQueryConfig,
     /// Scapegoat weight bound `α ∈ (0.5, 1.0]`: an internal node is rebuilt
@@ -68,7 +64,6 @@ impl Default for KdTreeConfig {
     fn default() -> Self {
         KdTreeConfig {
             leaf_capacity: 32,
-            tie_break: TieBreak::default(),
             delta: DeltaQueryConfig::default(),
             rebuild_imbalance: 0.75,
             rebuild_dead_fraction: 0.5,
@@ -188,56 +183,6 @@ impl KdTree {
     /// Full-tree rebuilds performed so far.
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
-    }
-
-    /// ρ-query that also reports traversal statistics.
-    pub fn rho_with_stats(&self, dc: f64) -> Result<(Vec<Rho>, QueryStats)> {
-        self.rho_with_stats_policy(dc, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_with_stats`](Self::rho_with_stats) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn rho_with_stats_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, QueryStats)> {
-        validate_dc(dc)?;
-        Ok(rho_query_with_policy(self, &self.dataset, dc, policy))
-    }
-
-    /// δ-query with an explicit pruning configuration, reporting traversal
-    /// statistics.
-    pub fn delta_with_config(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        self.delta_with_config_policy(dc, rho, config, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_with_config`](Self::delta_with_config) under an explicit
-    /// execution policy.
-    pub fn delta_with_config_policy(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-        policy: ExecPolicy,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.config.tie_break);
-        let maxrho = subtree_max_density(self, rho);
-        Ok(delta_query_with_policy(
-            self,
-            &self.dataset,
-            &order,
-            &maxrho,
-            config,
-            policy,
-        ))
     }
 
     fn tight_bbox(&self, ids: &[u32]) -> BoundingBox {
@@ -502,54 +447,15 @@ impl DpcIndex for KdTree {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_stats(dc).map(|(rho, _)| rho)
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(tree_query::rho(self, &self.dataset, query).0)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_config(dc, rho, &self.config.delta)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        self.rho_with_stats_policy(dc, policy).map(|(rho, _)| rho)
-    }
-
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        validate_dc(dc)?;
-        kernel.validate()?;
-        Ok(weighted_rho_query_with_policy(self, &self.dataset, dc, kernel, policy).0)
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        self.delta_with_config_policy(dc, rho, &self.config.delta, policy)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        validate_dc(dc)?;
-        Ok(rho_delta_query_recorded(
-            self,
-            &self.dataset,
-            dc,
-            self.config.tie_break,
-            &self.config.delta,
-            policy,
-            rec,
-        ))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -576,10 +482,6 @@ impl DpcIndex for KdTree {
             .with_counter("height", self.height() as u64)
             .with_counter("subtree_rebuilds", self.subtree_rebuilds)
             .with_counter("full_rebuilds", self.full_rebuilds)
-    }
-
-    fn tie_break(&self) -> TieBreak {
-        self.config.tie_break
     }
 }
 
@@ -779,14 +681,14 @@ impl UpdatableIndex for KdTree {
 mod tests {
     use super::*;
     use dpc_baseline::LeanDpc;
-    use dpc_core::index::eps_neighbors_scan;
+    use dpc_core::brute::eps_neighbors_scan;
     use dpc_datasets::generators::{checkins, s1, CheckinConfig};
     use dpc_datasets::testsupport::{test_points, TestDistribution};
 
     fn assert_matches_baseline(data: &Dataset, tree: &KdTree, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = tree.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = tree.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
         assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
@@ -832,14 +734,12 @@ mod tests {
     fn pruning_reduces_work() {
         let data = s1(229, 0.1).into_dataset();
         let tree = KdTree::build(&data);
-        let dc = 30_000.0;
-        let rho = tree.rho(dc).unwrap();
-        let (_, s_pruned) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::default())
-            .unwrap();
-        let (_, s_full) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::no_pruning())
-            .unwrap();
+        let query = Query::new(30_000.0);
+        let (rho, _) = tree_query::rho(&tree, &data, &query);
+        let pruned = DeltaQueryConfig::default();
+        let (_, s_pruned) = tree_query::delta(&tree, &data, &rho, &pruned, &query);
+        let exhaustive = DeltaQueryConfig::no_pruning();
+        let (_, s_full) = tree_query::delta(&tree, &data, &rho, &exhaustive, &query);
         assert!(s_pruned.points_scanned < s_full.points_scanned);
     }
 
@@ -848,7 +748,7 @@ mod tests {
         let data = Dataset::new(vec![dpc_core::Point::new(2.0, 2.0); 50]);
         let tree = KdTree::build(&data);
         tree.check_structure();
-        let rho = tree.rho(0.1).unwrap();
+        let rho = tree.rho(&Query::new(0.1)).unwrap();
         assert!(rho.iter().all(|&r| r == 49.0));
     }
 
@@ -856,7 +756,7 @@ mod tests {
     fn empty_and_single_point() {
         assert_eq!(KdTree::build(&Dataset::new(vec![])).num_nodes(), 0);
         let single = KdTree::build(&Dataset::new(vec![dpc_core::Point::new(0.0, 0.0)]));
-        let (rho, deltas) = single.rho_delta(1.0).unwrap();
+        let (rho, deltas) = single.rho_delta(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0]);
         assert_eq!(deltas.mu(0), None);
     }
@@ -878,8 +778,8 @@ mod tests {
         for dc in [0.05, 0.4, 20.0] {
             assert_matches_baseline(tree.dataset(), &tree, dc);
             let fresh = KdTree::build(tree.dataset());
-            let (r1, d1) = tree.rho_delta(dc).unwrap();
-            let (r2, d2) = fresh.rho_delta(dc).unwrap();
+            let (r1, d1) = tree.rho_delta(&Query::new(dc)).unwrap();
+            let (r2, d2) = fresh.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(r1, r2, "rho vs fresh build at dc = {dc}");
             assert_eq!(d1, d2, "delta vs fresh build at dc = {dc}");
         }
@@ -995,10 +895,10 @@ mod tests {
             tree.remove(0).unwrap();
         }
         assert_eq!(tree.root(), None);
-        assert!(tree.rho(1.0).unwrap().is_empty());
+        assert!(tree.rho(&Query::new(1.0)).unwrap().is_empty());
         // The tree must be reusable after draining.
         tree.insert(Point::new(1.0, 2.0)).unwrap();
-        assert_eq!(tree.rho(1.0).unwrap(), vec![0.0]);
+        assert_eq!(tree.rho(&Query::new(1.0)).unwrap(), vec![0.0]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`GridIndex`] — a uniform grid (related-work style ablation),
 //!
 //! all built over the same [`SpatialPartition`] abstraction so that the two
-//! DPC queries are implemented exactly once, in [`query`]:
+//! DPC queries are implemented exactly once, as [`query::rho`] and
+//! [`query::delta`] over a [`dpc_core::Query`]:
 //!
 //! * the **ρ-query** classifies each node against the query circle as fully
 //!   contained / discarded / intersecting (Observation 1) and only descends
@@ -23,8 +24,9 @@
 //!   nodes farther than the best candidate δ found so far).
 //!
 //! The pruning rules can be switched off individually via
-//! [`DeltaQueryConfig`] for the ablation experiments, and every query can
-//! report [`QueryStats`] (nodes visited/pruned, points scanned).
+//! [`DeltaQueryConfig`] for the ablation experiments, and every query
+//! returns its [`QueryStats`] (nodes visited/pruned, points scanned), which
+//! an enabled recorder on the query also receives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +45,5 @@ pub use common::{NodeId, SpatialPartition};
 pub use grid::{GridConfig, GridIndex};
 pub use kdtree::{KdTree, KdTreeConfig};
 pub use quadtree::{Quadtree, QuadtreeConfig};
-pub use query::{
-    delta_query_recorded, eps_query, rho_delta_query_recorded, rho_query_recorded,
-    weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+pub use query::{eps_query, DeltaQueryConfig, QueryStats};
 pub use rtree::{RTree, RTreeConfig};

@@ -9,17 +9,13 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Kernel,
-    PointId, Result, Rho, TieBreak, Timer,
+    BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, PointId, Query, Result, Rho,
 };
+use dpc_obs::Timer;
 
 use crate::common::{NodeId, SpatialPartition};
-use crate::query::{
-    delta_query_with_policy, rho_delta_query_recorded, rho_query_with_policy, subtree_max_density,
-    weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+use crate::query::{self as tree_query, DeltaQueryConfig};
 
 /// Configuration of a [`Quadtree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,8 +25,6 @@ pub struct QuadtreeConfig {
     /// Maximum tree depth; a leaf at this depth is never split (guards
     /// against unbounded recursion on coincident points).
     pub max_depth: usize,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
     pub delta: DeltaQueryConfig,
 }
@@ -40,7 +34,6 @@ impl Default for QuadtreeConfig {
         QuadtreeConfig {
             node_capacity: 32,
             max_depth: 32,
-            tie_break: TieBreak::default(),
             delta: DeltaQueryConfig::default(),
         }
     }
@@ -122,56 +115,6 @@ impl Quadtree {
             .iter()
             .filter(|n| matches!(n.kind, NodeKind::Leaf { .. }))
             .count()
-    }
-
-    /// ρ-query that also reports traversal statistics.
-    pub fn rho_with_stats(&self, dc: f64) -> Result<(Vec<Rho>, QueryStats)> {
-        self.rho_with_stats_policy(dc, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_with_stats`](Self::rho_with_stats) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn rho_with_stats_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, QueryStats)> {
-        validate_dc(dc)?;
-        Ok(rho_query_with_policy(self, &self.dataset, dc, policy))
-    }
-
-    /// δ-query with an explicit pruning configuration, reporting traversal
-    /// statistics. This is the entry point of the pruning-ablation benchmark.
-    pub fn delta_with_config(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        self.delta_with_config_policy(dc, rho, config, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_with_config`](Self::delta_with_config) under an explicit
-    /// execution policy.
-    pub fn delta_with_config_policy(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-        policy: ExecPolicy,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.config.tie_break);
-        let maxrho = subtree_max_density(self, rho);
-        Ok(delta_query_with_policy(
-            self,
-            &self.dataset,
-            &order,
-            &maxrho,
-            config,
-            policy,
-        ))
     }
 
     /// Inserts point `p`, splitting leaves as needed.
@@ -297,54 +240,15 @@ impl DpcIndex for Quadtree {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_stats(dc).map(|(rho, _)| rho)
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(tree_query::rho(self, &self.dataset, query).0)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_config(dc, rho, &self.config.delta)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        self.rho_with_stats_policy(dc, policy).map(|(rho, _)| rho)
-    }
-
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        validate_dc(dc)?;
-        kernel.validate()?;
-        Ok(weighted_rho_query_with_policy(self, &self.dataset, dc, kernel, policy).0)
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        self.delta_with_config_policy(dc, rho, &self.config.delta, policy)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        validate_dc(dc)?;
-        Ok(rho_delta_query_recorded(
-            self,
-            &self.dataset,
-            dc,
-            self.config.tie_break,
-            &self.config.delta,
-            policy,
-            rec,
-        ))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -368,10 +272,6 @@ impl DpcIndex for Quadtree {
             .with_counter("leaves", self.leaf_count() as u64)
             .with_counter("height", self.height() as u64)
     }
-
-    fn tie_break(&self) -> TieBreak {
-        self.config.tie_break
-    }
 }
 
 #[cfg(test)]
@@ -383,8 +283,8 @@ mod tests {
 
     fn assert_matches_baseline(data: &Dataset, tree: &Quadtree, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = tree.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = tree.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
         assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
@@ -440,7 +340,7 @@ mod tests {
         let tree = Quadtree::with_config(&data, &config);
         check_partition_invariants(&tree, &data);
         assert!(tree.height() <= 7);
-        let rho = tree.rho(0.5).unwrap();
+        let rho = tree.rho(&Query::new(0.5)).unwrap();
         assert!(rho.iter().all(|&r| r == 99.0));
     }
 
@@ -448,14 +348,12 @@ mod tests {
     fn pruning_reduces_work_but_not_results() {
         let data = s1(109, 0.1).into_dataset(); // 500 points
         let tree = Quadtree::build(&data);
-        let dc = 30_000.0;
-        let rho = tree.rho(dc).unwrap();
-        let (d_pruned, s_pruned) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::default())
-            .unwrap();
-        let (d_full, s_full) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::no_pruning())
-            .unwrap();
+        let query = Query::new(30_000.0);
+        let (rho, _) = tree_query::rho(&tree, &data, &query);
+        let pruned = DeltaQueryConfig::default();
+        let (d_pruned, s_pruned) = tree_query::delta(&tree, &data, &rho, &pruned, &query);
+        let exhaustive = DeltaQueryConfig::no_pruning();
+        let (d_full, s_full) = tree_query::delta(&tree, &data, &rho, &exhaustive, &query);
         assert_eq!(d_pruned.mu, d_full.mu);
         assert!(s_pruned.points_scanned < s_full.points_scanned);
         assert!(s_pruned.nodes_visited < s_full.nodes_visited);
@@ -466,7 +364,7 @@ mod tests {
         let data = s1(113, 0.06).into_dataset();
         let tree = Quadtree::build(&data);
         let diameter = data.bbox_diameter() * 1.01;
-        let (rho, stats) = tree.rho_with_stats(diameter).unwrap();
+        let (rho, stats) = tree_query::rho(&tree, &data, &Query::new(diameter));
         assert!(rho.iter().all(|&r| r as usize == data.len() - 1));
         // The root is fully contained for every query point: no leaf scans.
         assert_eq!(stats.points_scanned, 0);
@@ -495,10 +393,10 @@ mod tests {
     fn empty_and_single_point_trees() {
         let empty = Quadtree::build(&Dataset::new(vec![]));
         assert_eq!(empty.num_nodes(), 0);
-        assert!(empty.rho(1.0).unwrap().is_empty());
+        assert!(empty.rho(&Query::new(1.0)).unwrap().is_empty());
 
         let single = Quadtree::build(&Dataset::new(vec![dpc_core::Point::new(3.0, 4.0)]));
-        let (rho, deltas) = single.rho_delta(1.0).unwrap();
+        let (rho, deltas) = single.rho_delta(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0]);
         assert_eq!(deltas.mu(0), None);
         assert_eq!(deltas.delta(0), 0.0);
@@ -508,7 +406,7 @@ mod tests {
     fn invalid_inputs_rejected() {
         let data = s1(3, 0.01).into_dataset();
         let tree = Quadtree::build(&data);
-        assert!(tree.rho(0.0).is_err());
-        assert!(tree.delta(1.0, &[]).is_err());
+        assert!(tree.rho(&Query::new(0.0)).is_err());
+        assert!(tree.delta(&Query::new(1.0), &[]).is_err());
     }
 }

@@ -20,23 +20,29 @@
 //!   prune test is exact and the result is the brute-force `(fl(d²), id)`
 //!   minimum bit for bit (see the distance contract in [`dpc_core::metric`]).
 //!
-//! Both queries run per point with no data dependency between points, so
-//! they parallelise over the chunked engine of [`dpc_core::exec`]: pass an
-//! [`ExecPolicy`] to [`rho_query_with_policy`] / [`delta_query_with_policy`]
-//! and each worker thread gets its own [`QueryScratch`] — a reusable node
-//! stack, best-first heap and [`QueryStats`] — merged deterministically after
-//! the join. Results are bit-identical at every thread count.
+//! The batch entry points are [`rho`] and [`delta`], one per query and for
+//! every kernel; every tree index's [`DpcIndex`](dpc_core::DpcIndex) impl
+//! delegates to them, and the per-point [`rho_one`], [`weighted_rho_one`],
+//! [`delta_one`], [`eps_query`] and [`subtree_max_density`] are the pieces
+//! they are built from. Both queries run per point with no data dependency
+//! between points, so they parallelise over the chunked engine of
+//! [`dpc_core::exec`] under the [`Query`]'s [`ExecPolicy`](dpc_core::ExecPolicy):
+//! each worker thread gets its own [`QueryScratch`] — a reusable node
+//! stack, best-first heap and [`QueryStats`] — merged deterministically
+//! after the join. Results are bit-identical at every thread count.
 //!
-//! Both pruning rules can be disabled individually through
+//! Both return their [`QueryStats`], counted on every call; with an enabled
+//! recorder on the query they also publish them as the `query.rho.*` /
+//! `query.delta.*` counters, beside one `query.{rho,delta}.chunk` span per
+//! worker. Both pruning rules can be disabled individually through
 //! [`DeltaQueryConfig`] — that is what the pruning-ablation benchmark
-//! measures — and both queries can report [`QueryStats`].
+//! measures.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dpc_core::{
-    brute, closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point, PointId,
-    Rho, TieBreak,
+    brute, closer, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query, Rho,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -62,6 +68,15 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// The sum of the per-worker counters of `scratches`.
+    fn sum(scratches: &[QueryScratch]) -> QueryStats {
+        let mut stats = QueryStats::default();
+        for s in scratches {
+            stats.merge(&s.stats);
+        }
+        stats
+    }
+
     /// Adds another stats record into this one.
     pub fn merge(&mut self, other: &QueryStats) {
         self.nodes_visited += other.nodes_visited;
@@ -151,70 +166,27 @@ impl DeltaQueryConfig {
     }
 }
 
-/// Computes ρ for every point of the dataset.
-pub fn rho_query<T: SpatialPartition + Sync + ?Sized>(
+/// ρ of every point under the query's kernel: [`rho_one`] for the cut-off
+/// kernel, [`weighted_rho_one`] otherwise, on the query's workers. Returns
+/// the densities and the merged traversal statistics, which an enabled
+/// recorder also receives as the `query.rho.*` counters.
+pub fn rho<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
-    dc: f64,
-) -> Vec<Rho> {
-    rho_query_with_stats(tree, dataset, dc).0
-}
-
-/// [`rho_query`] that also returns aggregate traversal statistics.
-pub fn rho_query_with_stats<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
+    query: &Query<'_>,
 ) -> (Vec<Rho>, QueryStats) {
-    rho_query_with_policy(tree, dataset, dc, ExecPolicy::Sequential)
-}
-
-/// [`rho_query`] under an explicit execution policy: the per-point queries
-/// are partitioned across worker threads, each with its own [`QueryScratch`],
-/// and the per-worker statistics are merged in chunk order after the join.
-/// Results are bit-identical to the sequential query.
-pub fn rho_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    policy: ExecPolicy,
-) -> (Vec<Rho>, QueryStats) {
-    let mut rho = vec![0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice(&mut rho, policy, QueryScratch::new, |p, scratch| {
-        rho_one(tree, dataset, p, dc, scratch)
-    });
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    (rho, stats)
-}
-
-/// [`rho_query_with_policy`] reporting telemetry to `rec`: one
-/// `query.rho.chunk` span per worker plus the aggregated [`QueryStats`]
-/// counters under the `query.rho` prefix. Results are bit-identical to the
-/// unrecorded query.
-pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    policy: ExecPolicy,
-    rec: &dyn dpc_obs::Recorder,
-) -> (Vec<Rho>, QueryStats) {
-    let mut rho = vec![0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice_recorded(
-        &mut rho,
-        policy,
-        rec,
-        "query.rho.chunk",
-        QueryScratch::new,
-        |p, scratch| rho_one(tree, dataset, p, dc, scratch),
-    );
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    stats.publish(rec, "query.rho");
+    let (n, dc, kernel) = (dataset.len(), query.dc, query.kernel);
+    let (rho, scratches) = if kernel.is_cutoff() {
+        query.fill_rho(n, QueryScratch::new, |p, scratch| {
+            rho_one(tree, dataset, p, dc, scratch)
+        })
+    } else {
+        query.fill_rho(n, QueryScratch::new, |p, scratch| {
+            weighted_rho_one(tree, dataset, p, dc, kernel, scratch)
+        })
+    };
+    let stats = QueryStats::sum(&scratches);
+    stats.publish(query.recorder, "query.rho");
     (rho, stats)
 }
 
@@ -266,33 +238,6 @@ pub fn rho_one<T: SpatialPartition + ?Sized>(
     (count.saturating_sub(1)) as Rho
 }
 
-/// Computes kernel-weighted ρ for every point under an explicit execution
-/// policy — the tree-accelerated implementation behind every tree index's
-/// [`dpc_core::DpcIndex::rho_kernel_with_policy`] override for non-cutoff
-/// kernels.
-///
-/// Bit-identical to [`dpc_core::index::weighted_rho_scan`] at every thread
-/// count: each point's mass is summed in ascending neighbour-id order with
-/// the same `dx² + dy²` distance arithmetic, so the traversal only changes
-/// *which* pairs are examined, never the value produced.
-pub fn weighted_rho_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    kernel: Kernel,
-    policy: ExecPolicy,
-) -> (Vec<Rho>, QueryStats) {
-    let mut rho = vec![0.0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice(&mut rho, policy, QueryScratch::new, |p, scratch| {
-        weighted_rho_one(tree, dataset, p, dc, kernel, scratch)
-    });
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    (rho, stats)
-}
-
 /// Kernel-weighted ρ of a single point: sums `w(d)` over all points strictly
 /// within `dc`, excluding the point itself.
 ///
@@ -301,7 +246,7 @@ pub fn weighted_rho_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
 /// [`eps_query`]: prune nodes entirely outside the circle (and nodes emptied
 /// by deletions), scan surviving leaves. Collected `(id, d²)` pairs are
 /// sorted by id and summed ascending, the canonical order of
-/// [`dpc_core::index::weighted_rho_scan`], so the result is bit-identical to
+/// [`dpc_core::brute::weighted_rho_scan`], so the result is bit-identical to
 /// the brute-force scan.
 pub fn weighted_rho_one<T: SpatialPartition + ?Sized>(
     tree: &T,
@@ -421,118 +366,25 @@ pub fn subtree_max_density<T: SpatialPartition + ?Sized>(tree: &T, rho: &[Rho]) 
     maxrho
 }
 
-/// Computes δ and µ for every point of the dataset.
-///
-/// `maxrho` must come from [`subtree_max_density`] for the same `rho` the
-/// `order` was built from.
-pub fn delta_query<T: SpatialPartition + Sync + ?Sized>(
+/// δ and µ of every point under the density order of `rho`: the
+/// best-first [`delta_one`] with `config`'s pruning, on the query's workers.
+/// Returns the result and the merged traversal statistics, which an enabled
+/// recorder also receives as the `query.delta.*` counters.
+pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
+    rho: &[Rho],
     config: &DeltaQueryConfig,
-) -> DeltaResult {
-    delta_query_with_stats(tree, dataset, order, maxrho, config).0
-}
-
-/// [`delta_query`] that also returns aggregate traversal statistics.
-pub fn delta_query_with_stats<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
+    query: &Query<'_>,
 ) -> (DeltaResult, QueryStats) {
-    delta_query_with_policy(tree, dataset, order, maxrho, config, ExecPolicy::Sequential)
-}
-
-/// [`delta_query`] under an explicit execution policy; see
-/// [`rho_query_with_policy`] for the parallel contract.
-pub fn delta_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
-    policy: ExecPolicy,
-) -> (DeltaResult, QueryStats) {
-    let n = dataset.len();
-    debug_assert_eq!(order.len(), n);
-    let mut result = DeltaResult::unset(n);
-    let scratches = exec::fill_slice_pair(
-        &mut result.delta,
-        &mut result.mu,
-        policy,
-        QueryScratch::new,
-        |p, delta_slot, mu_slot, scratch| {
-            let (delta, mu) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
-            *delta_slot = delta;
-            *mu_slot = mu;
-        },
-    );
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
+    let order = DensityOrder::new(rho);
+    let maxrho = subtree_max_density(tree, rho);
+    let (result, scratches) = query.fill_delta(dataset.len(), QueryScratch::new, |p, scratch| {
+        delta_one(tree, dataset, &order, &maxrho, p, config, scratch)
+    });
+    let stats = QueryStats::sum(&scratches);
+    stats.publish(query.recorder, "query.delta");
     (result, stats)
-}
-
-/// [`delta_query_with_policy`] reporting telemetry to `rec`: one
-/// `query.delta.chunk` span per worker plus the aggregated [`QueryStats`]
-/// counters under the `query.delta` prefix. Results are bit-identical to the
-/// unrecorded query.
-pub fn delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
-    policy: ExecPolicy,
-    rec: &dyn dpc_obs::Recorder,
-) -> (DeltaResult, QueryStats) {
-    let n = dataset.len();
-    debug_assert_eq!(order.len(), n);
-    let mut result = DeltaResult::unset(n);
-    let scratches = exec::fill_slice_pair_recorded(
-        &mut result.delta,
-        &mut result.mu,
-        policy,
-        rec,
-        "query.delta.chunk",
-        QueryScratch::new,
-        |p, delta_slot, mu_slot, scratch| {
-            let (delta, mu) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
-            *delta_slot = delta;
-            *mu_slot = mu;
-        },
-    );
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    stats.publish(rec, "query.delta");
-    (result, stats)
-}
-
-/// The full ρ→δ query pipeline with telemetry: recorded ρ-query, density
-/// order, `maxrho` annotation, recorded δ-query. This is the single
-/// implementation behind every tree index's
-/// [`dpc_core::DpcIndex::rho_delta_observed`] override.
-#[allow(clippy::too_many_arguments)]
-pub fn rho_delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    tie_break: TieBreak,
-    config: &DeltaQueryConfig,
-    policy: ExecPolicy,
-    rec: &dyn dpc_obs::Recorder,
-) -> (Vec<Rho>, DeltaResult) {
-    let (rho, _) = rho_query_recorded(tree, dataset, dc, policy, rec);
-    let order = DensityOrder::with_tie_break(&rho, tie_break);
-    let maxrho = subtree_max_density(tree, &rho);
-    let (delta, _) = delta_query_recorded(tree, dataset, &order, &maxrho, config, policy, rec);
-    (rho, delta)
 }
 
 /// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin²`.
@@ -646,25 +498,21 @@ mod tests {
     use crate::common::check_partition_invariants;
     use crate::testutil::FlatPartition;
     use dpc_core::naive_reference::NaiveReferenceIndex;
-    use dpc_core::DpcIndex;
+    use dpc_core::{DpcIndex, ExecPolicy};
     use dpc_datasets::generators::{query as query_dataset, s1};
-
-    fn reference(data: &Dataset, dc: f64) -> (Vec<Rho>, DeltaResult) {
-        NaiveReferenceIndex::build(data).rho_delta(dc).unwrap()
-    }
 
     #[test]
     fn generic_queries_match_reference_on_flat_partition() {
         let data = s1(7, 0.04).into_dataset(); // 200 points
         let part = FlatPartition::strips(&data, 120_000.0);
         check_partition_invariants(&part, &data);
+        let config = DeltaQueryConfig::default();
         for dc in [10_000.0, 60_000.0, 400_000.0] {
-            let (ref_rho, ref_delta) = reference(&data, dc);
-            let rho = rho_query(&part, &data, dc);
+            let query = Query::new(dc);
+            let (ref_rho, ref_delta) = NaiveReferenceIndex::build(&data).rho_delta(&query).unwrap();
+            let (rho, _) = rho(&part, &data, &query);
             assert_eq!(rho, ref_rho, "dc = {dc}");
-            let order = DensityOrder::new(&rho);
-            let maxrho = subtree_max_density(&part, &rho);
-            let deltas = delta_query(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
+            let (deltas, _) = delta(&part, &data, &rho, &config, &query);
             assert_eq!(deltas, ref_delta, "dc = {dc}");
         }
     }
@@ -673,22 +521,18 @@ mod tests {
     fn parallel_queries_are_bit_identical_to_sequential() {
         let data = query_dataset(3, 0.004).into_dataset(); // 200 points
         let part = FlatPartition::strips(&data, 0.05);
-        let dc = 0.02;
-        let (seq_rho, seq_rho_stats) = rho_query_with_stats(&part, &data, dc);
-        let order = DensityOrder::new(&seq_rho);
-        let maxrho = subtree_max_density(&part, &seq_rho);
+        let seq = Query::new(0.02);
         let config = DeltaQueryConfig::default();
-        let (seq_delta, seq_delta_stats) =
-            delta_query_with_stats(&part, &data, &order, &maxrho, &config);
+        let (seq_rho, seq_rho_stats) = rho(&part, &data, &seq);
+        let (seq_delta, seq_delta_stats) = delta(&part, &data, &seq_rho, &config, &seq);
         for threads in [1usize, 2, 3, 7, 64] {
-            let policy = ExecPolicy::Threads(threads);
-            let (rho, rho_stats) = rho_query_with_policy(&part, &data, dc, policy);
-            assert_eq!(rho, seq_rho, "threads = {threads}");
+            let query = seq.with_exec(ExecPolicy::Threads(threads));
+            let (par_rho, rho_stats) = rho(&part, &data, &query);
+            assert_eq!(par_rho, seq_rho, "threads = {threads}");
             assert_eq!(rho_stats, seq_rho_stats, "threads = {threads}");
-            let (delta, delta_stats) =
-                delta_query_with_policy(&part, &data, &order, &maxrho, &config, policy);
-            assert_eq!(delta.delta, seq_delta.delta, "threads = {threads}");
-            assert_eq!(delta.mu, seq_delta.mu, "threads = {threads}");
+            let (par_delta, delta_stats) = delta(&part, &data, &seq_rho, &config, &query);
+            assert_eq!(par_delta.delta, seq_delta.delta, "threads = {threads}");
+            assert_eq!(par_delta.mu, seq_delta.mu, "threads = {threads}");
             // Distance pruning's "rest of the heap" counter depends on how
             // many nodes are still queued at the early exit, which is
             // per-point state — identical regardless of the partitioning.
@@ -700,20 +544,12 @@ mod tests {
     fn disabling_pruning_gives_identical_results_but_more_work() {
         let data = query_dataset(13, 0.006).into_dataset(); // 300 points
         let part = FlatPartition::strips(&data, 0.07);
-        let dc = 0.02;
-        let rho = rho_query(&part, &data, dc);
-        let order = DensityOrder::new(&rho);
-        let maxrho = subtree_max_density(&part, &rho);
-
-        let (with_pruning, stats_pruned) =
-            delta_query_with_stats(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
-        let (without_pruning, stats_full) = delta_query_with_stats(
-            &part,
-            &data,
-            &order,
-            &maxrho,
-            &DeltaQueryConfig::no_pruning(),
-        );
+        let query = Query::new(0.02);
+        let (rho, _) = rho(&part, &data, &query);
+        let pruned = DeltaQueryConfig::default();
+        let (with_pruning, stats_pruned) = delta(&part, &data, &rho, &pruned, &query);
+        let exhaustive = DeltaQueryConfig::no_pruning();
+        let (without_pruning, stats_full) = delta(&part, &data, &rho, &exhaustive, &query);
 
         assert_eq!(with_pruning.mu, without_pruning.mu);
         assert!(
@@ -725,26 +561,18 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rho_query_matches_scan_and_is_thread_invariant() {
+    fn weighted_rho_matches_scan_and_is_thread_invariant() {
         let data = query_dataset(5, 0.004).into_dataset(); // 200 points
         let part = FlatPartition::strips(&data, 0.05);
-        let dc = 0.02;
         for kernel in [Kernel::gaussian(0.01), Kernel::exponential(0.02)] {
-            let expected =
-                dpc_core::index::weighted_rho_scan(&data, dc, kernel, ExecPolicy::Sequential)
-                    .unwrap();
-            let (seq, stats) =
-                weighted_rho_query_with_policy(&part, &data, dc, kernel, ExecPolicy::Sequential);
+            let query = Query::new(0.02).with_kernel(kernel);
+            let expected = brute::weighted_rho_scan(&data, &query);
+            let (seq, stats) = rho(&part, &data, &query);
             assert_eq!(seq, expected, "{}", kernel.name());
             assert!(stats.nodes_discarded > 0, "traversal must prune");
             for threads in [2usize, 7] {
-                let (par, _) = weighted_rho_query_with_policy(
-                    &part,
-                    &data,
-                    dc,
-                    kernel,
-                    ExecPolicy::Threads(threads),
-                );
+                let threaded = query.with_exec(ExecPolicy::Threads(threads));
+                let (par, _) = rho(&part, &data, &threaded);
                 assert_eq!(par, seq, "{} threads = {threads}", kernel.name());
             }
         }
@@ -754,10 +582,10 @@ mod tests {
     fn rho_query_prunes_disjoint_and_contained_nodes() {
         let data = s1(19, 0.04).into_dataset();
         let part = FlatPartition::strips(&data, 100_000.0);
-        let (_, stats_small) = rho_query_with_stats(&part, &data, 5_000.0);
+        let (_, stats_small) = rho(&part, &data, &Query::new(5_000.0));
         assert!(stats_small.nodes_discarded > 0);
         let diameter = data.bbox_diameter() * 1.01;
-        let (rho_l, stats_large) = rho_query_with_stats(&part, &data, diameter);
+        let (rho_l, stats_large) = rho(&part, &data, &Query::new(diameter));
         assert!(stats_large.nodes_fully_contained > 0);
         assert!(rho_l.iter().all(|&r| r as usize == data.len() - 1));
     }
@@ -766,7 +594,7 @@ mod tests {
     fn subtree_max_density_is_max_over_members() {
         let data = s1(23, 0.02).into_dataset();
         let part = FlatPartition::strips(&data, 150_000.0);
-        let rho = rho_query(&part, &data, 40_000.0);
+        let (rho, _) = rho(&part, &data, &Query::new(40_000.0));
         let maxrho = subtree_max_density(&part, &rho);
         let root = part.root().unwrap();
         assert_eq!(maxrho[root], rho.iter().copied().fold(0.0f64, f64::max));
@@ -790,7 +618,7 @@ mod tests {
             (dpc_core::Point::new(0.0, 0.0), 90_000.0),
         ] {
             let got = eps_query(&part, &data, center, eps);
-            let expected = dpc_core::index::eps_neighbors_scan(&data, center, eps).unwrap();
+            let expected = brute::eps_neighbors_scan(&data, center, eps).unwrap();
             assert_eq!(got, expected, "eps = {eps}");
         }
     }
@@ -799,11 +627,10 @@ mod tests {
     fn empty_tree_queries_are_empty() {
         let data = Dataset::new(vec![]);
         let part = FlatPartition::strips(&data, 1.0);
-        assert!(rho_query(&part, &data, 1.0).is_empty());
-        let rho: Vec<Rho> = vec![];
-        let order = DensityOrder::new(&rho);
-        let maxrho = subtree_max_density(&part, &rho);
-        let deltas = delta_query(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
+        let query = Query::new(1.0);
+        let (rho, _) = rho(&part, &data, &query);
+        assert!(rho.is_empty());
+        let (deltas, _) = delta(&part, &data, &rho, &DeltaQueryConfig::default(), &query);
         assert!(deltas.is_empty());
     }
 

@@ -34,17 +34,15 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::validate_dc;
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DensityOrder, DpcError, DpcIndex, ExecPolicy, IndexStats,
-    Kernel, Point, PointId, Result, Rho, TieBreak, Timer, UpdatableIndex,
+    BoundingBox, Dataset, DeltaResult, DpcError, DpcIndex, IndexStats, Point, PointId, Query,
+    Result, Rho, UpdatableIndex,
 };
+use dpc_obs::Timer;
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{
-    delta_query_with_policy, eps_query, rho_delta_query_recorded, rho_query_with_policy,
-    subtree_max_density, weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+use crate::query::{self as tree_query, eps_query, DeltaQueryConfig};
 
 /// Configuration of an [`RTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,8 +50,6 @@ pub struct RTreeConfig {
     /// Maximum number of entries per node (`M`), for both leaves and internal
     /// nodes.
     pub node_capacity: usize,
-    /// Tie-break rule of the density order.
-    pub tie_break: TieBreak,
     /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
     pub delta: DeltaQueryConfig,
     /// Minimum fill fraction `m/M ∈ (0, 0.5]`: a leaf that drops below
@@ -70,7 +66,6 @@ impl Default for RTreeConfig {
     fn default() -> Self {
         RTreeConfig {
             node_capacity: 32,
-            tie_break: TieBreak::default(),
             delta: DeltaQueryConfig::default(),
             min_fill: 0.3,
             reinsert_fraction: 0.3,
@@ -198,56 +193,6 @@ impl RTree {
     /// Nodes dissolved by underflow handling so far.
     pub fn nodes_dissolved(&self) -> u64 {
         self.nodes_dissolved
-    }
-
-    /// ρ-query that also reports traversal statistics.
-    pub fn rho_with_stats(&self, dc: f64) -> Result<(Vec<Rho>, QueryStats)> {
-        self.rho_with_stats_policy(dc, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_with_stats`](Self::rho_with_stats) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn rho_with_stats_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, QueryStats)> {
-        validate_dc(dc)?;
-        Ok(rho_query_with_policy(self, &self.dataset, dc, policy))
-    }
-
-    /// δ-query with an explicit pruning configuration, reporting traversal
-    /// statistics.
-    pub fn delta_with_config(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        self.delta_with_config_policy(dc, rho, config, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_with_config`](Self::delta_with_config) under an explicit
-    /// execution policy.
-    pub fn delta_with_config_policy(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-        policy: ExecPolicy,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.config.tie_break);
-        let maxrho = subtree_max_density(self, rho);
-        Ok(delta_query_with_policy(
-            self,
-            &self.dataset,
-            &order,
-            &maxrho,
-            config,
-            policy,
-        ))
     }
 
     /// Removes `child` from `parent`'s child list and frees its arena slot.
@@ -817,54 +762,15 @@ impl DpcIndex for RTree {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_stats(dc).map(|(rho, _)| rho)
+    fn rho(&self, query: &Query<'_>) -> Result<Vec<Rho>> {
+        query.validate()?;
+        Ok(tree_query::rho(self, &self.dataset, query).0)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_config(dc, rho, &self.config.delta)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        self.rho_with_stats_policy(dc, policy).map(|(rho, _)| rho)
-    }
-
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        validate_dc(dc)?;
-        kernel.validate()?;
-        Ok(weighted_rho_query_with_policy(self, &self.dataset, dc, kernel, policy).0)
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        self.delta_with_config_policy(dc, rho, &self.config.delta, policy)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        validate_dc(dc)?;
-        Ok(rho_delta_query_recorded(
-            self,
-            &self.dataset,
-            dc,
-            self.config.tie_break,
-            &self.config.delta,
-            policy,
-            rec,
-        ))
+    fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        query.validate_delta(rho, self.dataset.len())?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -896,10 +802,6 @@ impl DpcIndex for RTree {
             .with_counter("forced_reinserts", self.forced_reinserts)
             .with_counter("node_splits", self.node_splits)
             .with_counter("nodes_dissolved", self.nodes_dissolved)
-    }
-
-    fn tie_break(&self) -> TieBreak {
-        self.config.tie_break
     }
 }
 
@@ -1063,14 +965,14 @@ mod tests {
     use super::*;
     use crate::quadtree::Quadtree;
     use dpc_baseline::LeanDpc;
-    use dpc_core::index::eps_neighbors_scan;
+    use dpc_core::brute::eps_neighbors_scan;
     use dpc_datasets::generators::{checkins, range, s1, CheckinConfig};
     use dpc_datasets::testsupport::{test_points, TestDistribution};
 
     fn assert_matches_baseline(data: &Dataset, tree: &RTree, dc: f64) {
         let baseline = LeanDpc::build(data);
-        let (r1, d1) = tree.rho_delta(dc).unwrap();
-        let (r2, d2) = baseline.rho_delta(dc).unwrap();
+        let (r1, d1) = tree.rho_delta(&Query::new(dc)).unwrap();
+        let (r2, d2) = baseline.rho_delta(&Query::new(dc)).unwrap();
         assert_eq!(r1, r2, "rho mismatch at dc = {dc}");
         assert_eq!(d1, d2, "delta/mu mismatch at dc = {dc}");
     }
@@ -1137,8 +1039,8 @@ mod tests {
         let rtree = RTree::build(&data);
         let quadtree = Quadtree::build(&data);
         for dc in [500.0, 2_200.0, 10_000.0] {
-            let (r1, d1) = rtree.rho_delta(dc).unwrap();
-            let (r2, d2) = quadtree.rho_delta(dc).unwrap();
+            let (r1, d1) = rtree.rho_delta(&Query::new(dc)).unwrap();
+            let (r2, d2) = quadtree.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(r1, r2);
             assert_eq!(d1.mu, d2.mu);
         }
@@ -1160,14 +1062,12 @@ mod tests {
     fn pruning_reduces_work_but_not_results() {
         let data = s1(157, 0.1).into_dataset(); // 500 points
         let tree = RTree::build(&data);
-        let dc = 30_000.0;
-        let rho = tree.rho(dc).unwrap();
-        let (d_pruned, s_pruned) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::default())
-            .unwrap();
-        let (d_full, s_full) = tree
-            .delta_with_config(dc, &rho, &DeltaQueryConfig::no_pruning())
-            .unwrap();
+        let query = Query::new(30_000.0);
+        let (rho, _) = tree_query::rho(&tree, &data, &query);
+        let pruned = DeltaQueryConfig::default();
+        let (d_pruned, s_pruned) = tree_query::delta(&tree, &data, &rho, &pruned, &query);
+        let exhaustive = DeltaQueryConfig::no_pruning();
+        let (d_full, s_full) = tree_query::delta(&tree, &data, &rho, &exhaustive, &query);
         assert_eq!(d_pruned.mu, d_full.mu);
         assert!(s_pruned.points_scanned < s_full.points_scanned);
     }
@@ -1184,11 +1084,11 @@ mod tests {
     fn empty_and_single_point_trees() {
         let empty = RTree::build(&Dataset::new(vec![]));
         assert_eq!(empty.num_nodes(), 0);
-        assert!(empty.rho(1.0).unwrap().is_empty());
+        assert!(empty.rho(&Query::new(1.0)).unwrap().is_empty());
 
         let single = RTree::build(&Dataset::new(vec![dpc_core::Point::new(3.0, 4.0)]));
         single.check_structure();
-        let (rho, deltas) = single.rho_delta(1.0).unwrap();
+        let (rho, deltas) = single.rho_delta(&Query::new(1.0)).unwrap();
         assert_eq!(rho, vec![0.0]);
         assert_eq!(deltas.mu(0), None);
     }
@@ -1218,8 +1118,8 @@ mod tests {
         for dc in [0.05, 0.4, 20.0] {
             assert_matches_baseline(tree.dataset(), &tree, dc);
             let fresh = RTree::build(tree.dataset());
-            let (r1, d1) = tree.rho_delta(dc).unwrap();
-            let (r2, d2) = fresh.rho_delta(dc).unwrap();
+            let (r1, d1) = tree.rho_delta(&Query::new(dc)).unwrap();
+            let (r2, d2) = fresh.rho_delta(&Query::new(dc)).unwrap();
             assert_eq!(r1, r2, "rho vs fresh build at dc = {dc}");
             assert_eq!(d1, d2, "delta vs fresh build at dc = {dc}");
         }
@@ -1349,9 +1249,9 @@ mod tests {
             tree.remove(tree.len() / 2).unwrap();
         }
         assert_eq!(tree.root(), None);
-        assert!(tree.rho(1.0).unwrap().is_empty());
+        assert!(tree.rho(&Query::new(1.0)).unwrap().is_empty());
         tree.insert(Point::new(1.0, 2.0)).unwrap();
-        assert_eq!(tree.rho(1.0).unwrap(), vec![0.0]);
+        assert_eq!(tree.rho(&Query::new(1.0)).unwrap(), vec![0.0]);
     }
 
     #[test]

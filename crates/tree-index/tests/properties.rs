@@ -7,11 +7,11 @@
 //! the same geometry.
 
 use dpc_baseline::LeanDpc;
-use dpc_core::index::{eps_neighbors_scan, weighted_rho_scan};
-use dpc_core::{Dataset, DensityOrder, DpcIndex, ExecPolicy, Kernel, UpdatableIndex};
+use dpc_core::brute::{eps_neighbors_scan, weighted_rho_scan};
+use dpc_core::{Dataset, DensityOrder, DpcIndex, ExecPolicy, Kernel, Query, UpdatableIndex};
 use dpc_datasets::testsupport::{test_points, TestDistribution, ALL_DISTRIBUTIONS};
 use dpc_tree_index::common::check_partition_invariants;
-use dpc_tree_index::query::{rho_query, subtree_max_density};
+use dpc_tree_index::query::{self as tree_query, subtree_max_density};
 use dpc_tree_index::{
     DeltaQueryConfig, GridConfig, GridIndex, KdTree, KdTreeConfig, Quadtree, QuadtreeConfig, RTree,
     RTreeConfig, SpatialPartition,
@@ -98,7 +98,7 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let baseline = LeanDpc::build(&data);
-        let (ref_rho, ref_delta) = baseline.rho_delta(dc).unwrap();
+        let (ref_rho, ref_delta) = baseline.rho_delta(&Query::new(dc)).unwrap();
 
         let quadtree = Quadtree::build(&data);
         let rtree = RTree::build(&data);
@@ -111,7 +111,7 @@ proptest! {
             ("grid", &grid),
         ];
         for (name, tree) in trees {
-            let (rho, delta) = tree.rho_delta(dc).unwrap();
+            let (rho, delta) = tree.rho_delta(&Query::new(dc)).unwrap();
             prop_assert_eq!(&rho, &ref_rho, "{} rho", name);
             prop_assert_eq!(&delta.mu, &ref_delta.mu, "{} mu", name);
         }
@@ -140,12 +140,12 @@ proptest! {
             ("grid", &grid),
         ];
         for kernel in [Kernel::gaussian(bandwidth), Kernel::exponential(bandwidth)] {
-            let reference = weighted_rho_scan(&data, dc, kernel, ExecPolicy::Sequential).unwrap();
+            let query = Query::new(dc).with_kernel(kernel);
+            let reference = weighted_rho_scan(&data, &query);
             for (name, tree) in trees {
                 for threads in [1usize, 4] {
-                    let rho = tree
-                        .rho_kernel_with_policy(dc, kernel, ExecPolicy::Threads(threads))
-                        .unwrap();
+                    let threaded = query.with_exec(ExecPolicy::Threads(threads));
+                    let rho = tree.rho(&threaded).unwrap();
                     prop_assert_eq!(
                         &rho, &reference,
                         "{} {} threads={}", name, kernel.name(), threads
@@ -154,9 +154,9 @@ proptest! {
             }
         }
         for (name, tree) in trees {
-            let counted = tree.rho(dc).unwrap();
-            let cutoff = tree.rho_kernel(dc, Kernel::Cutoff).unwrap();
-            prop_assert_eq!(&cutoff, &counted, "{} cutoff kernel", name);
+            let counted = tree.rho(&Query::new(dc)).unwrap();
+            let weighted_cutoff = weighted_rho_scan(&data, &Query::new(dc));
+            prop_assert_eq!(&weighted_cutoff, &counted, "{} cutoff kernel", name);
         }
     }
 
@@ -167,7 +167,7 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let tree = RTree::build(&data);
-        let rho = rho_query(&tree, &data, dc);
+        let (rho, _) = tree_query::rho(&tree, &data, &Query::new(dc));
         let maxrho = subtree_max_density(&tree, &rho);
         // For every node, maxrho equals the maximum density of the points in
         // its subtree (checked by walking leaves).
@@ -194,16 +194,17 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let tree = Quadtree::build(&data);
-        let rho = DpcIndex::rho(&tree, dc).unwrap();
+        let query = Query::new(dc);
+        let rho = DpcIndex::rho(&tree, &query).unwrap();
         let configs = [
             DeltaQueryConfig::default(),
             DeltaQueryConfig { density_pruning: true, distance_pruning: false },
             DeltaQueryConfig { density_pruning: false, distance_pruning: true },
             DeltaQueryConfig::no_pruning(),
         ];
-        let reference = tree.delta_with_config(dc, &rho, &configs[3]).unwrap().0;
+        let (reference, _) = tree_query::delta(&tree, &data, &rho, &configs[3], &query);
         for config in &configs[..3] {
-            let (result, _) = tree.delta_with_config(dc, &rho, config).unwrap();
+            let (result, _) = tree_query::delta(&tree, &data, &rho, config, &query);
             prop_assert_eq!(&result, &reference);
         }
     }
@@ -220,7 +221,7 @@ proptest! {
             Box::new(KdTree::build(&data)),
             Box::new(GridIndex::build(&data)),
         ] {
-            let (rho, delta) = tree.rho_delta(dc).unwrap();
+            let (rho, delta) = tree.rho_delta(&Query::new(dc)).unwrap();
             let order = DensityOrder::new(&rho);
             delta.validate(&order).unwrap();
         }
@@ -269,9 +270,9 @@ proptest! {
         }
         if kd.len() > 0 {
             let baseline = LeanDpc::build(kd.dataset());
-            let (ref_rho, ref_delta) = baseline.rho_delta(40.0).unwrap();
+            let (ref_rho, ref_delta) = baseline.rho_delta(&Query::new(40.0)).unwrap();
             for tree in [&kd as &dyn DpcIndex, &rt] {
-                let (rho, delta) = tree.rho_delta(40.0).unwrap();
+                let (rho, delta) = tree.rho_delta(&Query::new(40.0)).unwrap();
                 prop_assert_eq!(&rho, &ref_rho, "{} rho after updates", tree.name());
                 prop_assert_eq!(&delta.mu, &ref_delta.mu, "{} mu after updates", tree.name());
             }

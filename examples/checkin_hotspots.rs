@@ -37,7 +37,7 @@ fn main() {
         // user would apply on the decision graph: a centre has above-average
         // density and is itself a peak at scale dc (its nearest denser point
         // is farther than dc away).
-        let rho = index.rho(dc).expect("rho query");
+        let rho = index.rho(&Query::new(dc)).expect("rho query");
         let mean_rho = (rho.iter().sum::<f64>() / rho.len() as f64).ceil();
         let params = DpcParams::new(dc).with_centers(CenterSelection::Threshold {
             rho_min: mean_rho.max(1.0),

@@ -29,7 +29,7 @@ fn main() {
 
     let mut report = |name: &str, index: &dyn DpcIndex, build_ms: f64| {
         let start = Instant::now();
-        let (rho, deltas) = index.rho_delta(dc).expect("query failed");
+        let (rho, deltas) = index.rho_delta(&Query::new(dc)).expect("query failed");
         let query_ms = start.elapsed().as_secs_f64() * 1e3;
         println!(
             "{:<12} {:>14.2} {:>14.2} {:>14.1}",

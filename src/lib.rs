@@ -53,10 +53,10 @@ pub use dpc_tree_index as tree_index;
 
 /// The most commonly used items, re-exported for `use density_peaks::prelude::*`.
 pub mod prelude {
-    pub use dpc_baseline::{LeanDpc, MatrixDpc, ParallelDpc};
+    pub use dpc_baseline::{LeanDpc, MatrixDpc};
     pub use dpc_core::{
         cluster_with_index, estimate_dc, CenterSelection, Clustering, Dataset, DcEstimation,
-        DpcIndex, DpcParams, DpcPipeline, Point, TieBreak, UpdatableIndex,
+        DpcIndex, DpcParams, DpcPipeline, ExecPolicy, Point, Query, UpdatableIndex,
     };
     pub use dpc_datasets::{DatasetKind, DatasetSpec};
     pub use dpc_list_index::{ChIndex, KnnDpc, ListIndex};

@@ -28,8 +28,8 @@ proptest! {
         let data = Dataset::from_coords(points);
         let exact = ListIndex::build(&data);
         let approx = ListIndex::build_approx(&data, tau);
-        let rho_exact = exact.rho(dc).unwrap();
-        let rho_approx = approx.rho(dc).unwrap();
+        let rho_exact = exact.rho(&Query::new(dc)).unwrap();
+        let rho_approx = approx.rho(&Query::new(dc)).unwrap();
         for p in 0..data.len() {
             prop_assert!(rho_approx[p] <= rho_exact[p], "over-count at {}", p);
             if dc <= tau {
@@ -49,9 +49,9 @@ proptest! {
         let approx = ListIndex::build_approx(&data, tau);
         // Compare under the same densities (use the exact ones so the density
         // order is identical and only the neighbour truncation differs).
-        let rho = exact.rho(dc.min(tau)).unwrap();
-        let d_exact = exact.delta(dc.min(tau), &rho).unwrap();
-        let d_approx = approx.delta(dc.min(tau), &rho).unwrap();
+        let rho = exact.rho(&Query::new(dc.min(tau))).unwrap();
+        let d_exact = exact.delta(&Query::new(dc.min(tau)), &rho).unwrap();
+        let d_approx = approx.delta(&Query::new(dc.min(tau)), &rho).unwrap();
         for p in 0..data.len() {
             if let Some(q_exact) = d_exact.mu(p) {
                 if d_exact.delta(p) < tau {
@@ -82,8 +82,8 @@ proptest! {
         let tau = data.bbox_diameter() + 1.0;
         let exact = ListIndex::build(&data);
         let approx = ListIndex::build_approx(&data, tau);
-        let (rho_e, delta_e) = exact.rho_delta(dc).unwrap();
-        let (rho_a, delta_a) = approx.rho_delta(dc).unwrap();
+        let (rho_e, delta_e) = exact.rho_delta(&Query::new(dc)).unwrap();
+        let (rho_a, delta_a) = approx.rho_delta(&Query::new(dc)).unwrap();
         prop_assert_eq!(rho_a, rho_e);
         // Every stored list now contains every other point, so even the
         // global peak's delta matches (it is the max distance in both).
@@ -105,7 +105,7 @@ proptest! {
         let data = Dataset::from_coords(points);
         let list = ListIndex::build_approx(&data, tau);
         let ch = ChIndex::build_approx(&data, w, tau);
-        prop_assert_eq!(list.rho(dc).unwrap(), ch.rho(dc).unwrap());
+        prop_assert_eq!(list.rho(&Query::new(dc)).unwrap(), ch.rho(&Query::new(dc)).unwrap());
     }
 }
 

@@ -7,11 +7,12 @@
 //! means bit for bit, including on inputs planted ulps away from every
 //! decision of the distance contract (`dpc_core::metric`).
 
+use density_peaks::core::brute::weighted_rho_scan;
 use density_peaks::core::naive_reference::NaiveReferenceIndex;
-use density_peaks::core::ExecPolicy;
+use density_peaks::core::obs::{MetricsRecorder, NoopRecorder, Recorder};
+use density_peaks::core::Kernel;
 use density_peaks::datasets::testsupport::ulp_adversarial_points;
 use density_peaks::prelude::*;
-use dpc_baseline::MatrixDpc;
 use proptest::prelude::*;
 
 /// Strategy: between 2 and 60 points with coordinates in [-100, 100].
@@ -24,16 +25,23 @@ fn dc_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![0.01f64..1.0, 1.0f64..50.0, 50.0f64..400.0]
 }
 
-fn all_exact_indices(data: &Dataset) -> Vec<(&'static str, Box<dyn DpcIndex>)> {
+/// CH bin width for the tests that do not plant points at bin edges.
+const BIN_WIDTH: f64 = 7.5;
+
+/// Every exact index: the lean brute-force baseline, the matrix, the lists,
+/// CH at bin width `w` and at a fifteenth of it, and the four spatial
+/// indexes. Each test compares all of them with the naive reference.
+fn exact_indexes(data: &Dataset, w: f64) -> Vec<(&'static str, Box<dyn DpcIndex>)> {
     vec![
+        ("lean", Box::new(LeanDpc::build(data))),
+        ("matrix", Box::new(MatrixDpc::build(data))),
         ("list", Box::new(ListIndex::build(data))),
-        ("ch", Box::new(ChIndex::build(data, 7.5))),
-        ("ch-fine", Box::new(ChIndex::build(data, 0.5))),
+        ("ch", Box::new(ChIndex::build(data, w))),
+        ("ch-fine", Box::new(ChIndex::build(data, w / 15.0))),
         ("quadtree", Box::new(Quadtree::build(data))),
         ("rtree", Box::new(RTree::build(data))),
         ("kdtree", Box::new(KdTree::build(data))),
         ("grid", Box::new(GridIndex::build(data))),
-        ("matrix", Box::new(MatrixDpc::build(data))),
     ]
 }
 
@@ -43,34 +51,21 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Asserts that every exact index — the two brute-force baselines, the
-/// matrix, the lists, CH at bin width `w` and the four spatial indexes —
-/// returns ρ, δ and µ bit-identical to the naive reference at `dc`.
-fn assert_bit_identical_everywhere(data: &Dataset, dc: f64, w: f64) {
-    let (ref_rho, ref_delta) = NaiveReferenceIndex::build(data).rho_delta(dc).unwrap();
-    let indexes: Vec<(&str, Box<dyn DpcIndex>)> = vec![
-        ("lean", Box::new(LeanDpc::build(data))),
-        (
-            "parallel",
-            Box::new(ParallelDpc::build_with_threads(data, 3)),
-        ),
-        ("matrix", Box::new(MatrixDpc::build(data))),
-        ("list", Box::new(ListIndex::build(data))),
-        ("ch", Box::new(ChIndex::build(data, w))),
-        ("quadtree", Box::new(Quadtree::build(data))),
-        ("rtree", Box::new(RTree::build(data))),
-        ("kdtree", Box::new(KdTree::build(data))),
-        ("grid", Box::new(GridIndex::build(data))),
-    ];
-    for (name, index) in indexes {
-        let (rho, delta) = index.rho_delta(dc).unwrap();
-        assert_eq!(bits(&rho), bits(&ref_rho), "{name}: rho at dc = {dc:e}");
+/// Asserts that every exact index returns ρ, δ and µ bit-identical to the
+/// naive reference for `query`, with CH at bin width `w`.
+fn assert_bit_identical_everywhere(data: &Dataset, query: &Query<'_>, w: f64) {
+    let (ref_rho, ref_delta) = NaiveReferenceIndex::build(data).rho_delta(query).unwrap();
+    let what = |name: &str| format!("{name} at dc = {:e}, {query:?}", query.dc);
+    for (name, index) in exact_indexes(data, w) {
+        let (rho, delta) = index.rho_delta(query).unwrap();
+        assert_eq!(bits(&rho), bits(&ref_rho), "{}: rho", what(name));
         assert_eq!(
             bits(&delta.delta),
             bits(&ref_delta.delta),
-            "{name}: delta at dc = {dc:e}"
+            "{}: delta",
+            what(name)
         );
-        assert_eq!(delta.mu, ref_delta.mu, "{name}: mu at dc = {dc:e}");
+        assert_eq!(delta.mu, ref_delta.mu, "{}: mu", what(name));
     }
 }
 
@@ -99,8 +94,9 @@ fn rho_counts_a_pair_whose_root_rounds_to_dc_but_whose_square_is_inside() {
         let d2 = data.point(0).distance_squared(&data.point(1));
         assert_eq!(d2.sqrt(), dc, "2^{k}: the pair's distance rounds to dc");
         assert!(d2 < dc * dc, "2^{k}: the pair's square is inside dc²");
-        assert_eq!(LeanDpc::build(&data).rho(dc).unwrap(), vec![1.0, 1.0]);
-        assert_bit_identical_everywhere(&data, dc, dc / 3.0);
+        let query = Query::new(dc);
+        assert_eq!(LeanDpc::build(&data).rho(&query).unwrap(), vec![1.0, 1.0]);
+        assert_bit_identical_everywhere(&data, &query, dc / 3.0);
     }
 }
 
@@ -121,10 +117,11 @@ fn mu_takes_the_smaller_square_when_two_candidates_share_a_root() {
         );
         assert_eq!(da.to_bits(), db.to_bits() + 1, "2^{k}: one ulp apart");
         assert_eq!(da.sqrt(), db.sqrt(), "2^{k}: same root");
-        let (rho, delta) = LeanDpc::build(&data).rho_delta(0.05 * s).unwrap();
+        let query = Query::new(0.05 * s);
+        let (rho, delta) = LeanDpc::build(&data).rho_delta(&query).unwrap();
         assert_eq!(rho, vec![1.0, 1.0, 1.0, 1.0, 0.0]);
         assert_eq!((delta.mu(4), delta.delta(4)), (Some(1), s));
-        assert_bit_identical_everywhere(&data, 0.05 * s, 0.01 * s);
+        assert_bit_identical_everywhere(&data, &query, 0.01 * s);
     }
 }
 
@@ -143,9 +140,14 @@ fn ch_bin_edges_do_not_drift_from_the_multiples_of_the_bin_width() {
     for k in [-60, 0, 60] {
         let data = scaled(&points, k);
         let (dc, w) = (7.799999999999999 * 2f64.powi(k), 0.3 * 2f64.powi(k));
+        let query = Query::new(dc);
         let ch = ChIndex::build(&data, w);
-        assert_eq!(ch.rho(dc).unwrap(), vec![3.0, 4.0, 4.0, 4.0, 3.0], "2^{k}");
-        assert_bit_identical_everywhere(&data, dc, w);
+        assert_eq!(
+            ch.rho(&query).unwrap(),
+            vec![3.0, 4.0, 4.0, 4.0, 3.0],
+            "2^{k}"
+        );
+        assert_bit_identical_everywhere(&data, &query, w);
     }
 }
 
@@ -155,11 +157,11 @@ proptest! {
     #[test]
     fn every_exact_index_matches_the_baseline(points in points_strategy(), dc in dc_strategy()) {
         let data = Dataset::from_coords(points);
-        let baseline = LeanDpc::build(&data);
-        let (ref_rho, ref_delta) = baseline.rho_delta(dc).unwrap();
+        let query = Query::new(dc);
+        let (ref_rho, ref_delta) = NaiveReferenceIndex::build(&data).rho_delta(&query).unwrap();
 
-        for (name, index) in all_exact_indices(&data) {
-            let (rho, delta) = index.rho_delta(dc).unwrap();
+        for (name, index) in exact_indexes(&data, BIN_WIDTH) {
+            let (rho, delta) = index.rho_delta(&query).unwrap();
             prop_assert_eq!(&rho, &ref_rho, "rho mismatch for {}", name);
             prop_assert_eq!(&delta.mu, &ref_delta.mu, "mu mismatch for {}", name);
             prop_assert_eq!(
@@ -185,7 +187,7 @@ proptest! {
         let s = 2f64.powi(k as i32 - 40);
         let (dc, w) = (dc * s, dc / f64::from(bins_per_dc) * s);
         let data = Dataset::new(ulp_adversarial_points(dc, w, seed));
-        assert_bit_identical_everywhere(&data, dc, w);
+        assert_bit_identical_everywhere(&data, &Query::new(dc), w);
     }
 
     #[test]
@@ -193,30 +195,41 @@ proptest! {
         points in points_strategy(),
         dc in dc_strategy()
     ) {
-        // The parallel query engine partitions work over threads but runs
-        // exactly the same per-point code, so ρ, δ and µ must be
-        // bit-identical to the sequential query for every index and any
-        // thread count — including more threads than points (n is 2..60
-        // here, so threads = 7 regularly exceeds n).
+        // Neither the thread count, the kernel's accelerated traversal nor
+        // the recorder may change a result: every index under every query
+        // must return the naive reference's ρ, δ and µ bit for bit —
+        // including more threads than points (n is 2..60 here, so
+        // threads = 7 regularly exceeds n) — and weighted ρ must be the
+        // canonical brute-force scan.
         let data = Dataset::from_coords(points);
-        let mut indexes = all_exact_indices(&data);
-        indexes.push(("lean", Box::new(LeanDpc::build(&data))));
-        indexes.push(("parallel", Box::new(ParallelDpc::build_with_threads(&data, 4))));
-        for (name, index) in indexes {
-            let (seq_rho, seq_delta) = index.rho_delta(dc).unwrap();
-            for threads in [1usize, 2, 3, 7] {
-                let policy = ExecPolicy::Threads(threads);
-                let rho = index.rho_with_policy(dc, policy).unwrap();
-                let delta = index.delta_with_policy(dc, &rho, policy).unwrap();
-                prop_assert_eq!(&rho, &seq_rho, "rho differs for {} at {} threads", name, threads);
-                prop_assert_eq!(
-                    &delta.delta, &seq_delta.delta,
-                    "delta differs for {} at {} threads", name, threads
-                );
-                prop_assert_eq!(
-                    &delta.mu, &seq_delta.mu,
-                    "mu differs for {} at {} threads", name, threads
-                );
+        let naive = NaiveReferenceIndex::build(&data);
+        let indexes = exact_indexes(&data, BIN_WIDTH);
+        let metrics = MetricsRecorder::new();
+        let recorders: [&dyn Recorder; 2] = [&NoopRecorder, &metrics];
+        for kernel in [Kernel::Cutoff, Kernel::gaussian(dc)] {
+            let base = Query::new(dc).with_kernel(kernel);
+            let ref_rho = weighted_rho_scan(&data, &base);
+            let ref_delta = naive.delta(&base, &ref_rho).unwrap();
+            prop_assert_eq!(bits(&naive.rho(&base).unwrap()), bits(&ref_rho));
+            for exec in [
+                ExecPolicy::Sequential,
+                ExecPolicy::Threads(1),
+                ExecPolicy::Threads(2),
+                ExecPolicy::Threads(3),
+                ExecPolicy::Threads(7),
+            ] {
+                for rec in recorders {
+                    let query = base.with_exec(exec).with_recorder(rec);
+                    for (name, index) in &indexes {
+                        let (rho, delta) = index.rho_delta(&query).unwrap();
+                        let what = format!("{name} under {query:?}");
+                        prop_assert_eq!(bits(&rho), bits(&ref_rho), "rho: {}", what);
+                        prop_assert_eq!(
+                            bits(&delta.delta), bits(&ref_delta.delta), "delta: {}", what
+                        );
+                        prop_assert_eq!(&delta.mu, &ref_delta.mu, "mu: {}", what);
+                    }
+                }
             }
         }
     }
@@ -226,7 +239,7 @@ proptest! {
         // The sum of all densities equals twice the number of close pairs —
         // an invariant that catches double counting or self counting.
         let data = Dataset::from_coords(points);
-        let rho = ListIndex::build(&data).rho(dc).unwrap();
+        let rho = ListIndex::build(&data).rho(&Query::new(dc)).unwrap();
         let mut close_pairs = 0u64;
         for i in 0..data.len() {
             for j in (i + 1)..data.len() {
@@ -246,7 +259,7 @@ proptest! {
     ) {
         let data = Dataset::from_coords(points);
         let index = RTree::build(&data);
-        let (rho, delta) = index.rho_delta(dc).unwrap();
+        let (rho, delta) = index.rho_delta(&Query::new(dc)).unwrap();
         let order = density_peaks::core::DensityOrder::new(&rho);
         delta.validate(&order).unwrap();
         let d2 = |p: usize, q: usize| data.point(p).distance_squared(&data.point(q));
@@ -294,11 +307,13 @@ fn duplicate_and_collinear_points_are_handled_by_every_index() {
     ];
     for points in layouts {
         let data = Dataset::from_coords(points);
-        let baseline = LeanDpc::build(&data);
+        let naive = NaiveReferenceIndex::build(&data);
+        let indexes = exact_indexes(&data, BIN_WIDTH);
         for dc in [0.5, 1.5, 100.0] {
-            let (ref_rho, ref_delta) = baseline.rho_delta(dc).unwrap();
-            for (name, index) in all_exact_indices(&data) {
-                let (rho, delta) = index.rho_delta(dc).unwrap();
+            let query = Query::new(dc);
+            let (ref_rho, ref_delta) = naive.rho_delta(&query).unwrap();
+            for (name, index) in &indexes {
+                let (rho, delta) = index.rho_delta(&query).unwrap();
                 assert_eq!(rho, ref_rho, "{name} at dc = {dc}");
                 assert_eq!(delta.mu, ref_delta.mu, "{name} at dc = {dc}");
             }

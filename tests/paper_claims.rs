@@ -4,13 +4,16 @@
 //! *relationships* the paper reports so a regression in any index
 //! immediately shows up.
 
+use density_peaks::core::obs::MetricsRecorder;
 use density_peaks::prelude::*;
 use dpc_list_index::NeighborLists;
+use dpc_tree_index::query as tree_query;
 use dpc_tree_index::DeltaQueryConfig;
 use std::time::Duration;
 
 fn median_query_time(index: &dyn DpcIndex, dc: f64) -> Duration {
-    dpc_metrics::measure_median(3, || index.rho_delta(dc).unwrap()).0
+    let query = Query::new(dc);
+    dpc_metrics::measure_median(3, || index.rho_delta(&query).unwrap()).0
 }
 
 /// §5.2 / Table 3: list-based indices need orders of magnitude more memory
@@ -93,9 +96,11 @@ fn indexed_queries_beat_the_naive_baseline() {
 fn delta_probe_fraction_is_small_on_clustered_data() {
     let data = DatasetKind::Birch.generate(4, 0.02).into_dataset(); // 2 000 points
     let index = ListIndex::build(&data);
-    let dc = 100_000.0;
-    let rho = index.rho(dc).unwrap();
-    let (_, probes) = index.delta_with_probes(dc, &rho).unwrap();
+    let metrics = MetricsRecorder::new();
+    let query = Query::new(100_000.0).with_recorder(&metrics);
+    let rho = index.rho(&query).unwrap();
+    index.delta(&query, &rho).unwrap();
+    let probes = metrics.snapshot().counter("query.delta.probes").unwrap();
     let total_entries = (data.len() * (data.len() - 1)) as u64;
     let fraction = probes as f64 / total_entries as f64;
     assert!(
@@ -110,15 +115,13 @@ fn delta_probe_fraction_is_small_on_clustered_data() {
 #[test]
 fn pruning_cuts_tree_query_work_substantially() {
     let data = DatasetKind::Gowalla.generate(5, 0.002).into_dataset(); // ~2 500 points
-    let dc = DatasetKind::Gowalla.default_dc();
+    let query = Query::new(DatasetKind::Gowalla.default_dc());
     let tree = RTree::build(&data);
-    let rho = DpcIndex::rho(&tree, dc).unwrap();
-    let (with, stats_with) = tree
-        .delta_with_config(dc, &rho, &DeltaQueryConfig::default())
-        .unwrap();
-    let (without, stats_without) = tree
-        .delta_with_config(dc, &rho, &DeltaQueryConfig::no_pruning())
-        .unwrap();
+    let (rho, _) = tree_query::rho(&tree, &data, &query);
+    let pruned = DeltaQueryConfig::default();
+    let (with, stats_with) = tree_query::delta(&tree, &data, &rho, &pruned, &query);
+    let exhaustive = DeltaQueryConfig::no_pruning();
+    let (without, stats_without) = tree_query::delta(&tree, &data, &rho, &exhaustive, &query);
     assert_eq!(with.mu, without.mu);
     assert!(
         stats_with.points_scanned * 2 < stats_without.points_scanned,
@@ -135,9 +138,9 @@ fn pruning_cuts_tree_query_work_substantially() {
 fn tree_rho_work_grows_with_dc_then_collapses_at_the_largest_dc() {
     let data = DatasetKind::Range.generate(6, 0.01).into_dataset(); // 2 000 points
     let tree = Quadtree::build(&data);
-    let (_, small) = tree.rho_with_stats(300.0).unwrap();
-    let (_, medium) = tree.rho_with_stats(5_000.0).unwrap();
-    let (_, huge) = tree.rho_with_stats(data.bbox_diameter() * 1.01).unwrap();
+    let work = |dc: f64| tree_query::rho(&tree, &data, &Query::new(dc)).1;
+    let (small, medium) = (work(300.0), work(5_000.0));
+    let huge = work(data.bbox_diameter() * 1.01);
     assert!(
         medium.points_scanned > small.points_scanned,
         "medium dc must scan more points than small dc"
@@ -164,7 +167,10 @@ fn finer_bins_trade_memory_for_query_work() {
     assert!(fine.total_bins() > coarse.total_bins());
     // And the results are identical regardless of w.
     let dc = 150_000.0;
-    assert_eq!(fine.rho(dc).unwrap(), coarse.rho(dc).unwrap());
+    assert_eq!(
+        fine.rho(&Query::new(dc)).unwrap(),
+        coarse.rho(&Query::new(dc)).unwrap()
+    );
 }
 
 /// §5.4 / Figures 8–9b: smaller τ means a smaller and faster approximate

@@ -35,10 +35,6 @@ fn every_prelude_index_matches_the_naive_reference() {
         ("grid", Box::new(GridIndex::build(&data))),
         ("lean", Box::new(LeanDpc::build(&data))),
         ("matrix", Box::new(MatrixDpc::build(&data))),
-        (
-            "parallel",
-            Box::new(ParallelDpc::build_with_threads(&data, 4)),
-        ),
     ];
 
     for (name, index) in &indexes {
@@ -49,4 +45,8 @@ fn every_prelude_index_matches_the_naive_reference() {
             "index {name} disagrees with the naive reference"
         );
     }
+    // The multi-threaded brute-force baseline is the lean one under a
+    // threaded query.
+    let threaded = cluster_with_index(&LeanDpc::build(&data), &params.with_threads(4)).unwrap();
+    assert_eq!(threaded.labels(), expected.labels(), "threaded lean");
 }
