@@ -607,17 +607,28 @@ impl StreamBenchReport {
     /// the headline "how much does choosing adaptively cost at most" number.
     /// `None` if no cell has both an adaptive row and a fixed-mode row.
     pub fn worst_adaptive_ratio(&self) -> Option<f64> {
-        let mut worst: Option<f64> = None;
-        for &w in &self.options.windows {
-            for &b in &self.options.batches {
-                for &e in &self.options.engines {
-                    if let Some(r) = self.adaptive_vs_best(e, w, b) {
-                        worst = Some(worst.map_or(r, |x: f64| x.min(r)));
-                    }
-                }
-            }
-        }
-        worst
+        self.worst_adaptive_cell().map(|(r, _)| r)
+    }
+
+    /// [`Self::worst_adaptive_ratio`] with its (engine, window, batch) cell.
+    fn worst_adaptive_cell(&self) -> Option<(f64, (StreamEngine, usize, usize))> {
+        self.cells()
+            .into_iter()
+            .filter_map(|c| self.adaptive_vs_best(c.0, c.1, c.2).map(|r| (r, c)))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+    }
+
+    /// Every swept (engine, window, batch) cell, windows outermost.
+    fn cells(&self) -> Vec<(StreamEngine, usize, usize)> {
+        let o = &self.options;
+        o.windows
+            .iter()
+            .flat_map(|&w| {
+                o.batches
+                    .iter()
+                    .flat_map(move |&b| o.engines.iter().map(move |&e| (e, w, b)))
+            })
+            .collect()
     }
 
     /// Renders the report as the `BENCH_stream.json` snapshot (no external
@@ -661,12 +672,11 @@ impl StreamBenchReport {
         let largest = self.options.windows.iter().copied().max().unwrap_or(0);
         let largest_batch = self.options.batches.iter().copied().max().unwrap_or(1);
         let speedups: Vec<String> = self
-            .options
-            .engines
-            .iter()
-            .filter_map(|&e| {
-                self.speedup(e, largest, largest_batch)
-                    .map(|s| format!("{} {:.1}x", e.name(), s))
+            .cells()
+            .into_iter()
+            .filter_map(|(e, w, b)| {
+                self.speedup(e, w, b)
+                    .map(|s| format!("{} {w}/{b} {s:.2}x", e.name()))
             })
             .collect();
         let batch_speedups: Vec<String> = self
@@ -681,8 +691,8 @@ impl StreamBenchReport {
         let mut note = format!(
             "incremental = dpc-stream epoch-batched affected-set maintenance over an updatable \
              index; rebuild = the same engine pinned to a bulk index rebuild + full batch \
-             pipeline per epoch; speedups vs rebuild at the largest window ({largest}) and \
-             batch ({largest_batch}): {}",
+             pipeline per epoch; incremental/rebuild throughput per engine window/batch \
+             cell (cut-off kernel): {}",
             speedups.join(", ")
         );
         if largest_batch > 1 && !batch_speedups.is_empty() {
@@ -711,10 +721,11 @@ impl StreamBenchReport {
                 weighted.join(", ")
             ));
         }
-        if let Some(worst) = self.worst_adaptive_ratio() {
+        if let Some((worst, (e, w, b))) = self.worst_adaptive_cell() {
             note.push_str(&format!(
                 "; adaptive = cost-model-driven per-epoch choice between the two, throughput vs \
-                 the better fixed mode per cell, worst cell: {worst:.2}x"
+                 the better fixed mode per cell, worst cell: {worst:.2}x ({} {w}/{b})",
+                e.name()
             ));
         }
         format!(

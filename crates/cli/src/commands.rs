@@ -995,6 +995,12 @@ pub fn parse_centers(spec: &str) -> Result<CenterSelection, String> {
     ))
 }
 
+/// The most histogram bins per point [`build_index`] lets the CH index
+/// build. A point's histogram spans up to the dataset's diameter in bins of
+/// the bin width, so a tiny width — or a tiny `dc` under the default width
+/// `dc/4` — would otherwise allocate diameter/width bins for every point.
+pub const MAX_CH_BINS_PER_POINT: f64 = (1u64 << 20) as f64;
+
 /// Builds the requested index over the data.
 pub fn build_index(
     data: &Dataset,
@@ -1003,16 +1009,18 @@ pub fn build_index(
     tau: Option<f64>,
     dc: f64,
 ) -> Result<Box<dyn DpcIndex>, String> {
-    let default_w = || bin_width.unwrap_or_else(|| (dc / 4.0).max(f64::MIN_POSITIVE));
     let index: Box<dyn DpcIndex> = match name.to_ascii_lowercase().as_str() {
         "list" => match tau {
             Some(t) => Box::new(ListIndex::build_approx(data, t)),
             None => Box::new(ListIndex::build(data)),
         },
-        "ch" => match tau {
-            Some(t) => Box::new(ChIndex::build_approx(data, default_w(), t)),
-            None => Box::new(ChIndex::build(data, default_w())),
-        },
+        "ch" => {
+            let w = ch_bin_width(data, bin_width, dc)?;
+            match tau {
+                Some(t) => Box::new(ChIndex::build_approx(data, w, t)),
+                None => Box::new(ChIndex::build(data, w)),
+            }
+        }
         "quadtree" => Box::new(Quadtree::build(data)),
         "rtree" => Box::new(RTree::build(data)),
         "kdtree" => Box::new(KdTree::build(data)),
@@ -1021,6 +1029,29 @@ pub fn build_index(
         other => return Err(format!("unknown index {other:?}")),
     };
     Ok(index)
+}
+
+/// The CH bin width: `--bin-width`, or `dc/4` by default, rejected with the
+/// smallest allowed width when it would give a point more than
+/// [`MAX_CH_BINS_PER_POINT`] bins, ⌈diameter/width⌉.
+fn ch_bin_width(data: &Dataset, bin_width: Option<f64>, dc: f64) -> Result<f64, String> {
+    let (w, source) = match bin_width {
+        Some(w) => (w, format!("--bin-width {w:e}")),
+        None => {
+            let w = (dc / 4.0).max(f64::MIN_POSITIVE);
+            (w, format!("--dc {dc:e} (default --bin-width dc/4 = {w:e})"))
+        }
+    };
+    let diameter = data.bbox_diameter();
+    let bins = (diameter / w).ceil();
+    if bins > MAX_CH_BINS_PER_POINT {
+        return Err(format!(
+            "{source} gives {bins:e} CH histogram bins per point over the data's diameter \
+             {diameter}; valid range: bin width >= {:e} (at most 2^20 bins per point)",
+            diameter / MAX_CH_BINS_PER_POINT
+        ));
+    }
+    Ok(w)
 }
 
 fn write_clustering(path: &Path, data: &Dataset, clustering: &Clustering) -> Result<(), String> {
@@ -1135,6 +1166,35 @@ mod tests {
             "--bin-width",
             "NaN",
         );
+    }
+
+    #[test]
+    fn tiny_bin_width_is_rejected_with_the_smallest_allowed_width() {
+        // The three points span a diameter of √50, so at most 2^20 bins per
+        // point allow widths down to √50/2^20 ≈ 6.74e-6.
+        cluster_rejects(
+            "bwtiny",
+            &["--index", "ch", "--bin-width", "1e-9"],
+            "--bin-width",
+            "1e-9",
+        );
+        let Err(err) = build_index(&tiny_points(), "ch", Some(1e-9), None, 1.0) else {
+            panic!("a width of 1e-9 must be rejected");
+        };
+        assert!(err.contains("6.74"), "smallest width missing in: {err}");
+        assert!(build_index(&tiny_points(), "ch", Some(1e-5), None, 1.0).is_ok());
+    }
+
+    #[test]
+    fn tiny_dc_under_the_default_bin_width_is_rejected() {
+        cluster_rejects("dctiny", &["--index", "ch", "--dc", "1e-7"], "--dc", "1e-7");
+        // The same dc is fine for an index without histograms.
+        assert!(build_index(&tiny_points(), "kdtree", None, None, 1e-7).is_ok());
+    }
+
+    /// The three points `cluster_rejects` clusters.
+    fn tiny_points() -> Dataset {
+        Dataset::from_coords(vec![(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)])
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! These scans are the [distance contract](crate::metric) in code, and the
 //! one place that finds a point's `µ` — or a point's ε-neighbourhood — by
 //! scanning the whole dataset. The naive reference index, the `LeanDpc`
-//! baseline and the streaming engine's δ repair call them, the list indexes
-//! fall back to [`weighted_rho_scan`] for weighted kernels, and every other
-//! exact index must reproduce them bit for bit. They stream over the
-//! dataset's structure-of-arrays coordinate slices and take one root, of the
-//! winning squared distance. Callers validate `dc` and the `rho` slice.
+//! baseline and the default
+//! [`UpdatableIndex::delta_targets`](crate::UpdatableIndex::delta_targets)
+//! call them, the list indexes fall back to [`weighted_rho_scan`] for
+//! weighted kernels, and every other exact index must reproduce them bit for
+//! bit. They stream over the dataset's structure-of-arrays coordinate slices
+//! and take one root, of the winning squared distance. Callers validate `dc`
+//! and the `rho` slice.
 
 use crate::delta::{DeltaResult, DensityOrder};
 use crate::density::Rho;

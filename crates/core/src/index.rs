@@ -19,7 +19,8 @@ use std::time::Duration;
 
 use dpc_obs::{NoopRecorder, Recorder};
 
-use crate::delta::DeltaResult;
+use crate::brute;
+use crate::delta::{DeltaResult, DensityOrder};
 use crate::density::Rho;
 use crate::error::{DpcError, Result};
 use crate::exec::{self, ExecPolicy};
@@ -114,6 +115,19 @@ impl<'r> Query<'r> {
         validate_rho_len(rho, n)
     }
 
+    /// [`validate_delta`](Self::validate_delta) plus the range of the ids a
+    /// [`UpdatableIndex::delta_targets`] query over `n` points receives.
+    pub fn validate_targets(&self, rho: &[Rho], n: usize, targets: &[PointId]) -> Result<()> {
+        self.validate_delta(rho, n)?;
+        match targets.iter().find(|&&p| p >= n) {
+            Some(&p) => Err(DpcError::invalid_parameter(
+                "targets",
+                format!("target id {p} is out of range (valid range: 0 <= id < {n})"),
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Runs a per-point ρ body over `n` points on the [`exec`] engine under
     /// this query's policy, reporting `query.rho.chunk` spans to its
     /// recorder. Returns the densities and the per-worker scratches.
@@ -205,7 +219,7 @@ impl IndexStats {
 ///
 /// * `ρ(p)` sums the [`Kernel`] weight of the *other* points `q` with
 ///   `fl(d²(p, q)) < fl(dc²)` (for the cut-off kernel: counts them);
-/// * "denser" is the total order of [`DensityOrder`](crate::DensityOrder):
+/// * "denser" is the total order of [`DensityOrder`]:
 ///   higher ρ, then smaller id;
 /// * `µ(p)` is the lexicographic minimum of `(fl(d²), id)` over the points
 ///   denser than `p` ([`closer`](crate::metric::closer)), and `δ(p)` the
@@ -345,8 +359,9 @@ pub enum BatchOp {
 ///   like [`Dataset::swap_remove`] — the last point is renamed to the removed
 ///   id, and the old id of the moved point is returned so callers can fix up
 ///   external references.
-/// * After any sequence of updates, every [`DpcIndex`] query must return
-///   exactly what a freshly built index over the same dataset would return.
+/// * After any sequence of updates, every [`DpcIndex`] query and
+///   [`delta_targets`](UpdatableIndex::delta_targets) must return exactly
+///   what a freshly built index over the same dataset would return.
 ///   (Internal bookkeeping such as node bounding boxes may be *conservative*
 ///   after deletions — correct but less tight — as long as query results are
 ///   unchanged.)
@@ -440,6 +455,36 @@ pub trait UpdatableIndex: DpcIndex {
     /// its distance to its own location is 0). `eps` is validated like a
     /// cut-off distance ([`validate_dc`]).
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>>;
+
+    /// δ and µ of each point of `targets` under the density order of
+    /// `rho`: entry `k` of the result (which has `targets.len()` entries)
+    /// belongs to `targets[k]`. This is how the streaming engine repairs the
+    /// points whose dependent neighbour an epoch may have invalidated.
+    ///
+    /// Every entry must be bit-identical to [`brute::delta_one`] of its
+    /// target — the `(fl(d²), id)` minimum over the denser points, or the
+    /// global peak's largest distance with `µ = None` — under every
+    /// execution policy and recorder of the query. The default runs that kernel per target on
+    /// the query's executor, O(n) each; the tree indexes override it with
+    /// the pruned search of their batch δ-query.
+    ///
+    /// Errors like [`DpcIndex::delta`] for an invalid query or `rho`, and for
+    /// a target id out of range ([`Query::validate_targets`]).
+    fn delta_targets(
+        &self,
+        query: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<DeltaResult> {
+        query.validate_targets(rho, self.len(), targets)?;
+        let (dataset, order) = (self.dataset(), DensityOrder::new(rho));
+        let fill = query.fill_delta(
+            targets.len(),
+            || (),
+            |k, ()| brute::delta_one(dataset, &order, targets[k]),
+        );
+        Ok(fill.0)
+    }
 
     /// Counters describing the amortised structural maintenance the index
     /// has performed so far (subtree rebuilds, forced reinsertions, node
@@ -633,6 +678,40 @@ mod tests {
             index.rho_delta(&query).unwrap(),
             fresh.rho_delta(&query).unwrap()
         );
+    }
+
+    #[test]
+    fn default_delta_targets_runs_the_brute_kernel_per_target() {
+        let data = Dataset::from_coords(vec![
+            (0.0, 0.0),
+            (0.1, 0.0),
+            (0.0, 0.1),
+            (5.0, 5.0),
+            (5.1, 5.0),
+            (2.5, 2.5),
+        ]);
+        let index = NoOverride(crate::naive_reference::NaiveReferenceIndex::build(&data));
+        let query = Query::new(0.3);
+        let (rho, all) = index.rho_delta(&query).unwrap();
+        // Repeated and unordered targets; the global peak among them.
+        let targets = [4, 1, 4, all.mu.iter().position(Option::is_none).unwrap()];
+        for exec in [ExecPolicy::Sequential, ExecPolicy::Threads(3)] {
+            let got = index
+                .delta_targets(&query.with_exec(exec), &rho, &targets)
+                .unwrap();
+            assert_eq!(got.len(), targets.len());
+            for (k, &p) in targets.iter().enumerate() {
+                assert_eq!(got.delta[k].to_bits(), all.delta[p].to_bits(), "target {p}");
+                assert_eq!(got.mu[k], all.mu[p], "target {p}");
+            }
+        }
+        let err = index
+            .delta_targets(&query, &rho, &[6])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("6") && err.contains("valid range"), "{err}");
+        assert!(index.delta_targets(&query, &rho[..5], &[0]).is_err());
+        assert!(index.delta_targets(&query, &rho, &[]).unwrap().is_empty());
     }
 
     #[test]

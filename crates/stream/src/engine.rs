@@ -32,11 +32,15 @@
 //!    inserted points, survivors renamed to a smaller id by a swap-remove,
 //!    points whose µ expired, was renamed, or sits in `U` (found by a single
 //!    µ scan that also renames surviving µ ids), and the old and new global
-//!    peaks — is
-//!    recomputed from scratch; everyone else min-folds the candidate
-//!    entrants (`U` ∪ inserted ∪ renamed). When `|F|` exceeds
-//!    [`StreamParams::max_affected_fraction`] of the window the engine falls
-//!    back to one full δ/µ recomputation for the epoch.
+//!    peaks — is recomputed from scratch through the index's
+//!    [`UpdatableIndex::delta_targets`] (the pruned search of Lemmas 1–2 on
+//!    the trees); everyone else min-folds the candidate entrants
+//!    (`U` ∪ inserted ∪ renamed). When `|F|` exceeds
+//!    [`StreamParams::max_affected_fraction`] of the window, and on every
+//!    decayed epoch, the engine instead re-ranks every point once through
+//!    the index's batch δ-query ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)).
+//!    Every δ query carries the engine's recorder, so a trace shows the
+//!    index's `query.delta.*` counters beside the `stream.delta.*` spans.
 //! 5. **Re-cluster once** (centre selection + assignment on the maintained
 //!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch.
 //!
@@ -62,14 +66,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dpc_core::{
-    assign_clusters, brute, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder,
-    DpcError, DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
+    assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
+    DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
 };
 use dpc_obs::{span, AttrValue, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
 use crate::handle::{Handle, HandleMap};
-use crate::maintenance::{candidate_pass, recompute_targets};
+use crate::maintenance::candidate_pass;
 use crate::policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 use crate::report::{ClusterDelta, LabelChange};
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
@@ -96,9 +100,13 @@ pub struct StreamParams {
     /// queries.
     pub dpc: DpcParams,
     /// When an epoch's invalidation set exceeds this fraction of the window,
-    /// fall back to recomputing δ/µ for every point instead of repairing
-    /// incrementally. 1.0 (or anything ≥ 1.0) effectively disables the
-    /// fallback; 0.0 forces it on every epoch (useful for testing).
+    /// fall back to re-ranking δ/µ of every point through the index's batch
+    /// δ-query instead of recomputing the invalidation set through
+    /// [`UpdatableIndex::delta_targets`] and folding the candidates into
+    /// every other point. Both paths query the index; the fold is a pass
+    /// over the whole window, which is what the threshold trades against.
+    /// 1.0 (or anything ≥ 1.0) effectively disables the fallback; 0.0 forces
+    /// it on every epoch (useful for testing).
     pub max_affected_fraction: f64,
     /// How [`commit`](StreamingDpc::commit) maintains the clustering each
     /// epoch: always incrementally (the default), always by bulk rebuild, or
@@ -122,9 +130,10 @@ pub struct StreamParams {
     /// Decay never changes *which* points interact (the kernel support stays
     /// strictly within `dc`), so the affected-set machinery is untouched; it
     /// only rescales the weights. A decayed epoch always re-ranks δ/µ in
-    /// full, and the rebuild commit path is unavailable (decayed ρ is
-    /// history-dependent and cannot be recomputed from a batch query);
-    /// rebuild-flavoured policies silently take the incremental path.
+    /// full through the index's batch δ-query, and the rebuild commit path
+    /// is unavailable (decayed ρ is history-dependent and cannot be
+    /// recomputed from a batch query); rebuild-flavoured policies silently
+    /// take the incremental path.
     pub decay: f64,
 }
 
@@ -335,9 +344,15 @@ struct CommitScratch {
     candidates: Vec<PointId>,
 }
 
-/// How many brute-force δ probes the seeding calibration times to estimate
-/// the incremental path's per-point cost.
+/// How many δ probes the seeding calibration times through
+/// [`UpdatableIndex::delta_targets`] to estimate the incremental path's
+/// per-point cost.
 const CALIBRATION_PROBES: usize = 32;
+
+/// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
+/// `dc` and the kernel before the seeding query, the engine keeps one ρ per
+/// window point, and every target is a live id.
+const QUERY_VALIDATED: &str = "δ query over validated parameters, one ρ per point and live targets";
 
 /// What one committed (non-empty, non-emptying) epoch's maintenance did,
 /// handed from the chosen branch back to [`StreamingDpc::commit`] for
@@ -463,21 +478,21 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         }
         let n = index.len();
         // One-shot calibration: the seeding batch query is exactly what a
-        // rebuild epoch pays per window point, and a handful of brute-force
-        // δ probes (the incremental repair kernel) measure the incremental
-        // path's per-point cost. Both are timed here regardless of policy —
-        // the probes cost O(CALIBRATION_PROBES · n), less than the seeding
-        // query itself — so [`set_policy`](Self::set_policy) can flip to
-        // `Adaptive` mid-stream and find a live model.
+        // rebuild epoch pays per window point, and a handful of δ probes
+        // through the index's `delta_targets` hook (the incremental repair's
+        // query) measure the incremental path's per-point cost. Both are
+        // timed here regardless of policy — the probes cost less than the
+        // seeding query itself — so [`set_policy`](Self::set_policy) can
+        // flip to `Adaptive` mid-stream and find a live model.
+        let query = params.dpc.query();
         let seeding = Instant::now();
         let (rho, deltas) = if n == 0 {
             (Vec::new(), DeltaResult::unset(0))
         } else {
-            index.rho_delta(&params.dpc.query())?
+            index.rho_delta(&query)?
         };
         let rebuild_us = seeding.elapsed().as_micros() as f64 / n.max(1) as f64;
-        let order = DensityOrder::new(&rho);
-        let peak = order.global_peak();
+        let peak = DensityOrder::new(&rho).global_peak();
         let inc_us = if n == 0 {
             0.0
         } else {
@@ -485,10 +500,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             // one dense corner of it.
             let probes = CALIBRATION_PROBES.min(n);
             let stride = n / probes;
+            let targets: Vec<PointId> = (0..probes).map(|k| k * stride).collect();
             let probing = Instant::now();
-            for k in 0..probes {
-                std::hint::black_box(brute::delta_one(index.dataset(), &order, k * stride));
-            }
+            std::hint::black_box(index.delta_targets(&query, &rho, &targets)?);
             probing.elapsed().as_micros() as f64 / probes as f64
         };
         // An update invalidates its ε-neighbourhood plus itself: mean ρ + 1.
@@ -774,13 +788,13 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// Advances time without moving the window: one **pure decay epoch**.
     ///
     /// Every pair's density contribution ages by one factor of λ
-    /// ([`StreamParams::decay`]), δ/µ are re-ranked in full — λ-scaling can
-    /// collapse two neighbouring f64 densities onto the same float and flip
-    /// an id tie-break, so the whole order is re-derived — and one
-    /// clustering epoch runs. The window itself is untouched: **no
-    /// ε-queries are issued** ([`StreamStats::eps_queries`] is unchanged;
-    /// the regression suite pins this down) and [`version`](Self::version)
-    /// does not move.
+    /// ([`StreamParams::decay`]), δ/µ are re-ranked in full through the
+    /// index's batch δ-query — λ-scaling can collapse two neighbouring f64
+    /// densities onto the same float and flip an id tie-break, so the whole
+    /// order is re-derived — and one clustering epoch runs. The window
+    /// itself is untouched: **no ε-queries are issued**
+    /// ([`StreamStats::eps_queries`] is unchanged; the regression suite pins
+    /// this down) and [`version`](Self::version) does not move.
     ///
     /// With decay disabled (λ = 1.0) or an empty window a tick is a
     /// complete no-op: no epoch is counted and the returned delta is empty.
@@ -811,10 +825,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for r in &mut self.rho {
                 *r *= lambda;
             }
-            let order = DensityOrder::new(&self.rho);
-            let query = self.params.dpc.query();
-            self.deltas = brute::delta_scan(self.index.dataset(), &order, &query);
-            self.peak = order.global_peak();
+            self.rerank(&rec);
+            self.peak = DensityOrder::new(&self.rho).global_peak();
         }
         let micros = started.elapsed().as_micros() as u64;
         self.stats.decay_epochs += 1;
@@ -1191,6 +1203,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // Phase 4 — build the invalidation set F and the candidate entrants,
         // then repair δ/µ once for the whole epoch.
         let delta_span = span(&rec, "stream.phase.delta_repair");
+        let invalidate_span = span(&rec, "stream.delta.invalidate");
         let new_peak = DensityOrder::new(&self.rho).global_peak();
         let old_peak = self.peak.and_then(|pk| scratch.final_of_old[pk]);
 
@@ -1218,6 +1231,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // swap-remove renamed it (`m != mu_old`): an id change moves the µ's
         // position in the density order and in the `(fl(d²), id)` µ order
         // without any ρ change, so the rename alone invalidates.
+        let (mut mu_expired, mut mu_moved) = (0usize, 0usize);
         for (p, origin) in scratch.owner.iter().enumerate() {
             if matches!(origin, Origin::New(_)) {
                 continue; // placeholder µ; already invalidated above
@@ -1227,32 +1241,49 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     None => {
                         self.deltas.mu[p] = None;
                         scratch.invalidated.push(p);
+                        mu_expired += 1;
                     }
                     Some(m) => {
                         self.deltas.mu[p] = Some(m);
                         if scratch.visited[m] || m != mu_old {
                             scratch.invalidated.push(p);
+                            mu_moved += 1;
                         }
                     }
                 }
             }
         }
-        scratch.invalidated.extend(old_peak);
-        scratch.invalidated.extend(new_peak);
+        let peaks = [old_peak, new_peak];
+        scratch.invalidated.extend(peaks.into_iter().flatten());
+        // Why F is as large as it is: each cause's contributions, counted
+        // before the dedup below (a point can have several causes).
+        if rec.enabled() {
+            let causes = [
+                ("union", scratch.union.len()),
+                ("inserted", scratch.inserted_final.len()),
+                ("renamed", scratch.renamed.len()),
+                ("mu_expired", mu_expired),
+                ("mu_moved", mu_moved),
+                ("peak", peaks.iter().flatten().count()),
+            ];
+            for (cause, count) in causes {
+                rec.counter(&format!("stream.invalidated.{cause}"), count as u64);
+            }
+        }
         scratch.invalidated.sort_unstable();
         scratch.invalidated.dedup();
+        drop(invalidate_span);
 
-        let order = DensityOrder::new(&self.rho);
-        let dataset = self.index.dataset();
         // A decayed epoch rescaled *every* density in the pre-pass: λ-scaling
         // is order-preserving in exact arithmetic, but two neighbouring f64
         // densities can collapse onto the same float and hand the comparison
         // to the id tie-break — so no point's (δ, µ) minimum is trustworthy
         // and the epoch always re-ranks in full.
         let mode = if lambda != 1.0 || self.needs_fallback(scratch.invalidated.len(), n) {
-            self.deltas = brute::delta_scan(dataset, &order, &self.params.dpc.query());
+            self.rerank(&rec);
             EpochMode::Fallback
         } else {
+            let fold_span = span(&rec, "stream.delta.fold");
             scratch.skip.clear();
             scratch.skip.resize(n, false);
             for &f in &scratch.invalidated {
@@ -1265,20 +1296,24 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 .extend_from_slice(&scratch.inserted_final);
             scratch.candidates.extend_from_slice(&scratch.renamed);
             candidate_pass(
-                dataset,
-                &order,
+                self.index.dataset(),
+                &DensityOrder::new(&self.rho),
                 &scratch.candidates,
                 &scratch.skip,
                 &mut self.deltas,
                 self.params.dpc.exec,
             );
-            recompute_targets(
-                dataset,
-                &order,
-                &scratch.invalidated,
-                &mut self.deltas,
-                self.params.dpc.exec,
-            );
+            drop(fold_span);
+            let _targets_span = span(&rec, "stream.delta.targets");
+            let query = self.params.dpc.query().with_recorder(&*rec);
+            let repaired = self
+                .index
+                .delta_targets(&query, &self.rho, &scratch.invalidated)
+                .expect(QUERY_VALIDATED);
+            for (k, &p) in scratch.invalidated.iter().enumerate() {
+                self.deltas.delta[p] = repaired.delta[k];
+                self.deltas.mu[p] = repaired.mu[k];
+            }
             EpochMode::Incremental
         };
         drop(delta_span);
@@ -1403,6 +1438,15 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             }
         }
         Ok(())
+    }
+
+    /// Re-ranks δ/µ of every point in full through the index's batch
+    /// δ-query — the pruned search of Lemmas 1–2 on the trees — reporting
+    /// the query's telemetry to `rec` under a `stream.delta.rerank` span.
+    fn rerank(&mut self, rec: &SharedRecorder) {
+        let _rerank_span = span(rec, "stream.delta.rerank");
+        let query = self.params.dpc.query().with_recorder(&**rec);
+        self.deltas = self.index.delta(&query, &self.rho).expect(QUERY_VALIDATED);
     }
 
     /// Whether an invalidation set of `invalidated` points (out of `n`)

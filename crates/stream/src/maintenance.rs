@@ -1,56 +1,34 @@
-//! The δ/µ maintenance kernels of the streaming engine.
+//! The candidate fold of the streaming engine's δ/µ repair.
 //!
 //! After an insert or delete, the engine splits δ/µ repair into two passes,
-//! both parallelised over the chunked executor of [`dpc_core::exec`] (so
-//! results are bit-identical at every thread count):
+//! both bit-identical at every thread count:
 //!
 //! * a **full recomputation** of the bounded *invalidation set* `F` — points
 //!   whose set of denser neighbours may have *shrunk* (their own ρ changed,
-//!   their µ was removed or demoted, the global peak) — each recomputed from
-//!   scratch by the brute-force kernel [`brute::delta_one`]
-//!   ([`recompute_targets`]);
+//!   their µ was removed or demoted, the global peak) — through the index's
+//!   [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
+//!   hook: the pruned best-first search of the batch δ-query on the trees
+//!   (Lemmas 1–2 of the paper), the brute-force kernel on the index-free
+//!   baselines;
 //! * a **candidate min-update pass** over everything else: for points
 //!   outside `F` the denser set can only have *gained* members (the inserted
 //!   point, neighbours whose ρ rose, a point renamed to a smaller id), so
 //!   the existing `(δ, µ)` stays a valid minimum and only the handful of
-//!   candidate entrants need to be folded in ([`candidate_pass`]).
+//!   candidate entrants need to be folded in ([`candidate_pass`], on the
+//!   chunked executor of [`dpc_core::exec`]).
 //!
 //! ## Tie-breaking
 //!
 //! Both passes rank candidates with [`closer`], the µ order of the
 //! workspace's distance contract (see [`dpc_core::metric`]): the
 //! lexicographic minimum of `(fl(d²), id)`, with one square root taken of
-//! the winner. The batch oracle (`NaiveReferenceIndex`, which runs the same
-//! [`brute`] kernels), the baselines, the list indexes and the trees'
-//! `delta_one` all use that order, so a repaired `(δ, µ)` is bit-identical
-//! to the cold batch result.
+//! the winner. The batch oracle (`NaiveReferenceIndex`, which runs the
+//! [`dpc_core::brute`] kernels), the baselines, the list indexes and the
+//! trees' `delta_one` all use that order, so a repaired `(δ, µ)` is
+//! bit-identical to the cold batch result.
 
-use dpc_core::{brute, closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
+use dpc_core::{closer, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
 use dpc_obs::NoopRecorder;
-
-/// Recomputes δ/µ from scratch for every point in `targets`, in parallel,
-/// and scatters the results into `deltas`.
-pub fn recompute_targets(
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    targets: &[PointId],
-    deltas: &mut DeltaResult,
-    policy: ExecPolicy,
-) {
-    let mut out: Vec<(f64, Option<PointId>)> = vec![(0.0, None); targets.len()];
-    exec::fill_slice(
-        &mut out,
-        policy,
-        &NoopRecorder,
-        "",
-        || (),
-        |k, ()| brute::delta_one(dataset, order, targets[k]),
-    );
-    for (k, &p) in targets.iter().enumerate() {
-        deltas.delta[p] = out[k].0;
-        deltas.mu[p] = out[k].1;
-    }
-}
 
 /// Folds a small set of *candidate entrants* into the δ/µ of every point
 /// outside the invalidation set.
@@ -112,35 +90,6 @@ pub fn candidate_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_core::naive_reference::NaiveReferenceIndex;
-    use dpc_core::{DpcIndex, Query};
-
-    fn dataset() -> Dataset {
-        Dataset::from_coords(vec![
-            (0.0, 0.0),
-            (0.1, 0.0),
-            (0.0, 0.1),
-            (5.0, 5.0),
-            (5.1, 5.0),
-            (2.5, 2.5),
-        ])
-    }
-
-    #[test]
-    fn recompute_targets_only_touches_targets() {
-        let data = dataset();
-        let (rho, expected) = NaiveReferenceIndex::build(&data)
-            .rho_delta(&Query::new(0.3))
-            .unwrap();
-        let order = DensityOrder::new(&rho);
-        let mut deltas = DeltaResult::unset(data.len());
-        recompute_targets(&data, &order, &[1, 4], &mut deltas, ExecPolicy::Sequential);
-        assert_eq!(deltas.delta[1], expected.delta[1]);
-        assert_eq!(deltas.mu[4], expected.mu[4]);
-        // Non-targets keep their previous (here: unset) state.
-        assert_eq!(deltas.delta[0], f64::INFINITY);
-        assert_eq!(deltas.mu[0], None);
-    }
 
     #[test]
     fn candidate_pass_prefers_smaller_id_on_exact_distance_ties() {

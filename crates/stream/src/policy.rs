@@ -1,12 +1,14 @@
 //! The per-epoch commit policy of the streaming engine: [`CommitPolicy`]
 //! and the calibrated [`CostModel`] behind its adaptive variant.
 //!
-//! `BENCH_stream.json` records an honest performance cliff: at batch size 1
-//! incremental maintenance beats rebuilding the index per epoch by 3–9×, but
-//! at batch 64 every epoch trips the `max_affected_fraction` fallback — a
-//! brute-force full δ/µ recomputation — and a fresh bulk rebuild plus the
-//! index's *pruned* batch queries wins by the same margin. Neither fixed
-//! choice is right at every batch size, so the engine chooses **per epoch**:
+//! The policy was built for a performance cliff: while the
+//! `max_affected_fraction` fallback recomputed δ/µ by brute force, a fresh
+//! bulk rebuild plus the index's *pruned* batch queries beat incremental
+//! maintenance by 2–9× at batch 64, and lost by 3–9× at batch 1. The
+//! fallback and the invalidation-set repair now run the index's pruned δ
+//! search too, and the regenerated `BENCH_stream.json` has incremental
+//! maintenance ahead in every cell (1.0–1.4× at batch 64, 4.0–10.9× at
+//! batch 1). The engine still chooses **per epoch**:
 //!
 //! * [`CommitPolicy::AlwaysIncremental`] — the affected-set repair pipeline
 //!   (with its documented fallback), the pre-policy behaviour and still the
@@ -21,8 +23,10 @@
 //! invalidated point, the rebuild cost per window point, and the measured
 //! invalidation-set size per plan operation. All three are seeded by a
 //! one-shot calibration inside `StreamingDpc::new` — the seeding batch query
-//! is timed for the rebuild rate, a handful of brute-force δ probes for the
-//! incremental rate, and the mean ρ for the union prior — and then updated
+//! is timed for the rebuild rate, one
+//! [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
+//! call over a handful of probe points for the incremental rate, and the mean
+//! ρ for the union prior — and then updated
 //! online from observed epoch timings, so the model tracks the actual window
 //! size, point distribution and machine. Whichever path is taken, the
 //! committed state is **bit-identical** (both paths are anchored to the cold
@@ -142,8 +146,9 @@ const MIN_RATE_US: f64 = 1e-3;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// µs of incremental δ/µ repair per invalidated point. The fallback
-    /// shares the same brute-force kernel, so it updates this rate too
-    /// (with the whole window as the target set).
+    /// runs the same per-point index search — the batch δ-query instead of
+    /// `delta_targets`, over every window point — so it updates this rate
+    /// too (with the whole window as the target set).
     inc_us_per_point: f64,
     /// µs of bulk rebuild + batch ρ/δ queries per window point.
     rebuild_us_per_point: f64,
@@ -156,7 +161,7 @@ pub struct CostModel {
 impl CostModel {
     /// Seeds the model from the one-shot calibration of
     /// `StreamingDpc::new`: the timed seeding batch query (`rebuild_us` per
-    /// point), timed brute-force δ probes (`inc_us` per point) and the mean
+    /// point), timed `delta_targets` probes (`inc_us` per point) and the mean
     /// ρ plus one as the union prior (an update invalidates its
     /// ε-neighbourhood plus itself).
     pub fn seeded(
@@ -238,8 +243,8 @@ impl CostModel {
     ///
     /// The predicted invalidation set is `union_per_update · updates`
     /// clamped to the window; when it exceeds `max_affected_fraction · n`
-    /// the incremental path is predicted at its fallback cost (the whole
-    /// window through the brute-force kernel). The rebuild prediction is
+    /// the incremental path is predicted at its fallback cost (every window
+    /// point through the index's δ-query). The rebuild prediction is
     /// multiplied by `rebuild_bias`, so callers can make the switch sticky
     /// in either direction.
     pub fn predict(

@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use dpc_core::{Point, UpdatableIndex};
+use dpc_core::naive_reference::NaiveReferenceIndex;
+use dpc_core::{Dataset, DpcIndex, DpcPipeline, Point, UpdatableIndex};
+use dpc_datasets::generators::{checkins, CheckinConfig};
 use dpc_datasets::testsupport::lattice_point;
 use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceSink};
 use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
@@ -235,4 +237,89 @@ fn maintenance_counters_surface_as_gauges() {
     assert_eq!(snap.counter("stream.epochs"), Some(ops.len() as u64));
     assert!(snap.histogram("stream.epoch.maintenance_us").is_some());
     assert!(snap.histogram("stream.phase.validate_us").is_some());
+}
+
+/// The engine's δ/µ queries run the index's pruned search and say so in the
+/// recorder: on a k-d tree over 2 000 Gowalla-like check-ins, a full re-rank
+/// and the repair of an invalidation set F must each scan a small fraction
+/// of what a brute-force scan would. The bounds count points, not
+/// microseconds, so they hold on any machine; a repair that fell back to the
+/// brute-force kernel would publish no `query.delta.*` counters at all. The
+/// `stream.delta.*` spans show which path each epoch took, and the
+/// `stream.invalidated.*` counters account for every member of F.
+#[test]
+fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
+    let n = 2_000;
+    let dc = 0.1;
+    let data = checkins(n + 2, &CheckinConfig::gowalla(), 11).into_dataset();
+    let (seed, arrivals) = data.points().split_at(n);
+    let run_epoch = |params: StreamParams, arrival: Point| {
+        let metrics = Arc::new(MetricsRecorder::new());
+        let mut engine =
+            StreamingDpc::new(KdTree::build(&Dataset::new(seed.to_vec())), params).unwrap();
+        engine.set_recorder(metrics.clone() as SharedRecorder);
+        engine.advance(&[arrival], 1).unwrap();
+        assert_matches_cold_pipeline(&engine);
+        (engine.stats(), metrics.snapshot())
+    };
+    let scanned = |snap: &dpc_obs::MetricsSnapshot| {
+        snap.counter("query.delta.points_scanned")
+            .expect("the δ query must publish its traversal counters")
+    };
+    let pairs = (n * (n - 1)) as u64;
+
+    // Forced fallback: one re-rank of every point through the batch query.
+    let (stats, snap) = run_epoch(
+        StreamParams::new(dc).with_max_affected_fraction(0.0),
+        arrivals[0],
+    );
+    assert_eq!(stats.fallback_epochs, 1);
+    assert!(snap.histogram("stream.delta.rerank_us").is_some());
+    assert!(snap.histogram("stream.delta.targets_us").is_none());
+    let rerank = scanned(&snap);
+    assert!(
+        rerank < pairs / 10,
+        "re-rank scanned {rerank} points, brute force is {pairs}"
+    );
+
+    // One-point incremental epoch: only F goes through the hook.
+    let (stats, snap) = run_epoch(StreamParams::new(dc), arrivals[1]);
+    assert_eq!(stats.incremental_epochs, 1);
+    let invalidated = snap
+        .histogram("stream.invalidated")
+        .expect("|F| is recorded every epoch")
+        .sum();
+    let repair = scanned(&snap);
+    assert!(invalidated > 0);
+    for span in ["invalidate", "fold", "targets"] {
+        let name = format!("stream.delta.{span}_us");
+        assert!(snap.histogram(&name).is_some(), "{name} missing");
+    }
+    assert!(snap.histogram("stream.delta.rerank_us").is_none());
+    // The invalidation causes count before dedup, so they cover |F|.
+    let causes: u64 = snap
+        .counters()
+        .filter(|(name, _)| name.starts_with("stream.invalidated."))
+        .map(|(_, count)| count)
+        .sum();
+    assert!(causes >= invalidated, "causes {causes} < |F| {invalidated}");
+    assert_eq!(snap.counter("stream.invalidated.inserted"), Some(1));
+    assert!(
+        repair < invalidated * (n as u64 - 1) / 4,
+        "repairing |F| = {invalidated} scanned {repair} points"
+    );
+}
+
+/// The engine's ρ, δ, µ, centres and labels equal a cold batch run of the
+/// naive reference over its window, bit for bit.
+fn assert_matches_cold_pipeline(engine: &StreamingDpc<KdTree>) {
+    let cold = DpcPipeline::new(engine.params().dpc.clone())
+        .run(&NaiveReferenceIndex::build(engine.index().dataset()))
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(engine.rho()), bits(&cold.rho));
+    assert_eq!(bits(&engine.deltas().delta), bits(&cold.deltas.delta));
+    assert_eq!(engine.deltas().mu, cold.deltas.mu);
+    assert_eq!(engine.clustering().centers(), cold.clustering.centers());
+    assert_eq!(engine.clustering().labels(), cold.clustering.labels());
 }

@@ -396,6 +396,17 @@ impl UpdatableIndex for GridIndex {
         Ok(out)
     }
 
+    fn delta_targets(
+        &self,
+        query: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<DeltaResult> {
+        query.validate_targets(rho, self.dataset.len(), targets)?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets).0)
+    }
+
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {
         vec![("rebuckets", self.rebuckets)]
     }

@@ -664,6 +664,17 @@ impl UpdatableIndex for KdTree {
         Ok(eps_query(self, &self.dataset, center, eps))
     }
 
+    fn delta_targets(
+        &self,
+        query: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<DeltaResult> {
+        query.validate_targets(rho, self.dataset.len(), targets)?;
+        let config = &self.config.delta;
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets).0)
+    }
+
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("subtree_rebuilds", self.subtree_rebuilds),

@@ -22,14 +22,18 @@
 //!
 //! The batch entry points are [`rho`] and [`delta`], one per query and for
 //! every kernel; every tree index's [`DpcIndex`](dpc_core::DpcIndex) impl
-//! delegates to them, and the per-point [`rho_one`], [`weighted_rho_one`],
-//! [`delta_one`], [`eps_query`] and [`subtree_max_density`] are the pieces
-//! they are built from. Both queries run per point with no data dependency
-//! between points, so they parallelise over the chunked engine of
-//! [`dpc_core::exec`] under the [`Query`]'s [`ExecPolicy`](dpc_core::ExecPolicy):
-//! each worker thread gets its own [`QueryScratch`] — a reusable node
-//! stack, best-first heap and [`QueryStats`] — merged deterministically
-//! after the join. Results are bit-identical at every thread count.
+//! delegates to them, and the updatable ones answer
+//! [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
+//! — δ for a list of points, the streaming engine's repair — through
+//! [`delta_targets`], the same search over fewer points. The per-point
+//! [`rho_one`], [`weighted_rho_one`], [`delta_one`], [`eps_query`] and
+//! [`subtree_max_density`] are the pieces they are built from. Both queries
+//! run per point with no data dependency between points, so they
+//! parallelise over the chunked engine of [`dpc_core::exec`] under the
+//! [`Query`]'s [`ExecPolicy`](dpc_core::ExecPolicy): each worker thread
+//! gets its own [`QueryScratch`] — a reusable node stack, best-first heap
+//! and [`QueryStats`] — merged deterministically after the join. Results
+//! are bit-identical at every thread count.
 //!
 //! Both return their [`QueryStats`], counted on every call; with an enabled
 //! recorder on the query they also publish them as the `query.rho.*` /
@@ -377,10 +381,40 @@ pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     config: &DeltaQueryConfig,
     query: &Query<'_>,
 ) -> (DeltaResult, QueryStats) {
+    delta_of(tree, dataset, rho, config, query, dataset.len(), |k| k)
+}
+
+/// [`delta`] for the points of `targets` only — entry `k` of the result
+/// belongs to `targets[k]` — behind every tree's
+/// [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets).
+/// The `maxrho` annotation is built once per call, for the whole tree.
+pub fn delta_targets<T: SpatialPartition + Sync + ?Sized>(
+    tree: &T,
+    dataset: &Dataset,
+    rho: &[Rho],
+    config: &DeltaQueryConfig,
+    query: &Query<'_>,
+    targets: &[PointId],
+) -> (DeltaResult, QueryStats) {
+    delta_of(tree, dataset, rho, config, query, targets.len(), |k| {
+        targets[k]
+    })
+}
+
+/// The δ-query over `n` points, the `k`-th of which is `id(k)`.
+fn delta_of<T: SpatialPartition + Sync + ?Sized>(
+    tree: &T,
+    dataset: &Dataset,
+    rho: &[Rho],
+    config: &DeltaQueryConfig,
+    query: &Query<'_>,
+    n: usize,
+    id: impl Fn(usize) -> PointId + Sync,
+) -> (DeltaResult, QueryStats) {
     let order = DensityOrder::new(rho);
     let maxrho = subtree_max_density(tree, rho);
-    let (result, scratches) = query.fill_delta(dataset.len(), QueryScratch::new, |p, scratch| {
-        delta_one(tree, dataset, &order, &maxrho, p, config, scratch)
+    let (result, scratches) = query.fill_delta(n, QueryScratch::new, |k, scratch| {
+        delta_one(tree, dataset, &order, &maxrho, id(k), config, scratch)
     });
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.delta");

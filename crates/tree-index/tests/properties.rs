@@ -7,9 +7,12 @@
 //! the same geometry.
 
 use dpc_baseline::LeanDpc;
-use dpc_core::brute::{eps_neighbors_scan, weighted_rho_scan};
+use dpc_core::brute::{delta_one, delta_scan, eps_neighbors_scan, weighted_rho_scan};
 use dpc_core::{Dataset, DensityOrder, DpcIndex, ExecPolicy, Kernel, Query, UpdatableIndex};
-use dpc_datasets::testsupport::{test_points, TestDistribution, ALL_DISTRIBUTIONS};
+use dpc_datasets::testsupport::{
+    test_points, ulp_adversarial_points, TestDistribution, ALL_DISTRIBUTIONS,
+};
+use dpc_datasets::SplitMix64;
 use dpc_tree_index::common::check_partition_invariants;
 use dpc_tree_index::query::{self as tree_query, subtree_max_density};
 use dpc_tree_index::{
@@ -229,16 +232,26 @@ proptest! {
 
     /// The updatable tree indexes stay structurally sound and query-exact
     /// through arbitrary insert/remove interleavings, on every shared
-    /// distribution: after each mutation the structural invariants hold and
-    /// the ε-query sees exactly the live points (no tombstone leaks).
+    /// distribution and on the ulp-adversarial points (`None` below): after
+    /// each mutation the structural invariants hold and the ε-query sees
+    /// exactly the live points (no tombstone leaks). On the churned
+    /// structures ρ, the batch δ-query and `delta_targets` on a random subset
+    /// of targets are then bit-identical to the brute-force kernels — under
+    /// the counted ρ and under a tie-heavy fractional ρ, the shape of the
+    /// weighted and decayed densities the streaming engine re-ranks.
     #[test]
     fn updatable_trees_survive_random_update_sequences(
-        dist in distribution_strategy(),
+        input in prop_oneof![distribution_strategy().prop_map(Some), Just(None)],
         n in 2usize..40,
         seed in any::<u64>(),
         ops in prop::collection::vec((any::<bool>(), 0usize..1000, any::<u64>()), 1..30)
     ) {
-        let initial = Dataset::new(test_points(dist, n, seed));
+        let dc = 40.0;
+        let adversarial = ulp_adversarial_points(dc, dc / 8.0, seed);
+        let initial = Dataset::new(match input {
+            Some(dist) => test_points(dist, n, seed),
+            None => adversarial.clone(),
+        });
         let mut kd = KdTree::with_config(
             &initial,
             &KdTreeConfig { leaf_capacity: 4, ..Default::default() },
@@ -247,34 +260,64 @@ proptest! {
             &initial,
             &RTreeConfig { node_capacity: 4, ..Default::default() },
         );
+        let mut grid = GridIndex::build(&initial);
         for &(insert, sel, pseed) in &ops {
             if insert || kd.len() == 0 {
-                let p = test_points(dist, 1, pseed)[0];
+                let p = match input {
+                    Some(dist) => test_points(dist, 1, pseed)[0],
+                    None => adversarial[pseed as usize % adversarial.len()],
+                };
                 let a = UpdatableIndex::insert(&mut kd, p).unwrap();
-                let b = UpdatableIndex::insert(&mut rt, p).unwrap();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(UpdatableIndex::insert(&mut rt, p).unwrap(), a);
+                prop_assert_eq!(UpdatableIndex::insert(&mut grid, p).unwrap(), a);
             } else {
                 let victim = sel % kd.len();
                 let a = kd.remove(victim).unwrap();
-                let b = rt.remove(victim).unwrap();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(rt.remove(victim).unwrap(), a);
+                prop_assert_eq!(grid.remove(victim).unwrap(), a);
             }
             kd.check_invariants();
             rt.check_invariants();
+            grid.check_invariants();
             if kd.len() > 0 {
                 let center = kd.dataset().point(sel % kd.len());
                 let expected = eps_neighbors_scan(kd.dataset(), center, 50.0).unwrap();
                 prop_assert_eq!(&kd.eps_neighbors(center, 50.0).unwrap(), &expected);
                 prop_assert_eq!(&rt.eps_neighbors(center, 50.0).unwrap(), &expected);
+                prop_assert_eq!(&grid.eps_neighbors(center, 50.0).unwrap(), &expected);
             }
         }
-        if kd.len() > 0 {
-            let baseline = LeanDpc::build(kd.dataset());
-            let (ref_rho, ref_delta) = baseline.rho_delta(&Query::new(40.0)).unwrap();
-            for tree in [&kd as &dyn DpcIndex, &rt] {
-                let (rho, delta) = tree.rho_delta(&Query::new(40.0)).unwrap();
-                prop_assert_eq!(&rho, &ref_rho, "{} rho after updates", tree.name());
-                prop_assert_eq!(&delta.mu, &ref_delta.mu, "{} mu after updates", tree.name());
+        let data = kd.dataset();
+        prop_assert_eq!(rt.dataset().points(), data.points());
+        prop_assert_eq!(grid.dataset().points(), data.points());
+        if data.is_empty() {
+            return Ok(());
+        }
+        let query = Query::new(dc);
+        let counted = LeanDpc::build(data).rho(&query).unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let fractional: Vec<f64> = (0..data.len())
+            .map(|_| (rng.next_u64() % 4) as f64 / 3.0)
+            .collect();
+        let targets: Vec<usize> = (0..=data.len() / 3)
+            .map(|_| (rng.next_u64() % data.len() as u64) as usize)
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let trees: [(&str, &dyn UpdatableIndex); 3] = [("kdtree", &kd), ("rtree", &rt), ("grid", &grid)];
+        for (name, tree) in trees {
+            prop_assert_eq!(&tree.rho(&query).unwrap(), &counted, "{} rho after updates", name);
+            for rho in [&counted, &fractional] {
+                let order = DensityOrder::new(rho);
+                let expected = delta_scan(data, &order, &query);
+                let got = tree.delta(&query, rho).unwrap();
+                prop_assert_eq!(bits(&got.delta), bits(&expected.delta), "{} delta", name);
+                prop_assert_eq!(&got.mu, &expected.mu, "{} mu", name);
+                let repaired = tree.delta_targets(&query, rho, &targets).unwrap();
+                for (k, &p) in targets.iter().enumerate() {
+                    let (delta, mu) = delta_one(data, &order, p);
+                    prop_assert_eq!(repaired.delta[k].to_bits(), delta.to_bits(), "{} δ({})", name, p);
+                    prop_assert_eq!(repaired.mu[k], mu, "{} µ({})", name, p);
+                }
             }
         }
     }
