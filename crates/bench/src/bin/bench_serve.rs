@@ -17,6 +17,7 @@
 use std::path::PathBuf;
 
 use dpc_bench::serve_throughput::{run, ServeBenchOptions};
+use dpc_core::index::validate_dc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,9 +100,7 @@ fn parse_args(args: Vec<String>) -> Result<(ServeBenchOptions, Option<PathBuf>),
                 options.dc = value_of("--dc")?
                     .parse()
                     .map_err(|_| "invalid --dc value".to_string())?;
-                if !(options.dc.is_finite() && options.dc > 0.0) {
-                    return Err("--dc must be a positive finite number".into());
-                }
+                validate_dc(options.dc).map_err(|e| e.to_string())?;
             }
             "--seed" => {
                 options.seed = value_of("--seed")?

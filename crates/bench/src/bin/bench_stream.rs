@@ -1,11 +1,10 @@
-//! `bench_stream`: measures sliding-window streaming throughput
-//! (incremental affected-set maintenance vs rebuild-from-scratch) and writes
-//! the `BENCH_stream.json` snapshot.
+//! `bench_stream`: measures the sliding-window throughput of the streaming
+//! engine's incremental maintenance and writes the `BENCH_stream.json`
+//! snapshot.
 //!
 //! ```text
 //! bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000]
-//!              [--batches 1,64] [--policy incremental,rebuild,adaptive]
-//!              [--kernels cutoff,gaussian[:H],exponential[:H]]
+//!              [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]]
 //!              [--updates N] [--dc F] [--seed S] [--threads N]
 //!              [--out FILE | --no-out]
 //! ```
@@ -13,22 +12,18 @@
 //! `--engine` is an alias of `--engines`; both take a comma-separated list
 //! of updatable index families. `--batches` (alias `--batch`) sweeps the
 //! epoch batch size: 1 is per-update maintenance, larger values amortise
-//! the ρ/δ repairs and the clustering over whole epochs. `--policy` (alias
-//! `--modes`) restricts which maintenance strategies are timed per cell —
-//! by default all three run, so the snapshot shows the adaptive commit
-//! policy next to both fixed strategies it chooses between. `--kernels`
-//! (alias `--kernel`) sweeps density kernels: the default is the
-//! paper-faithful cut-off alone, and a weighted kernel without an explicit
-//! `:H` bandwidth uses `H = dc`. The committed snapshot at the repository
-//! root is produced with `--kernels cutoff,gaussian --out
-//! BENCH_stream.json`; CI runs tiny smoke invocations so the benchmark
-//! cannot rot.
+//! the ρ/δ repairs and the clustering over whole epochs; no batch may exceed
+//! the smallest window. `--kernels` (alias `--kernel`) sweeps density
+//! kernels: the default is the paper-faithful cut-off alone, and a weighted
+//! kernel without an explicit `:H` bandwidth uses `H = dc`. The committed
+//! snapshot at the repository root is produced with `--kernels
+//! cutoff,gaussian --out BENCH_stream.json`; CI runs tiny smoke invocations
+//! so the benchmark cannot rot.
 
 use std::path::PathBuf;
 
-use dpc_bench::stream_throughput::{
-    parse_kernel_spec, run, StreamBenchOptions, StreamEngine, StreamMode,
-};
+use dpc_bench::stream_throughput::{parse_kernel_spec, run, StreamBenchOptions, StreamEngine};
+use dpc_core::index::validate_dc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,8 +33,7 @@ fn main() {
             eprintln!("error: {message}");
             eprintln!(
                 "usage: bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000] \
-                 [--batches 1,64] [--policy incremental,rebuild,adaptive] \
-                 [--kernels cutoff,gaussian[:H],exponential[:H]] [--updates N] \
+                 [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]] [--updates N] \
                  [--dc F] [--seed S] [--threads N] [--out FILE | --no-out]"
             );
             std::process::exit(2);
@@ -90,16 +84,6 @@ fn parse_args(args: Vec<String>) -> Result<(StreamBenchOptions, Option<PathBuf>)
                     return Err("--windows needs a comma-separated list of positive sizes".into());
                 }
             }
-            "--policy" | "--modes" => {
-                let list = value_of("--policy")?;
-                options.modes = list
-                    .split(',')
-                    .map(StreamMode::parse)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.modes.is_empty() {
-                    return Err("--policy needs a comma-separated list of modes".into());
-                }
-            }
             "--batches" | "--batch" => {
                 let list = value_of("--batches")?;
                 options.batches = list
@@ -124,9 +108,7 @@ fn parse_args(args: Vec<String>) -> Result<(StreamBenchOptions, Option<PathBuf>)
                 options.dc = value_of("--dc")?
                     .parse()
                     .map_err(|_| "invalid --dc value".to_string())?;
-                if !(options.dc.is_finite() && options.dc > 0.0) {
-                    return Err("--dc must be a positive finite number".into());
-                }
+                validate_dc(options.dc).map_err(|e| e.to_string())?;
             }
             "--seed" => {
                 options.seed = value_of("--seed")?
@@ -145,6 +127,14 @@ fn parse_args(args: Vec<String>) -> Result<(StreamBenchOptions, Option<PathBuf>)
             "--no-out" => out = None,
             other => return Err(format!("unrecognised argument {other:?}")),
         }
+    }
+    let max_batch = options.batches.iter().copied().max().unwrap_or(0);
+    let min_window = options.windows.iter().copied().min().unwrap_or(0);
+    if max_batch > min_window {
+        return Err(format!(
+            "--batches {max_batch} exceeds the smallest --windows {min_window}: a sliding \
+             epoch cannot evict more points than the window holds"
+        ));
     }
     if let Some(list) = kernel_specs {
         options.kernels = list

@@ -1,19 +1,14 @@
 //! The streaming-throughput benchmark behind `BENCH_stream.json`.
 //!
-//! Measures sliding-window updates/second of the streaming engine under its
-//! three commit policies ([`StreamMode`]): affected-set **incremental**
-//! maintenance, per-epoch bulk **rebuild** (`rebuild_from` + one batch
-//! ρ/δ/select/assign pass), and the **adaptive** policy that picks between
-//! those two strategies per epoch from a calibrated cost model. All modes
-//! run the same engine over the same update sequence — identical windows,
-//! handles and per-epoch deltas, only the maintenance strategy differs — and
-//! must land on the same clustering, asserted against a cold batch run at
-//! the end of every sweep cell.
+//! Measures sliding-window updates/second of the streaming engine's
+//! affected-set **incremental** maintenance — its only maintenance path —
+//! and where each epoch's time goes, phase by phase. Every cell must land on
+//! the clustering of a cold batch run over its final window, asserted at the
+//! end of the cell.
 //!
-//! Since every updatable index family can now drive the streaming engine,
-//! the sweep covers one row per mode per engine ([`StreamEngine`]): the
-//! uniform grid, the k-d tree (tombstone + partial rebuild) and the R-tree
-//! (forced reinsertion + bbox shrinking).
+//! The sweep covers one row per updatable index family ([`StreamEngine`]):
+//! the uniform grid, the k-d tree (tombstone + partial rebuild) and the
+//! R-tree (forced reinsertion + bbox shrinking).
 //!
 //! The sweep also covers **epoch batch sizes** ([`StreamBenchOptions::
 //! batches`]): batch 1 is classic per-update maintenance (one ε-repair, one
@@ -24,9 +19,8 @@
 //! The sweep can also cover **density kernels** ([`StreamBenchOptions::
 //! kernels`]): the paper-faithful cut-off counts neighbours, while the
 //! gaussian/exponential kernels maintain weighted densities through the
-//! ±w(d) incremental repair. Weighted rows never take the bulk-rebuild
-//! path (the engine coerces those commits to incremental maintenance), so
-//! the interesting number is the weighted-vs-cutoff incremental overhead.
+//! ±w(d) incremental repair; the interesting number is the
+//! weighted-vs-cutoff overhead.
 //!
 //! The committed `BENCH_stream.json` at the repository root is produced by
 //! the `bench_stream` binary with `--kernels cutoff,gaussian`; CI runs a
@@ -38,7 +32,7 @@ use std::time::Duration;
 use dpc_core::{CenterSelection, Dataset, DpcParams, DpcPipeline, Kernel, UpdatableIndex};
 use dpc_datasets::generators::{checkins, CheckinConfig};
 use dpc_obs::{MetricsRecorder, MetricsSnapshot, SharedRecorder};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, RTree};
 
 /// The updatable index families the streaming benchmark can drive.
@@ -80,52 +74,6 @@ impl StreamEngine {
     }
 }
 
-/// The maintenance strategies the benchmark can time per sweep cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// The engine pinned to affected-set maintenance
-    /// (`CommitPolicy::AlwaysIncremental`).
-    Incremental,
-    /// The engine pinned to `CommitPolicy::AlwaysRebuild`: a bulk index
-    /// rebuild plus the full batch ρ/δ/select/assign pass every epoch.
-    Rebuild,
-    /// The engine under `CommitPolicy::Adaptive`: per epoch it predicts
-    /// whether affected-set maintenance or a bulk rebuild is cheaper and
-    /// commits on the winner.
-    Adaptive,
-}
-
-impl StreamMode {
-    /// Every mode, in sweep order.
-    pub const ALL: [StreamMode; 3] = [
-        StreamMode::Incremental,
-        StreamMode::Rebuild,
-        StreamMode::Adaptive,
-    ];
-
-    /// The mode's stable name (CLI value and JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            StreamMode::Incremental => "incremental",
-            StreamMode::Rebuild => "rebuild",
-            StreamMode::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses a CLI mode name (the same spellings `dpc stream --policy`
-    /// accepts).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "incremental" | "inc" => Ok(StreamMode::Incremental),
-            "rebuild" => Ok(StreamMode::Rebuild),
-            "adaptive" | "auto" => Ok(StreamMode::Adaptive),
-            other => Err(format!(
-                "unknown mode {other:?} (incremental, rebuild, adaptive)"
-            )),
-        }
-    }
-}
-
 /// Parses one kernel spec from the `--kernels` sweep list: `cutoff`,
 /// `gaussian[:H]` or `exponential[:H]` (alias `exp`). A weighted kernel
 /// without an explicit bandwidth defaults to `H = dc`, the conventional
@@ -161,16 +109,12 @@ pub fn parse_kernel_spec(spec: &str, dc: f64) -> Result<Kernel, String> {
     Ok(kernel)
 }
 
-/// What to measure: engines, modes, window sizes, epoch batch sizes, updates
-/// per cell, cut-off, seed, threads.
+/// What to measure: engines, window sizes, epoch batch sizes, kernels,
+/// updates per cell, cut-off, seed, threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamBenchOptions {
     /// Index families to sweep.
     pub engines: Vec<StreamEngine>,
-    /// Maintenance strategies to time per cell. The default sweeps all
-    /// three, so the snapshot shows the adaptive policy next to both fixed
-    /// strategies it chooses between.
-    pub modes: Vec<StreamMode>,
     /// Window sizes to sweep (number of live points).
     pub windows: Vec<usize>,
     /// Epoch batch sizes to sweep: each epoch slides `batch` points in and
@@ -180,10 +124,7 @@ pub struct StreamBenchOptions {
     pub batches: Vec<usize>,
     /// Density kernels to sweep. The default is the paper-faithful cut-off
     /// alone; adding a weighted kernel (see [`parse_kernel_spec`]) times the
-    /// ±w(d) weighted repair next to the integer-count path. Weighted rows
-    /// never rebuild — a bulk rebuild cannot reproduce streamed weighted
-    /// densities bit-for-bit, so the engine coerces rebuild commits to
-    /// incremental maintenance.
+    /// ±w(d) weighted repair next to the integer-count path.
     pub kernels: Vec<Kernel>,
     /// Sliding-window updates (one eviction + one insertion each) measured
     /// per sweep cell.
@@ -192,7 +133,7 @@ pub struct StreamBenchOptions {
     pub dc: f64,
     /// Seed of the check-in generator.
     pub seed: u64,
-    /// Worker threads for the maintenance passes (and the rebuild queries).
+    /// Worker threads for the maintenance passes.
     pub threads: usize,
 }
 
@@ -200,7 +141,6 @@ impl Default for StreamBenchOptions {
     fn default() -> Self {
         StreamBenchOptions {
             engines: StreamEngine::ALL.to_vec(),
-            modes: StreamMode::ALL.to_vec(),
             windows: vec![1_000, 4_000],
             batches: vec![1, 64],
             kernels: vec![Kernel::Cutoff],
@@ -214,8 +154,7 @@ impl Default for StreamBenchOptions {
 
 /// Total time spent in each maintenance phase over one measured run, in
 /// microseconds, read back from the engine's [`MetricsRecorder`] span
-/// histograms (`stream.phase.*_us`). Phases a mode never runs stay 0 — the
-/// rebuild rows have no ρ/δ repair, the incremental rows no batch query.
+/// histograms (`stream.phase.*_us`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseMicros {
     /// Plan validation (`stream.phase.validate`).
@@ -225,17 +164,15 @@ pub struct PhaseMicros {
     pub apply: u64,
     /// Affected-set ρ repair (`stream.phase.rho_repair`).
     pub rho_repair: u64,
-    /// δ/µ repair over the invalidation set (`stream.phase.delta_repair`).
+    /// δ/µ repair over the invalidation set, or the full re-rank of a
+    /// fallback epoch (`stream.phase.delta_repair`).
     pub delta_repair: u64,
-    /// Full-window batch ρ/δ query on the rebuild path
-    /// (`stream.phase.batch_query`).
-    pub batch_query: u64,
     /// Re-running centre selection + assignment (`stream.phase.recluster`).
     pub recluster: u64,
 }
 
 impl PhaseMicros {
-    /// Reads the six per-phase sums out of a metrics snapshot.
+    /// Reads the five per-phase sums out of a metrics snapshot.
     fn from_snapshot(snap: &MetricsSnapshot) -> Self {
         let sum = |phase: &str| {
             snap.histogram(&format!("stream.phase.{phase}_us"))
@@ -246,13 +183,12 @@ impl PhaseMicros {
             apply: sum("apply"),
             rho_repair: sum("rho_repair"),
             delta_repair: sum("delta_repair"),
-            batch_query: sum("batch_query"),
             recluster: sum("recluster"),
         }
     }
 }
 
-/// One measured mode of one sweep cell.
+/// One measured sweep cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamMeasurement {
     /// Engine this row belongs to.
@@ -263,10 +199,6 @@ pub struct StreamMeasurement {
     pub batch: usize,
     /// Density kernel this row was measured under.
     pub kernel: Kernel,
-    /// `"incremental"` (affected-set maintenance), `"rebuild"` (bulk index
-    /// rebuild + full batch pipeline per epoch) or `"adaptive"` (the cost
-    /// model choosing between the two per epoch).
-    pub mode: &'static str,
     /// Updates processed.
     pub updates: usize,
     /// Total wall-clock time for all updates.
@@ -276,11 +208,8 @@ pub struct StreamMeasurement {
     pub per_update: Duration,
     /// Updates per second.
     pub updates_per_sec: f64,
-    /// Fallback epochs taken (streaming modes only; 0 for rebuild).
+    /// Epochs whose δ repair fell back to a full re-rank.
     pub fallbacks: u64,
-    /// Bulk-rebuild epochs taken: every epoch for rebuild mode, the
-    /// cost-model-chosen subset for adaptive, 0 for incremental.
-    pub rebuilds: u64,
     /// Where the maintenance time went, phase by phase.
     pub phases: PhaseMicros,
 }
@@ -292,8 +221,8 @@ pub struct StreamBenchReport {
     pub options: StreamBenchOptions,
     /// CPUs the machine exposes.
     pub cpus: usize,
-    /// One row per swept mode per engine per window size per batch size, in
-    /// sweep order.
+    /// One row per window size, engine, batch size and kernel, in sweep
+    /// order.
     pub measurements: Vec<StreamMeasurement>,
 }
 
@@ -304,18 +233,17 @@ fn params(options: &StreamBenchOptions, kernel: Kernel) -> DpcParams {
         .with_threads(options.threads)
 }
 
-/// Runs the sweep: for every window size, engine and batch size, streams the
-/// same check-in sequence through every requested maintenance mode and
-/// records each throughput.
+/// Runs the sweep: for every window size, engine, batch size and kernel,
+/// streams the same check-in sequence through the engine and records its
+/// throughput.
 ///
 /// # Panics
-/// Panics if the options are degenerate (no engines, no modes, no windows,
-/// no batch sizes, zero updates or a zero batch) or if the modes disagree on
-/// the final clustering — the benchmark doubles as an end-to-end consistency
-/// check.
+/// Panics if the options are degenerate (no engines, no windows, no batch
+/// sizes, no kernels, zero updates, a zero batch or a batch larger than the
+/// smallest window) or if a cell's final state disagrees with a cold batch
+/// run — the benchmark doubles as an end-to-end consistency check.
 pub fn run(options: &StreamBenchOptions) -> StreamBenchReport {
     assert!(!options.engines.is_empty(), "need at least one engine");
-    assert!(!options.modes.is_empty(), "need at least one mode");
     assert!(!options.windows.is_empty(), "need at least one window size");
     assert!(
         !options.batches.is_empty() && !options.batches.contains(&0),
@@ -340,7 +268,7 @@ pub fn run(options: &StreamBenchOptions) -> StreamBenchReport {
         for &engine in &options.engines {
             for &batch in &options.batches {
                 for &kernel in &options.kernels {
-                    let cell = match engine {
+                    let row = match engine {
                         StreamEngine::Grid => measure_engine(
                             engine,
                             GridIndex::build,
@@ -369,7 +297,7 @@ pub fn run(options: &StreamBenchOptions) -> StreamBenchReport {
                             &data,
                         ),
                     };
-                    measurements.extend(cell);
+                    measurements.push(row);
                 }
             }
         }
@@ -381,8 +309,8 @@ pub fn run(options: &StreamBenchOptions) -> StreamBenchReport {
     }
 }
 
-/// Measures every requested mode of one engine on one window size at one
-/// epoch batch size under one density kernel.
+/// Measures one engine on one window size at one epoch batch size under one
+/// density kernel.
 fn measure_engine<I, F>(
     engine: StreamEngine,
     build: F,
@@ -391,7 +319,7 @@ fn measure_engine<I, F>(
     batch: usize,
     kernel: Kernel,
     data: &Dataset,
-) -> Vec<StreamMeasurement>
+) -> StreamMeasurement
 where
     I: UpdatableIndex,
     F: Fn(&Dataset) -> I,
@@ -399,145 +327,86 @@ where
     let points = data.points();
     let seed_window = Dataset::new(points[..window].to_vec());
     let arriving = &points[window..];
-    let pipeline = DpcPipeline::new(params(options, kernel));
-    let mut rows = Vec::with_capacity(options.modes.len());
-    for &mode in &options.modes {
-        // One engine per mode, one advance (batch in, batch out) per epoch;
-        // only the commit policy differs, so the rows are directly
-        // comparable — every mode pays the same handle/delta bookkeeping.
-        let policy = match mode {
-            StreamMode::Incremental => CommitPolicy::AlwaysIncremental,
-            StreamMode::Rebuild => CommitPolicy::AlwaysRebuild,
-            StreamMode::Adaptive => CommitPolicy::Adaptive,
-        };
-        let stream_params = StreamParams::new(options.dc)
-            .with_dpc(params(options, kernel))
-            .with_policy(policy);
-        let mut stream = StreamingDpc::new(build(&seed_window), stream_params)
-            .expect("seeding the streaming engine must succeed");
-        // Attach a metrics recorder so the row can report where the
-        // maintenance time went. The recorder is a handful of atomic adds
-        // per epoch — noise next to the repair work it measures.
-        let metrics = Arc::new(MetricsRecorder::new());
-        stream.set_recorder(Arc::clone(&metrics) as SharedRecorder);
-        let timer = dpc_obs::Timer::start();
-        for chunk in arriving.chunks(batch) {
-            stream
-                .advance(chunk, chunk.len())
-                .expect("streaming update must succeed");
-        }
-        let total = timer.elapsed();
-        // Consistency: the engine's final densities must match a cold batch
-        // run over its own surviving dataset (the same invariant the
-        // dpc-stream property suite enforces epoch by epoch) — on every
-        // policy. Under the cut-off kernel the match is bit-exact; weighted
-        // kernels accumulate ±w(d) repairs in stream order, which regroups
-        // the f64 additions, so those rows check to a 1e-9 relative
-        // tolerance instead.
-        let check = pipeline
-            .run(&build(stream.index().dataset()))
-            .expect("consistency check must succeed");
-        if kernel.is_cutoff() {
-            assert_eq!(
-                stream.rho(),
-                &check.rho[..],
-                "{} rho diverged from batch ({} @ window {window}, batch {batch})",
-                mode.name(),
-                engine.name()
-            );
-            assert_eq!(
-                stream.clustering().labels(),
-                check.clustering.labels(),
-                "{} labels diverged from batch ({} @ window {window}, batch {batch})",
-                mode.name(),
-                engine.name()
-            );
-        } else {
-            assert_eq!(stream.rho().len(), check.rho.len());
-            for (i, (&got, &want)) in stream.rho().iter().zip(check.rho.iter()).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "{} {} rho[{i}] diverged from batch beyond tolerance \
-                     ({} @ window {window}, batch {batch}): {got} vs {want}",
-                    mode.name(),
-                    kernel.name(),
-                    engine.name()
-                );
-            }
-        }
-        let stats = stream.stats();
-        rows.push(measurement(
-            engine,
-            window,
-            batch,
-            kernel,
-            mode,
-            options.updates,
-            total,
-            stats.fallback_epochs,
-            stats.rebuild_epochs,
-            PhaseMicros::from_snapshot(&metrics.snapshot()),
-        ));
+    let stream_params = StreamParams::new(options.dc).with_dpc(params(options, kernel));
+    let mut stream = StreamingDpc::new(build(&seed_window), stream_params)
+        .expect("seeding the streaming engine must succeed");
+    // Attach a metrics recorder so the row can report where the maintenance
+    // time went. The recorder is a handful of atomic adds per epoch — noise
+    // next to the repair work it measures.
+    let metrics = Arc::new(MetricsRecorder::new());
+    stream.set_recorder(Arc::clone(&metrics) as SharedRecorder);
+    // One advance (batch in, batch out) per epoch.
+    let timer = dpc_obs::Timer::start();
+    for chunk in arriving.chunks(batch) {
+        stream
+            .advance(chunk, chunk.len())
+            .expect("streaming update must succeed");
     }
-    rows
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measurement(
-    engine: StreamEngine,
-    window: usize,
-    batch: usize,
-    kernel: Kernel,
-    mode: StreamMode,
-    updates: usize,
-    total: Duration,
-    fallbacks: u64,
-    rebuilds: u64,
-    phases: PhaseMicros,
-) -> StreamMeasurement {
-    let per_update = total / updates.max(1) as u32;
+    let total = timer.elapsed();
+    // Consistency: the engine's final densities must match a cold batch run
+    // over its own surviving dataset (the same invariant the dpc-stream
+    // property suite enforces epoch by epoch). Under the cut-off kernel the
+    // match is bit-exact; weighted kernels accumulate ±w(d) repairs in
+    // stream order, which regroups the f64 additions, so those rows check to
+    // a 1e-9 relative tolerance instead.
+    let check = DpcPipeline::new(params(options, kernel))
+        .run(&build(stream.index().dataset()))
+        .expect("consistency check must succeed");
+    if kernel.is_cutoff() {
+        assert_eq!(
+            stream.rho(),
+            &check.rho[..],
+            "rho diverged from batch ({} @ window {window}, batch {batch})",
+            engine.name()
+        );
+        assert_eq!(
+            stream.clustering().labels(),
+            check.clustering.labels(),
+            "labels diverged from batch ({} @ window {window}, batch {batch})",
+            engine.name()
+        );
+    } else {
+        assert_eq!(stream.rho().len(), check.rho.len());
+        for (i, (&got, &want)) in stream.rho().iter().zip(check.rho.iter()).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "{} rho[{i}] diverged from batch beyond tolerance \
+                 ({} @ window {window}, batch {batch}): {got} vs {want}",
+                kernel.name(),
+                engine.name()
+            );
+        }
+    }
+    let updates = options.updates;
     StreamMeasurement {
         engine: engine.name(),
         window,
         batch,
         kernel,
-        mode: mode.name(),
         updates,
         total,
-        per_update,
+        per_update: total / updates.max(1) as u32,
         updates_per_sec: updates as f64 / total.as_secs_f64().max(1e-9),
-        fallbacks,
-        rebuilds,
-        phases,
+        fallbacks: stream.stats().fallback_epochs,
+        phases: PhaseMicros::from_snapshot(&metrics.snapshot()),
     }
 }
 
 impl StreamBenchReport {
-    /// The cut-off-kernel row of one (engine, window, batch, mode) cell, if
-    /// measured. The mode-comparison ratios below are defined on the
-    /// paper-faithful cut-off rows: weighted kernels coerce every commit to
-    /// incremental maintenance, so rebuild-vs-incremental ratios would be
-    /// meaningless there.
-    fn row(
-        &self,
-        engine: StreamEngine,
-        window: usize,
-        batch: usize,
-        mode: &str,
-    ) -> Option<&StreamMeasurement> {
+    /// The cut-off-kernel row of one (engine, window, batch) cell, if
+    /// measured: the reference the batch and kernel ratios below divide by.
+    fn row(&self, engine: StreamEngine, window: usize, batch: usize) -> Option<&StreamMeasurement> {
         self.measurements.iter().find(|m| {
             m.engine == engine.name()
                 && m.window == window
                 && m.batch == batch
-                && m.mode == mode
                 && m.kernel.is_cutoff()
         })
     }
 
-    /// Throughput of a weighted kernel's incremental row relative to the
-    /// cut-off incremental row of the same cell — the cost of evaluating
-    /// and maintaining w(d) weights instead of integer counts. `None`
-    /// unless both rows were swept.
+    /// Throughput of a weighted kernel's row relative to the cut-off row of
+    /// the same cell — the cost of evaluating and maintaining w(d) weights
+    /// instead of integer counts. `None` unless both rows were swept.
     pub fn kernel_overhead(
         &self,
         engine: StreamEngine,
@@ -549,90 +418,26 @@ impl StreamBenchReport {
             m.engine == engine.name()
                 && m.window == window
                 && m.batch == batch
-                && m.mode == "incremental"
                 && m.kernel.name() == kernel_name
                 && !m.kernel.is_cutoff()
         })?;
-        let cutoff = self.row(engine, window, batch, "incremental")?;
+        let cutoff = self.row(engine, window, batch)?;
         Some(weighted.updates_per_sec / cutoff.updates_per_sec.max(1e-9))
     }
 
-    /// Speedup of incremental over rebuild for one engine, window size and
-    /// batch size, if both rows exist.
-    pub fn speedup(&self, engine: StreamEngine, window: usize, batch: usize) -> Option<f64> {
-        match (
-            self.row(engine, window, batch, "incremental"),
-            self.row(engine, window, batch, "rebuild"),
-        ) {
-            (Some(inc), Some(reb)) => Some(inc.updates_per_sec / reb.updates_per_sec.max(1e-9)),
-            _ => None,
-        }
-    }
-
-    /// Speedup of batched epochs over per-update maintenance: incremental
-    /// throughput at `batch` divided by incremental throughput at batch 1,
-    /// for one engine and window size. `None` unless both cells were swept.
+    /// Speedup of batched epochs over per-update maintenance: throughput at
+    /// `batch` divided by throughput at batch 1 (cut-off kernel), for one
+    /// engine and window size. `None` unless both cells were swept.
     pub fn batch_speedup(&self, engine: StreamEngine, window: usize, batch: usize) -> Option<f64> {
-        match (
-            self.row(engine, window, batch, "incremental"),
-            self.row(engine, window, 1, "incremental"),
-        ) {
-            (Some(batched), Some(per_update)) => {
-                Some(batched.updates_per_sec / per_update.updates_per_sec.max(1e-9))
-            }
-            _ => None,
-        }
-    }
-
-    /// Throughput of the adaptive policy relative to the **better** of the
-    /// two fixed modes for one cell: 1.0 means the adaptive policy matched
-    /// the best fixed strategy exactly, values below 1.0 are its overhead.
-    /// `None` unless the adaptive row and at least one fixed row exist.
-    pub fn adaptive_vs_best(
-        &self,
-        engine: StreamEngine,
-        window: usize,
-        batch: usize,
-    ) -> Option<f64> {
-        let adaptive = self.row(engine, window, batch, "adaptive")?;
-        let best = ["incremental", "rebuild"]
-            .iter()
-            .filter_map(|mode| self.row(engine, window, batch, mode))
-            .map(|m| m.updates_per_sec)
-            .fold(None::<f64>, |acc, s| Some(acc.map_or(s, |a| a.max(s))))?;
-        Some(adaptive.updates_per_sec / best.max(1e-9))
-    }
-
-    /// The worst [`Self::adaptive_vs_best`] ratio across every swept cell —
-    /// the headline "how much does choosing adaptively cost at most" number.
-    /// `None` if no cell has both an adaptive row and a fixed-mode row.
-    pub fn worst_adaptive_ratio(&self) -> Option<f64> {
-        self.worst_adaptive_cell().map(|(r, _)| r)
-    }
-
-    /// [`Self::worst_adaptive_ratio`] with its (engine, window, batch) cell.
-    fn worst_adaptive_cell(&self) -> Option<(f64, (StreamEngine, usize, usize))> {
-        self.cells()
-            .into_iter()
-            .filter_map(|c| self.adaptive_vs_best(c.0, c.1, c.2).map(|r| (r, c)))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-    }
-
-    /// Every swept (engine, window, batch) cell, windows outermost.
-    fn cells(&self) -> Vec<(StreamEngine, usize, usize)> {
-        let o = &self.options;
-        o.windows
-            .iter()
-            .flat_map(|&w| {
-                o.batches
-                    .iter()
-                    .flat_map(move |&b| o.engines.iter().map(move |&e| (e, w, b)))
-            })
-            .collect()
+        let batched = self.row(engine, window, batch)?;
+        let per_update = self.row(engine, window, 1)?;
+        Some(batched.updates_per_sec / per_update.updates_per_sec.max(1e-9))
     }
 
     /// Renders the report as the `BENCH_stream.json` snapshot (no external
-    /// JSON dependency).
+    /// JSON dependency). Every row keeps the `"mode": "incremental"` field
+    /// of the earlier snapshots, so readers of the old schema still parse
+    /// it.
     pub fn to_json(&self) -> String {
         let mut rows = String::new();
         for (i, m) in self.measurements.iter().enumerate() {
@@ -646,59 +451,46 @@ impl StreamBenchReport {
                 .unwrap_or_default();
             rows.push_str(&format!(
                 "    {{ \"engine\": \"{}\", \"window\": {}, \"batch\": {}, \
-                 \"kernel\": \"{}\"{bandwidth}, \"mode\": \"{}\", \
+                 \"kernel\": \"{}\"{bandwidth}, \"mode\": \"incremental\", \
                  \"updates\": {}, \"per_update_us\": {:.1}, \"updates_per_sec\": {:.1}, \
-                 \"fallbacks\": {}, \"rebuilds\": {}, \"phase_us\": {{ \"validate\": {}, \
-                 \"apply\": {}, \"rho_repair\": {}, \"delta_repair\": {}, \"batch_query\": {}, \
+                 \"fallbacks\": {}, \"phase_us\": {{ \"validate\": {}, \
+                 \"apply\": {}, \"rho_repair\": {}, \"delta_repair\": {}, \
                  \"recluster\": {} }} }}",
                 m.engine,
                 m.window,
                 m.batch,
                 m.kernel.name(),
-                m.mode,
                 m.updates,
                 m.per_update.as_secs_f64() * 1e6,
                 m.updates_per_sec,
                 m.fallbacks,
-                m.rebuilds,
                 m.phases.validate,
                 m.phases.apply,
                 m.phases.rho_repair,
                 m.phases.delta_repair,
-                m.phases.batch_query,
                 m.phases.recluster
             ));
         }
         let largest = self.options.windows.iter().copied().max().unwrap_or(0);
         let largest_batch = self.options.batches.iter().copied().max().unwrap_or(1);
-        let speedups: Vec<String> = self
-            .cells()
-            .into_iter()
-            .filter_map(|(e, w, b)| {
-                self.speedup(e, w, b)
-                    .map(|s| format!("{} {w}/{b} {s:.2}x", e.name()))
-            })
-            .collect();
+        let mut note = "incremental = dpc-stream epoch-batched affected-set maintenance over an \
+                        updatable index, the engine's only maintenance path"
+            .to_string();
         let batch_speedups: Vec<String> = self
             .options
-            .engines
+            .windows
             .iter()
-            .filter_map(|&e| {
-                self.batch_speedup(e, largest, largest_batch)
-                    .map(|s| format!("{} {:.1}x", e.name(), s))
+            .flat_map(|&w| {
+                self.options.engines.iter().filter_map(move |&e| {
+                    self.batch_speedup(e, w, largest_batch)
+                        .map(|s| format!("{} {w} {s:.1}x", e.name()))
+                })
             })
             .collect();
-        let mut note = format!(
-            "incremental = dpc-stream epoch-batched affected-set maintenance over an updatable \
-             index; rebuild = the same engine pinned to a bulk index rebuild + full batch \
-             pipeline per epoch; incremental/rebuild throughput per engine window/batch \
-             cell (cut-off kernel): {}",
-            speedups.join(", ")
-        );
         if largest_batch > 1 && !batch_speedups.is_empty() {
             note.push_str(&format!(
-                "; batched epochs (batch {largest_batch}) vs per-update maintenance (batch 1), \
-                 incremental mode at window {largest}: {}",
+                "; batched epochs (batch {largest_batch}) vs per-update maintenance (batch 1) \
+                 per engine and window (cut-off kernel): {}",
                 batch_speedups.join(", ")
             ));
         }
@@ -716,16 +508,9 @@ impl StreamBenchReport {
             .collect();
         if !weighted.is_empty() {
             note.push_str(&format!(
-                "; weighted-kernel incremental throughput vs cutoff at window {largest}, \
+                "; weighted-kernel throughput vs cutoff at window {largest}, \
                  batch {largest_batch}: {}",
                 weighted.join(", ")
-            ));
-        }
-        if let Some((worst, (e, w, b))) = self.worst_adaptive_cell() {
-            note.push_str(&format!(
-                "; adaptive = cost-model-driven per-epoch choice between the two, throughput vs \
-                 the better fixed mode per cell, worst cell: {worst:.2}x ({} {w}/{b})",
-                e.name()
             ));
         }
         format!(
@@ -749,7 +534,7 @@ impl StreamBenchReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "streaming throughput @ {} updates, dc = {}, {} thread(s), {} cpu(s)\n\
-             {:<8} {:<8} {:<7} {:<12} {:<12} {:>16} {:>14} {:>10} {:>9}\n",
+             {:<8} {:<8} {:<7} {:<12} {:>16} {:>14} {:>10}\n",
             self.options.updates,
             self.options.dc,
             self.options.threads,
@@ -758,41 +543,30 @@ impl StreamBenchReport {
             "window",
             "batch",
             "kernel",
-            "mode",
             "per update (us)",
             "updates/sec",
-            "fallbacks",
-            "rebuilds"
+            "fallbacks"
         );
         for m in &self.measurements {
             out.push_str(&format!(
-                "{:<8} {:<8} {:<7} {:<12} {:<12} {:>16.1} {:>14.1} {:>10} {:>9}\n",
+                "{:<8} {:<8} {:<7} {:<12} {:>16.1} {:>14.1} {:>10}\n",
                 m.engine,
                 m.window,
                 m.batch,
                 m.kernel.name(),
-                m.mode,
                 m.per_update.as_secs_f64() * 1e6,
                 m.updates_per_sec,
-                m.fallbacks,
-                m.rebuilds
+                m.fallbacks
             ));
             let p = &m.phases;
             out.push_str(&format!(
-                "         phases (us): validate {}, apply {}, rho {}, delta {}, \
-                 batch-query {}, recluster {}\n",
-                p.validate, p.apply, p.rho_repair, p.delta_repair, p.batch_query, p.recluster
+                "         phases (us): validate {}, apply {}, rho {}, delta {}, recluster {}\n",
+                p.validate, p.apply, p.rho_repair, p.delta_repair, p.recluster
             ));
         }
         for &w in &self.options.windows {
             for &b in &self.options.batches {
                 for &e in &self.options.engines {
-                    if let Some(s) = self.speedup(e, w, b) {
-                        out.push_str(&format!(
-                            "{} @ window {w}, batch {b}: incremental is {s:.1}x rebuild\n",
-                            e.name()
-                        ));
-                    }
                     if b > 1 {
                         if let Some(s) = self.batch_speedup(e, w, b) {
                             out.push_str(&format!(
@@ -802,21 +576,14 @@ impl StreamBenchReport {
                             ));
                         }
                     }
-                    if let Some(s) = self.adaptive_vs_best(e, w, b) {
-                        out.push_str(&format!(
-                            "{} @ window {w}, batch {b}: adaptive runs at {s:.2}x the better \
-                             fixed mode\n",
-                            e.name()
-                        ));
-                    }
                     for k in &self.options.kernels {
                         if k.is_cutoff() {
                             continue;
                         }
                         if let Some(r) = self.kernel_overhead(e, w, b, k.name()) {
                             out.push_str(&format!(
-                                "{} @ window {w}, batch {b}: {} incremental runs at {r:.2}x \
-                                 the cutoff kernel\n",
+                                "{} @ window {w}, batch {b}: {} runs at {r:.2}x the cutoff \
+                                 kernel\n",
                                 e.name(),
                                 k.name()
                             ));
@@ -824,11 +591,6 @@ impl StreamBenchReport {
                     }
                 }
             }
-        }
-        if let Some(worst) = self.worst_adaptive_ratio() {
-            out.push_str(&format!(
-                "adaptive vs the better fixed mode, worst cell: {worst:.2}x\n"
-            ));
         }
         out
     }
@@ -841,7 +603,6 @@ mod tests {
     fn tiny_options() -> StreamBenchOptions {
         StreamBenchOptions {
             engines: vec![StreamEngine::Grid],
-            modes: StreamMode::ALL.to_vec(),
             windows: vec![150],
             batches: vec![1],
             kernels: vec![Kernel::Cutoff],
@@ -853,42 +614,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_produces_all_modes_per_window() {
+    fn sweep_produces_one_row_per_cell() {
         let report = run(&tiny_options());
-        assert_eq!(report.measurements.len(), 3);
-        assert_eq!(report.measurements[0].mode, "incremental");
-        assert_eq!(report.measurements[1].mode, "rebuild");
-        assert_eq!(report.measurements[2].mode, "adaptive");
-        assert!(report.measurements.iter().all(|m| m.updates == 40));
-        assert!(report.speedup(StreamEngine::Grid, 150, 1).unwrap() > 0.0);
-        assert!(report.adaptive_vs_best(StreamEngine::Grid, 150, 1).unwrap() > 0.0);
-        assert_eq!(
-            report.worst_adaptive_ratio(),
-            report.adaptive_vs_best(StreamEngine::Grid, 150, 1)
-        );
-        // The rebuild baseline rebuilds on every one of the 40 epochs; the
-        // incremental row never does.
-        assert_eq!(report.measurements[1].rebuilds, 40);
-        assert_eq!(report.measurements[0].rebuilds, 0);
-        // Per-phase breakdowns reflect the path each mode takes: the bulk
-        // path pays the full-window batch query, the affected-set path
-        // never does (and vice versa for the ρ repair).
-        assert!(report.measurements[1].phases.batch_query > 0);
-        assert_eq!(report.measurements[1].phases.rho_repair, 0);
-        assert_eq!(report.measurements[0].phases.batch_query, 0);
-    }
-
-    #[test]
-    fn single_mode_sweep_measures_only_that_mode() {
-        let report = run(&StreamBenchOptions {
-            modes: vec![StreamMode::Adaptive],
-            ..tiny_options()
-        });
         assert_eq!(report.measurements.len(), 1);
-        assert_eq!(report.measurements[0].mode, "adaptive");
-        // No fixed-mode rows to compare against.
-        assert_eq!(report.adaptive_vs_best(StreamEngine::Grid, 150, 1), None);
-        assert_eq!(report.worst_adaptive_ratio(), None);
+        let row = &report.measurements[0];
+        assert_eq!(row.updates, 40);
+        assert!(row.updates_per_sec > 0.0);
+        // The per-phase breakdown covers the affected-set path: every epoch
+        // repairs ρ and δ.
+        assert!(row.phases.rho_repair > 0);
+        assert!(row.phases.delta_repair > 0);
     }
 
     #[test]
@@ -897,12 +632,8 @@ mod tests {
             batches: vec![1, 8],
             ..tiny_options()
         });
-        // Three modes × two batch sizes.
-        assert_eq!(report.measurements.len(), 6);
-        assert!(report
-            .measurements
-            .iter()
-            .any(|m| m.batch == 8 && m.mode == "adaptive"));
+        assert_eq!(report.measurements.len(), 2);
+        assert!(report.measurements.iter().any(|m| m.batch == 8));
         assert!(report.batch_speedup(StreamEngine::Grid, 150, 8).unwrap() > 0.0);
         // Batch 1 vs itself is exactly 1.
         assert_eq!(report.batch_speedup(StreamEngine::Grid, 150, 1), Some(1.0));
@@ -915,41 +646,31 @@ mod tests {
             batches: vec![1, 8],
             ..tiny_options()
         });
-        // Three rows per engine per batch size; the in-benchmark assertion
-        // already checked incremental == adaptive == batch for each cell.
-        assert_eq!(report.measurements.len(), 12);
+        // One row per engine per batch size; the in-benchmark assertion
+        // already checked each cell against a cold batch run.
+        assert_eq!(report.measurements.len(), 4);
         for e in [StreamEngine::KdTree, StreamEngine::RTree] {
-            assert!(report.speedup(e, 150, 1).unwrap() > 0.0);
-            assert!(report.speedup(e, 150, 8).unwrap() > 0.0);
-            assert!(report.adaptive_vs_best(e, 150, 8).unwrap() > 0.0);
-            assert!(report
-                .measurements
-                .iter()
-                .any(|m| m.engine == e.name() && m.mode == "rebuild"));
+            assert!(report.batch_speedup(e, 150, 8).unwrap() > 0.0);
         }
     }
 
     #[test]
-    fn kernel_sweep_adds_weighted_rows_that_never_rebuild() {
+    fn kernel_sweep_adds_weighted_rows() {
         let report = run(&StreamBenchOptions {
             kernels: vec![Kernel::Cutoff, Kernel::gaussian(0.3)],
             batches: vec![8],
             ..tiny_options()
         });
-        // Three modes × two kernels.
-        assert_eq!(report.measurements.len(), 6);
+        // One row per kernel.
+        assert_eq!(report.measurements.len(), 2);
         let gaussian: Vec<_> = report
             .measurements
             .iter()
             .filter(|m| m.kernel == Kernel::gaussian(0.3))
             .collect();
-        assert_eq!(gaussian.len(), 3);
-        // A bulk rebuild cannot reproduce streamed weighted densities, so
-        // even the rebuild-pinned and adaptive rows stay incremental.
-        assert!(gaussian.iter().all(|m| m.rebuilds == 0), "{gaussian:?}");
-        // The cut-off rows still anchor the mode-comparison ratios, and the
-        // weighted rows get their own overhead ratio.
-        assert!(report.speedup(StreamEngine::Grid, 150, 8).unwrap() > 0.0);
+        assert_eq!(gaussian.len(), 1);
+        // The weighted rows get their own overhead ratio against the cut-off
+        // row of the same cell.
         let overhead = report
             .kernel_overhead(StreamEngine::Grid, 150, 8, "gaussian")
             .unwrap();
@@ -960,10 +681,7 @@ mod tests {
             json.contains("\"kernel\": \"gaussian\", \"bandwidth\": 0.3"),
             "{json}"
         );
-        assert!(
-            json.contains("weighted-kernel incremental throughput"),
-            "{json}"
-        );
+        assert!(json.contains("weighted-kernel throughput"), "{json}");
         assert!(report.render().contains("gaussian"), "{}", report.render());
     }
 
@@ -1009,40 +727,38 @@ mod tests {
     }
 
     #[test]
-    fn mode_names_round_trip() {
-        for m in StreamMode::ALL {
-            assert_eq!(StreamMode::parse(m.name()).unwrap(), m);
-        }
-        assert_eq!(StreamMode::parse("inc").unwrap(), StreamMode::Incremental);
-        assert_eq!(StreamMode::parse("auto").unwrap(), StreamMode::Adaptive);
-        assert!(StreamMode::parse("oracle").is_err());
-    }
-
-    #[test]
     fn json_snapshot_has_the_expected_fields() {
-        let report = run(&tiny_options());
+        let report = run(&StreamBenchOptions {
+            batches: vec![1, 8],
+            ..tiny_options()
+        });
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"stream_throughput\"",
             "\"updates\": 40",
             "\"machine\"",
+            "\"cpus\"",
             "\"engine\": \"grid\"",
             "\"batch\": 1",
             "\"mode\": \"incremental\"",
-            "\"mode\": \"rebuild\"",
-            "\"mode\": \"adaptive\"",
             "\"updates_per_sec\"",
-            "\"rebuilds\"",
+            "\"fallbacks\"",
             "\"phase_us\"",
-            "\"batch_query\"",
-            "worst cell",
+            "vs per-update maintenance (batch 1)",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        // One maintenance path: no rebuild or adaptive rows, and exactly the
+        // five phases of the incremental epoch.
+        for gone in ["rebuild", "adaptive"] {
+            assert!(!json.contains(gone), "stale {gone} in {json}");
+        }
+        let phases = json.split("\"phase_us\": { ").nth(1).unwrap();
+        let phases = phases.split(" }").next().unwrap();
+        assert_eq!(phases.matches(':').count(), 5, "{phases}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(report.render().contains("incremental"));
-        assert!(report.render().contains("adaptive"));
+        assert!(report.render().contains("per-update maintenance"));
     }
 
     #[test]
@@ -1064,15 +780,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one mode")]
-    fn no_modes_panics() {
-        run(&StreamBenchOptions {
-            modes: vec![],
-            ..tiny_options()
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "positive batch size")]
     fn zero_batch_panics() {
         run(&StreamBenchOptions {
@@ -1084,8 +791,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the smallest window")]
     fn batch_larger_than_window_panics_with_a_clear_message() {
-        // Without the up-front check this used to die mid-sweep in the
-        // rebuild baseline's `live.drain(..batch)` with a slice error.
+        // Checked up front, so the sweep never dies mid-run with a slice
+        // error.
         run(&StreamBenchOptions {
             batches: vec![1, 512],
             ..tiny_options() // window 150

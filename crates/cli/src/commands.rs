@@ -11,7 +11,7 @@ use dpc_core::{
 use dpc_datasets::{read_points_csv, write_labels_csv, write_points_csv, DatasetKind};
 use dpc_list_index::{ChIndex, KnnDpc, ListIndex};
 use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceSink};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, Quadtree, RTree};
 
 use crate::args::ParsedArgs;
@@ -144,6 +144,151 @@ pub fn knn_cluster(args: &ParsedArgs) -> Result<String, String> {
     ))
 }
 
+/// The flags `dpc stream` and `dpc serve` share.
+const STREAM_FLAGS: [&str; 16] = [
+    "input",
+    "dc",
+    "engine",
+    "index",
+    "window",
+    "batch",
+    "threads",
+    "centers",
+    "kernel",
+    "bandwidth",
+    "decay",
+    "max-epochs",
+    "quiet",
+    "json",
+    "metrics",
+    "trace-out",
+];
+
+/// What `dpc stream` and `dpc serve` parse alike from [`STREAM_FLAGS`]: the
+/// input split into seed window and stream, the engine, the streaming
+/// parameters and the recorders asked for.
+struct StreamSetup {
+    data: Dataset,
+    /// Seed window size: `--window`, clamped to the input.
+    warm: usize,
+    /// `--engine` (or its alias `--index`), lower-cased.
+    engine: String,
+    batch: usize,
+    max_epochs: usize,
+    params: StreamParams,
+    /// Suppress per-epoch lines entirely.
+    quiet: bool,
+    /// Emit per-epoch lines and the summary as JSON objects instead of
+    /// human-readable text.
+    json: bool,
+    /// Recorder to attach to the engine before replaying, if any.
+    recorder: Option<SharedRecorder>,
+    metrics: Option<Arc<MetricsRecorder>>,
+    trace: Option<(Arc<TraceSink>, PathBuf)>,
+}
+
+impl StreamSetup {
+    /// Parses and checks the shared flags; `own_flags` are the command's
+    /// other accepted flags.
+    fn parse(args: &ParsedArgs, own_flags: &[&str]) -> Result<Self, String> {
+        let allowed: Vec<&str> = STREAM_FLAGS.iter().chain(own_flags).copied().collect();
+        args.reject_unknown(&allowed)?;
+        let data = load_points(args.require("input")?)?;
+        let dc: f64 = args.require_parsed("dc")?;
+        let engine = args
+            .get("engine")
+            .or_else(|| args.get("index"))
+            .unwrap_or("grid")
+            .to_ascii_lowercase();
+        let window: usize = args.get_or("window", 1_000)?;
+        let batch: usize = args.get_or("batch", 100)?;
+        let threads: usize = args.get_or("threads", 1)?;
+        let selection = parse_centers(args.get("centers").unwrap_or("auto"))?;
+        let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
+        let decay: f64 = args.get_or("decay", 1.0)?;
+        let max_epochs: usize = args.get_or("max-epochs", usize::MAX)?;
+        if window == 0 || batch == 0 {
+            return Err("--window and --batch must be positive".into());
+        }
+        if threads == 0 {
+            return Err("--threads must be at least 1".into());
+        }
+        if data.is_empty() {
+            return Err("input file holds no points".into());
+        }
+        // Recorders are pure side channels: attach only what was asked for,
+        // so the default invocation keeps the guaranteed-zero-overhead no-op
+        // path.
+        let metrics = args
+            .has_switch("metrics")
+            .then(|| Arc::new(MetricsRecorder::new()));
+        let trace = args
+            .get("trace-out")
+            .map(|path| (Arc::new(TraceSink::new()), PathBuf::from(path)));
+        let recorder: Option<SharedRecorder> = match (&metrics, &trace) {
+            (None, None) => None,
+            (Some(m), None) => Some(Arc::clone(m) as SharedRecorder),
+            (None, Some((t, _))) => Some(Arc::clone(t) as SharedRecorder),
+            (Some(m), Some((t, _))) => Some(Arc::new(
+                Fanout::new()
+                    .with(Arc::clone(m) as SharedRecorder)
+                    .with(Arc::clone(t) as SharedRecorder),
+            )),
+        };
+        let params = StreamParams::new(dc)
+            .with_dpc(
+                DpcParams::new(dc)
+                    .with_centers(selection)
+                    .with_kernel(kernel)
+                    .with_threads(threads),
+            )
+            .with_decay(decay);
+        Ok(StreamSetup {
+            warm: window.min(data.len()),
+            data,
+            engine,
+            batch,
+            max_epochs,
+            params,
+            quiet: args.has_switch("quiet"),
+            json: args.has_switch("json"),
+            recorder,
+            metrics,
+            trace,
+        })
+    }
+
+    /// The seed window: the first `warm` input points.
+    fn seed(&self) -> Dataset {
+        Dataset::new(self.data.points()[..self.warm].to_vec())
+    }
+
+    /// The points streamed after the seed window.
+    fn rest(&self) -> &[dpc_core::Point] {
+        &self.data.points()[self.warm..]
+    }
+
+    /// Appends the metrics table and writes the Chrome trace, if asked for.
+    fn finish(&self, out: &mut String) -> Result<(), String> {
+        if let Some(metrics) = &self.metrics {
+            out.push('\n');
+            out.push_str(&metrics.snapshot().render());
+        }
+        if let Some((trace, path)) = &self.trace {
+            std::fs::write(path, trace.to_chrome_json()).map_err(|e| e.to_string())?;
+            if !self.json {
+                let _ = write!(
+                    out,
+                    "\nwrote Chrome trace ({} events) to {}",
+                    trace.events().len(),
+                    path.display()
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 /// `dpc stream`: replays a CSV point file as a timestamped stream through
 /// the incremental engine and prints per-epoch cluster deltas.
 ///
@@ -151,10 +296,7 @@ pub fn knn_cluster(args: &ParsedArgs) -> Result<String, String> {
 /// `--batch` points slides the window (evicting the same number of oldest
 /// points), and each epoch's births/deaths/relabel counts are printed.
 /// `--engine` picks the updatable index family maintaining the window
-/// (`--index` is accepted as an alias). `--policy` picks the commit
-/// strategy: `incremental` (always affected-set maintenance, the default),
-/// `rebuild` (always bulk-rebuild the index and re-run the batch pipeline)
-/// or `adaptive` (a calibrated cost model chooses per epoch).
+/// (`--index` is accepted as an alias).
 ///
 /// Observability: `--json` switches the per-epoch lines and the exit
 /// summary to one JSON object per line, `--metrics` attaches a
@@ -162,114 +304,27 @@ pub fn knn_cluster(args: &ParsedArgs) -> Result<String, String> {
 /// `--trace-out PATH` attaches a [`TraceSink`] and writes a Chrome
 /// trace-event file (loadable in Perfetto / `chrome://tracing`).
 pub fn stream(args: &ParsedArgs) -> Result<String, String> {
-    args.reject_unknown(&[
-        "input",
-        "dc",
-        "engine",
-        "index",
-        "window",
-        "batch",
-        "threads",
-        "centers",
-        "kernel",
-        "bandwidth",
-        "decay",
-        "max-epochs",
-        "policy",
-        "quiet",
-        "json",
-        "metrics",
-        "trace-out",
-    ])?;
-    let data = load_points(args.require("input")?)?;
-    let dc: f64 = args.require_parsed("dc")?;
-    let index_name = args
-        .get("engine")
-        .or_else(|| args.get("index"))
-        .unwrap_or("grid");
-    let window: usize = args.get_or("window", 1_000)?;
-    let batch: usize = args.get_or("batch", 100)?;
-    let threads: usize = args.get_or("threads", 1)?;
-    let selection = parse_centers(args.get("centers").unwrap_or("auto"))?;
-    let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
-    let decay: f64 = args.get_or("decay", 1.0)?;
-    let max_epochs: usize = args.get_or("max-epochs", usize::MAX)?;
-    let policy = CommitPolicy::parse(args.get("policy").unwrap_or("incremental"))
-        .map_err(|e| e.to_string())?;
-    let quiet = args.has_switch("quiet");
-    let json = args.has_switch("json");
-    let trace_out = args.get("trace-out").map(PathBuf::from);
-    // Recorders are pure side channels: attach only what was asked for, so
-    // the default invocation keeps the guaranteed-zero-overhead no-op path.
-    let metrics = args
-        .has_switch("metrics")
-        .then(|| Arc::new(MetricsRecorder::new()));
-    let trace = trace_out.is_some().then(|| Arc::new(TraceSink::new()));
-    let recorder: Option<SharedRecorder> = match (&metrics, &trace) {
-        (None, None) => None,
-        (Some(m), None) => Some(Arc::clone(m) as SharedRecorder),
-        (None, Some(t)) => Some(Arc::clone(t) as SharedRecorder),
-        (Some(m), Some(t)) => Some(Arc::new(
-            Fanout::new()
-                .with(Arc::clone(m) as SharedRecorder)
-                .with(Arc::clone(t) as SharedRecorder),
-        )),
-    };
-    if window == 0 || batch == 0 {
-        return Err("--window and --batch must be positive".into());
-    }
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    if data.is_empty() {
-        return Err("input file holds no points".into());
-    }
-
-    let points = data.points();
-    let warm = window.min(points.len());
-    let seed = Dataset::new(points[..warm].to_vec());
-    let params = StreamParams::new(dc)
-        .with_dpc(
-            DpcParams::new(dc)
-                .with_centers(selection)
-                .with_kernel(kernel)
-                .with_threads(threads),
-        )
-        .with_policy(policy)
-        .with_decay(decay);
+    let setup = StreamSetup::parse(args, &[])?;
+    let (seed, params) = (setup.seed(), setup.params.clone());
     let mut lines = Vec::new();
-    let opts = ReplayOpts {
-        quiet,
-        json,
-        recorder,
-    };
     let seed_timer = dpc_obs::Timer::start();
     // The engine is seeded inside the call arguments, before `replay` starts
     // its own timer — so the reported updates/s covers only the streamed
     // updates, not the one-off index build + batch seeding query.
-    let (stats, elapsed) = match index_name.to_ascii_lowercase().as_str() {
+    let (stats, elapsed) = match setup.engine.as_str() {
         "grid" => replay(
             StreamingDpc::new(GridIndex::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
-            &opts,
+            &setup,
             &mut lines,
         )?,
         "kdtree" | "kd" => replay(
             StreamingDpc::new(KdTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
-            &opts,
+            &setup,
             &mut lines,
         )?,
         "rtree" => replay(
             StreamingDpc::new(RTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
-            &opts,
+            &setup,
             &mut lines,
         )?,
         "naive" => replay(
@@ -278,18 +333,12 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
                 params,
             )
             .map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
-            &opts,
+            &setup,
             &mut lines,
         )?,
         "lean" => replay(
             StreamingDpc::new(LeanDpc::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
-            &opts,
+            &setup,
             &mut lines,
         )?,
         other => {
@@ -309,110 +358,70 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
     // one-in-one-out slides and would otherwise look 2x slower. The δ/µ
     // repair is paid per *epoch* (one `--batch`-sized advance), so the
     // incremental/fallback split and the affected union are per epoch.
-    if json {
+    let (kernel, decay) = (setup.params.dpc.kernel, setup.params.decay);
+    if setup.json {
         let bandwidth_field = kernel
             .bandwidth()
             .map(|h| format!(",\"bandwidth\":{h}"))
             .unwrap_or_default();
         let _ = write!(
             out,
-            "{{\"event\":\"summary\",\"updates\":{},\"window\":{warm},\
+            "{{\"event\":\"summary\",\"updates\":{},\"window\":{},\
              \"elapsed_ms\":{:.3},\"seed_ms\":{:.3},\"epochs\":{},\
-             \"incremental\":{},\"fallback\":{},\"rebuild\":{},\"decay_epochs\":{},\
-             \"mean_affected\":{:.3},\"policy\":\"{}\",\
+             \"incremental\":{},\"fallback\":{},\"decay_epochs\":{},\
+             \"mean_affected\":{:.3},\
              \"kernel\":\"{}\"{bandwidth_field},\"decay\":{decay},\
-             \"eps_queries\":{},\
-             \"predicted_cost_us\":{},\"observed_cost_us\":{}}}",
+             \"eps_queries\":{}}}",
             stats.updates,
+            setup.warm,
             elapsed.as_secs_f64() * 1e3,
             seed_time.as_secs_f64() * 1e3,
             stats.epochs,
             stats.incremental_epochs,
             stats.fallback_epochs,
-            stats.rebuild_epochs,
             stats.decay_epochs,
             stats.affected_points as f64 / (stats.epochs as f64).max(1.0),
-            policy.name(),
             kernel.name(),
             stats.eps_queries,
-            stats.predicted_cost_micros,
-            stats.observed_cost_micros
         );
     } else {
         let _ = write!(
             out,
             "applied {} point updates (each eviction or insertion) over a window \
              of {} in {:.1} ms ({:.0} point updates/s, seeding took {:.1} ms): \
-             {} epochs ({} incremental, {} fallback, {} rebuild), \
-             mean affected union {:.1}, commit policy {}",
+             {} epochs ({} incremental, {} fallback), mean affected union {:.1}",
             stats.updates,
-            warm,
+            setup.warm,
             elapsed.as_secs_f64() * 1e3,
             stats.updates as f64 / elapsed.as_secs_f64().max(1e-9),
             seed_time.as_secs_f64() * 1e3,
             stats.epochs,
             stats.incremental_epochs,
             stats.fallback_epochs,
-            stats.rebuild_epochs,
             stats.affected_points as f64 / (stats.epochs as f64).max(1.0),
-            policy.name()
         );
         if !kernel.is_cutoff() || decay != 1.0 {
             let _ = write!(out, ", kernel {}, decay {decay}", describe_kernel(kernel));
         }
-        if policy == CommitPolicy::Adaptive {
-            let _ = write!(
-                out,
-                " (cost model predicted {} us across epochs, observed {} us)",
-                stats.predicted_cost_micros, stats.observed_cost_micros
-            );
-        }
     }
-    if let Some(metrics) = &metrics {
-        out.push('\n');
-        out.push_str(&metrics.snapshot().render());
-    }
-    if let (Some(trace), Some(path)) = (&trace, &trace_out) {
-        std::fs::write(path, trace.to_chrome_json()).map_err(|e| e.to_string())?;
-        if !json {
-            let _ = write!(
-                out,
-                "\nwrote Chrome trace ({} events) to {}",
-                trace.events().len(),
-                path.display()
-            );
-        }
-    }
+    setup.finish(&mut out)?;
     Ok(out)
 }
 
-/// Per-epoch reporting options and the optional recorder for [`replay`].
-struct ReplayOpts {
-    /// Suppress per-epoch lines entirely.
-    quiet: bool,
-    /// Emit per-epoch lines as JSON objects instead of human-readable text.
-    json: bool,
-    /// Recorder to attach to the engine before replaying, if any.
-    recorder: Option<SharedRecorder>,
-}
-
-/// Drives one engine over the remaining points and collects epoch summaries.
-/// Returns the engine's counters and the wall-clock time of the replay loop
-/// alone (the caller's seeding work is excluded).
+/// Drives one engine over the points after the seed window and collects
+/// epoch summaries. Returns the engine's counters and the wall-clock time of
+/// the replay loop alone (the caller's seeding work is excluded).
 fn replay<I: UpdatableIndex>(
     mut engine: StreamingDpc<I>,
-    rest: &[dpc_core::Point],
-    batch: usize,
-    max_epochs: usize,
-    opts: &ReplayOpts,
+    setup: &StreamSetup,
     lines: &mut Vec<String>,
 ) -> Result<(dpc_stream::StreamStats, std::time::Duration), String> {
-    if let Some(rec) = &opts.recorder {
+    if let Some(rec) = &setup.recorder {
         engine.set_recorder(Arc::clone(rec));
     }
-    if opts.quiet {
+    if setup.quiet {
         // No per-epoch lines at all.
-    } else if opts.json {
+    } else if setup.json {
         lines.push(format!(
             "{{\"event\":\"seed\",\"window\":{},\"clusters\":{}}}",
             engine.len(),
@@ -426,21 +435,21 @@ fn replay<I: UpdatableIndex>(
         ));
     }
     let timer = dpc_obs::Timer::start();
-    for chunk in rest.chunks(batch).take(max_epochs) {
+    for chunk in setup.rest().chunks(setup.batch).take(setup.max_epochs) {
         let (_, delta) = engine
             .advance(chunk, chunk.len())
             .map_err(|e| e.to_string())?;
-        if opts.quiet {
+        if setup.quiet {
             continue;
         }
-        // Tag each epoch with the maintenance path the commit policy
-        // actually took (incremental / fallback / rebuild).
+        // Tag each epoch with the branch of the δ repair it took
+        // (incremental / fallback).
         let mode = engine.stats().last_epoch_mode.map_or("?", |m| m.name());
         lines.push(epoch_line(
             mode,
             &delta,
             engine.stats().last_epoch_micros,
-            opts.json,
+            setup.json,
         ));
     }
     Ok((engine.stats(), timer.elapsed()))
@@ -480,135 +489,43 @@ fn load_points(path: &str) -> Result<Dataset, String> {
 /// snapshots.
 ///
 /// The writer is exactly `dpc stream`'s replay loop (same `--window`,
-/// `--batch`, `--policy`, per-epoch delta lines); the serving layer wraps
-/// the engine in a [`dpc_serve::Server`] so every committed epoch publishes
-/// an immutable snapshot. Reader threads issue a deterministic mix of the
-/// three query families against the newest snapshot and report per-family
-/// p50/p99 latencies in the exit summary. `--ring` bounds the subscription
-/// delta ring (lagging subscribers resync, counted in the summary).
+/// `--batch`, per-epoch delta lines); the serving layer wraps the engine in
+/// a [`dpc_serve::Server`] so every committed epoch publishes an immutable
+/// snapshot. Reader threads issue a deterministic mix of the three query
+/// families against the newest snapshot and report per-family p50/p99
+/// latencies in the exit summary. `--ring` bounds the subscription delta
+/// ring (lagging subscribers resync, counted in the summary).
 ///
 /// `--json`, `--metrics` and `--trace-out` behave as in `dpc stream`; with
 /// a trace attached, reader query spans and writer epoch phases land in the
 /// same Chrome trace, on separate thread lanes.
 pub fn serve(args: &ParsedArgs) -> Result<String, String> {
-    args.reject_unknown(&[
-        "input",
-        "dc",
-        "engine",
-        "index",
-        "window",
-        "batch",
-        "threads",
-        "centers",
-        "kernel",
-        "bandwidth",
-        "decay",
-        "max-epochs",
-        "policy",
-        "readers",
-        "ring",
-        "quiet",
-        "json",
-        "metrics",
-        "trace-out",
-    ])?;
-    let data = load_points(args.require("input")?)?;
-    let dc: f64 = args.require_parsed("dc")?;
-    let index_name = args
-        .get("engine")
-        .or_else(|| args.get("index"))
-        .unwrap_or("grid");
-    let window: usize = args.get_or("window", 1_000)?;
-    let batch: usize = args.get_or("batch", 100)?;
-    let threads: usize = args.get_or("threads", 1)?;
-    let selection = parse_centers(args.get("centers").unwrap_or("auto"))?;
-    let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
-    let decay: f64 = args.get_or("decay", 1.0)?;
-    let max_epochs: usize = args.get_or("max-epochs", usize::MAX)?;
-    let policy = CommitPolicy::parse(args.get("policy").unwrap_or("incremental"))
-        .map_err(|e| e.to_string())?;
+    let setup = StreamSetup::parse(args, &["readers", "ring"])?;
     let readers: usize = args.get_or("readers", 2)?;
     let ring: usize = args.get_or("ring", 64)?;
-    let quiet = args.has_switch("quiet");
-    let json = args.has_switch("json");
-    let trace_out = args.get("trace-out").map(PathBuf::from);
-    let metrics = args
-        .has_switch("metrics")
-        .then(|| Arc::new(MetricsRecorder::new()));
-    let trace = trace_out.is_some().then(|| Arc::new(TraceSink::new()));
-    let recorder: Option<SharedRecorder> = match (&metrics, &trace) {
-        (None, None) => None,
-        (Some(m), None) => Some(Arc::clone(m) as SharedRecorder),
-        (None, Some(t)) => Some(Arc::clone(t) as SharedRecorder),
-        (Some(m), Some(t)) => Some(Arc::new(
-            Fanout::new()
-                .with(Arc::clone(m) as SharedRecorder)
-                .with(Arc::clone(t) as SharedRecorder),
-        )),
-    };
-    if window == 0 || batch == 0 {
-        return Err("--window and --batch must be positive".into());
-    }
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     if ring == 0 {
         return Err("--ring must be positive".into());
     }
-    if data.is_empty() {
-        return Err("input file holds no points".into());
-    }
-
-    let points = data.points();
-    let warm = window.min(points.len());
-    let seed = Dataset::new(points[..warm].to_vec());
-    let params = StreamParams::new(dc)
-        .with_dpc(
-            DpcParams::new(dc)
-                .with_centers(selection)
-                .with_kernel(kernel)
-                .with_threads(threads),
-        )
-        .with_policy(policy)
-        .with_decay(decay);
+    let (seed, params) = (setup.seed(), setup.params.clone());
     let mut lines = Vec::new();
-    let opts = ReplayOpts {
-        quiet,
-        json,
-        recorder,
-    };
-    let serve_opts = ServeOpts {
-        readers,
-        ring,
-        eps: dc,
-        query_points: points,
-    };
-    let (report, elapsed) = match index_name.to_ascii_lowercase().as_str() {
+    let serve_opts = ServeOpts { readers, ring };
+    let (report, elapsed) = match setup.engine.as_str() {
         "grid" => serve_replay(
             StreamingDpc::new(GridIndex::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
+            &setup,
             &serve_opts,
-            &opts,
             &mut lines,
         )?,
         "kdtree" | "kd" => serve_replay(
             StreamingDpc::new(KdTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
+            &setup,
             &serve_opts,
-            &opts,
             &mut lines,
         )?,
         "rtree" => serve_replay(
             StreamingDpc::new(RTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
+            &setup,
             &serve_opts,
-            &opts,
             &mut lines,
         )?,
         "naive" => serve_replay(
@@ -617,20 +534,14 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
                 params,
             )
             .map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
+            &setup,
             &serve_opts,
-            &opts,
             &mut lines,
         )?,
         "lean" => serve_replay(
             StreamingDpc::new(LeanDpc::build(&seed), params).map_err(|e| e.to_string())?,
-            &points[warm..],
-            batch,
-            max_epochs,
+            &setup,
             &serve_opts,
-            &opts,
             &mut lines,
         )?,
         other => {
@@ -645,8 +556,9 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
         out.push('\n');
     }
     let q = |h: &dpc_obs::Histogram, q: f64| h.value_at_quantile(q).unwrap_or(0);
+    let (kernel, decay, warm) = (setup.params.dpc.kernel, setup.params.decay, setup.warm);
     let kernel_name = kernel.name();
-    if json {
+    if setup.json {
         let _ = write!(
             out,
             "{{\"event\":\"serve_summary\",\"epochs\":{},\"published\":{},\
@@ -699,34 +611,16 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
             let _ = write!(out, "; kernel {}, decay {decay}", describe_kernel(kernel));
         }
     }
-    if let Some(metrics) = &metrics {
-        out.push('\n');
-        out.push_str(&metrics.snapshot().render());
-    }
-    if let (Some(trace), Some(path)) = (&trace, &trace_out) {
-        std::fs::write(path, trace.to_chrome_json()).map_err(|e| e.to_string())?;
-        if !json {
-            let _ = write!(
-                out,
-                "\nwrote Chrome trace ({} events) to {}",
-                trace.events().len(),
-                path.display()
-            );
-        }
-    }
+    setup.finish(&mut out)?;
     Ok(out)
 }
 
 /// Serving-specific knobs for [`serve_replay`].
-struct ServeOpts<'a> {
+struct ServeOpts {
     /// Number of concurrent reader threads.
     readers: usize,
     /// Capacity of the subscription delta ring.
     ring: usize,
-    /// Radius for the readers' ε-neighbourhood queries.
-    eps: f64,
-    /// Pool of coordinates the readers centre ε-queries on.
-    query_points: &'a [dpc_core::Point],
 }
 
 /// What one replay through the serving layer observed: the writer's engine
@@ -756,29 +650,28 @@ struct ReaderTally {
     sub: dpc_obs::Histogram,
 }
 
-/// Drives the writer over the remaining points while `opts.readers` threads
-/// issue a deterministic mix of queries against the published snapshots.
-/// Returns the merged report and the wall-clock time of the replay loop.
+/// Drives the writer over the points after the seed window while
+/// `serve_opts.readers` threads issue a deterministic mix of queries
+/// against the published snapshots: ε-queries use radius `dc` and centre on
+/// input points. Returns the merged report and the wall-clock time of the
+/// replay loop.
 fn serve_replay<I: UpdatableIndex>(
     mut engine: StreamingDpc<I>,
-    rest: &[dpc_core::Point],
-    batch: usize,
-    max_epochs: usize,
-    serve_opts: &ServeOpts<'_>,
-    opts: &ReplayOpts,
+    setup: &StreamSetup,
+    serve_opts: &ServeOpts,
     lines: &mut Vec<String>,
 ) -> Result<(ServeReport, std::time::Duration), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
-    if let Some(rec) = &opts.recorder {
+    if let Some(rec) = &setup.recorder {
         engine.set_recorder(Arc::clone(rec));
     }
     let mut server = dpc_serve::Server::new(engine, serve_opts.ring);
     let reader_handles: Vec<_> = (0..serve_opts.readers).map(|_| server.reader()).collect();
-    if opts.quiet {
+    if setup.quiet {
         // No per-epoch lines at all.
-    } else if opts.json {
+    } else if setup.json {
         lines.push(format!(
             "{{\"event\":\"seed\",\"window\":{},\"clusters\":{}}}",
             server.engine().len(),
@@ -796,8 +689,8 @@ fn serve_replay<I: UpdatableIndex>(
     let timer = dpc_obs::Timer::start();
     let (writer_result, tallies) = std::thread::scope(|s| {
         let stop = &stop;
-        let eps = serve_opts.eps;
-        let query_points = serve_opts.query_points;
+        let eps = setup.params.dpc.dc;
+        let query_points = setup.data.points();
         let workers: Vec<_> = reader_handles
             .into_iter()
             .enumerate()
@@ -854,15 +747,20 @@ fn serve_replay<I: UpdatableIndex>(
         // The writer must release the readers even when a commit fails —
         // otherwise the scope would never join.
         let writer_result = (|| -> Result<(), String> {
-            for chunk in rest.chunks(batch).take(max_epochs) {
+            for chunk in setup.rest().chunks(setup.batch).take(setup.max_epochs) {
                 let (_, delta) = server
                     .engine_mut()
                     .advance(chunk, chunk.len())
                     .map_err(|e| e.to_string())?;
-                if !opts.quiet {
+                if !setup.quiet {
                     let stats = server.engine().stats();
                     let mode = stats.last_epoch_mode.map_or("?", |m| m.name());
-                    lines.push(epoch_line(mode, &delta, stats.last_epoch_micros, opts.json));
+                    lines.push(epoch_line(
+                        mode,
+                        &delta,
+                        stats.last_epoch_micros,
+                        setup.json,
+                    ));
                 }
             }
             Ok(())
@@ -1444,13 +1342,13 @@ mod tests {
         assert!(out.contains("seeded window of 200 points"), "{out}");
         assert!(out.contains("epoch"), "{out}");
         assert!(out.contains("updates/s"), "{out}");
-        // Every epoch line is tagged with the maintenance path taken, and
-        // the exit summary names the commit policy.
+        // Every epoch line is tagged with the branch of the δ repair it
+        // took, and the exit summary splits the epochs between the two.
         assert!(
             out.contains("[incremental]") || out.contains("[fallback]"),
             "{out}"
         );
-        assert!(out.contains("commit policy incremental"), "{out}");
+        assert!(out.contains(" fallback), mean affected union "), "{out}");
 
         // Every other engine must replay the same stream; `--engine` is the
         // documented spelling, `--index` stays as an alias.
@@ -1474,42 +1372,6 @@ mod tests {
             assert!(out.contains("incremental"), "{engine}: {out}");
         }
 
-        // The commit policy is selectable: rebuild commits every epoch via
-        // the bulk path, adaptive lets the cost model choose and reports
-        // its predicted-vs-observed totals.
-        let out = run(args(&[
-            "stream",
-            "--input",
-            points.to_str().unwrap(),
-            "--dc",
-            "0.5",
-            "--window",
-            "200",
-            "--batch",
-            "50",
-            "--policy",
-            "rebuild",
-        ]))
-        .unwrap();
-        assert!(out.contains("[rebuild]"), "{out}");
-        assert!(out.contains("commit policy rebuild"), "{out}");
-        let out = run(args(&[
-            "stream",
-            "--input",
-            points.to_str().unwrap(),
-            "--dc",
-            "0.5",
-            "--window",
-            "200",
-            "--batch",
-            "50",
-            "--policy",
-            "adaptive",
-        ]))
-        .unwrap();
-        assert!(out.contains("commit policy adaptive"), "{out}");
-        assert!(out.contains("cost model predicted"), "{out}");
-
         // Bad invocations.
         assert!(run(args(&[
             "stream",
@@ -1519,16 +1381,6 @@ mod tests {
             "0.5",
             "--engine",
             "ball-tree"
-        ]))
-        .is_err());
-        assert!(run(args(&[
-            "stream",
-            "--input",
-            points.to_str().unwrap(),
-            "--dc",
-            "0.5",
-            "--policy",
-            "sometimes"
         ]))
         .is_err());
         assert!(run(args(&[
@@ -1588,9 +1440,8 @@ mod tests {
         .unwrap();
 
         // A decayed gaussian replay through the JSON feed: the summary names
-        // the kernel, bandwidth and decay factor, and the rebuild policy is
-        // coerced to incremental because rebuilds cannot reproduce decayed
-        // weighted densities.
+        // the kernel, bandwidth and decay factor, and every decayed epoch
+        // re-ranks δ in full, so none counts as incremental.
         let out = run(args(&[
             "stream",
             "--input",
@@ -1607,8 +1458,6 @@ mod tests {
             "200",
             "--batch",
             "50",
-            "--policy",
-            "rebuild",
             "--json",
         ]))
         .unwrap();
@@ -1616,7 +1465,7 @@ mod tests {
         assert!(out.contains("\"kernel\":\"gaussian\""), "{out}");
         assert!(out.contains("\"bandwidth\":0.7"), "{out}");
         assert!(out.contains("\"decay\":0.9"), "{out}");
-        assert!(out.contains("\"rebuild\":0"), "{out}");
+        assert!(out.contains("\"incremental\":0"), "{out}");
 
         // The human-readable summary names weighted kernels too.
         let out = run(args(&[
@@ -1707,8 +1556,6 @@ mod tests {
             "200",
             "--batch",
             "50",
-            "--policy",
-            "adaptive",
         ];
 
         // --json: every line is one JSON object; the per-epoch objects carry
@@ -1734,7 +1581,7 @@ mod tests {
                 .starts_with("{\"event\":\"summary\""),
             "{out}"
         );
-        assert!(out.contains("\"policy\":\"adaptive\""), "{out}");
+        assert!(out.contains("\"fallback\":"), "{out}");
 
         // --metrics: the snapshot table follows the summary and holds the
         // streaming counters and per-phase histograms.
@@ -1743,10 +1590,10 @@ mod tests {
         let out = run(args(&metrics_args)).unwrap();
         assert!(out.contains("stream.epochs"), "{out}");
         assert!(out.contains("stream.phase.validate_us"), "{out}");
-        assert!(out.contains("stream.policy.decision.events"), "{out}");
+        assert!(out.contains("stream.phase.delta_repair_us"), "{out}");
 
         // --trace-out: a valid Chrome trace-event file with epoch spans and
-        // policy decision instants.
+        // the δ-repair sub-spans.
         let trace_path = dir.join("trace.json");
         let mut trace_args = base.to_vec();
         trace_args.extend(["--quiet", "--trace-out", trace_path.to_str().unwrap()]);
@@ -1758,9 +1605,9 @@ mod tests {
         for required in [
             "\"name\":\"stream.epoch\"",
             "\"name\":\"stream.phase.validate\"",
-            "\"name\":\"stream.policy.decision\"",
+            "\"name\":\"stream.phase.delta_repair\"",
+            "\"name\":\"stream.delta.invalidate\"",
             "\"ph\":\"X\"",
-            "\"ph\":\"i\"",
             "\"ts\":",
             "\"pid\":",
         ] {
@@ -1867,6 +1714,36 @@ mod tests {
         ]))
         .is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The streaming commands have no `--policy` flag: `command` must reject
+    /// it as an unknown flag, naming it.
+    fn rejects_policy_flag(command: &str, tag: &str) {
+        let dir = temp_dir(tag);
+        let points = dir.join("points.csv");
+        write_points_csv(&points, &tiny_points()).unwrap();
+        let err = run(args(&[
+            command,
+            "--input",
+            points.to_str().unwrap(),
+            "--dc",
+            "0.5",
+            "--policy",
+            "adaptive",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("unknown flag --policy"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stream_rejects_the_policy_flag() {
+        rejects_policy_flag("stream", "stream-policy");
+    }
+
+    #[test]
+    fn serve_rejects_the_policy_flag() {
+        rejects_policy_flag("serve", "serve-policy");
     }
 
     #[test]

@@ -95,13 +95,6 @@ impl UpdatableIndex for NaiveReferenceIndex {
         self.dataset.swap_remove(id)
     }
 
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // No derived structure: a bulk load is plain adoption (the caller's
-        // version history included).
-        self.dataset = dataset;
-        Ok(())
-    }
-
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
         brute::eps_neighbors_scan(&self.dataset, center, eps)
     }

@@ -47,13 +47,9 @@
 //! Why each piece of `F` is sufficient, and why everyone else only needs the
 //! candidate fold, is derived step by step in `docs/STREAMING.md`.
 //!
-//! Steps 2–4 are the **incremental** path. A [`CommitPolicy`] on
-//! [`StreamParams`] can route an epoch through the **rebuild** path instead
-//! — one bulk [`UpdatableIndex::rebuild_from`] of the epoch's final window
-//! feeding the batch ρ/δ pipeline — either always, or per epoch via the
-//! calibrated cost model of [`CommitPolicy::Adaptive`] (see the
-//! [`policy`](crate::policy) module). Both paths commit bit-identical
-//! state; the policy only decides which one pays less wall-clock.
+//! This is the engine's only maintenance path: the index is built once, at
+//! seeding, and from then on only mutated in place. Which branch of step 4
+//! an epoch took is reported as an [`EpochMode`] in [`StreamStats`].
 //!
 //! The correctness anchor (enforced by the equivalence property suite at
 //! batch sizes 1, 7 and 64) is: after **every** epoch, the engine's `(ρ, δ,
@@ -69,12 +65,11 @@ use dpc_core::{
     assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
     DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
 };
-use dpc_obs::{span, AttrValue, SharedRecorder};
+use dpc_obs::{span, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
 use crate::handle::{Handle, HandleMap};
 use crate::maintenance::candidate_pass;
-use crate::policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 use crate::report::{ClusterDelta, LabelChange};
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
 
@@ -108,19 +103,6 @@ pub struct StreamParams {
     /// 1.0 (or anything ≥ 1.0) effectively disables the fallback; 0.0 forces
     /// it on every epoch (useful for testing).
     pub max_affected_fraction: f64,
-    /// How [`commit`](StreamingDpc::commit) maintains the clustering each
-    /// epoch: always incrementally (the default), always by bulk rebuild, or
-    /// adaptively via the calibrated [`CostModel`].
-    pub policy: CommitPolicy,
-    /// EWMA smoothing factor α ∈ (0, 1] for the adaptive cost model's
-    /// online rate updates (`new = α·sample + (1-α)·old`). 1.0 keeps only
-    /// the latest epoch; small values average over many. Default 0.3.
-    pub ewma_alpha: f64,
-    /// Multiplier applied to the *predicted* rebuild cost before comparing
-    /// paths. Values above 1.0 make the adaptive policy reluctant to
-    /// rebuild, below 1.0 eager. Default 1.0 (unbiased). Must be positive
-    /// and finite.
-    pub rebuild_bias: f64,
     /// Per-epoch time-decay factor λ ∈ (0, 1] of the weighted densities:
     /// every committed epoch (and every [`StreamingDpc::tick`]) multiplies
     /// each pair's density contribution by λ, so a contribution aged `k`
@@ -130,24 +112,17 @@ pub struct StreamParams {
     /// Decay never changes *which* points interact (the kernel support stays
     /// strictly within `dc`), so the affected-set machinery is untouched; it
     /// only rescales the weights. A decayed epoch always re-ranks δ/µ in
-    /// full through the index's batch δ-query, and the rebuild commit path
-    /// is unavailable (decayed ρ is history-dependent and cannot be
-    /// recomputed from a batch query); rebuild-flavoured policies silently
-    /// take the incremental path.
+    /// full through the index's batch δ-query.
     pub decay: f64,
 }
 
 impl StreamParams {
     /// Streaming parameters with the given cut-off and defaults for
-    /// everything else (fallback threshold 0.25, incremental policy,
-    /// EWMA α 0.3, unbiased rebuild cost).
+    /// everything else (fallback threshold 0.25, no decay).
     pub fn new(dc: f64) -> Self {
         StreamParams {
             dpc: DpcParams::new(dc),
             max_affected_fraction: 0.25,
-            policy: CommitPolicy::default(),
-            ewma_alpha: 0.3,
-            rebuild_bias: 1.0,
             decay: 1.0,
         }
     }
@@ -161,24 +136,6 @@ impl StreamParams {
     /// Sets the fallback threshold.
     pub fn with_max_affected_fraction(mut self, fraction: f64) -> Self {
         self.max_affected_fraction = fraction;
-        self
-    }
-
-    /// Sets the commit policy.
-    pub fn with_policy(mut self, policy: CommitPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the EWMA smoothing factor of the adaptive cost model.
-    pub fn with_ewma_alpha(mut self, alpha: f64) -> Self {
-        self.ewma_alpha = alpha;
-        self
-    }
-
-    /// Sets the rebuild cost bias of the adaptive policy.
-    pub fn with_rebuild_bias(mut self, bias: f64) -> Self {
-        self.rebuild_bias = bias;
         self
     }
 
@@ -197,26 +154,6 @@ impl StreamParams {
                 format!(
                     "must be a finite non-negative fraction, got {}",
                     self.max_affected_fraction
-                ),
-            ));
-        }
-        if !(self.ewma_alpha.is_finite() && self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(DpcError::invalid_parameter(
-                "ewma_alpha",
-                format!(
-                    "EWMA smoothing factor must be a positive finite number \
-                     (valid range: 0 < alpha <= 1), got {}",
-                    self.ewma_alpha
-                ),
-            ));
-        }
-        if !(self.rebuild_bias.is_finite() && self.rebuild_bias > 0.0) {
-            return Err(DpcError::invalid_parameter(
-                "rebuild_bias",
-                format!(
-                    "rebuild cost bias must be a positive finite number \
-                     (valid range: bias > 0), got {}",
-                    self.rebuild_bias
                 ),
             ));
         }
@@ -265,15 +202,11 @@ pub struct StreamStats {
     pub updates: u64,
     /// Epochs repaired incrementally (candidate fold + bounded recompute).
     pub incremental_epochs: u64,
-    /// Epochs that fell back to a full δ/µ recomputation.
+    /// Epochs that fell back to a full δ/µ recomputation. Every
+    /// plan-committing epoch lands in exactly one of the two mode counters;
+    /// pure decay ticks land in [`decay_epochs`](Self::decay_epochs)
+    /// instead.
     pub fallback_epochs: u64,
-    /// Epochs committed by bulk index rebuild + batch ρ/δ queries (the
-    /// `AlwaysRebuild` policy, or the adaptive policy predicting a rebuild
-    /// win; unavailable with a non-cutoff kernel or decay enabled). Every
-    /// plan-committing epoch lands in exactly one of the three mode
-    /// counters; pure decay ticks land in
-    /// [`decay_epochs`](Self::decay_epochs) instead.
-    pub rebuild_epochs: u64,
     /// Pure decay epochs ([`StreamingDpc::tick`]): scalar ρ aging plus a
     /// full δ/µ re-rank, no window mutation. Effective ticks only — with
     /// decay disabled a tick is a no-op and is not counted.
@@ -289,17 +222,36 @@ pub struct StreamStats {
     /// recomputed when on the incremental path).
     pub invalidated_points: u64,
     /// Wall-clock µs the *last* epoch spent in density maintenance (plan
-    /// application through δ/µ repair or rebuild; excludes re-clustering).
+    /// application through δ/µ repair; excludes re-clustering).
     pub last_epoch_micros: u64,
     /// What the last committed epoch did (`None` before the first epoch).
     pub last_epoch_mode: Option<EpochMode>,
-    /// Sum over *adaptive* epochs of the cost model's predicted cost of the
-    /// chosen path, in µs. Compare with
-    /// [`observed_cost_micros`](Self::observed_cost_micros) to judge the
-    /// model's calibration; both stay 0 under the fixed policies.
-    pub predicted_cost_micros: u64,
-    /// Sum over *adaptive* epochs of the observed maintenance cost, in µs.
-    pub observed_cost_micros: u64,
+}
+
+/// What one committed epoch did — recorded in
+/// [`StreamStats::last_epoch_mode`], and counted per mode in
+/// [`StreamStats`], so which branch of the δ repair ran is observable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EpochMode {
+    /// Affected-set repair: candidate fold + bounded δ/µ recompute.
+    Incremental,
+    /// The invalidation set exceeded `max_affected_fraction` (or the epoch
+    /// decayed every density) and δ/µ were re-ranked for every point.
+    Fallback,
+    /// A pure decay tick ([`StreamingDpc::tick`]): no window mutation, one
+    /// scalar ρ aging pass plus a full δ/µ re-rank, zero ε-queries.
+    Decay,
+}
+
+impl EpochMode {
+    /// The mode's stable name (log lines and report fields).
+    pub fn name(self) -> &'static str {
+        match self {
+            EpochMode::Incremental => "incremental",
+            EpochMode::Fallback => "fallback",
+            EpochMode::Decay => "decay",
+        }
+    }
 }
 
 /// Provenance of a dense slot while an epoch is being applied.
@@ -344,26 +296,21 @@ struct CommitScratch {
     candidates: Vec<PointId>,
 }
 
-/// How many δ probes the seeding calibration times through
-/// [`UpdatableIndex::delta_targets`] to estimate the incremental path's
-/// per-point cost.
-const CALIBRATION_PROBES: usize = 32;
-
 /// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
 /// `dc` and the kernel before the seeding query, the engine keeps one ρ per
 /// window point, and every target is a live id.
 const QUERY_VALIDATED: &str = "δ query over validated parameters, one ρ per point and live targets";
 
-/// What one committed (non-empty, non-emptying) epoch's maintenance did,
-/// handed from the chosen branch back to [`StreamingDpc::commit`] for
-/// timing, stats and model updates.
+/// What one committed epoch's maintenance did, handed from
+/// [`StreamingDpc::maintain`] back to [`StreamingDpc::commit`] for timing
+/// and stats.
 struct EpochOutcome {
     /// One handle per planned insert, in plan order.
     planned_handles: Vec<Handle>,
-    /// Which path the epoch actually took.
+    /// Which branch of the δ repair the epoch took.
     mode: EpochMode,
-    /// |F| on the incremental/fallback path (0 for a rebuild, which never
-    /// materialises an invalidation set).
+    /// |F|, the invalidation-set size (0 for an epoch that empties the
+    /// window).
     invalidated: usize,
 }
 
@@ -440,15 +387,10 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     /// epoch counter unbumped — cannot skew the decay exponents.
     age_epoch: u64,
     stats: StreamStats,
-    /// Calibrated cost model behind [`CommitPolicy::Adaptive`] — seeded in
-    /// [`new`](Self::new), updated online from every epoch's timing
-    /// regardless of policy (so flipping to `Adaptive` mid-stream starts
-    /// from live estimates).
-    model: CostModel,
     /// Reusable per-epoch working memory (taken out for the duration of a
     /// commit, put back afterwards).
     scratch: CommitScratch,
-    /// Observability sink for phase spans, policy decisions and maintenance
+    /// Observability sink for phase spans, maintenance counters and
     /// gauges. Defaults to the shared no-op recorder, which keeps every
     /// instrumented site down to a predictable branch; see
     /// [`set_recorder`](Self::set_recorder).
@@ -477,39 +419,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             ));
         }
         let n = index.len();
-        // One-shot calibration: the seeding batch query is exactly what a
-        // rebuild epoch pays per window point, and a handful of δ probes
-        // through the index's `delta_targets` hook (the incremental repair's
-        // query) measure the incremental path's per-point cost. Both are
-        // timed here regardless of policy — the probes cost less than the
-        // seeding query itself — so [`set_policy`](Self::set_policy) can
-        // flip to `Adaptive` mid-stream and find a live model.
-        let query = params.dpc.query();
-        let seeding = Instant::now();
         let (rho, deltas) = if n == 0 {
             (Vec::new(), DeltaResult::unset(0))
         } else {
-            index.rho_delta(&query)?
+            index.rho_delta(&params.dpc.query())?
         };
-        let rebuild_us = seeding.elapsed().as_micros() as f64 / n.max(1) as f64;
         let peak = DensityOrder::new(&rho).global_peak();
-        let inc_us = if n == 0 {
-            0.0
-        } else {
-            // Stride-spread sample so the probe sees the whole window, not
-            // one dense corner of it.
-            let probes = CALIBRATION_PROBES.min(n);
-            let stride = n / probes;
-            let targets: Vec<PointId> = (0..probes).map(|k| k * stride).collect();
-            let probing = Instant::now();
-            std::hint::black_box(index.delta_targets(&query, &rho, &targets)?);
-            probing.elapsed().as_micros() as f64 / probes as f64
-        };
-        // An update invalidates its ε-neighbourhood plus itself: mean ρ + 1.
-        // (Under a non-cutoff kernel the weighted mean *under*-estimates the
-        // neighbour count, which only makes the prior conservative.)
-        let union_prior = rho.iter().sum::<f64>() / n.max(1) as f64 + 1.0;
-        let model = CostModel::seeded(rebuild_us, inc_us, union_prior, params.ewma_alpha);
         let mut engine = StreamingDpc {
             index,
             params,
@@ -523,7 +438,6 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             epoch: 0,
             age_epoch: 0,
             stats: StreamStats::default(),
-            model,
             scratch: CommitScratch::default(),
             recorder: dpc_obs::noop(),
             sink: None,
@@ -603,21 +517,6 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         self.stats
     }
 
-    /// The calibrated cost model driving [`CommitPolicy::Adaptive`].
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Switches the commit policy mid-stream, effective from the next
-    /// committed epoch. A policy switch never changes results — every path
-    /// is bit-identical to the cold batch oracle — only which maintenance
-    /// path future epochs take. The cost model keeps learning from epoch
-    /// timings under every policy, so a flip to [`CommitPolicy::Adaptive`]
-    /// starts from live estimates rather than the seeding calibration.
-    pub fn set_policy(&mut self, policy: CommitPolicy) {
-        self.params.policy = policy;
-    }
-
     /// The engine's observability sink (the shared no-op recorder by
     /// default).
     pub fn recorder(&self) -> &SharedRecorder {
@@ -626,9 +525,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
 
     /// Attaches an observability sink, effective from the next committed
     /// epoch. Every epoch then emits phase spans (`stream.phase.*` nested
-    /// under `stream.epoch`), maintenance counters/histograms, per-query
-    /// telemetry, and — under [`CommitPolicy::Adaptive`] — one
-    /// `stream.policy.decision` event carrying predicted vs observed cost.
+    /// under `stream.epoch`), the `stream.delta.*` sub-spans of the δ
+    /// repair, maintenance counters/histograms and per-query telemetry.
     ///
     /// Recording never changes results: ρ, δ, µ and labels are bit-identical
     /// whatever the recorder (the equivalence proptests pin this down).
@@ -885,115 +783,33 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             self.validate_plan(plan)?;
         }
 
-        // Choose the maintenance path *before* any mutation, from the plan
-        // shape alone (validation already guarantees every removal names a
-        // distinct live point, so the final window size is exact). An epoch
-        // that empties the window always takes the — then trivial —
-        // incremental path: there is nothing to rebuild.
-        let updates = plan.ops.len();
-        let insert_count = plan.insert_count();
-        let n_final = (self.rho.len() + insert_count).saturating_sub(updates - insert_count);
-        // The rebuild path recomputes ρ from a batch query, which is only
-        // the committed state when ρ is memoryless integer counting: a
-        // non-cutoff kernel accumulates weights in the repair order (a
-        // different f64 rounding than the batch scan), and decayed ρ is
-        // history-dependent outright. Both therefore pin the epoch to the
-        // incremental path — a documented coercion, not an error, so a
-        // policy choice never changes results.
-        let rebuild_allowed = self.params.dpc.kernel.is_cutoff() && self.params.decay == 1.0;
-        let prediction: Option<Prediction> = match self.params.policy {
-            CommitPolicy::Adaptive if rebuild_allowed => Some(self.model.predict(
-                updates,
-                n_final,
-                self.params.max_affected_fraction,
-                self.params.rebuild_bias,
-            )),
-            _ => None,
-        };
-        let rebuild = rebuild_allowed
-            && n_final > 0
-            && match self.params.policy {
-                CommitPolicy::AlwaysIncremental => false,
-                CommitPolicy::AlwaysRebuild => true,
-                CommitPolicy::Adaptive => prediction.expect("adaptive: just computed").rebuild_wins,
-            };
-
         // The scratch buffers move out for the duration of the epoch so the
-        // branch can borrow them field-by-field alongside `self`; they are
-        // put back (grown, never shrunk) whatever the outcome.
+        // maintenance can borrow them field-by-field alongside `self`; they
+        // are put back (grown, never shrunk) whatever the outcome.
         let mut scratch = std::mem::take(&mut self.scratch);
         let started = Instant::now();
-        let outcome = if rebuild {
-            self.commit_rebuild(plan, &mut scratch)
-        } else {
-            self.commit_incremental(plan, &mut scratch)
-        };
+        let outcome = self.maintain(plan, &mut scratch);
         self.scratch = scratch;
         let outcome = outcome?;
-        let micros = started.elapsed().as_micros() as f64;
+        let micros = started.elapsed().as_micros() as u64;
 
-        let n = self.rho.len();
         match outcome.mode {
             EpochMode::Incremental => {
                 self.stats.incremental_epochs += 1;
                 self.stats.invalidated_points += outcome.invalidated as u64;
             }
             EpochMode::Fallback => self.stats.fallback_epochs += 1,
-            EpochMode::Rebuild => self.stats.rebuild_epochs += 1,
             EpochMode::Decay => unreachable!("decay epochs come from tick(), not commit()"),
         }
-        // The model learns from every epoch's timing regardless of policy
-        // (an emptied window teaches nothing and is skipped).
-        if n > 0 {
-            match outcome.mode {
-                EpochMode::Incremental => {
-                    self.model
-                        .observe_incremental(outcome.invalidated, updates, micros)
-                }
-                EpochMode::Fallback => {
-                    self.model
-                        .observe_fallback(n, outcome.invalidated, updates, micros)
-                }
-                EpochMode::Rebuild => self.model.observe_rebuild(n, micros),
-                EpochMode::Decay => unreachable!("decay epochs come from tick(), not commit()"),
-            }
-        }
-        self.stats.last_epoch_micros = micros as u64;
+        self.stats.last_epoch_micros = micros;
         self.stats.last_epoch_mode = Some(outcome.mode);
-        if let Some(p) = &prediction {
-            self.stats.predicted_cost_micros += p.chosen_us() as u64;
-            self.stats.observed_cost_micros += micros as u64;
-        }
 
         if rec.enabled() {
             rec.counter("stream.epochs", 1);
-            rec.counter("stream.updates", updates as u64);
-            rec.counter(
-                match outcome.mode {
-                    EpochMode::Incremental => "stream.epochs.incremental",
-                    EpochMode::Fallback => "stream.epochs.fallback",
-                    EpochMode::Rebuild => "stream.epochs.rebuild",
-                    EpochMode::Decay => "stream.epochs.decay",
-                },
-                1,
-            );
+            rec.counter("stream.updates", plan.ops.len() as u64);
+            rec.counter(&format!("stream.epochs.{}", outcome.mode.name()), 1);
             rec.record("stream.invalidated", outcome.invalidated as u64);
-            rec.record("stream.epoch.maintenance_us", micros as u64);
-            // The policy decision, with its inputs and the realised outcome,
-            // lands in the trace as one instant event per adaptive epoch.
-            if let Some(p) = &prediction {
-                rec.event(
-                    "stream.policy.decision",
-                    &[
-                        ("mode", AttrValue::Str(outcome.mode.name())),
-                        ("predicted_incremental_us", AttrValue::F64(p.incremental_us)),
-                        ("predicted_rebuild_us", AttrValue::F64(p.rebuild_us)),
-                        ("predicted_us", AttrValue::F64(p.chosen_us())),
-                        ("observed_us", AttrValue::F64(micros)),
-                        ("invalidated", AttrValue::U64(outcome.invalidated as u64)),
-                    ],
-                );
-            }
+            rec.record("stream.epoch.maintenance_us", micros);
             // Index maintenance triggers (scapegoat/dead-fraction rebuilds,
             // reinsertion rounds, …) as gauges: cumulative values, plottable
             // as counter tracks.
@@ -1024,7 +840,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// resolution tracks the mid-batch state. `scratch.owner` records, for
     /// each dense slot, whether it holds a survivor (and its pre-epoch id)
     /// or a point inserted this epoch. The dataset itself is not mutated
-    /// yet; both maintenance branches start from here.
+    /// yet.
     fn apply_plan(&mut self, plan: &EpochPlan, scratch: &mut CommitScratch) -> Vec<Handle> {
         let n_old = self.rho.len();
         scratch.owner.clear();
@@ -1071,15 +887,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         planned_handles
     }
 
-    /// The incremental maintenance branch: phases 2–4 of the pipeline
-    /// (batch index mutation, ρ repair, bounded δ/µ repair with its
-    /// fallback). Re-clustering and all stats/model bookkeeping happen in
-    /// [`commit`](Self::commit).
-    fn commit_incremental(
-        &mut self,
-        plan: &EpochPlan,
-        scratch: &mut CommitScratch,
-    ) -> Result<EpochOutcome> {
+    /// Phases 2–4 of the pipeline: batch index mutation, ρ repair, and the
+    /// bounded δ/µ repair with its fallback. Re-clustering and the stats
+    /// bookkeeping happen in [`commit`](Self::commit).
+    fn maintain(&mut self, plan: &EpochPlan, scratch: &mut CommitScratch) -> Result<EpochOutcome> {
         let rec = self.recorder.clone();
         let apply_span = span(&rec, "stream.phase.apply");
         let n_old = self.rho.len();
@@ -1322,65 +1133,6 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             planned_handles,
             mode,
             invalidated: scratch.invalidated.len(),
-        })
-    }
-
-    /// The rebuild maintenance branch: materialises the epoch's final
-    /// window with the exact per-update id and version semantics of the
-    /// incremental path, bulk-loads it into the index
-    /// ([`UpdatableIndex::rebuild_from`]) and re-runs the batch ρ/δ
-    /// pipeline — bit-identical to the cold oracle because an exact index's
-    /// batch queries are. Never called for an epoch that empties the
-    /// window.
-    fn commit_rebuild(
-        &mut self,
-        plan: &EpochPlan,
-        scratch: &mut CommitScratch,
-    ) -> Result<EpochOutcome> {
-        debug_assert!(
-            self.params.dpc.kernel.is_cutoff() && self.params.decay == 1.0,
-            "commit() gates the rebuild path to the cutoff kernel without decay"
-        );
-        let rec = self.recorder.clone();
-        let apply_span = span(&rec, "stream.phase.apply");
-        self.age_epoch += 1;
-        let planned_handles = self.apply_plan(plan, scratch);
-
-        // Phase 2′ — replay the resolved ops on a copy of the dataset
-        // (inserts append, removals swap-remove, one version bump each —
-        // exactly what `apply_batch` would do to the index's own dataset),
-        // then hand the final window to the index in one bulk load.
-        let mut dataset = self.index.dataset().clone();
-        for op in &scratch.batch_ops {
-            match *op {
-                BatchOp::Insert(p) => {
-                    dataset.push(p)?;
-                }
-                BatchOp::Remove(id) => {
-                    dataset.swap_remove(id)?;
-                }
-            }
-        }
-        self.index.rebuild_from(dataset)?;
-        debug_assert_eq!(self.index.len(), self.rho.len());
-        debug_assert_eq!(self.handles.len(), self.rho.len());
-        self.stats.updates += scratch.batch_ops.len() as u64;
-        drop(apply_span);
-
-        // Phases 3′+4′ — fresh batch ρ/δ/µ over the rebuilt index and a
-        // fresh global peak; nothing to repair. The observed query also
-        // reports per-worker chunk spans and traversal counters.
-        let batch_query_span = span(&rec, "stream.phase.batch_query");
-        let query = self.params.dpc.query().with_recorder(&*rec);
-        let (rho, deltas) = self.index.rho_delta(&query)?;
-        drop(batch_query_span);
-        self.rho = rho;
-        self.deltas = deltas;
-        self.peak = DensityOrder::new(&self.rho).global_peak();
-        Ok(EpochOutcome {
-            planned_handles,
-            mode: EpochMode::Rebuild,
-            invalidated: 0,
         })
     }
 
@@ -1935,6 +1687,9 @@ mod tests {
         assert_eq!(delta.evictions(), 4);
         assert_eq!(engine.clustering().num_clusters(), 0);
         assert_eq!(engine.stats().epochs, 1);
+        // Emptying the window is a (trivial) incremental epoch.
+        assert_eq!(engine.stats().incremental_epochs, 1);
+        assert_eq!(engine.stats().last_epoch_mode, Some(EpochMode::Incremental));
     }
 
     #[test]
@@ -1964,136 +1719,10 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_policy_knobs_are_rejected_with_value_and_range() {
-        for alpha in [f64::NAN, f64::INFINITY, 0.0, -0.3, 1.5] {
-            let err = StreamParams::new(0.5)
-                .with_ewma_alpha(alpha)
-                .validate()
-                .unwrap_err()
-                .to_string();
-            assert!(err.contains(&format!("got {alpha}")), "{err}");
-            assert!(err.contains("0 < alpha <= 1"), "{err}");
-        }
-        for bias in [f64::NAN, f64::NEG_INFINITY, 0.0, -2.0] {
-            let err = StreamParams::new(0.5)
-                .with_rebuild_bias(bias)
-                .validate()
-                .unwrap_err()
-                .to_string();
-            assert!(err.contains(&format!("got {bias}")), "{err}");
-            assert!(err.contains("bias > 0"), "{err}");
-        }
-        // The boundary values themselves are valid.
-        assert!(StreamParams::new(0.5)
-            .with_ewma_alpha(1.0)
-            .validate()
-            .is_ok());
-        assert!(StreamParams::new(0.5)
-            .with_rebuild_bias(0.5)
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn rebuild_policy_commits_identical_state() {
-        let seed = Dataset::from_coords(vec![
-            (0.0, 0.0),
-            (0.1, 0.0),
-            (0.0, 0.1),
-            (5.0, 5.0),
-            (5.1, 5.0),
-            (5.0, 5.1),
-        ]);
-        let params = StreamParams::new(0.5)
-            .with_dpc(DpcParams::new(0.5).with_centers(CenterSelection::TopKGamma { k: 2 }));
-        let mut inc = StreamingDpc::new(NaiveReferenceIndex::build(&seed), params.clone()).unwrap();
-        let mut reb = StreamingDpc::new(
-            NaiveReferenceIndex::build(&seed),
-            params.with_policy(CommitPolicy::AlwaysRebuild),
-        )
-        .unwrap();
-        let batches = [
-            vec![Point::new(0.05, 0.05), Point::new(5.05, 5.05)],
-            vec![Point::new(0.02, 0.0), Point::new(5.02, 5.0)],
-        ];
-        for batch in &batches {
-            inc.advance(batch, batch.len()).unwrap();
-            reb.advance(batch, batch.len()).unwrap();
-            assert_eq!(inc.rho(), reb.rho());
-            assert_eq!(inc.deltas(), reb.deltas());
-            assert_eq!(inc.version(), reb.version());
-            assert_eq!(
-                inc.index().dataset().points(),
-                reb.index().dataset().points()
-            );
-            assert_matches_cold_batch(&reb);
-        }
-        assert_eq!(reb.stats().rebuild_epochs, 2);
-        assert_eq!(reb.stats().incremental_epochs, 0);
-        assert_eq!(reb.stats().fallback_epochs, 0);
-        assert_eq!(reb.stats().last_epoch_mode, Some(crate::EpochMode::Rebuild));
-        assert_eq!(inc.stats().rebuild_epochs, 0);
-    }
-
-    #[test]
-    fn emptying_epoch_under_rebuild_policy_takes_the_trivial_path() {
-        let seed = Dataset::from_coords(vec![(0.0, 0.0), (0.1, 0.0)]);
-        let params = StreamParams::new(0.5).with_policy(CommitPolicy::AlwaysRebuild);
-        let mut engine = StreamingDpc::new(NaiveReferenceIndex::build(&seed), params).unwrap();
-        let (_, delta) = engine.advance(&[], 2).unwrap();
-        assert!(engine.is_empty());
-        assert_eq!(delta.evictions(), 2);
-        assert_eq!(engine.stats().rebuild_epochs, 0);
-        assert_eq!(engine.stats().incremental_epochs, 1);
-        // Refilling rebuilds again.
-        engine.insert(Point::new(1.0, 1.0)).unwrap();
-        assert_eq!(engine.stats().rebuild_epochs, 1);
-        assert_matches_cold_batch(&engine);
-    }
-
-    #[test]
-    fn set_policy_flips_the_path_without_changing_state() {
-        let mut engine = two_blob_engine();
-        engine.insert(Point::new(0.05, 0.0)).unwrap();
-        assert_eq!(engine.stats().rebuild_epochs, 0);
-        engine.set_policy(CommitPolicy::AlwaysRebuild);
-        engine.insert(Point::new(5.05, 5.0)).unwrap();
-        assert_eq!(engine.stats().rebuild_epochs, 1);
-        engine.set_policy(CommitPolicy::AlwaysIncremental);
-        engine.insert(Point::new(0.0, 0.05)).unwrap();
-        assert_eq!(engine.stats().rebuild_epochs, 1);
-        assert_eq!(engine.params().policy, CommitPolicy::AlwaysIncremental);
-        assert_matches_cold_batch(&engine);
-    }
-
-    #[test]
-    fn adaptive_policy_records_predictions_and_stays_exact() {
-        let seed = Dataset::from_coords(vec![
-            (0.0, 0.0),
-            (0.1, 0.0),
-            (0.0, 0.1),
-            (5.0, 5.0),
-            (5.1, 5.0),
-            (5.0, 5.1),
-        ]);
-        let params = StreamParams::new(0.5)
-            .with_dpc(DpcParams::new(0.5).with_centers(CenterSelection::TopKGamma { k: 2 }))
-            .with_policy(CommitPolicy::Adaptive);
-        let mut engine = StreamingDpc::new(NaiveReferenceIndex::build(&seed), params).unwrap();
-        for i in 0..4 {
-            let x = 0.01 * (i + 1) as f64;
-            engine
-                .advance(&[Point::new(x, 0.0), Point::new(5.0 + x, 5.0)], 2)
-                .unwrap();
-            assert_matches_cold_batch(&engine);
-        }
-        let stats = engine.stats();
-        assert_eq!(
-            stats.incremental_epochs + stats.fallback_epochs + stats.rebuild_epochs,
-            4
-        );
-        assert!(stats.last_epoch_mode.is_some());
-        assert!(engine.cost_model().union_per_update() >= 1.0);
+    fn epoch_mode_names_are_stable() {
+        assert_eq!(EpochMode::Incremental.name(), "incremental");
+        assert_eq!(EpochMode::Fallback.name(), "fallback");
+        assert_eq!(EpochMode::Decay.name(), "decay");
     }
 
     #[test]

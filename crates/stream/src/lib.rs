@@ -3,7 +3,7 @@
 //! **Streaming Density Peak Clustering**: an online engine that keeps an
 //! exact DPC clustering over a mutable window of points — inserts, evictions
 //! and sliding-window advances — without ever rebuilding the index or
-//! re-running the full ρ/δ queries.
+//! re-running the batch ρ query.
 //!
 //! The batch pipeline of this workspace computes, for every point, the local
 //! density `ρ` (neighbours within `dc`) and the dependent distance `δ`
@@ -22,11 +22,12 @@
 //!   by);
 //! * `δ`/`µ` need full recomputation only for a bounded *invalidation set*
 //!   (points whose own rank changed, whose dependent neighbour was touched,
-//!   and the global peak), repaired **once per epoch**; every other point
-//!   folds the few candidate entrants into its existing minimum with one
-//!   distance comparison each.
+//!   and the global peak), repaired **once per epoch** through the index's
+//!   [`dpc_core::UpdatableIndex::delta_targets`] (the pruned δ search on the
+//!   trees); every other point folds the few candidate entrants into its
+//!   existing minimum with one distance comparison each.
 //!
-//! Batching is a cost model, never a semantics change: committing a batch is
+//! Batching saves work, never changes semantics: committing a batch is
 //! **bit-identical** to applying its updates one at a time, and both are
 //! bit-identical to a cold batch run over the surviving points — that is not
 //! an aspiration but the invariant enforced by this crate's property suite,
@@ -53,17 +54,17 @@
 //! assert_eq!(delta.evictions(), 2);
 //! ```
 //!
-//! Incremental repair is not always the cheapest way to commit an epoch:
-//! large batches invalidate most of the window, where one bulk index
-//! rebuild plus the batch queries wins. The [`CommitPolicy`] on
-//! [`StreamParams`] picks the maintenance path per epoch — always
-//! incremental (default), always rebuild, or adaptively via a calibrated
-//! cost model ([`policy`]) — without ever changing results.
+//! Every epoch takes this one maintenance path. When an epoch invalidates
+//! more than [`StreamParams::max_affected_fraction`] of the window, the δ
+//! repair re-ranks every point through the index's pruned batch δ-query
+//! instead of folding candidates into the rest — still an index query over
+//! the maintained ρ, never a rebuild ([`EpochMode`] reports which branch
+//! ran).
 //!
 //! See [`engine`] for the epoch pipeline, [`epoch`] for the [`EpochPlan`]
 //! batch accumulator, [`handle`] for the stable point handles that survive
-//! the dataset's swap-remove id churn, [`policy`] for the commit policy and
-//! cost model, and [`report`] for the per-epoch [`ClusterDelta`]. The full
+//! the dataset's swap-remove id churn, and [`report`] for the per-epoch
+//! [`ClusterDelta`]. The full
 //! internals contract — affected sets, the δ invalidation taxonomy,
 //! swap-remove semantics, a worked epoch example — lives in
 //! `docs/STREAMING.md` at the repository root.
@@ -81,13 +82,11 @@ pub mod engine;
 pub mod epoch;
 pub mod handle;
 pub mod maintenance;
-pub mod policy;
 pub mod report;
 pub mod snapshot;
 
-pub use engine::{aged_weight, decay_factor, StreamParams, StreamStats, StreamingDpc};
+pub use engine::{aged_weight, decay_factor, EpochMode, StreamParams, StreamStats, StreamingDpc};
 pub use epoch::{EpochPlan, PlannedInsert};
 pub use handle::{Handle, HandleMap};
-pub use policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 pub use report::{ClusterDelta, LabelChange};
 pub use snapshot::{EpochSnapshot, SnapshotSink};

@@ -38,7 +38,7 @@ use dpc_datasets::rng::SplitMix64;
 use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{StreamParams, StreamingDpc};
 use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
 
@@ -271,17 +271,12 @@ where
 ///   maintenance path), and
 /// * a **cold batch run** — a fresh index of the same kind + the full
 ///   pipeline over the surviving points.
-///
-/// Only the batched engine runs under `policy`; the replay oracle always
-/// stays on the default incremental path, so a rebuild or adaptive policy
-/// is checked against genuinely independent maintenance.
 fn check_advance<I, F>(
     label: &str,
     build: F,
     seed_points: &[Point],
     ops: &[Op],
     batch_size: usize,
-    policy: CommitPolicy,
     threads: usize,
 ) -> Result<(), TestCaseError>
 where
@@ -293,11 +288,8 @@ where
         .with_centers(CenterSelection::GammaGap { max_centers: 8 })
         .with_threads(threads);
     let params = StreamParams::new(dc).with_dpc(dpc.clone());
-    let mut batched = StreamingDpc::new(
-        build(&Dataset::new(seed_points.to_vec())),
-        params.clone().with_policy(policy),
-    )
-    .map_err(|e| TestCaseError::fail(format!("[{label}] seeding failed: {e}")))?;
+    let mut batched = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params.clone())
+        .map_err(|e| TestCaseError::fail(format!("[{label}] seeding failed: {e}")))?;
     let mut replay = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params)
         .map_err(|e| TestCaseError::fail(format!("[{label}] replay seeding failed: {e}")))?;
 
@@ -485,7 +477,6 @@ proptest! {
                     &seed_points,
                     &ops,
                     batch_size,
-                    CommitPolicy::AlwaysIncremental,
                     4,
                 )?;
             });
@@ -630,108 +621,7 @@ fn large_epochs_match_per_update_replay_across_engines() {
         })
         .collect();
     for_each_updatable_index!(|name, build| {
-        check_advance(
-            name,
-            build,
-            &seed_points,
-            &ops,
-            64,
-            CommitPolicy::AlwaysIncremental,
-            4,
-        )
-        .unwrap();
-    });
-}
-
-/// The `AlwaysRebuild` and `Adaptive` commit policies must land on state
-/// bit-identical to both oracles (per-update incremental replay and cold
-/// batch run) at every epoch, for every engine, at the documented batch
-/// sizes {1, 7, 64} and threads {1, 4}. Timing nondeterminism may flip
-/// which path an adaptive epoch takes — never what it commits.
-#[test]
-fn rebuild_and_adaptive_policies_match_oracles_across_engines() {
-    let seed_points = test_points(TestDistribution::Clustered, 40, 99);
-    let mut rng = SplitMix64::new(78);
-    let extra = test_points(TestDistribution::Clustered, 150, 101);
-    let ops: Vec<Op> = extra
-        .into_iter()
-        .map(|p| Op {
-            insert: true,
-            point: p,
-            sel: rng.next_u64(),
-        })
-        .collect();
-    for &threads in &[1usize, 4] {
-        for &batch in &[1usize, 7, 64] {
-            for_each_updatable_index!(|name, build| {
-                check_advance(
-                    name,
-                    build,
-                    &seed_points,
-                    &ops,
-                    batch,
-                    CommitPolicy::Adaptive,
-                    threads,
-                )
-                .unwrap();
-            });
-        }
-    }
-    // The fixed rebuild policy gets one representative sweep per engine
-    // (batch 7, 4 threads): every epoch above may or may not rebuild; these
-    // all must.
-    for_each_updatable_index!(|name, build| {
-        check_advance(
-            name,
-            build,
-            &seed_points,
-            &ops,
-            7,
-            CommitPolicy::AlwaysRebuild,
-            4,
-        )
-        .unwrap();
-    });
-}
-
-/// Regression: a mid-stream policy flip (incremental → rebuild →
-/// incremental) must be invisible in the committed state — bit-identical to
-/// the cold oracle at every epoch — while the `rebuild_epochs` /
-/// `fallback_epochs` counters advance exactly as the active policy
-/// predicts. `max_affected_fraction` 0 pins every incremental-path epoch to
-/// the fallback counter, so the split is deterministic.
-#[test]
-fn mid_stream_policy_flip_is_bit_identical_and_counted() {
-    let dc = 60.0;
-    let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
-    let arrivals = test_points(TestDistribution::Clustered, 18, 31);
-    for_each_updatable_index!(|name, build| {
-        let seed = Dataset::new(test_points(TestDistribution::Clustered, 16, 30));
-        let params = StreamParams::new(dc)
-            .with_dpc(dpc.clone())
-            .with_max_affected_fraction(0.0);
-        let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
-        for (i, chunk) in arrivals.chunks(3).enumerate() {
-            match i {
-                2 => engine.set_policy(CommitPolicy::AlwaysRebuild),
-                4 => engine.set_policy(CommitPolicy::AlwaysIncremental),
-                _ => {}
-            }
-            engine.advance(chunk, chunk.len()).unwrap();
-            engine.index().check_invariants();
-            assert_cold_batch(name, &build, &engine, &dpc);
-        }
-        // 6 epochs: 2 fallback, then 2 rebuild, then 2 fallback again.
-        let stats = engine.stats();
-        assert_eq!(stats.epochs, 6, "[{name}]");
-        assert_eq!(stats.rebuild_epochs, 2, "[{name}]");
-        assert_eq!(stats.fallback_epochs, 4, "[{name}]");
-        assert_eq!(stats.incremental_epochs, 0, "[{name}]");
-        assert_eq!(
-            stats.last_epoch_mode,
-            Some(dpc_stream::EpochMode::Fallback),
-            "[{name}]"
-        );
+        check_advance(name, build, &seed_points, &ops, 64, 4).unwrap();
     });
 }
 

@@ -7,9 +7,9 @@
 //!   path with [`Kernel::Cutoff`] must stay bit-identical (ρ, δ, µ, labels,
 //!   centres) to the cold batch pipeline — whose cutoff branch routes through
 //!   the original integer-counting traversal — after every epoch, for every
-//!   updatable index family, at threads {1, 4}, under all three commit
-//!   policies. This is the proof that generalising `Rho` to weighted `f64`
-//!   changed no observable bit of the paper-faithful configuration.
+//!   updatable index family, at threads {1, 4}. This is the proof that
+//!   generalising `Rho` to weighted `f64` changed no observable bit of the
+//!   paper-faithful configuration.
 //! * **Weighted kernels vs the weight oracle** — under Gaussian and
 //!   Exponential kernels the streamed ρ must equal an explicit accumulation
 //!   oracle bit-for-bit (the oracle mirrors the engine's ±w(d) op order) and
@@ -33,7 +33,7 @@ use dpc_core::{
 use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
-use dpc_stream::{aged_weight, CommitPolicy, EpochMode, StreamParams, StreamingDpc};
+use dpc_stream::{aged_weight, EpochMode, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
 
@@ -123,10 +123,9 @@ macro_rules! for_each_updatable_index {
 }
 
 /// Replays `ops` as single-op epochs at cut-off `dc` under
-/// `kernel`/`policy`/`threads` and asserts, after every epoch, bit-identity
+/// `kernel`/`threads` and asserts, after every epoch, bit-identity
 /// of the full engine state against a cold batch pipeline run (fresh index
 /// of the same kind, same kernel).
-#[allow(clippy::too_many_arguments)]
 fn check_kernel_equivalence<I, F>(
     label: &str,
     build: F,
@@ -135,7 +134,6 @@ fn check_kernel_equivalence<I, F>(
     seed_points: &[Point],
     ops: &[Op],
     threads: usize,
-    policy: CommitPolicy,
 ) -> Result<(), TestCaseError>
 where
     I: UpdatableIndex,
@@ -145,9 +143,7 @@ where
         .with_centers(CenterSelection::GammaGap { max_centers: 8 })
         .with_kernel(kernel)
         .with_threads(threads);
-    let params = StreamParams::new(dc)
-        .with_dpc(dpc.clone())
-        .with_policy(policy);
+    let params = StreamParams::new(dc).with_dpc(dpc.clone());
     let mut engine = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params)
         .map_err(|e| TestCaseError::fail(format!("[{label}] seeding failed: {e}")))?;
 
@@ -331,26 +327,20 @@ proptest! {
 
     /// The generic weighted ρ path with `Kernel::Cutoff` is bit-identical to
     /// the integer-counting cold pipeline after every epoch, for all five
-    /// engines, threads {1, 4}, and all three commit policies.
+    /// engines at threads {1, 4}.
     #[test]
-    fn cutoff_kernel_is_bit_identical_for_every_engine_thread_and_policy(
+    fn cutoff_kernel_is_bit_identical_for_every_engine_and_thread_count(
         seed in seed_strategy(),
         ops in ops_strategy()
     ) {
         let seed_points = lattice_seed(&seed);
         let ops = lattice_ops(&ops);
-        for &policy in &[
-            CommitPolicy::AlwaysIncremental,
-            CommitPolicy::AlwaysRebuild,
-            CommitPolicy::Adaptive,
-        ] {
-            for &threads in &[1usize, 4] {
-                for_each_updatable_index!(|name, build| {
-                    check_kernel_equivalence(
-                        name, build, DC, Kernel::Cutoff, &seed_points, &ops, threads, policy,
-                    )?;
-                });
-            }
+        for &threads in &[1usize, 4] {
+            for_each_updatable_index!(|name, build| {
+                check_kernel_equivalence(
+                    name, build, DC, Kernel::Cutoff, &seed_points, &ops, threads,
+                )?;
+            });
         }
     }
 
@@ -361,9 +351,7 @@ proptest! {
     /// sums, incremental ±w(d) repair regroups f64 additions, so the cold
     /// scan — which re-sums each neighbourhood ascending from scratch — can
     /// differ in the last ulps; the oracle, which mirrors the engine's
-    /// op order, is the bit-exact contract. (Rebuild-style policies coerce
-    /// to incremental under weighted kernels; the cutoff battery covers
-    /// them.)
+    /// op order, is the bit-exact contract.
     #[test]
     fn weighted_kernels_match_the_weight_oracle_and_cold_batch(
         seed in seed_strategy(),
@@ -531,7 +519,7 @@ proptest! {
 
 /// The ulp-adversarial generator through the kernel battery: cut-off
 /// bit-identity against the cold pipeline for all five engines at threads
-/// {1, 4} under all three commit policies, and a decayed window whose δ/µ
+/// {1, 4}, and a decayed window whose δ/µ
 /// re-rank must match a from-scratch re-rank of the explicit weight table.
 #[test]
 fn ulp_adversarial_points_keep_every_engine_exact() {
@@ -547,26 +535,19 @@ fn ulp_adversarial_points_keep_every_engine_exact() {
                 sel: seed.wrapping_mul(i as u64 + 1),
             })
             .collect();
-        for policy in [
-            CommitPolicy::AlwaysIncremental,
-            CommitPolicy::AlwaysRebuild,
-            CommitPolicy::Adaptive,
-        ] {
-            for threads in [1usize, 4] {
-                for_each_updatable_index!(|name, build| {
-                    check_kernel_equivalence(
-                        name,
-                        build,
-                        dc,
-                        Kernel::Cutoff,
-                        seed_points,
-                        &ops,
-                        threads,
-                        policy,
-                    )
-                    .unwrap();
-                });
-            }
+        for threads in [1usize, 4] {
+            for_each_updatable_index!(|name, build| {
+                check_kernel_equivalence(
+                    name,
+                    build,
+                    dc,
+                    Kernel::Cutoff,
+                    seed_points,
+                    &ops,
+                    threads,
+                )
+                .unwrap();
+            });
         }
         let params = StreamParams::new(dc).with_decay(0.75);
         for_each_updatable_index!(|name, build| {
@@ -613,7 +594,6 @@ fn decay_tick_reranks_without_eps_queries() {
     );
     assert_eq!(stats.decay_epochs, 1);
     assert_eq!(stats.incremental_epochs, stats_before.incremental_epochs);
-    assert_eq!(stats.rebuild_epochs, stats_before.rebuild_epochs);
     assert_eq!(stats.fallback_epochs, stats_before.fallback_epochs);
     assert_eq!(stats.last_epoch_mode, Some(EpochMode::Decay));
 
@@ -657,33 +637,6 @@ fn decayed_commit_epochs_always_rerank() {
         .insert(test_points(TestDistribution::Clustered, 1, 10)[0])
         .unwrap();
     assert_eq!(engine.stats().last_epoch_mode, Some(EpochMode::Fallback));
-}
-
-/// Rebuild-style commit policies coerce to the incremental path whenever the
-/// epoch arithmetic is history-dependent (weighted kernel or λ < 1): a
-/// rebuild recomputes from current geometry and would erase the decay
-/// history. The coercion is observable in the stats, and the state still
-/// matches the weight oracle (covered by the proptest above).
-#[test]
-fn rebuild_policies_coerce_to_incremental_under_decay_and_weighted_kernels() {
-    let arrivals = test_points(TestDistribution::Clustered, 12, 23);
-    for params in [
-        StreamParams::new(60.0).with_decay(0.9),
-        StreamParams::new(60.0).with_dpc(DpcParams::new(60.0).with_kernel(Kernel::gaussian(40.0))),
-    ] {
-        let seed = Dataset::new(test_points(TestDistribution::Clustered, 20, 22));
-        let mut engine = StreamingDpc::new(
-            NaiveReferenceIndex::build(&seed),
-            params.with_policy(CommitPolicy::AlwaysRebuild),
-        )
-        .unwrap();
-        for chunk in arrivals.chunks(4) {
-            engine.advance(chunk, chunk.len()).unwrap();
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.rebuild_epochs, 0, "rebuild must be gated off");
-        assert_eq!(stats.epochs, 3);
-    }
 }
 
 /// Parameter validation: decay factors outside (0, 1] and non-finite values

@@ -7,9 +7,8 @@
 //! the identical operations — one untouched (no-op recorder), one with a
 //! metrics registry *and* a trace sink fanned out — and compares the full
 //! state after every epoch. A structural test then pins down what the trace
-//! contains: per-epoch spans with the phase spans nested inside, and policy
-//! decision events carrying predicted/observed cost under the adaptive
-//! policy.
+//! contains: per-epoch spans with the phase spans nested inside, and inside
+//! each δ repair the sub-spans that say which branch the epoch took.
 
 use std::sync::Arc;
 
@@ -17,8 +16,8 @@ use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{Dataset, DpcIndex, DpcPipeline, Point, UpdatableIndex};
 use dpc_datasets::generators::{checkins, CheckinConfig};
 use dpc_datasets::testsupport::lattice_point;
-use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceSink};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceEvent, TraceSink};
+use dpc_stream::{EpochMode, StreamParams, StreamingDpc};
 use dpc_tree_index::{KdTree, KdTreeConfig};
 use proptest::prelude::*;
 
@@ -32,14 +31,9 @@ fn small_kdtree(points: Vec<Point>) -> KdTree {
     )
 }
 
-fn engine_with(
-    seed: &[Point],
-    policy: CommitPolicy,
-    recorder: Option<SharedRecorder>,
-) -> StreamingDpc<KdTree> {
-    let params = StreamParams::new(1.5).with_policy(policy);
-    let mut engine =
-        StreamingDpc::new(small_kdtree(seed.to_vec()), params).expect("seeding must succeed");
+fn engine_with(seed: &[Point], recorder: Option<SharedRecorder>) -> StreamingDpc<KdTree> {
+    let mut engine = StreamingDpc::new(small_kdtree(seed.to_vec()), StreamParams::new(1.5))
+        .expect("seeding must succeed");
     if let Some(rec) = recorder {
         engine.set_recorder(rec);
     }
@@ -72,11 +66,7 @@ fn state_of(engine: &StreamingDpc<KdTree>) -> (Vec<f64>, Vec<f64>, Vec<Option<us
 
 #[test]
 fn default_recorder_is_the_shared_noop() {
-    let engine = engine_with(
-        &[lattice_point(0, 0), lattice_point(5, 5)],
-        CommitPolicy::default(),
-        None,
-    );
+    let engine = engine_with(&[lattice_point(0, 0), lattice_point(5, 5)], None);
     assert!(
         !engine.recorder().enabled(),
         "the default recorder must be disabled"
@@ -90,19 +80,13 @@ fn default_recorder_is_the_shared_noop() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Bit-identical ρ/δ/µ/labels with and without recording, on every
-    /// commit policy, after every single epoch.
+    /// Bit-identical ρ/δ/µ/labels with and without recording after every
+    /// single epoch, and each epoch counted under exactly one mode.
     #[test]
     fn recording_never_changes_results(
         seed in prop::collection::vec((0u32..8, 0u32..8), 2..12),
         ops in prop::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 1..20),
-        policy_sel in 0u8..3,
     ) {
-        let policy = match policy_sel {
-            0 => CommitPolicy::AlwaysIncremental,
-            1 => CommitPolicy::AlwaysRebuild,
-            _ => CommitPolicy::Adaptive,
-        };
         let seed_points: Vec<Point> =
             seed.iter().map(|&(x, y)| lattice_point(x, y)).collect();
 
@@ -114,18 +98,30 @@ proptest! {
                 .with(trace.clone() as SharedRecorder),
         );
 
-        let mut plain = engine_with(&seed_points, policy, None);
-        let mut recorded = engine_with(&seed_points, policy, Some(fanout));
+        let mut plain = engine_with(&seed_points, None);
+        let mut recorded = engine_with(&seed_points, Some(fanout));
 
         for &(insert, ix, iy) in &ops {
+            let before = recorded.stats();
             replay(&mut plain, &[(insert, ix, iy)]);
             replay(&mut recorded, &[(insert, ix, iy)]);
             prop_assert_eq!(
                 state_of(&plain),
                 state_of(&recorded),
-                "state diverged after an epoch (policy {:?})",
-                policy
+                "state diverged after an epoch"
             );
+            let after = recorded.stats();
+            let advanced = (
+                after.incremental_epochs - before.incremental_epochs,
+                after.fallback_epochs - before.fallback_epochs,
+            );
+            let expected_mode = match advanced {
+                (1, 0) => EpochMode::Incremental,
+                (0, 1) => EpochMode::Fallback,
+                other => panic!("exactly one mode counter must advance, got {other:?}"),
+            };
+            prop_assert_eq!(after.last_epoch_mode, Some(expected_mode));
+            prop_assert_eq!(plain.stats().last_epoch_mode, Some(expected_mode));
         }
         prop_assert_eq!(plain.epoch(), recorded.epoch());
 
@@ -137,10 +133,10 @@ proptest! {
 }
 
 #[test]
-fn trace_contains_nested_phase_spans_and_policy_decisions() {
+fn trace_nests_phase_spans_and_delta_repair_sub_spans() {
     let seed: Vec<Point> = (0..10).map(|i| lattice_point(i % 4, i / 4)).collect();
     let trace = Arc::new(TraceSink::new());
-    let mut engine = engine_with(&seed, CommitPolicy::Adaptive, Some(trace.clone()));
+    let mut engine = engine_with(&seed, Some(trace.clone()));
 
     let ops: Vec<(bool, u32, u32)> = (0..12).map(|i| (i % 3 != 0, i % 5, i % 7)).collect();
     replay(&mut engine, &ops);
@@ -186,25 +182,39 @@ fn trace_contains_nested_phase_spans_and_policy_decisions() {
             >= ops.len()
     );
 
-    // Adaptive policy: one decision instant per epoch, carrying the
-    // predicted and observed cost.
-    let decisions: Vec<_> = events
-        .iter()
-        .filter(|e| e.ph == 'i' && e.name == "stream.policy.decision")
-        .collect();
-    assert_eq!(decisions.len(), ops.len());
-    for d in &decisions {
-        let keys: Vec<&str> = d.args.iter().map(|(k, _)| k.as_str()).collect();
-        for required in [
-            "mode",
-            "predicted_incremental_us",
-            "predicted_rebuild_us",
-            "predicted_us",
-            "observed_us",
-        ] {
-            assert!(keys.contains(&required), "decision missing {required}");
+    // Every epoch's δ repair contains the invalidation step plus exactly
+    // one of its two branches: the full re-rank or the targeted repair.
+    // Spans are emitted as they close, so each `stream.phase.delta_repair`
+    // follows the `stream.delta.*` spans of its own epoch.
+    let mut repairs = 0;
+    let mut inner: Vec<&TraceEvent> = Vec::new();
+    for e in events.iter().filter(|e| e.ph == 'X') {
+        if e.name.starts_with("stream.delta.") {
+            inner.push(e);
+        } else if e.name == "stream.phase.delta_repair" {
+            let end = e.ts_us + e.dur_us.unwrap();
+            for child in &inner {
+                assert!(
+                    e.ts_us <= child.ts_us && child.ts_us + child.dur_us.unwrap() <= end,
+                    "{} at {} must nest inside the δ repair",
+                    child.name,
+                    child.ts_us
+                );
+            }
+            let has = |name: &str| inner.iter().any(|c| c.name == name);
+            assert!(
+                has("stream.delta.invalidate"),
+                "repair {repairs}: no invalidate"
+            );
+            assert!(
+                has("stream.delta.rerank") != has("stream.delta.targets"),
+                "repair {repairs}: exactly one of rerank/targets expected"
+            );
+            inner.clear();
+            repairs += 1;
         }
     }
+    assert_eq!(repairs, ops.len(), "one δ repair per committed epoch");
 
     // The export is well-formed Chrome trace JSON at the structural level.
     let json = trace.to_chrome_json();
@@ -216,11 +226,7 @@ fn trace_contains_nested_phase_spans_and_policy_decisions() {
 fn maintenance_counters_surface_as_gauges() {
     let seed: Vec<Point> = (0..8).map(|i| lattice_point(i, i)).collect();
     let metrics = Arc::new(MetricsRecorder::new());
-    let mut engine = engine_with(
-        &seed,
-        CommitPolicy::AlwaysIncremental,
-        Some(metrics.clone() as SharedRecorder),
-    );
+    let mut engine = engine_with(&seed, Some(metrics.clone() as SharedRecorder));
     let ops: Vec<(bool, u32, u32)> = (0..30).map(|i| (i % 2 == 0, i % 6, (i * 3) % 6)).collect();
     replay(&mut engine, &ops);
 

@@ -87,8 +87,7 @@ pub struct GridIndex {
     cell_size: f64,
     config: GridConfig,
     construction_time: Duration,
-    /// Number of occupancy-triggered re-anchors performed so far. Carried
-    /// across [`UpdatableIndex::rebuild_from`].
+    /// Number of occupancy-triggered re-anchors performed so far.
     rebuckets: u64,
     /// Dataset version at the last re-anchor (or build). A re-bucket is
     /// allowed only after at least a threshold's worth of mutations, so the
@@ -335,18 +334,6 @@ impl UpdatableIndex for GridIndex {
         Ok(moved)
     }
 
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // Bulk load: re-derive the cell partition for the new window in one
-        // build (re-picking the cell size for its bounding box and density)
-        // instead of paying per-point cell maintenance. The adopted dataset
-        // keeps the caller's id order and version history.
-        let config = self.config;
-        let rebuckets = self.rebuckets;
-        *self = GridIndex::with_config(&dataset, &config);
-        self.rebuckets = rebuckets;
-        Ok(())
-    }
-
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
         validate_dc(eps)?;
         let mut out = Vec::new();
@@ -519,25 +506,6 @@ mod tests {
         check_partition_invariants(&grid, &data);
         assert!(grid.cell_count() > 1);
         assert_eq!(grid.height(), 2);
-    }
-
-    #[test]
-    fn rebuild_from_bulk_loads_the_new_window() {
-        let mut grid = GridIndex::build(&s1(17, 0.03).into_dataset());
-        // A replacement window with real version history: pushes and a
-        // swap-remove on top of a copy of the current dataset, exactly what
-        // the streaming engine's rebuild path materialises.
-        let mut window = grid.dataset().clone();
-        for (_, p) in s1(18, 0.03).into_dataset().iter().take(20) {
-            window.push(p).unwrap();
-        }
-        window.swap_remove(3).unwrap();
-        let version = window.version();
-        grid.rebuild_from(window.clone()).unwrap();
-        check_partition_invariants(&grid, &window);
-        assert_eq!(grid.dataset().points(), window.points());
-        assert_eq!(grid.dataset().version(), version);
-        assert_matches_baseline(&window, &grid, 40_000.0);
     }
 
     #[test]
@@ -730,24 +698,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(rebuckets(&grid), 0);
-    }
-
-    #[test]
-    fn rebuild_from_carries_the_rebucket_counter() {
-        let config = GridConfig {
-            target_points_per_cell: 2,
-            rebucket_skew: 2.0,
-            ..Default::default()
-        };
-        let mut grid = GridIndex::with_config(&s1(23, 0.005).into_dataset(), &config);
-        for i in 0..20 {
-            grid.insert(dpc_core::Point::new(9.0e7 + i as f64, 9.0e7))
-                .unwrap();
-        }
-        let before = rebuckets(&grid);
-        assert!(before >= 1);
-        grid.rebuild_from(grid.dataset().clone()).unwrap();
-        assert_eq!(rebuckets(&grid), before);
     }
 
     #[test]

@@ -642,23 +642,6 @@ impl UpdatableIndex for KdTree {
         result
     }
 
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // Bulk load: one balanced median build over the new window (the same
-        // O(n log n) pass `build` uses) instead of n insertion-path walks —
-        // and the result starts perfectly balanced, with no dead fraction.
-        // The adopted dataset keeps the caller's id order and version
-        // history; the lifetime maintenance counters carry over (a bulk
-        // load is a rebuild *instead of* amortised maintenance, so it
-        // advances neither trigger counter).
-        let config = self.config;
-        let subtree_rebuilds = self.subtree_rebuilds;
-        let full_rebuilds = self.full_rebuilds;
-        *self = KdTree::with_config(&dataset, &config);
-        self.subtree_rebuilds = subtree_rebuilds;
-        self.full_rebuilds = full_rebuilds;
-        Ok(())
-    }
-
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
         validate_dc(eps)?;
         Ok(eps_query(self, &self.dataset, center, eps))
@@ -848,33 +831,6 @@ mod tests {
         tree.check_structure();
         assert!(tree.full_rebuilds() >= 1);
         assert_matches_baseline(tree.dataset(), &tree, 150.0);
-    }
-
-    #[test]
-    fn rebuild_from_bulk_loads_and_carries_counters() {
-        let data = Dataset::new(test_points(TestDistribution::Skewed, 200, 5));
-        let mut tree = KdTree::build(&data);
-        while tree.len() > 40 {
-            tree.remove(tree.len() / 2).unwrap();
-        }
-        let rebuilds = (tree.subtree_rebuilds(), tree.full_rebuilds());
-        assert!(rebuilds.1 >= 1);
-        // A replacement window with real version history, as the streaming
-        // engine's rebuild path materialises it.
-        let mut window = tree.dataset().clone();
-        for p in test_points(TestDistribution::Clustered, 60, 7) {
-            window.push(p).unwrap();
-        }
-        window.swap_remove(0).unwrap();
-        let version = window.version();
-        tree.rebuild_from(window.clone()).unwrap();
-        tree.check_structure();
-        assert_eq!(tree.dataset().points(), window.points());
-        assert_eq!(tree.dataset().version(), version);
-        // A bulk load is a rebuild *instead of* amortised maintenance: the
-        // lifetime trigger counters carry over unchanged.
-        assert_eq!((tree.subtree_rebuilds(), tree.full_rebuilds()), rebuilds);
-        assert_matches_baseline(&window, &tree, 150.0);
     }
 
     #[test]

@@ -925,23 +925,6 @@ impl UpdatableIndex for RTree {
         Ok(moved)
     }
 
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // Bulk load: one fresh build over the new window instead of n
-        // insert-entry descents with their forced-reinsertion rounds. The
-        // adopted dataset keeps the caller's id order and version history;
-        // the lifetime maintenance counters carry over (a bulk load incurs
-        // no reinsertion, split or dissolve).
-        let config = self.config;
-        let forced_reinserts = self.forced_reinserts;
-        let node_splits = self.node_splits;
-        let nodes_dissolved = self.nodes_dissolved;
-        *self = RTree::with_config(&dataset, &config);
-        self.forced_reinserts = forced_reinserts;
-        self.node_splits = node_splits;
-        self.nodes_dissolved = nodes_dissolved;
-        Ok(())
-    }
-
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
         validate_dc(eps)?;
         Ok(eps_query(self, &self.dataset, center, eps))
@@ -1185,44 +1168,6 @@ mod tests {
             shrunk.max_x()
         );
         assert_matches_baseline(tree.dataset(), &tree, 200.0);
-    }
-
-    #[test]
-    fn rebuild_from_bulk_loads_and_carries_counters() {
-        let data = Dataset::new(test_points(TestDistribution::Clustered, 180, 9));
-        let mut tree = RTree::build(&data);
-        for p in test_points(TestDistribution::Uniform, 40, 11) {
-            tree.insert(p).unwrap();
-        }
-        let counters = (
-            tree.forced_reinserts(),
-            tree.node_splits(),
-            tree.nodes_dissolved(),
-        );
-        assert!(counters.1 > 0);
-        // A replacement window with real version history, as the streaming
-        // engine's rebuild path materialises it.
-        let mut window = tree.dataset().clone();
-        for p in test_points(TestDistribution::Skewed, 30, 13) {
-            window.push(p).unwrap();
-        }
-        window.swap_remove(5).unwrap();
-        let version = window.version();
-        tree.rebuild_from(window.clone()).unwrap();
-        tree.check_structure();
-        assert_eq!(tree.dataset().points(), window.points());
-        assert_eq!(tree.dataset().version(), version);
-        // A bulk load incurs no reinsertion, split or dissolve: the lifetime
-        // counters carry over unchanged.
-        assert_eq!(
-            (
-                tree.forced_reinserts(),
-                tree.node_splits(),
-                tree.nodes_dissolved(),
-            ),
-            counters
-        );
-        assert_matches_baseline(&window, &tree, 150.0);
     }
 
     #[test]
