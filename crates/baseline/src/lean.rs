@@ -10,8 +10,7 @@
 use std::time::{Duration, Instant};
 
 use dpc_core::{
-    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Point, PointId, Query, Result,
-    Rho, UpdatableIndex,
+    brute, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Query, Result, Rho,
 };
 
 /// The memory-lean O(n²)-time baseline.
@@ -64,29 +63,11 @@ impl DpcIndex for LeanDpc {
     }
 }
 
-/// The lean baseline keeps no derived structure at all, so it is the
-/// always-correct reference [`UpdatableIndex`] for the streaming engine:
-/// mutations delegate to the owned [`Dataset`] and the ε-query streams over
-/// the structure-of-arrays coordinate slices.
-impl UpdatableIndex for LeanDpc {
-    fn insert(&mut self, p: Point) -> Result<PointId> {
-        self.dataset.push(p)
-    }
-
-    fn remove(&mut self, id: PointId) -> Result<Option<PointId>> {
-        self.dataset.swap_remove(id)
-    }
-
-    fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
-        brute::eps_neighbors_scan(&self.dataset, center, eps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::MatrixDpc;
-    use dpc_core::{ExecPolicy, Kernel};
+    use dpc_core::{ExecPolicy, Kernel, Point};
     use dpc_datasets::generators::{query, s1};
 
     #[test]
@@ -165,43 +146,6 @@ mod tests {
         let lean = LeanDpc::build(&data);
         assert_eq!(lean.rho(&Query::new(2.0)).unwrap(), vec![0.0, 0.0]);
         assert_eq!(lean.rho(&Query::new(2.0000001)).unwrap(), vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn updates_match_a_fresh_build() {
-        let data = s1(29, 0.02).into_dataset(); // 100 points
-        let mut lean = LeanDpc::build(&data);
-        let c = data.bounding_box();
-        lean.insert(Point::new(c.min_x(), c.min_y())).unwrap();
-        lean.remove(3).unwrap();
-        lean.remove(lean.len() - 1).unwrap();
-        let fresh = LeanDpc::build(lean.dataset());
-        let query = Query::new(60_000.0);
-        let (r1, d1) = lean.rho_delta(&query).unwrap();
-        let (r2, d2) = fresh.rho_delta(&query).unwrap();
-        assert_eq!(r1, r2);
-        assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn eps_neighbors_matches_definition() {
-        let data = Dataset::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.5, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(3.0, 0.0),
-        ]);
-        let lean = LeanDpc::build(&data);
-        // Strict inequality: the point at distance exactly 1.0 is excluded.
-        assert_eq!(
-            lean.eps_neighbors(Point::new(0.0, 0.0), 1.0).unwrap(),
-            vec![0, 1]
-        );
-        assert_eq!(
-            lean.eps_neighbors(Point::new(2.0, 0.0), 1.5).unwrap(),
-            vec![2, 3]
-        );
-        assert!(lean.eps_neighbors(Point::origin(), -1.0).is_err());
     }
 
     #[test]

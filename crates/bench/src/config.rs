@@ -74,8 +74,12 @@ impl ExperimentConfig {
                     config.scale = v
                         .parse()
                         .map_err(|_| format!("invalid --scale value {v:?}"))?;
-                    if config.scale <= 0.0 {
-                        return Err("--scale must be positive".to_string());
+                    if !(config.scale.is_finite() && config.scale > 0.0) {
+                        return Err(format!(
+                            "--scale must be a positive finite number \
+                             (valid range: 0 < scale < inf), got {}",
+                            config.scale
+                        ));
                     }
                 }
                 "--seed" => {
@@ -188,7 +192,13 @@ mod tests {
     #[test]
     fn rejects_invalid_values() {
         assert!(ExperimentConfig::from_args(args(&["--scale", "zero"])).is_err());
-        assert!(ExperimentConfig::from_args(args(&["--scale", "-1"])).is_err());
+        for bad in ["-1", "nan", "inf"] {
+            let err = ExperimentConfig::from_args(args(&["--scale", bad])).unwrap_err();
+            assert!(
+                err.contains("--scale") && err.contains("valid range"),
+                "{err}"
+            );
+        }
         assert!(ExperimentConfig::from_args(args(&["--reps", "0"])).is_err());
         assert!(ExperimentConfig::from_args(args(&["--seed"])).is_err());
         assert!(ExperimentConfig::from_args(args(&["--threads", "0"])).is_err());

@@ -1,7 +1,8 @@
 //! # dpc-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§5), plus Criterion micro-benchmarks.
+//! paper's evaluation (§5), plus the parallel-query and streaming throughput
+//! sweeps behind `BENCH_parallel.json` and `BENCH_stream.json`.
 //!
 //! Each experiment lives in [`experiments`] as a `run(&ExperimentConfig)`
 //! function returning one or more [`dpc_metrics::ResultTable`]s; the binaries
@@ -27,12 +28,10 @@ pub mod config;
 pub mod experiments;
 pub mod indexes;
 pub mod parallel_scaling;
-pub mod serve_throughput;
 pub mod stream_throughput;
 
 pub use cli::{run_cli, run_repro_cli};
 pub use config::ExperimentConfig;
 pub use indexes::IndexKind;
 pub use parallel_scaling::{ScalingOptions, ScalingReport};
-pub use serve_throughput::{ServeBenchOptions, ServeBenchReport};
 pub use stream_throughput::{StreamBenchOptions, StreamBenchReport};

@@ -7,6 +7,9 @@
 
 use std::collections::BTreeMap;
 
+/// The tool's valueless switches. Every other flag takes a value.
+const SWITCHES: [&str; 4] = ["halo", "quiet", "json", "metrics"];
+
 /// A parsed command line: the subcommand name plus `--flag value` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedArgs {
@@ -21,8 +24,10 @@ pub struct ParsedArgs {
 impl ParsedArgs {
     /// Parses a raw argument list.
     ///
-    /// Grammar: `<command> (--flag value | --switch)*`. A flag is treated as
-    /// a valueless switch when it is followed by another flag or by nothing.
+    /// Grammar: `<command> (--flag value | --switch)*`. The switches are the
+    /// fixed set `--halo`, `--quiet`, `--json` and `--metrics`: a switch
+    /// followed by a value, or any other flag without one, is an error
+    /// naming the flag.
     pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
         let mut iter = args.iter().peekable();
         let command = iter
@@ -41,14 +46,18 @@ impl ParsedArgs {
             if name.is_empty() {
                 return Err("empty flag name".to_string());
             }
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = iter.next().expect("peeked value must exist");
+            let value = iter.next_if(|next| !next.starts_with("--"));
+            match (SWITCHES.contains(&name), value) {
+                (true, None) => switches.push(name.to_string()),
+                (true, Some(value)) => {
+                    return Err(format!("switch --{name} takes no value, got {value:?}"))
+                }
+                (false, None) => return Err(format!("flag --{name} needs a value")),
+                (false, Some(value)) => {
                     if flags.insert(name.to_string(), value.clone()).is_some() {
                         return Err(format!("flag --{name} given more than once"));
                     }
                 }
-                _ => switches.push(name.to_string()),
             }
         }
         Ok(ParsedArgs {
@@ -176,5 +185,36 @@ mod tests {
         let err = p.reject_unknown(&["input", "dc"]).unwrap_err();
         assert!(err.contains("--bogus"));
         assert!(err.contains("--input"));
+    }
+
+    #[test]
+    fn a_switch_given_a_value_is_an_error_naming_it() {
+        for switch in SWITCHES {
+            let flag = format!("--{switch}");
+            let err = ParsedArgs::parse(&args(&["stream", &flag, "yes", "--dc", "1"])).unwrap_err();
+            assert!(err.contains(&flag), "{err}");
+            assert!(err.contains("takes no value"), "{err}");
+            // Last, or before another flag, it is a switch.
+            for argv in [
+                ["stream", &flag, "--dc", "1"],
+                ["stream", "--dc", "1", &flag],
+            ] {
+                let p = ParsedArgs::parse(&args(&argv)).unwrap();
+                assert!(p.has_switch(switch));
+                assert_eq!(p.get(switch), None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_valued_flag_without_a_value_is_an_error_naming_it() {
+        for (argv, flag) in [
+            (&["stream", "--dc", "1", "--trace-out"][..], "--trace-out"),
+            (&["stream", "--window", "--batch", "50"], "--window"),
+            (&["cluster", "--bogus"], "--bogus"),
+        ] {
+            let err = ParsedArgs::parse(&args(argv)).unwrap_err();
+            assert!(err.contains(&format!("flag {flag} needs a value")), "{err}");
+        }
     }
 }

@@ -5,6 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dpc_baseline::LeanDpc;
+use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
     CenterSelection, Clustering, Dataset, DcEstimation, DpcIndex, DpcParams, Kernel, UpdatableIndex,
 };
@@ -289,6 +290,45 @@ impl StreamSetup {
     }
 }
 
+/// Seeds the `StreamingDpc` that `--engine` names over the seed window of
+/// `$setup`, binds it to `$engine` and evaluates `$run`: the one map from
+/// engine names to index families for `dpc stream` and `dpc serve`. A macro
+/// rather than a function because `$run` is generic over the index type.
+macro_rules! with_engine {
+    ($setup:expr, |$engine:ident| $run:expr) => {{
+        let setup: &StreamSetup = $setup;
+        let seed = setup.seed();
+        match setup.engine.as_str() {
+            "grid" => {
+                let $engine = seeded(GridIndex::build(&seed), setup)?;
+                $run
+            }
+            "kdtree" | "kd" => {
+                let $engine = seeded(KdTree::build(&seed), setup)?;
+                $run
+            }
+            "rtree" => {
+                let $engine = seeded(RTree::build(&seed), setup)?;
+                $run
+            }
+            "naive" => {
+                let $engine = seeded(NaiveReferenceIndex::build(&seed), setup)?;
+                $run
+            }
+            other => {
+                return Err(format!(
+                    "unknown streaming engine {other:?} (grid, kdtree, rtree or naive)"
+                ))
+            }
+        }
+    }};
+}
+
+/// A streaming engine over `index` with the setup's parameters.
+fn seeded<I: UpdatableIndex>(index: I, setup: &StreamSetup) -> Result<StreamingDpc<I>, String> {
+    StreamingDpc::new(index, setup.params.clone()).map_err(|e| e.to_string())
+}
+
 /// `dpc stream`: replays a CSV point file as a timestamped stream through
 /// the incremental engine and prints per-epoch cluster deltas.
 ///
@@ -305,48 +345,12 @@ impl StreamSetup {
 /// trace-event file (loadable in Perfetto / `chrome://tracing`).
 pub fn stream(args: &ParsedArgs) -> Result<String, String> {
     let setup = StreamSetup::parse(args, &[])?;
-    let (seed, params) = (setup.seed(), setup.params.clone());
     let mut lines = Vec::new();
     let seed_timer = dpc_obs::Timer::start();
-    // The engine is seeded inside the call arguments, before `replay` starts
-    // its own timer — so the reported updates/s covers only the streamed
-    // updates, not the one-off index build + batch seeding query.
-    let (stats, elapsed) = match setup.engine.as_str() {
-        "grid" => replay(
-            StreamingDpc::new(GridIndex::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &mut lines,
-        )?,
-        "kdtree" | "kd" => replay(
-            StreamingDpc::new(KdTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &mut lines,
-        )?,
-        "rtree" => replay(
-            StreamingDpc::new(RTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &mut lines,
-        )?,
-        "naive" => replay(
-            StreamingDpc::new(
-                dpc_core::naive_reference::NaiveReferenceIndex::build(&seed),
-                params,
-            )
-            .map_err(|e| e.to_string())?,
-            &setup,
-            &mut lines,
-        )?,
-        "lean" => replay(
-            StreamingDpc::new(LeanDpc::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &mut lines,
-        )?,
-        other => {
-            return Err(format!(
-                "unknown streaming engine {other:?} (grid, kdtree, rtree, naive, or lean)"
-            ))
-        }
-    };
+    // The engine is seeded before `replay` starts its own timer, so the
+    // reported updates/s covers only the streamed updates, not the one-off
+    // index build + batch seeding query.
+    let (stats, elapsed) = with_engine!(&setup, |engine| replay(engine, &setup, &mut lines)?);
     let seed_time = seed_timer.elapsed().saturating_sub(elapsed);
 
     let mut out = lines.join("\n");
@@ -506,50 +510,14 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
     if ring == 0 {
         return Err("--ring must be positive".into());
     }
-    let (seed, params) = (setup.seed(), setup.params.clone());
     let mut lines = Vec::new();
     let serve_opts = ServeOpts { readers, ring };
-    let (report, elapsed) = match setup.engine.as_str() {
-        "grid" => serve_replay(
-            StreamingDpc::new(GridIndex::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &serve_opts,
-            &mut lines,
-        )?,
-        "kdtree" | "kd" => serve_replay(
-            StreamingDpc::new(KdTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &serve_opts,
-            &mut lines,
-        )?,
-        "rtree" => serve_replay(
-            StreamingDpc::new(RTree::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &serve_opts,
-            &mut lines,
-        )?,
-        "naive" => serve_replay(
-            StreamingDpc::new(
-                dpc_core::naive_reference::NaiveReferenceIndex::build(&seed),
-                params,
-            )
-            .map_err(|e| e.to_string())?,
-            &setup,
-            &serve_opts,
-            &mut lines,
-        )?,
-        "lean" => serve_replay(
-            StreamingDpc::new(LeanDpc::build(&seed), params).map_err(|e| e.to_string())?,
-            &setup,
-            &serve_opts,
-            &mut lines,
-        )?,
-        other => {
-            return Err(format!(
-                "unknown streaming engine {other:?} (grid, kdtree, rtree, naive, or lean)"
-            ))
-        }
-    };
+    let (report, elapsed) = with_engine!(&setup, |engine| serve_replay(
+        engine,
+        &setup,
+        &serve_opts,
+        &mut lines
+    )?);
 
     let mut out = lines.join("\n");
     if !out.is_empty() {
@@ -1716,34 +1684,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The streaming commands have no `--policy` flag: `command` must reject
-    /// it as an unknown flag, naming it.
-    fn rejects_policy_flag(command: &str, tag: &str) {
+    /// Runs `command` (`stream` or `serve`) over a tiny input with `extra`
+    /// flags and returns the error it must fail with.
+    fn streaming_error(command: &str, tag: &str, extra: &[&str]) -> String {
         let dir = temp_dir(tag);
         let points = dir.join("points.csv");
         write_points_csv(&points, &tiny_points()).unwrap();
-        let err = run(args(&[
-            command,
-            "--input",
-            points.to_str().unwrap(),
-            "--dc",
-            "0.5",
-            "--policy",
-            "adaptive",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown flag --policy"), "{err}");
+        let mut argv = vec![command, "--input", points.to_str().unwrap(), "--dc", "0.5"];
+        argv.extend(extra);
+        let err = run(args(&argv)).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
+        err
     }
 
+    /// The streaming commands have no `--policy` flag: they must reject it
+    /// as an unknown flag, naming it.
     #[test]
     fn stream_rejects_the_policy_flag() {
-        rejects_policy_flag("stream", "stream-policy");
+        let err = streaming_error("stream", "stream-policy", &["--policy", "adaptive"]);
+        assert!(err.contains("unknown flag --policy"), "{err}");
     }
 
     #[test]
     fn serve_rejects_the_policy_flag() {
-        rejects_policy_flag("serve", "serve-policy");
+        let err = streaming_error("serve", "serve-policy", &["--policy", "adaptive"]);
+        assert!(err.contains("unknown flag --policy"), "{err}");
+    }
+
+    /// `lean` is no streaming engine: both commands reject it and list the
+    /// four engines there are.
+    #[test]
+    fn stream_and_serve_reject_the_lean_engine_and_list_the_four() {
+        for command in ["stream", "serve"] {
+            let err = streaming_error(command, &format!("{command}-lean"), &["--engine", "lean"]);
+            assert!(
+                err.contains("unknown streaming engine \"lean\" (grid, kdtree, rtree or naive)"),
+                "{command}: {err}"
+            );
+        }
     }
 
     #[test]

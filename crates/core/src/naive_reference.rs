@@ -2,7 +2,7 @@
 //! δ-queries.
 //!
 //! This is *not* the paper's baseline (that lives in the `dpc-baseline`
-//! crate, with matrix-based, memory-lean and parallel variants); it is the
+//! crate, with matrix-based and memory-lean variants); it is the
 //! smallest possible implementation of [`DpcIndex`] — a dataset handed to
 //! the sequential [`brute`] kernels — used as ground truth in unit tests,
 //! doctests and property tests throughout the workspace, and as the default

@@ -30,7 +30,6 @@
 //! assert that the trees' amortised rebuild triggers actually fire
 //! ([`UpdatableIndex::maintenance_counters`]).
 
-use dpc_baseline::LeanDpc;
 use dpc_core::brute::eps_neighbors_scan;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Point, UpdatableIndex};
@@ -128,11 +127,6 @@ macro_rules! for_each_updatable_index {
         {
             let $name = "naive";
             let $build = NaiveReferenceIndex::build;
-            $body
-        }
-        {
-            let $name = "lean";
-            let $build = LeanDpc::build;
             $body
         }
         {
@@ -426,7 +420,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Incremental path (default fallback threshold), sequential and 4-way
-    /// parallel, for all five updatable index kinds.
+    /// parallel, for all four updatable index kinds.
     #[test]
     fn incremental_matches_batch_for_every_index_and_thread_count(
         seed in seed_strategy(),

@@ -24,7 +24,6 @@
 //!   decay epoch ([`StreamingDpc::tick`]) re-ranks without issuing a single
 //!   ε-query.
 
-use dpc_baseline::LeanDpc;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
     CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, Query,
@@ -97,11 +96,6 @@ macro_rules! for_each_updatable_index {
         {
             let $name = "naive";
             let $build = NaiveReferenceIndex::build;
-            $body
-        }
-        {
-            let $name = "lean";
-            let $build = LeanDpc::build;
             $body
         }
         {
@@ -326,7 +320,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The generic weighted ρ path with `Kernel::Cutoff` is bit-identical to
-    /// the integer-counting cold pipeline after every epoch, for all five
+    /// the integer-counting cold pipeline after every epoch, for all four
     /// engines at threads {1, 4}.
     #[test]
     fn cutoff_kernel_is_bit_identical_for_every_engine_and_thread_count(
@@ -346,7 +340,7 @@ proptest! {
 
     /// Gaussian and Exponential streamed ρ equals the explicit
     /// weight-accumulation oracle **bit-for-bit** after every epoch, for all
-    /// five engines at threads {1, 4}, and stays within 1e-9 (relative) of a
+    /// four engines at threads {1, 4}, and stays within 1e-9 (relative) of a
     /// cold pipeline run with the same kernel. Unlike cutoff's exact-1.0
     /// sums, incremental ±w(d) repair regroups f64 additions, so the cold
     /// scan — which re-sums each neighbourhood ascending from scratch — can
@@ -518,7 +512,7 @@ proptest! {
 }
 
 /// The ulp-adversarial generator through the kernel battery: cut-off
-/// bit-identity against the cold pipeline for all five engines at threads
+/// bit-identity against the cold pipeline for all four engines at threads
 /// {1, 4}, and a decayed window whose δ/µ
 /// re-rank must match a from-scratch re-rank of the explicit weight table.
 #[test]

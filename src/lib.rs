@@ -8,8 +8,8 @@
 //!
 //! * [`core`] — the DPC model: points, datasets, ρ/δ, decision graph,
 //!   assignment, the [`DpcIndex`](core::DpcIndex) trait and the pipeline;
-//! * [`baseline`] — the original O(n²) DPC algorithm (matrix, lean and
-//!   parallel variants);
+//! * [`baseline`] — the original O(n²) DPC algorithm (matrix and lean
+//!   variants);
 //! * [`list_index`] — the paper's List Index and Cumulative Histogram Index,
 //!   with the approximate RN-List option;
 //! * [`tree_index`] — Quadtree, STR R-tree, k-d tree and uniform grid with
