@@ -1100,6 +1100,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `auto:0` must not run as `auto:1`, and a NaN threshold must fail
+    /// validation before any query, naming the parameter and its range.
+    #[test]
+    fn zero_max_centers_and_nan_thresholds_are_rejected() {
+        cluster_rejects("auto0", &["--centers", "auto:0"], "max_centers", "0");
+        cluster_rejects(
+            "thrnan",
+            &["--centers", "threshold:nan,1"],
+            "rho_min",
+            "NaN",
+        );
+        for command in ["stream", "serve"] {
+            let err = streaming_error(
+                command,
+                &format!("{command}-auto0"),
+                &["--centers", "auto:0"],
+            );
+            assert!(
+                err.contains("max_centers") && err.contains("valid range"),
+                "{command}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn parse_centers_specs() {
         assert_eq!(

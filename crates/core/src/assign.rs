@@ -2,12 +2,14 @@
 //! neighbour, plus the optional halo (border-noise) computation of the
 //! original DPC paper.
 //!
-//! Once the centres are chosen, the assignment is a single pass over the
-//! points in order of decreasing density: a centre starts its own cluster and
-//! every other point inherits the label of its dependent neighbour `µ`
-//! (which, being denser, has already been labelled). This is the `O(n)`
-//! fourth step of the original algorithm and is reused unchanged by every
-//! index-based variant in the paper.
+//! Once the centres are chosen, every other point inherits the label of its
+//! dependent neighbour `µ`, which is denser. So a point belongs to the first
+//! centre on its µ chain: the chain climbs strictly in density and ends at a
+//! centre or at a point without `µ`. The pass walks each chain up to the
+//! first point that already has a label and hands that label down the whole
+//! walked path, so every point is visited once and nothing is sorted. This
+//! is the `O(n)` fourth step of the original algorithm and is reused
+//! unchanged by every index-based variant in the paper.
 
 use crate::cluster::Clustering;
 use crate::delta::{DeltaResult, DensityOrder};
@@ -46,7 +48,9 @@ impl AssignmentOptions {
 /// Points whose `µ` is unknown (the global peak when it is not itself a
 /// centre, or points truncated by an approximate index) fall back to the
 /// nearest centre by squared distance (ties to the earlier centre), which
-/// keeps the assignment total.
+/// keeps the assignment total. So does a point whose `µ` is neither denser
+/// nor a centre; the walk never follows such a link, so a µ cycle cannot
+/// loop.
 pub fn assign_clusters(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
@@ -89,24 +93,34 @@ pub fn assign_clusters(
         labels[c] = cluster_id;
     }
 
-    // Walk points densest-first so that µ(p) is always labelled before p.
-    for p in order.rank_descending() {
-        if labels[p] != UNASSIGNED {
+    // Climb each unlabelled point's µ chain to the first labelled point and
+    // label the whole path with its label. A step is taken only to a denser
+    // point, so a walk ends. A link to a point that is neither denser nor a
+    // centre (an inconsistent µ, such as a cycle) ends the walk with the
+    // nearest-centre fallback, as does a missing µ.
+    let mut path: Vec<PointId> = Vec::new();
+    for start in 0..n {
+        if labels[start] != UNASSIGNED {
             continue;
         }
-        labels[p] = match deltas.mu(p) {
-            Some(q) => {
-                debug_assert!(order.is_denser(q, p));
-                if labels[q] == UNASSIGNED {
-                    // Can only happen with an inconsistent µ chain (e.g. a
-                    // truncated approximate index); fall back to nearest centre.
-                    nearest_center(dataset, p, centers)
-                } else {
-                    labels[q]
+        let mut p = start;
+        let label = loop {
+            path.push(p);
+            match deltas.mu(p) {
+                Some(q) if order.is_denser(q, p) => {
+                    if labels[q] != UNASSIGNED {
+                        break labels[q];
+                    }
+                    p = q;
                 }
+                Some(q) if labels[q] != UNASSIGNED && centers[labels[q]] == q => break labels[q],
+                _ => break nearest_center(dataset, p, centers),
             }
-            None => nearest_center(dataset, p, centers),
         };
+        for &q in &path {
+            labels[q] = label;
+        }
+        path.clear();
     }
 
     let halo = if options.compute_halo {
@@ -271,6 +285,34 @@ mod tests {
         .unwrap();
         // The peak is in the origin blob, nearest centre is 7 (at 5,5) vs 4 (10,10).
         assert_eq!(c.label(peak), 1);
+    }
+
+    /// A µ cycle, which no exact index produces, must not send the walk
+    /// round and round. The walk only climbs to denser points, so the
+    /// cycle's densest point, whose µ points down, takes its nearest centre
+    /// and the rest of the cycle follows it.
+    #[test]
+    fn a_mu_cycle_falls_back_to_the_nearest_centre() {
+        let data = Dataset::new(vec![
+            Point::new(0.0, 0.0),  // centre of cluster 0
+            Point::new(10.0, 0.0), // centre of cluster 1
+            Point::new(9.0, 0.0),  // 2 -> 3 -> 4 -> 2, all beside centre 1
+            Point::new(9.5, 0.5),
+            Point::new(9.0, 1.0),
+        ]);
+        let rho = vec![5.0, 5.0, 3.0, 2.0, 1.0];
+        let deltas = DeltaResult::new(vec![1.0; 5], vec![None, None, Some(3), Some(4), Some(2)]);
+        let order = DensityOrder::new(&rho);
+        let c = assign_clusters(
+            &data,
+            &order,
+            &deltas,
+            &[0, 1],
+            1.0,
+            &AssignmentOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(c.labels(), &[0, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! automatic selection strategies that are commonly used in practice
 //! (`ρ·δ` ranking and the largest-gap heuristic).
 
+use std::cmp::Ordering;
+
 use crate::delta::DeltaResult;
 use crate::density::Rho;
 use crate::error::{DpcError, Result};
@@ -94,21 +96,14 @@ impl DecisionGraph {
             .collect()
     }
 
-    /// Point ids sorted by decreasing γ.
-    pub fn gamma_ranking(&self) -> Vec<PointId> {
-        let gamma = self.gamma();
-        let mut ids: Vec<PointId> = (0..self.len()).collect();
-        ids.sort_by(|&a, &b| {
-            gamma[b]
-                .partial_cmp(&gamma[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        ids
-    }
-
     /// Selects cluster centres according to a strategy. The returned ids are
     /// sorted in increasing order.
+    ///
+    /// `TopKGamma` and `GammaGap` rank candidates by decreasing γ, ties to
+    /// the smaller id. Neither sorts all n points: γ is computed once, a
+    /// partial selection (`select_nth_unstable_by`) isolates the `k` (or
+    /// `max_centers + 1`) best candidates in `O(n)`, and only that head is
+    /// sorted.
     pub fn select_centers(&self, selection: &CenterSelection) -> Result<Vec<PointId>> {
         if self.is_empty() {
             return Err(DpcError::EmptyDataset);
@@ -130,12 +125,18 @@ impl DecisionGraph {
                         available: self.len(),
                     });
                 }
-                self.gamma_ranking().into_iter().take(*k).collect()
+                top_by_gamma(&self.gamma(), *k)
             }
             CenterSelection::GammaGap { max_centers } => {
-                let cap = (*max_centers).min(self.len()).max(1);
-                let ranking = self.gamma_ranking();
+                if *max_centers == 0 {
+                    return Err(DpcError::invalid_parameter(
+                        "max_centers",
+                        "must consider at least one centre",
+                    ));
+                }
+                let cap = (*max_centers).min(self.len());
                 let gamma = self.gamma();
+                let mut ranking = top_by_gamma(&gamma, (cap + 1).min(self.len()));
                 // Find the largest *relative* drop between consecutive γ
                 // values within the first `cap + 1` candidates; the centres
                 // are everything before the drop. A relative (ratio) gap is
@@ -144,16 +145,15 @@ impl DecisionGraph {
                 // the gap search, collapsing every selection to one cluster.
                 let mut best_cut = 1;
                 let mut best_ratio = 0.0f64;
-                for i in 0..cap.min(ranking.len().saturating_sub(1)) {
-                    let hi = gamma[ranking[i]];
-                    let lo = gamma[ranking[i + 1]];
-                    let ratio = hi / lo.max(1e-12);
+                for (i, pair) in ranking.windows(2).enumerate() {
+                    let ratio = gamma[pair[0]] / gamma[pair[1]].max(1e-12);
                     if ratio > best_ratio {
                         best_ratio = ratio;
                         best_cut = i + 1;
                     }
                 }
-                ranking.into_iter().take(best_cut).collect()
+                ranking.truncate(best_cut);
+                ranking
             }
             CenterSelection::Explicit { centers } => {
                 for &c in centers {
@@ -188,6 +188,25 @@ impl DecisionGraph {
     }
 }
 
+/// The `m` ids of largest γ in decreasing-γ order, ties to the smaller id
+/// (`m` ≤ `gamma.len()`). A partial selection moves them to the front in
+/// `O(n)`; only those `m` are sorted.
+fn top_by_gamma(gamma: &[f64], m: usize) -> Vec<PointId> {
+    let by_gamma = |&a: &PointId, &b: &PointId| {
+        gamma[b]
+            .partial_cmp(&gamma[a])
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    };
+    let mut ids: Vec<PointId> = (0..gamma.len()).collect();
+    if m < ids.len() {
+        ids.select_nth_unstable_by(m, by_gamma);
+        ids.truncate(m);
+    }
+    ids.sort_unstable_by(by_gamma);
+    ids
+}
+
 /// Strategy for picking cluster centres from the decision graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CenterSelection {
@@ -205,9 +224,10 @@ pub enum CenterSelection {
         k: usize,
     },
     /// Automatic selection: rank by γ and cut at the largest *relative* drop
-    /// among the first `max_centers` candidates.
+    /// among the first `max_centers + 1` candidates, so between 1 and
+    /// `max_centers` centres are chosen.
     GammaGap {
-        /// Upper bound on the number of centres considered.
+        /// Upper bound on the number of centres (at least 1).
         max_centers: usize,
     },
     /// Explicitly provided centre ids (e.g. from a previous manual

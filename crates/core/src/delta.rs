@@ -87,13 +87,6 @@ impl<'a> DensityOrder<'a> {
     pub fn global_peak(&self) -> Option<PointId> {
         (0..self.rho.len()).max_by_key(|&p| self.key(p))
     }
-
-    /// Point ids sorted from densest to sparsest under the total order.
-    pub fn rank_descending(&self) -> Vec<PointId> {
-        let mut ids: Vec<PointId> = (0..self.rho.len()).collect();
-        ids.sort_by_key(|&p| std::cmp::Reverse(self.key(p)));
-        ids
-    }
 }
 
 /// The dependent distances `δ` and dependent neighbours `µ` of every point.
@@ -246,18 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_descending_is_consistent_with_is_denser() {
-        let rho = vec![2.0, 9.0, 9.0, 1.0, 4.0];
-        let ord = DensityOrder::new(&rho);
-        let ranked = ord.rank_descending();
-        assert_eq!(ranked.len(), rho.len());
-        for w in ranked.windows(2) {
-            assert!(ord.is_denser(w[0], w[1]));
-        }
-        assert_eq!(ranked[0], ord.global_peak().unwrap());
-    }
-
-    #[test]
     fn key_orders_fractional_densities_and_normalises_negative_zero() {
         let rho = vec![0.5, 1.25, 0.0, -0.0, 1.25];
         let ord = DensityOrder::new(&rho);
@@ -270,10 +251,6 @@ mod tests {
         // Equal fractional densities fall back to the id tie-break.
         assert!(ord.key(1) > ord.key(4));
         assert_eq!(ord.global_peak(), Some(1));
-        let ranked = ord.rank_descending();
-        for w in ranked.windows(2) {
-            assert!(ord.is_denser(w[0], w[1]));
-        }
     }
 
     #[test]

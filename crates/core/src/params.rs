@@ -2,7 +2,7 @@
 
 use crate::assign::AssignmentOptions;
 use crate::decision::CenterSelection;
-use crate::error::Result;
+use crate::error::{DpcError, Result};
 use crate::exec::ExecPolicy;
 use crate::index::Query;
 use crate::kernel::Kernel;
@@ -81,11 +81,38 @@ impl DpcParams {
 
     /// Validates the parameters: `dc` must pass the same checks every index
     /// applies at query time ([`validate_dc`](crate::index::validate_dc)),
-    /// and the kernel's bandwidth must be in range
-    /// ([`Kernel::validate`]).
+    /// the kernel's bandwidth must be in range ([`Kernel::validate`]), a
+    /// γ-ranked centre selection must ask for at least one centre, and a
+    /// threshold selection must not compare against NaN.
     pub fn validate(&self) -> Result<()> {
         crate::index::validate_dc(self.dc)?;
-        self.kernel.validate()
+        self.kernel.validate()?;
+        match self.centers {
+            CenterSelection::TopKGamma { k: 0 } => Err(DpcError::invalid_parameter(
+                "k",
+                "top-k selection must select at least one centre (valid range: k >= 1), got 0",
+            )),
+            CenterSelection::GammaGap { max_centers: 0 } => Err(DpcError::invalid_parameter(
+                "max_centers",
+                "γ-gap selection must consider at least one centre \
+                 (valid range: max_centers >= 1), got 0",
+            )),
+            CenterSelection::Threshold { rho_min, delta_min } => {
+                for (name, value) in [("rho_min", rho_min), ("delta_min", delta_min)] {
+                    if value.is_nan() {
+                        return Err(DpcError::invalid_parameter(
+                            name,
+                            format!(
+                                "threshold selection compares against a number \
+                                 (valid range: any non-NaN value), got {value}"
+                            ),
+                        ));
+                    }
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -135,6 +162,33 @@ mod tests {
         assert!(DpcParams::new(0.0).validate().is_err());
         assert!(DpcParams::new(-1.0).validate().is_err());
         assert!(DpcParams::new(f64::NAN).validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_zero_centres_and_nan_thresholds() {
+        let with = |centers| DpcParams::new(1.0).with_centers(centers).validate();
+        let err = with(CenterSelection::GammaGap { max_centers: 0 })
+            .unwrap_err()
+            .to_string();
+        for needle in ["max_centers", "0", "valid range"] {
+            assert!(err.contains(needle), "{needle:?} missing in: {err}");
+        }
+        assert!(with(CenterSelection::TopKGamma { k: 0 }).is_err());
+        for (rho_min, delta_min, name) in [(f64::NAN, 1.0, "rho_min"), (1.0, f64::NAN, "delta_min")]
+        {
+            let err = with(CenterSelection::Threshold { rho_min, delta_min })
+                .unwrap_err()
+                .to_string();
+            for needle in [name, "NaN", "valid range"] {
+                assert!(err.contains(needle), "{needle:?} missing in: {err}");
+            }
+        }
+        assert!(with(CenterSelection::GammaGap { max_centers: 1 }).is_ok());
+        assert!(with(CenterSelection::Threshold {
+            rho_min: f64::NEG_INFINITY,
+            delta_min: 0.0
+        })
+        .is_ok());
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! here rather than calling `dpc_core::brute`, so the kernel is checked
 //! against code it does not share.
 
+use std::cmp::Ordering;
+
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
     assign_clusters, AssignmentOptions, BoundingBox, CenterSelection, Dataset, DecisionGraph,
-    DensityOrder, DpcIndex, Point, Query,
+    DeltaResult, DensityOrder, DpcIndex, Point, PointId, Query,
 };
 use proptest::prelude::*;
 
@@ -22,6 +24,109 @@ fn point_strategy() -> impl Strategy<Value = Point> {
 
 fn points_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(point_strategy(), 1..max)
+}
+
+/// Densities drawn from this table collide exactly, and include the zero,
+/// negative zero and negative values a weighted stream can produce.
+const RHO_TABLE: [f64; 7] = [-1.5, -0.25, -0.0, 0.0, 1.0, 2.0, 3.0];
+/// Dependent distances drawn from this table collide exactly; the
+/// decision graph clips the infinite one to the largest finite δ.
+const DELTA_TABLE: [f64; 6] = [0.0, 1e-13, 0.5, 1.0, 2.0, f64::INFINITY];
+
+/// A decision graph over `(ρ, δ)` table indices (µ plays no part in
+/// centre selection).
+fn tabled_graph(entries: &[(usize, usize)]) -> DecisionGraph {
+    let rho = entries.iter().map(|&(r, _)| RHO_TABLE[r]).collect();
+    let delta = entries.iter().map(|&(_, d)| DELTA_TABLE[d]).collect();
+    DecisionGraph::new(rho, &DeltaResult::new(delta, vec![None; entries.len()])).unwrap()
+}
+
+/// Every id ranked by decreasing γ, ties to the smaller id, by a full sort:
+/// the ranking centre selection used before it switched to a partial
+/// selection.
+fn full_sort_gamma_ranking(graph: &DecisionGraph) -> Vec<PointId> {
+    let gamma = graph.gamma();
+    let mut ids: Vec<PointId> = (0..graph.len()).collect();
+    ids.sort_by(|&a, &b| {
+        gamma[b]
+            .partial_cmp(&gamma[a])
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    ids
+}
+
+/// Top-k centres from the full-sort ranking, in id order.
+fn reference_top_k(graph: &DecisionGraph, k: usize) -> Vec<PointId> {
+    let mut centers = full_sort_gamma_ranking(graph)[..k].to_vec();
+    centers.sort_unstable();
+    centers
+}
+
+/// γ-gap centres from the full-sort ranking: cut at the largest relative
+/// drop among the first `max_centers + 1` candidates.
+fn reference_gamma_gap(graph: &DecisionGraph, max_centers: usize) -> Vec<PointId> {
+    let ranking = full_sort_gamma_ranking(graph);
+    let gamma = graph.gamma();
+    let cap = max_centers.min(ranking.len());
+    let (mut best_cut, mut best_ratio) = (1, 0.0f64);
+    for i in 0..cap.min(ranking.len() - 1) {
+        let ratio = gamma[ranking[i]] / gamma[ranking[i + 1]].max(1e-12);
+        if ratio > best_ratio {
+            best_ratio = ratio;
+            best_cut = i + 1;
+        }
+    }
+    let mut centers = ranking[..best_cut].to_vec();
+    centers.sort_unstable();
+    centers
+}
+
+/// Labels by the densest-first pass: visit points from densest to
+/// sparsest, a centre keeps its own cluster, every other point takes the
+/// label of its (already visited) µ, and a point without µ takes the
+/// nearest centre (ties to the earlier centre).
+fn densest_first_labels(
+    data: &Dataset,
+    rho: &[f64],
+    mu: &[Option<PointId>],
+    centers: &[PointId],
+) -> Vec<usize> {
+    let order = DensityOrder::new(rho);
+    let mut ranked: Vec<PointId> = (0..rho.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        if order.is_denser(a, b) {
+            Ordering::Less
+        } else if order.is_denser(b, a) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    });
+    let mut labels: Vec<Option<usize>> = vec![None; rho.len()];
+    for (cluster, &c) in centers.iter().enumerate() {
+        labels[c] = Some(cluster);
+    }
+    for p in ranked {
+        if labels[p].is_some() {
+            continue;
+        }
+        let nearest = || {
+            let d2 = |c: PointId| data.point(p).distance_squared(&data.point(c));
+            let mut best = 0;
+            for (cluster, &c) in centers.iter().enumerate() {
+                if d2(c) < d2(centers[best]) {
+                    best = cluster;
+                }
+            }
+            best
+        };
+        labels[p] = Some(match mu[p] {
+            Some(q) => labels[q].expect("µ is denser, so already labelled"),
+            None => nearest(),
+        });
+    }
+    labels.into_iter().map(Option::unwrap).collect()
 }
 
 proptest! {
@@ -105,11 +210,68 @@ proptest! {
                 }
             }
         }
-        // The ranking is consistent with the relation.
-        let ranked = order.rank_descending();
-        for w in ranked.windows(2) {
-            prop_assert!(order.is_denser(w[0], w[1]));
+    }
+
+    #[test]
+    fn gamma_selection_matches_a_full_sort_reference(
+        entries in prop::collection::vec((0usize..7, 0usize..6), 1..48),
+        k_pick in 0usize..4,
+        max_pick in 0usize..6,
+    ) {
+        let graph = tabled_graph(&entries);
+        let n = graph.len();
+        let k = [1, n.saturating_sub(1).max(1), n, 1 + k_pick % n][k_pick];
+        let max_centers = [1, 2, n.saturating_sub(1).max(1), n, n + 3, usize::MAX][max_pick];
+        prop_assert_eq!(
+            graph.select_centers(&CenterSelection::TopKGamma { k }).unwrap(),
+            reference_top_k(&graph, k),
+            "top-{} of {}", k, n
+        );
+        prop_assert_eq!(
+            graph.select_centers(&CenterSelection::GammaGap { max_centers }).unwrap(),
+            reference_gamma_gap(&graph, max_centers),
+            "γ-gap with max_centers {} of {}", max_centers, n
+        );
+    }
+
+    #[test]
+    fn assignment_matches_a_densest_first_reference_walk(
+        nodes in prop::collection::vec((0usize..7, 0u32..6, 0u32..6, 0usize..1000), 1..48),
+        center_picks in prop::collection::vec(0usize..1000, 1..6),
+        peak_is_center in any::<bool>(),
+    ) {
+        // A valid µ forest: each point's µ is a denser point, or none (a
+        // root, as an approximate index leaves a truncated point).
+        let rho: Vec<f64> = nodes.iter().map(|&(r, ..)| RHO_TABLE[r]).collect();
+        let data = Dataset::new(
+            nodes.iter().map(|&(_, x, y, _)| Point::new(x as f64, y as f64)).collect(),
+        );
+        let order = DensityOrder::new(&rho);
+        let n = rho.len();
+        let mu: Vec<Option<PointId>> = (0..n)
+            .map(|p| {
+                let pick = nodes[p].3;
+                let denser: Vec<PointId> = (0..n).filter(|&q| order.is_denser(q, p)).collect();
+                (pick % 5 != 0 && !denser.is_empty()).then(|| denser[pick % denser.len()])
+            })
+            .collect();
+        let peak = order.global_peak().unwrap();
+        let mut centers: Vec<PointId> = center_picks.iter().map(|&c| c % n).collect();
+        centers.retain(|&c| c != peak);
+        if peak_is_center || centers.is_empty() {
+            centers.push(peak);
         }
+        centers.sort_unstable();
+        centers.dedup();
+        let deltas = DeltaResult::new(vec![1.0; n], mu.clone());
+        let clustering = assign_clusters(
+            &data, &order, &deltas, &centers, 1.0, &AssignmentOptions::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(
+            clustering.labels(),
+            &densest_first_labels(&data, &rho, &mu, &centers)[..]
+        );
     }
 
     #[test]

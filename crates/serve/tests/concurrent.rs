@@ -17,7 +17,7 @@
 //! counts are sized so it also finishes quickly in debug.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use dpc_core::{CenterSelection, Dataset, DpcParams, Point, UpdatableIndex};
@@ -51,10 +51,14 @@ fn readers_never_observe_torn_snapshots() {
     let mut server = Server::new(seeded_engine(7), 64);
     let readers: Vec<_> = (0..4).map(|_| server.reader()).collect();
     let stop = AtomicBool::new(false);
+    // The writer starts only once every reader is in its loop, so a fast
+    // writer cannot finish all its epochs before a reader has looked.
+    let start = Barrier::new(readers.len() + 1);
 
     let (final_epoch, reader_epochs) = thread::scope(|s| {
-        let stop = &stop;
+        let (stop, start) = (&stop, &start);
         let writer = s.spawn(move || {
+            start.wait();
             for batch in arrivals(7, epochs, 3) {
                 // Slide the window: 3 in, 2 out per epoch.
                 server.engine_mut().advance(&batch, 2).unwrap();
@@ -69,7 +73,9 @@ fn readers_never_observe_torn_snapshots() {
                 s.spawn(move || {
                     let mut last = reader.epoch();
                     let mut observed = 0u64;
-                    while !stop.load(Ordering::Acquire) {
+                    start.wait();
+                    // Each pass checks one snapshot before it reads `stop`.
+                    loop {
                         let snap = reader.current();
                         snap.check_consistency();
                         assert!(
@@ -99,6 +105,9 @@ fn readers_never_observe_torn_snapshots() {
                         let mut sorted = hits.clone();
                         sorted.dedup();
                         assert_eq!(hits.len(), sorted.len(), "eps answer contains duplicates");
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
                     }
                     // Catch up to the writer's final state.
                     let snap = reader.current();

@@ -42,7 +42,10 @@
 //!    Every δ query carries the engine's recorder, so a trace shows the
 //!    index's `query.delta.*` counters beside the `stream.delta.*` spans.
 //! 5. **Re-cluster once** (centre selection + assignment on the maintained
-//!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch.
+//!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch. The
+//!    step is linear in the window: a partial γ selection, the µ-chain
+//!    assignment walk, and a merge of the previous and new `(point handle,
+//!    centre handle)` lists, both kept in ascending handle order.
 //!
 //! Why each piece of `F` is sufficient, and why everyone else only needs the
 //! candidate fold, is derived step by step in `docs/STREAMING.md`.
@@ -57,7 +60,6 @@
 //! same ops and to a cold batch run over the surviving points, for every
 //! [`UpdatableIndex`] implementation, at every thread count.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -378,8 +380,9 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     /// Dense id of the global peak (`None` for an empty window).
     peak: Option<PointId>,
     clustering: Clustering,
-    /// Stable view of the previous epoch: point handle → centre handle.
-    assignment: BTreeMap<Handle, Handle>,
+    /// Stable view of the last successful epoch: `(point handle, centre
+    /// handle)` for every point, in ascending point-handle order.
+    assignment: Vec<(Handle, Handle)>,
     epoch: u64,
     /// The decay clock: how many aging passes (committed epochs + effective
     /// ticks) have run. Decoupled from [`epoch`](Self::epoch) so a
@@ -434,7 +437,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             handles: HandleMap::with_dense_len(n),
             peak,
             clustering: Clustering::new(vec![], vec![], vec![]),
-            assignment: BTreeMap::new(),
+            assignment: Vec::new(),
             epoch: 0,
             age_epoch: 0,
             stats: StreamStats::default(),
@@ -1208,39 +1211,51 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     }
 
     /// Re-runs centre selection + assignment on the maintained `(ρ, δ, µ)`
-    /// and diffs the stable labelling against the previous epoch.
+    /// and diffs the stable labelling against the previous epoch, under the
+    /// `stream.recluster.select`, `.assign` and `.diff` spans.
     ///
     /// On error (e.g. a centre-selection rule that no point satisfies this
-    /// epoch) the density state remains exact, but the stored clustering
-    /// still describes the previous epoch.
+    /// epoch) the density state remains exact, but the stored clustering and
+    /// assignment still describe the last successful epoch. Handles are
+    /// stable, so the next successful epoch diffs against that one.
     fn recluster(&mut self) -> Result<ClusterDelta> {
-        let n = self.len();
-        let (clustering, new_assignment) = if n == 0 {
-            (Clustering::new(vec![], vec![], vec![]), BTreeMap::new())
-        } else {
-            let graph = DecisionGraph::new(self.rho.clone(), &self.deltas)?;
-            let centers = graph.select_centers(&self.params.dpc.centers)?;
-            let order = DensityOrder::new(&self.rho);
+        let rec = self.recorder.clone();
+        let centers = {
+            let _select_span = span(&rec, "stream.recluster.select");
+            if self.rho.is_empty() {
+                Vec::new()
+            } else {
+                DecisionGraph::new(self.rho.clone(), &self.deltas)?
+                    .select_centers(&self.params.dpc.centers)?
+            }
+        };
+        let (clustering, assignment) = {
+            let _assign_span = span(&rec, "stream.recluster.assign");
             let clustering = assign_clusters(
                 self.index.dataset(),
-                &order,
+                &DensityOrder::new(&self.rho),
                 &self.deltas,
                 &centers,
                 self.params.dpc.dc,
                 &self.params.dpc.assignment,
             )?;
-            let mut assignment = BTreeMap::new();
-            for p in 0..n {
-                let center = clustering.centers()[clustering.label(p)];
-                assignment.insert(self.handles.handle_at(p), self.handles.handle_at(center));
-            }
+            let center_handles: Vec<Handle> =
+                centers.iter().map(|&c| self.handles.handle_at(c)).collect();
+            let assignment: Vec<(Handle, Handle)> = self
+                .handles
+                .iter()
+                .map(|(h, id)| (h, center_handles[clustering.label(id)]))
+                .collect();
             (clustering, assignment)
         };
 
         self.epoch += 1;
         self.stats.epochs += 1;
-        let delta = diff_assignments(self.epoch, &self.assignment, &new_assignment);
-        self.assignment = new_assignment;
+        let delta = {
+            let _diff_span = span(&rec, "stream.recluster.diff");
+            diff_assignments(self.epoch, &self.assignment, &assignment)
+        };
+        self.assignment = assignment;
         self.clustering = clustering;
         Ok(delta)
     }
@@ -1269,8 +1284,11 @@ pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
     kernel.weight_from_sq(d2) * decay_factor(lambda, age)
 }
 
-/// Diffs two stable (point handle → centre handle) assignments.
+/// Diffs two stable assignments, each a list of `(point handle, centre
+/// handle)` in ascending point-handle order, in linear merges.
 ///
+/// Every centre is its own member, so a side's centres are the entries that
+/// map a point to itself: a sorted list of k handles, found without a sort.
 /// A centre handle that leaves the centre set does not necessarily mean its
 /// cluster died: when the centre *point* expires but the population
 /// persists, the next epoch elects a new centre among the survivors. Dying
@@ -1280,14 +1298,28 @@ pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
 /// reported as `recentred` survivors instead of a death + birth pair.
 fn diff_assignments(
     epoch: u64,
-    old: &BTreeMap<Handle, Handle>,
-    new: &BTreeMap<Handle, Handle>,
+    old: &[(Handle, Handle)],
+    new: &[(Handle, Handle)],
 ) -> ClusterDelta {
-    use std::collections::BTreeSet;
-    let old_centers: BTreeSet<Handle> = old.values().copied().collect();
-    let new_centers: BTreeSet<Handle> = new.values().copied().collect();
-    let mut births: Vec<Handle> = new_centers.difference(&old_centers).copied().collect();
-    let mut deaths: Vec<Handle> = old_centers.difference(&new_centers).copied().collect();
+    let centers_of = |assignment: &[(Handle, Handle)]| -> Vec<Handle> {
+        assignment
+            .iter()
+            .filter(|(h, c)| h == c)
+            .map(|&(h, _)| h)
+            .collect()
+    };
+    let (old_centers, new_centers) = (centers_of(old), centers_of(new));
+    let absent_from = |centers: &[Handle], c: &Handle| centers.binary_search(c).is_err();
+    let mut births: Vec<Handle> = new_centers
+        .iter()
+        .filter(|c| absent_from(&old_centers, c))
+        .copied()
+        .collect();
+    let mut deaths: Vec<Handle> = old_centers
+        .iter()
+        .filter(|c| absent_from(&new_centers, c))
+        .copied()
+        .collect();
 
     // Identity matching: pair each dying centre with the newborn centre
     // whose membership overlaps it the most, if the overlap clears the
@@ -1295,108 +1327,60 @@ fn diff_assignments(
     // trivially and never take part.
     let mut recentred: Vec<(Handle, Handle)> = Vec::new();
     if !births.is_empty() && !deaths.is_empty() {
-        let mut old_size: BTreeMap<Handle, usize> = BTreeMap::new();
-        let mut new_size: BTreeMap<Handle, usize> = BTreeMap::new();
-        for &c in old.values() {
-            *old_size.entry(c).or_default() += 1;
+        // Sizes of the dying and newborn clusters, and the overlap of each
+        // (dying, newborn) pair over the points present in both epochs,
+        // indexed by position in the sorted `deaths` / `births`.
+        let nb = births.len();
+        let mut old_size = vec![0usize; deaths.len()];
+        let mut new_size = vec![0usize; nb];
+        let mut overlap = vec![0usize; deaths.len() * nb];
+        for (_, co, cn) in merge(old, new) {
+            let d = co.and_then(|c| deaths.binary_search(&c).ok());
+            let b = cn.and_then(|c| births.binary_search(&c).ok());
+            if let Some(d) = d {
+                old_size[d] += 1;
+            }
+            if let Some(b) = b {
+                new_size[b] += 1;
+            }
+            if let (Some(d), Some(b)) = (d, b) {
+                overlap[d * nb + b] += 1;
+            }
         }
-        for &c in new.values() {
-            *new_size.entry(c).or_default() += 1;
-        }
-        let dead: BTreeSet<Handle> = deaths.iter().copied().collect();
-        let born: BTreeSet<Handle> = births.iter().copied().collect();
-        // Overlap counts over the points present in both epochs, restricted
-        // to (dying, newborn) cluster pairs.
-        let mut overlap: BTreeMap<(Handle, Handle), usize> = BTreeMap::new();
-        for (h, &co) in old {
-            if let Some(&cn) = new.get(h) {
-                if dead.contains(&co) && born.contains(&cn) {
-                    *overlap.entry((co, cn)).or_default() += 1;
+        let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
+        for (d, &dying) in old_size.iter().enumerate() {
+            for (b, &newborn) in new_size.iter().enumerate() {
+                let inter = overlap[d * nb + b];
+                let jaccard = inter as f64 / (dying + newborn - inter) as f64;
+                if jaccard >= ClusterDelta::JACCARD_THRESHOLD {
+                    candidates.push((jaccard, d, b));
                 }
             }
         }
-        let mut candidates: Vec<(f64, Handle, Handle)> = overlap
-            .iter()
-            .map(|(&(co, cn), &inter)| {
-                let union = old_size[&co] + new_size[&cn] - inter;
-                (inter as f64 / union as f64, co, cn)
-            })
-            .filter(|&(jaccard, _, _)| jaccard >= ClusterDelta::JACCARD_THRESHOLD)
-            .collect();
+        // Positions order like the handles they hold (both lists ascend).
         candidates.sort_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then_with(|| a.1.cmp(&b.1))
                 .then_with(|| a.2.cmp(&b.2))
         });
-        let mut matched_old: BTreeSet<Handle> = BTreeSet::new();
-        let mut matched_new: BTreeSet<Handle> = BTreeSet::new();
-        for (_, co, cn) in candidates {
-            if !matched_old.contains(&co) && !matched_new.contains(&cn) {
-                matched_old.insert(co);
-                matched_new.insert(cn);
-                recentred.push((co, cn));
+        let mut matched_old = vec![false; deaths.len()];
+        let mut matched_new = vec![false; nb];
+        for (_, d, b) in candidates {
+            if !matched_old[d] && !matched_new[b] {
+                matched_old[d] = true;
+                matched_new[b] = true;
+                recentred.push((deaths[d], births[b]));
             }
         }
-        if !recentred.is_empty() {
-            recentred.sort_unstable();
-            births.retain(|c| !matched_new.contains(c));
-            deaths.retain(|c| !matched_old.contains(c));
-        }
+        recentred.sort_unstable();
+        births.retain(|c| !recentred.iter().any(|&(_, b)| b == *c));
+        deaths.retain(|c| !recentred.iter().any(|&(d, _)| d == *c));
     }
 
-    let mut changed = Vec::new();
-    // Both maps iterate in ascending handle order; a classic merge collects
-    // every handle present in either.
-    let mut old_iter = old.iter().peekable();
-    let mut new_iter = new.iter().peekable();
-    loop {
-        match (old_iter.peek(), new_iter.peek()) {
-            (Some(&(&ho, &co)), Some(&(&hn, &cn))) => {
-                if ho < hn {
-                    changed.push(LabelChange {
-                        handle: ho,
-                        old: Some(co),
-                        new: None,
-                    });
-                    old_iter.next();
-                } else if hn < ho {
-                    changed.push(LabelChange {
-                        handle: hn,
-                        old: None,
-                        new: Some(cn),
-                    });
-                    new_iter.next();
-                } else {
-                    if co != cn {
-                        changed.push(LabelChange {
-                            handle: ho,
-                            old: Some(co),
-                            new: Some(cn),
-                        });
-                    }
-                    old_iter.next();
-                    new_iter.next();
-                }
-            }
-            (Some(&(&ho, &co)), None) => {
-                changed.push(LabelChange {
-                    handle: ho,
-                    old: Some(co),
-                    new: None,
-                });
-                old_iter.next();
-            }
-            (None, Some(&(&hn, &cn))) => {
-                changed.push(LabelChange {
-                    handle: hn,
-                    old: None,
-                    new: Some(cn),
-                });
-                new_iter.next();
-            }
-            (None, None) => break,
-        }
-    }
+    let changed = merge(old, new)
+        .filter(|&(_, co, cn)| co != cn)
+        .map(|(handle, old, new)| LabelChange { handle, old, new })
+        .collect();
 
     ClusterDelta {
         epoch,
@@ -1406,6 +1390,32 @@ fn diff_assignments(
         recentred,
         changed,
     }
+}
+
+/// Walks two assignments (ascending point handle) in step, yielding every
+/// handle present in either with its centre on each side.
+fn merge<'a>(
+    old: &'a [(Handle, Handle)],
+    new: &'a [(Handle, Handle)],
+) -> impl Iterator<Item = (Handle, Option<Handle>, Option<Handle>)> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let handle = match (old.get(i), new.get(j)) {
+            (Some(&(ho, _)), Some(&(hn, _))) => ho.min(hn),
+            (Some(&(h, _)), None) | (None, Some(&(h, _))) => h,
+            (None, None) => return None,
+        };
+        let take = |side: &[(Handle, Handle)], k: &mut usize| match side.get(*k) {
+            Some(&(h, c)) if h == handle => {
+                *k += 1;
+                Some(c)
+            }
+            _ => None,
+        };
+        let co = take(old, &mut i);
+        let cn = take(new, &mut j);
+        Some((handle, co, cn))
+    })
 }
 
 #[cfg(test)]
@@ -1524,7 +1534,7 @@ mod tests {
 
     #[test]
     fn diff_matches_identity_only_above_the_jaccard_threshold() {
-        let map = |pairs: &[(u64, u64)]| -> BTreeMap<Handle, Handle> {
+        let map = |pairs: &[(u64, u64)]| -> Vec<(Handle, Handle)> {
             pairs.iter().map(|&(h, c)| (Handle(h), Handle(c))).collect()
         };
         // Centre #0 expires, survivors {1, 2} re-centre at #1:
@@ -1546,8 +1556,8 @@ mod tests {
 
         // A merge: two dying clusters pour into one newborn; only the
         // dominant contributor (Jaccard 3/5) keeps the identity, the minor
-        // one (2/5) dies.
-        let old = map(&[(0, 0), (1, 0), (2, 0), (10, 5), (11, 5)]);
+        // one (2/6: its centre #5 expired) dies.
+        let old = map(&[(0, 0), (1, 0), (2, 0), (5, 5), (10, 5), (11, 5)]);
         let new = map(&[(0, 1), (1, 1), (2, 1), (10, 1), (11, 1)]);
         let d = diff_assignments(3, &old, &new);
         assert_eq!(d.recentred, vec![(Handle(0), Handle(1))]);

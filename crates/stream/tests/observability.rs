@@ -7,8 +7,9 @@
 //! the identical operations — one untouched (no-op recorder), one with a
 //! metrics registry *and* a trace sink fanned out — and compares the full
 //! state after every epoch. A structural test then pins down what the trace
-//! contains: per-epoch spans with the phase spans nested inside, and inside
-//! each δ repair the sub-spans that say which branch the epoch took.
+//! contains: per-epoch spans with the phase spans nested inside, inside
+//! each δ repair the sub-spans that say which branch the epoch took, and
+//! inside each recluster its select, assign and diff steps.
 
 use std::sync::Arc;
 
@@ -215,11 +216,67 @@ fn trace_nests_phase_spans_and_delta_repair_sub_spans() {
         }
     }
     assert_eq!(repairs, ops.len(), "one δ repair per committed epoch");
+    assert_recluster_sub_spans(&events, ops.len());
 
     // The export is well-formed Chrome trace JSON at the structural level.
     let json = trace.to_chrome_json();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
+/// Every `stream.phase.recluster` span holds exactly one
+/// `stream.recluster.select`, `.assign` and `.diff` span, nested inside it,
+/// and there are `expected` recluster spans. Spans are emitted as they
+/// close, so each recluster span follows the sub-spans of its own epoch.
+fn assert_recluster_sub_spans(events: &[TraceEvent], expected: usize) {
+    let mut reclusters = 0;
+    let mut inner: Vec<&TraceEvent> = Vec::new();
+    for e in events.iter().filter(|e| e.ph == 'X') {
+        if e.name.starts_with("stream.recluster.") {
+            inner.push(e);
+        } else if e.name == "stream.phase.recluster" {
+            let end = e.ts_us + e.dur_us.unwrap();
+            for child in &inner {
+                assert!(
+                    e.ts_us <= child.ts_us && child.ts_us + child.dur_us.unwrap() <= end,
+                    "{} at {} must nest inside the recluster",
+                    child.name,
+                    child.ts_us
+                );
+            }
+            let mut names: Vec<&str> = inner.iter().map(|c| c.name.as_str()).collect();
+            names.sort_unstable();
+            assert_eq!(
+                names,
+                [
+                    "stream.recluster.assign",
+                    "stream.recluster.diff",
+                    "stream.recluster.select"
+                ],
+                "recluster {reclusters}"
+            );
+            inner.clear();
+            reclusters += 1;
+        }
+    }
+    assert!(inner.is_empty(), "recluster sub-spans outside a recluster");
+    assert_eq!(reclusters, expected, "one recluster per epoch");
+}
+
+/// A decay tick reclusters under the same three sub-spans as a committed
+/// epoch.
+#[test]
+fn decay_ticks_trace_the_recluster_sub_spans() {
+    let seed: Vec<Point> = (0..10).map(|i| lattice_point(i % 4, i / 4)).collect();
+    let trace = Arc::new(TraceSink::new());
+    let mut engine =
+        StreamingDpc::new(small_kdtree(seed), StreamParams::new(1.5).with_decay(0.9)).unwrap();
+    engine.set_recorder(trace.clone() as SharedRecorder);
+    engine.tick().unwrap();
+    engine.insert(lattice_point(1, 1)).unwrap();
+    engine.tick().unwrap();
+    assert_eq!(engine.stats().decay_epochs, 2);
+    assert_recluster_sub_spans(&trace.events(), 3);
 }
 
 #[test]

@@ -31,14 +31,12 @@ fn main() {
         .run(&index)
         .expect("clustering failed");
 
+    // The selected centres are the 15 largest gamma; show the top 5.
     println!("\ndecision graph: top centre candidates (rho, delta):");
-    for (rank, &p) in run
-        .decision_graph
-        .gamma_ranking()
-        .iter()
-        .take(5)
-        .enumerate()
-    {
+    let gamma = run.decision_graph.gamma();
+    let mut strongest = run.centers.clone();
+    strongest.sort_by(|&a, &b| gamma[b].total_cmp(&gamma[a]));
+    for (rank, &p) in strongest.iter().take(5).enumerate() {
         println!(
             "  #{rank}: point {p} with rho = {}, delta = {:.0}",
             run.decision_graph.rho(p),
