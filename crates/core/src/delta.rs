@@ -70,16 +70,25 @@ impl<'a> DensityOrder<'a> {
         rq > rp || (rq == rp && q < p)
     }
 
-    /// Sort key such that a larger key means denser. Useful with
+    /// Sort key such that a larger key means denser: `key(q) > key(p)`
+    /// exactly when [`is_denser(q, p)`](Self::is_denser). Useful with
     /// `sort_by_key` / `max_by_key`.
     ///
-    /// Densities are non-negative f64, so their IEEE-754 bit patterns order
-    /// exactly like the values themselves; `-0.0` is normalised to `+0.0` so
-    /// the two zeros compare equal.
+    /// Weighted streams can leave a density slightly negative (`+w − w`
+    /// rounding), so the key orders every finite density, negatives
+    /// included: `-0.0` is normalised to `+0.0` so the two zeros compare
+    /// equal, then a non-negative density's IEEE-754 bit pattern gets its
+    /// sign bit set and a negative one's pattern is inverted, which orders
+    /// the patterns like the values.
     #[inline]
     pub fn key(&self, p: PointId) -> (u64, i64) {
         let r = self.rho[p];
-        let rho_key = if r == 0.0 { 0u64 } else { r.to_bits() };
+        let bits = if r == 0.0 { 0u64 } else { r.to_bits() };
+        let rho_key = if bits >> 63 == 0 {
+            bits | 1 << 63
+        } else {
+            !bits
+        };
         (rho_key, -(p as i64))
     }
 
@@ -250,6 +259,16 @@ mod tests {
         assert!(ord.is_denser(2, 3));
         // Equal fractional densities fall back to the id tie-break.
         assert!(ord.key(1) > ord.key(4));
+        assert_eq!(ord.global_peak(), Some(1));
+    }
+
+    #[test]
+    fn key_ranks_negative_densities_below_zero() {
+        let rho = vec![-1e-17, 0.5, -2.0, -0.0];
+        let ord = DensityOrder::new(&rho);
+        assert!(ord.key(3) > ord.key(0));
+        assert!(ord.key(0) > ord.key(2));
+        assert!(ord.key(1) > ord.key(3));
         assert_eq!(ord.global_peak(), Some(1));
     }
 

@@ -212,6 +212,40 @@ proptest! {
         }
     }
 
+    /// The sort key agrees with `is_denser` on every pair, and `global_peak`
+    /// is the one point denser than all others, for finite densities with
+    /// negatives, both zeros and exact ties.
+    #[test]
+    fn global_peak_is_the_is_denser_maximum(
+        raw in prop::collection::vec((0usize..9, -1e3f64..1e3), 1..48)
+    ) {
+        let rho: Vec<f64> = raw
+            .iter()
+            .map(|&(pick, free)| match pick {
+                0..=6 => RHO_TABLE[pick],
+                7 => free * 1e-300,
+                _ => free,
+            })
+            .collect();
+        let order = DensityOrder::new(&rho);
+        let n = rho.len();
+        for a in 0..n {
+            for b in 0..n {
+                prop_assert_eq!(
+                    order.key(a) > order.key(b),
+                    order.is_denser(a, b),
+                    "key vs is_denser for ρ {} ({}) and {} ({})", rho[a], a, rho[b], b
+                );
+            }
+        }
+        let peak = order.global_peak().unwrap();
+        prop_assert!(
+            (0..n).all(|q| q == peak || order.is_denser(peak, q)),
+            "global_peak {} (ρ {}) is not denser than every other point of {:?}",
+            peak, rho[peak], rho
+        );
+    }
+
     #[test]
     fn gamma_selection_matches_a_full_sort_reference(
         entries in prop::collection::vec((0usize..7, 0usize..6), 1..48),

@@ -26,16 +26,19 @@
 //!    [`Kernel::Cutoff`](dpc_core::Kernel) without decay every weight is
 //!    exactly 1.0 and this is the classic integer ±1 repair, bit for bit. A
 //!    visited bitmap deduplicates the touched survivors into the epoch's
-//!    **affected union** `U`. Points both inserted and expired within the
-//!    batch are *ephemeral* and contribute nothing.
+//!    **affected union** `U`, recording each member's ρ as the repair first
+//!    touches it. Points both inserted and expired within the batch are
+//!    *ephemeral* and contribute nothing.
 //! 4. **Repair δ/µ once**: the invalidation set `F` — the union `U`, the
 //!    inserted points, survivors renamed to a smaller id by a swap-remove,
 //!    points whose µ expired, was renamed, or sits in `U` (found by a single
 //!    µ scan that also renames surviving µ ids), and the old and new global
 //!    peaks — is recomputed from scratch through the index's
 //!    [`UpdatableIndex::delta_targets`] (the pruned search of Lemmas 1–2 on
-//!    the trees); everyone else min-folds the candidate entrants
-//!    (`U` ∪ inserted ∪ renamed). When `|F|` exceeds
+//!    the trees); everyone else min-folds the entrants: the inserted and
+//!    renamed points, and each member of `U` whose ρ rose, but only into
+//!    the points whose ρ lies in its band `[ρ_before, ρ_after]` (see
+//!    [`crate::maintenance`]). When `|F|` exceeds
 //!    [`StreamParams::max_affected_fraction`] of the window, and on every
 //!    decayed epoch, the engine instead re-ranks every point once through
 //!    the index's batch δ-query ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)).
@@ -99,9 +102,11 @@ pub struct StreamParams {
     /// When an epoch's invalidation set exceeds this fraction of the window,
     /// fall back to re-ranking δ/µ of every point through the index's batch
     /// δ-query instead of recomputing the invalidation set through
-    /// [`UpdatableIndex::delta_targets`] and folding the candidates into
-    /// every other point. Both paths query the index; the fold is a pass
-    /// over the whole window, which is what the threshold trades against.
+    /// [`UpdatableIndex::delta_targets`] and folding the entrants into
+    /// every other point. Both paths query the index; the fold visits every
+    /// point outside the set, though it computes distances only to entrants
+    /// that can have overtaken the point, and the threshold trades that
+    /// visit plus the targeted searches against one search per point.
     /// 1.0 (or anything ≥ 1.0) effectively disables the fallback; 0.0 forces
     /// it on every epoch (useful for testing).
     pub max_affected_fraction: f64,
@@ -286,16 +291,20 @@ struct CommitScratch {
     final_of_old: Vec<Option<PointId>>,
     /// Dedup bitmap behind the affected union U.
     visited: Vec<bool>,
-    /// The affected union U (distinct survivors whose ρ changed).
-    union: Vec<PointId>,
+    /// The affected union U (distinct survivors whose ρ changed), each with
+    /// its ρ from before the repair first touched it.
+    union: Vec<(PointId, Rho)>,
     /// The invalidation set F (recompute targets).
     invalidated: Vec<PointId>,
     /// Survivors renamed to a smaller id by a swap-remove.
     renamed: Vec<PointId>,
     /// Membership bitmap of F for the candidate fold.
     skip: Vec<bool>,
-    /// Candidate entrants (U ∪ inserted ∪ renamed) for the min-fold.
-    candidates: Vec<PointId>,
+    /// Entrants folded into every point outside F (inserted ∪ renamed).
+    entrants: Vec<PointId>,
+    /// Members of U whose ρ rose, with their pre-repair ρ: each folds only
+    /// into the points whose ρ lies in its band.
+    risen: Vec<(PointId, Rho)>,
 }
 
 /// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
@@ -939,10 +948,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         scratch.visited.clear();
         scratch.visited.resize(n, false);
         scratch.union.clear();
-        let touch = |q: PointId, visited: &mut Vec<bool>, union: &mut Vec<PointId>| {
+        // Called before q's ρ changes, so U records the ρ each member had
+        // when the repair first reached it.
+        let touch = |q: PointId, rho_q: Rho, visited: &mut Vec<bool>, union: &mut Vec<_>| {
             if !visited[q] {
                 visited[q] = true;
-                union.push(q);
+                union.push((q, rho_q));
             }
         };
         let kernel = self.params.dpc.kernel;
@@ -975,8 +986,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 if matches!(scratch.owner[q], Origin::Old(_)) {
                     let d2 = self.index.dataset().point(q).distance_squared(&loc);
                     let age = self.age_epoch - birth.max(self.births[q]);
+                    touch(q, self.rho[q], &mut scratch.visited, &mut scratch.union);
                     self.rho[q] -= aged_weight(kernel, d2, lambda, age);
-                    touch(q, &mut scratch.visited, &mut scratch.union);
                 }
             }
         }
@@ -1000,8 +1011,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     kernel.weight_from_sq(self.index.dataset().point(q).distance_squared(&center));
                 mass += w;
                 if matches!(scratch.owner[q], Origin::Old(_)) {
+                    touch(q, self.rho[q], &mut scratch.visited, &mut scratch.union);
                     self.rho[q] += w;
-                    touch(q, &mut scratch.visited, &mut scratch.union);
                 }
             }
             self.rho[x] = mass;
@@ -1014,15 +1025,17 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         );
         drop(rho_span);
 
-        // Phase 4 — build the invalidation set F and the candidate entrants,
-        // then repair δ/µ once for the whole epoch.
+        // Phase 4 — build the invalidation set F, then repair δ/µ once for
+        // the whole epoch.
         let delta_span = span(&rec, "stream.phase.delta_repair");
         let invalidate_span = span(&rec, "stream.delta.invalidate");
         let new_peak = DensityOrder::new(&self.rho).global_peak();
         let old_peak = self.peak.and_then(|pk| scratch.final_of_old[pk]);
 
         scratch.invalidated.clear();
-        scratch.invalidated.extend_from_slice(&scratch.union);
+        scratch
+            .invalidated
+            .extend(scratch.union.iter().map(|&(q, _)| q));
         scratch
             .invalidated
             .extend_from_slice(&scratch.inserted_final);
@@ -1032,7 +1045,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 if i != o {
                     // A swap-remove renamed this survivor to a smaller id,
                     // which raises its position among equal densities: it
-                    // may enter other points' minima (candidate), and the
+                    // may enter other points' minima (an entrant), and the
                     // points it overtook are no longer in its denser set.
                     scratch.renamed.push(i);
                 }
@@ -1103,20 +1116,42 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for &f in &scratch.invalidated {
                 scratch.skip[f] = true;
             }
-            scratch.candidates.clear();
-            scratch.candidates.extend_from_slice(&scratch.union);
-            scratch
-                .candidates
-                .extend_from_slice(&scratch.inserted_final);
-            scratch.candidates.extend_from_slice(&scratch.renamed);
-            candidate_pass(
+            scratch.entrants.clear();
+            scratch.entrants.extend_from_slice(&scratch.inserted_final);
+            scratch.entrants.extend_from_slice(&scratch.renamed);
+            // A member of U whose ρ fell or stayed enters no denser set.
+            scratch.risen.clear();
+            scratch.risen.extend(
+                scratch
+                    .union
+                    .iter()
+                    .filter(|&&(c, before)| self.rho[c] > before),
+            );
+            let band_pairs = candidate_pass(
                 self.index.dataset(),
                 &DensityOrder::new(&self.rho),
-                &scratch.candidates,
+                &scratch.entrants,
+                &scratch.risen,
                 &scratch.skip,
                 &mut self.deltas,
                 self.params.dpc.exec,
             );
+            // Why the fold cost what it did: its entrants by kind, the U
+            // members it dropped, and the (point, risen entrant) pairs it
+            // had to look at.
+            if rec.enabled() {
+                let risen = scratch.risen.len();
+                let counts = [
+                    ("entrants.inserted", scratch.inserted_final.len() as u64),
+                    ("entrants.renamed", scratch.renamed.len() as u64),
+                    ("entrants.risen", risen as u64),
+                    ("unrisen", (scratch.union.len() - risen) as u64),
+                    ("band_pairs", band_pairs),
+                ];
+                for (name, count) in counts {
+                    rec.counter(&format!("stream.fold.{name}"), count);
+                }
+            }
             drop(fold_span);
             let _targets_span = span(&rec, "stream.delta.targets");
             let query = self.params.dpc.query().with_recorder(&*rec);

@@ -24,8 +24,9 @@
 //!   (points whose own rank changed, whose dependent neighbour was touched,
 //!   and the global peak), repaired **once per epoch** through the index's
 //!   [`dpc_core::UpdatableIndex::delta_targets`] (the pruned δ search on the
-//!   trees); every other point folds the few candidate entrants into its
-//!   existing minimum with one distance comparison each.
+//!   trees); every other point folds the few entrants that can have
+//!   overtaken it into its existing minimum with one distance comparison
+//!   each.
 //!
 //! Batching saves work, never changes semantics: committing a batch is
 //! **bit-identical** to applying its updates one at a time, and both are

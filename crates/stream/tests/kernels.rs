@@ -29,6 +29,7 @@ use dpc_core::{
     CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, Query,
     UpdatableIndex,
 };
+use dpc_datasets::rng::SplitMix64;
 use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
@@ -560,6 +561,50 @@ fn ulp_adversarial_points_keep_every_engine_exact() {
                     .unwrap();
                 assert_eq!(engine.deltas(), &rerank, "[{name}] delta/mu");
             }
+        });
+    }
+}
+
+/// Undecayed weighted windows: `+w − w` repair leaves some densities a few
+/// ulps below zero, and the engine must still find the true global peak
+/// among them. After every epoch its `(δ, µ)` equal a brute re-rank of its
+/// own ρ, for all four engines; the run must actually reach negative ρ.
+#[test]
+fn undecayed_weighted_windows_rerank_exactly_over_their_own_densities() {
+    let (window, dc) = (80, 0.1);
+    let mut rng = SplitMix64::new(7);
+    let points: Vec<Point> = (0..window + 600)
+        .map(|_| Point::new(rng.next_f64(), rng.next_f64()))
+        .collect();
+    let (seed_points, arrivals) = points.split_at(window);
+    for kernel in [Kernel::gaussian(dc), Kernel::exponential(dc)] {
+        let dpc = DpcParams::new(dc)
+            .with_centers(CenterSelection::TopKGamma { k: 4 })
+            .with_kernel(kernel);
+        let params = StreamParams::new(dc).with_dpc(dpc);
+        for_each_updatable_index!(|name, build| {
+            let mut engine =
+                StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params.clone())
+                    .unwrap();
+            let mut negative_epochs = 0;
+            for (step, &p) in arrivals.iter().enumerate() {
+                engine.advance(&[p], 1).unwrap();
+                negative_epochs += usize::from(engine.rho().iter().any(|&r| r < 0.0));
+                let rerank = NaiveReferenceIndex::build(engine.index().dataset())
+                    .delta(&Query::new(dc), engine.rho())
+                    .unwrap();
+                assert_eq!(
+                    engine.deltas(),
+                    &rerank,
+                    "[{name}] {} δ/µ at step {step}",
+                    kernel.name()
+                );
+            }
+            assert!(
+                negative_epochs > 0,
+                "[{name}] {} never produced a negative ρ",
+                kernel.name()
+            );
         });
     }
 }

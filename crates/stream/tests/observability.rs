@@ -371,6 +371,23 @@ fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
         repair < invalidated * (n as u64 - 1) / 4,
         "repairing |F| = {invalidated} scanned {repair} points"
     );
+
+    // The fold's counters split U into the members whose ρ rose (entrants,
+    // each with a band) and the rest, and the band prune leaves few pairs.
+    let fold = |name: &str| snap.counter(&format!("stream.fold.{name}")).unwrap_or(0);
+    let risen = fold("entrants.risen");
+    assert_eq!(fold("entrants.inserted"), 1);
+    assert!(risen > 0, "the arrival must raise some ρ");
+    assert_eq!(
+        risen + fold("unrisen"),
+        snap.counter("stream.invalidated.union").unwrap()
+    );
+    let band_pairs = fold("band_pairs");
+    let unpruned = (n as u64 - invalidated) * risen;
+    assert!(
+        band_pairs < unpruned / 4,
+        "{band_pairs} band pairs of {unpruned} (point, risen entrant) pairs"
+    );
 }
 
 /// The engine's ρ, δ, µ, centres and labels equal a cold batch run of the
