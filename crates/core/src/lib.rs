@@ -74,7 +74,6 @@ pub mod naive_reference;
 pub mod params;
 pub mod pipeline;
 pub mod point;
-pub mod snapshot;
 pub mod stats;
 
 pub use assign::{assign_clusters, AssignmentOptions};
@@ -92,7 +91,6 @@ pub use metric::{closer, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclide
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};
-pub use snapshot::StateSnapshot;
 pub use stats::MemoryReport;
 
 /// The observability layer a [`Query`] reports to, re-exported so crates

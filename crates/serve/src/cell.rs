@@ -249,24 +249,17 @@ impl SnapshotSink for SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_core::StateSnapshot;
 
     fn snap(epoch: u64) -> Arc<EpochSnapshot> {
-        let state = StateSnapshot::capture(
+        Arc::new(EpochSnapshot::capture(
             &dpc_core::Dataset::new(Vec::new()),
             &[],
             &dpc_core::DeltaResult::new(Vec::new(), Vec::new()),
             &dpc_core::Clustering::new(Vec::new(), Vec::new(), Vec::new()),
-        );
-        let delta = ClusterDelta {
-            epoch,
-            num_clusters: 0,
-            births: Vec::new(),
-            deaths: Vec::new(),
-            recentred: Vec::new(),
-            changed: Vec::new(),
-        };
-        Arc::new(EpochSnapshot::new(epoch, state, Vec::new(), delta))
+            Vec::new(),
+            Arc::default(),
+            ClusterDelta::empty(epoch, 0),
+        ))
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! observing a torn state.
 //!
 //! The engine freezes each committed epoch as an immutable
-//! [`EpochSnapshot`](dpc_stream::EpochSnapshot) (ρ, δ, µ, labels, centres,
-//! plus a compact grid copy for ε-queries) and hands it to a
+//! [`EpochSnapshot`](dpc_stream::EpochSnapshot) (ρ, δ, µ, labels, the
+//! engine's shared point → centre assignment, and a flat grid for
+//! ε-queries) and hands it to a
 //! [`SnapshotCell`] — an append-only snapshot chain readers walk with one
 //! atomic load per published epoch. Three query families:
 //!

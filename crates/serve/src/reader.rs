@@ -15,9 +15,9 @@ use crate::cell::{ChainNode, Replay, SnapshotCell};
 /// Each reader owns a cursor into the snapshot chain; queries refresh the
 /// cursor to the newest published epoch first (wait-free — see the
 /// [`cell`](crate::cell) module docs), then answer from that immutable
-/// snapshot. Create one reader per thread ([`SnapshotReader`] is `Send` but
-/// queries take `&mut self` to advance the cursor); clone-by-[`Self::fork`]
-/// or ask the [`Server`](crate::Server) for more.
+/// snapshot. Create one reader per thread with
+/// [`Server::reader`](crate::Server::reader): a reader is `Send`, but
+/// queries take `&mut self` to advance the cursor.
 ///
 /// Every query publishes a latency span through the cell's recorder:
 /// `serve.query.lookup`, `serve.query.eps`, `serve.query.sub`.
@@ -43,13 +43,6 @@ impl SnapshotReader {
             cursor,
             recorder,
         }
-    }
-
-    /// A second, independent reader over the same cell, starting at the
-    /// newest published epoch. Briefly locks the cell's tail (creation is
-    /// the one reader operation that does).
-    pub fn fork(&self) -> SnapshotReader {
-        SnapshotReader::new(Arc::clone(&self.cell), self.recorder.clone())
     }
 
     /// The epoch of the snapshot the cursor currently sits on, *without*

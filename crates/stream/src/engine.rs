@@ -68,7 +68,7 @@ use std::time::Instant;
 
 use dpc_core::{
     assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
-    DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
+    DpcParams, Kernel, Point, PointId, Result, Rho, UpdatableIndex,
 };
 use dpc_obs::{span, SharedRecorder};
 
@@ -390,8 +390,9 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     peak: Option<PointId>,
     clustering: Clustering,
     /// Stable view of the last successful epoch: `(point handle, centre
-    /// handle)` for every point, in ascending point-handle order.
-    assignment: Vec<(Handle, Handle)>,
+    /// handle)` for every point, in ascending point-handle order. Behind an
+    /// `Arc` so published snapshots share it instead of copying it.
+    assignment: Arc<Vec<(Handle, Handle)>>,
     epoch: u64,
     /// The decay clock: how many aging passes (committed epochs + effective
     /// ticks) have run. Decoupled from [`epoch`](Self::epoch) so a
@@ -446,7 +447,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             handles: HandleMap::with_dense_len(n),
             peak,
             clustering: Clustering::new(vec![], vec![], vec![]),
-            assignment: Vec::new(),
+            assignment: Arc::default(),
             epoch: 0,
             age_epoch: 0,
             stats: StreamStats::default(),
@@ -571,29 +572,27 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// empty delta — the form a serving layer publishes at attach time,
     /// before any epoch has been committed through the sink.
     pub fn snapshot(&self) -> EpochSnapshot {
-        self.snapshot_with_delta(ClusterDelta {
-            epoch: self.epoch,
-            num_clusters: self.clustering.num_clusters(),
-            births: Vec::new(),
-            deaths: Vec::new(),
-            recentred: Vec::new(),
-            changed: Vec::new(),
-        })
+        self.snapshot_with_delta(ClusterDelta::empty(
+            self.epoch,
+            self.clustering.num_clusters(),
+        ))
     }
 
     /// Freezes the engine's current state, attaching `delta` as the epoch's
-    /// advancing delta.
+    /// advancing delta. The assignment is shared, not copied.
     fn snapshot_with_delta(&self, delta: ClusterDelta) -> EpochSnapshot {
-        let state = StateSnapshot::capture(
+        let handles: Vec<Handle> = (0..self.rho.len())
+            .map(|p| self.handles.handle_at(p))
+            .collect();
+        EpochSnapshot::capture(
             self.index.dataset(),
             &self.rho,
             &self.deltas,
             &self.clustering,
-        );
-        let handles: Vec<Handle> = (0..self.rho.len())
-            .map(|p| self.handles.handle_at(p))
-            .collect();
-        EpochSnapshot::new(self.epoch, state, handles, delta)
+            handles,
+            Arc::clone(&self.assignment),
+            delta,
+        )
     }
 
     /// The stable handle of the point at dense id `id`.
@@ -717,14 +716,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     pub fn tick(&mut self) -> Result<ClusterDelta> {
         let lambda = self.params.decay;
         if lambda == 1.0 || self.is_empty() {
-            return Ok(ClusterDelta {
-                epoch: self.epoch,
-                num_clusters: self.clustering.num_clusters(),
-                births: Vec::new(),
-                deaths: Vec::new(),
-                recentred: Vec::new(),
-                changed: Vec::new(),
-            });
+            return Ok(ClusterDelta::empty(
+                self.epoch,
+                self.clustering.num_clusters(),
+            ));
         }
         let rec = self.recorder.clone();
         let _epoch_span = span(&rec, "stream.epoch");
@@ -748,15 +743,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             rec.record("stream.decay.rerank_points", self.rho.len() as u64);
             rec.record("stream.epoch.maintenance_us", micros);
         }
-        let delta = {
-            let _recluster_span = span(&rec, "stream.phase.recluster");
-            self.recluster()?
-        };
-        if let Some(sink) = self.sink.clone() {
-            let _publish_span = span(&rec, "stream.phase.publish");
-            sink.publish(Arc::new(self.snapshot_with_delta(delta.clone())));
-        }
-        Ok(delta)
+        self.recluster_and_publish(&rec)
     }
 
     /// Applies a whole [`EpochPlan`] as **one** clustering epoch — the
@@ -776,14 +763,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// stage is clustering; see [`insert`](Self::insert) for that contract.
     pub fn commit(&mut self, plan: &EpochPlan) -> Result<(Vec<Handle>, ClusterDelta)> {
         if plan.is_empty() {
-            let delta = ClusterDelta {
-                epoch: self.epoch,
-                num_clusters: self.clustering.num_clusters(),
-                births: Vec::new(),
-                deaths: Vec::new(),
-                recentred: Vec::new(),
-                changed: Vec::new(),
-            };
+            let delta = ClusterDelta::empty(self.epoch, self.clustering.num_clusters());
             return Ok((Vec::new(), delta));
         }
         // One guard for the whole epoch: created before the phase spans and
@@ -831,20 +811,25 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             }
         }
 
-        // Phase 5 — one clustering epoch for the whole batch.
+        let delta = self.recluster_and_publish(&rec)?;
+        Ok((outcome.planned_handles, delta))
+    }
+
+    /// The tail of every epoch, committed or ticked. Phase 5: one
+    /// clustering epoch for the whole batch. Phase 6, with a sink attached:
+    /// freeze and publish the epoch snapshot. This is the single-writer half
+    /// of the serving layer: the snapshot is immutable from here on, so
+    /// readers need no coordination with the next epoch's maintenance.
+    fn recluster_and_publish(&mut self, rec: &SharedRecorder) -> Result<ClusterDelta> {
         let delta = {
-            let _recluster_span = span(&rec, "stream.phase.recluster");
+            let _recluster_span = span(rec, "stream.phase.recluster");
             self.recluster()?
         };
-        // Phase 6 (optional) — freeze and publish the epoch snapshot. This
-        // is the single-writer half of the serving layer: the snapshot is
-        // immutable from here on, so readers need no coordination with the
-        // next epoch's maintenance.
-        if let Some(sink) = self.sink.clone() {
-            let _publish_span = span(&rec, "stream.phase.publish");
+        if let Some(sink) = &self.sink {
+            let _publish_span = span(rec, "stream.phase.publish");
             sink.publish(Arc::new(self.snapshot_with_delta(delta.clone())));
         }
-        Ok((outcome.planned_handles, delta))
+        Ok(delta)
     }
 
     /// Phase 1 — translates the plan into resolved-id index ops, mirroring
@@ -1290,7 +1275,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             let _diff_span = span(&rec, "stream.recluster.diff");
             diff_assignments(self.epoch, &self.assignment, &assignment)
         };
-        self.assignment = assignment;
+        self.assignment = Arc::new(assignment);
         self.clustering = clustering;
         Ok(delta)
     }

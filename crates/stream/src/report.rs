@@ -74,6 +74,19 @@ impl ClusterDelta {
     /// cluster can match any new cluster (and vice versa) on overlap alone.
     pub const JACCARD_THRESHOLD: f64 = 0.5;
 
+    /// The delta of an epoch in which nothing changed: no births, deaths,
+    /// re-centred clusters or relabelled points.
+    pub fn empty(epoch: u64, num_clusters: usize) -> Self {
+        ClusterDelta {
+            epoch,
+            num_clusters,
+            births: Vec::new(),
+            deaths: Vec::new(),
+            recentred: Vec::new(),
+            changed: Vec::new(),
+        }
+    }
+
     /// True when nothing changed (no births, deaths, re-centred clusters or
     /// relabelled points).
     pub fn is_empty(&self) -> bool {
@@ -187,14 +200,7 @@ mod tests {
 
     #[test]
     fn empty_delta() {
-        let d = ClusterDelta {
-            epoch: 1,
-            num_clusters: 3,
-            births: vec![],
-            deaths: vec![],
-            recentred: vec![],
-            changed: vec![],
-        };
+        let d = ClusterDelta::empty(1, 3);
         assert!(d.is_empty());
         assert_eq!(d.relabelled(), 0);
     }
@@ -202,12 +208,8 @@ mod tests {
     #[test]
     fn recentring_alone_is_not_empty() {
         let d = ClusterDelta {
-            epoch: 2,
-            num_clusters: 1,
-            births: vec![],
-            deaths: vec![],
             recentred: vec![(Handle(1), Handle(5))],
-            changed: vec![],
+            ..ClusterDelta::empty(2, 1)
         };
         assert!(!d.is_empty());
         assert!(d.summary().contains("recentred #1->#5"));

@@ -2,98 +2,261 @@
 //! engine, addressed by stable [`Handle`]s, and the sink trait through which
 //! [`StreamingDpc::commit`](crate::StreamingDpc::commit) publishes them.
 //!
-//! A [`StateSnapshot`] (from `dpc-core`) freezes the dense per-point state;
-//! an [`EpochSnapshot`] wraps it with everything a *streaming* consumer
-//! needs on top: the epoch counter, the dense-id ↔ handle correspondence of
-//! that epoch, per-cluster centre handles, and the [`ClusterDelta`] that
-//! produced the epoch. Snapshots are immutable plain data — share them
-//! behind an `Arc` and read them from any thread without synchronisation.
+//! An [`EpochSnapshot`] freezes everything a read-only query needs. Publish
+//! copies the window's coordinates, ρ, δ, µ, the clustering and the dense-id
+//! → handle list, and builds a flat uniform grid over the frozen coordinates
+//! for ε-neighbourhood queries (two linear passes, no hashing). The
+//! `(point handle, centre handle)` assignment is not copied: the engine
+//! keeps its recluster output behind an `Arc` and the snapshot shares it; a
+//! point lookup is one binary search over it. The [`ClusterDelta`] that
+//! produced the epoch rides along. Snapshots are immutable plain data —
+//! share them behind an `Arc` and read them from any thread without
+//! synchronisation; nothing here can observe later mutations of the engine.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use dpc_core::{ClusterId, Point, PointId, Result, StateSnapshot};
+use dpc_core::index::validate_dc;
+use dpc_core::{BoundingBox, Clustering, Dataset, DeltaResult, Point, PointId, Result, Rho};
 
 use crate::handle::Handle;
 use crate::report::ClusterDelta;
 
+/// Average cell occupancy the ε-grid aims for; mirrors the default of the
+/// updatable grid index.
+const TARGET_POINTS_PER_CELL: f64 = 32.0;
+
+/// A uniform grid over a frozen point set in counting-sort layout: the ids
+/// of cell `c = row·cols + col` are `ids[offsets[c]..offsets[c + 1]]`,
+/// ascending, so a row of adjacent cells is one contiguous id range.
+/// Geometry is derived from the points at build time; since a snapshot
+/// never mutates, it can never drift.
+#[derive(Debug, Clone)]
+struct EpsGrid {
+    origin: Point,
+    cell_size: f64,
+    cols: usize,
+    rows: usize,
+    /// `cols·rows + 1` cell boundaries into `ids`.
+    offsets: Vec<u32>,
+    /// Every frozen id, in row-major cell order.
+    ids: Vec<u32>,
+}
+
+impl EpsGrid {
+    /// Lays out `points`, all of which lie in `bb`.
+    fn build(points: &[Point], bb: BoundingBox) -> Self {
+        assert!(
+            u32::try_from(points.len()).is_ok(),
+            "the ε-grid numbers points with u32 ids"
+        );
+        let origin = if bb.is_empty() {
+            Point::new(0.0, 0.0)
+        } else {
+            Point::new(bb.min_x(), bb.min_y())
+        };
+        let per_axis = (points.len() as f64 / TARGET_POINTS_PER_CELL)
+            .max(1.0)
+            .sqrt()
+            .ceil();
+        let mut cell_size = bb.width().max(bb.height()).max(f64::MIN_POSITIVE) / per_axis;
+        if !(cell_size.is_finite() && cell_size > 0.0) {
+            cell_size = 1.0;
+        }
+        // The far corner's cell bounds every point's: subtraction rounds
+        // monotonically. The cap only binds when the extent overflowed.
+        let axis = |extent: f64| cell(extent, 0.0, cell_size, per_axis as usize + 1) + 1;
+        let (cols, rows) = (axis(bb.width()), axis(bb.height()));
+        let cells: Vec<u32> = points
+            .iter()
+            .map(|p| {
+                let row = cell(p.y, origin.y, cell_size, rows);
+                (row * cols + cell(p.x, origin.x, cell_size, cols)) as u32
+            })
+            .collect();
+        // Counting sort: running counts leave `offsets[c]` at the end of
+        // cell c; filling each cell backwards from its end, in descending
+        // id order, moves it to the cell's start with the ids ascending.
+        let mut offsets = vec![0u32; cols * rows + 1];
+        for &c in &cells {
+            offsets[c as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut ids = vec![0u32; points.len()];
+        for (id, &c) in cells.iter().enumerate().rev() {
+            let slot = &mut offsets[c as usize];
+            *slot -= 1;
+            ids[*slot as usize] = id as u32;
+        }
+        EpsGrid {
+            origin,
+            cell_size,
+            cols,
+            rows,
+            offsets,
+            ids,
+        }
+    }
+
+    /// The row-major cell of a point.
+    fn cell_of(&self, p: Point) -> usize {
+        cell(p.y, self.origin.y, self.cell_size, self.rows) * self.cols
+            + cell(p.x, self.origin.x, self.cell_size, self.cols)
+    }
+
+    /// Ids of all points strictly within `eps` of `center`, ascending — the
+    /// same contract (and bit-identical answer) as a linear scan in id
+    /// order with a strict `< eps²` test.
+    fn eps_neighbors(&self, points: &[Point], center: Point, eps: f64) -> Vec<PointId> {
+        let eps2 = eps * eps;
+        // Widen the cell rectangle by one cell per side, a margin against
+        // the rounding of `center ± eps`; the exact strict `< eps²` test
+        // below keeps the result tight.
+        let span = |c: f64, origin: f64, len: usize| {
+            let lo = cell(c - eps, origin, self.cell_size, len).saturating_sub(1);
+            let hi = (cell(c + eps, origin, self.cell_size, len) + 1).min(len - 1);
+            lo..=hi
+        };
+        let cols = span(center.x, self.origin.x, self.cols);
+        let mut out = Vec::new();
+        for row in span(center.y, self.origin.y, self.rows) {
+            let first = row * self.cols;
+            let range = self.offsets[first + cols.start()] as usize
+                ..self.offsets[first + cols.end() + 1] as usize;
+            for &q in &self.ids[range] {
+                let q = q as PointId;
+                if points[q].distance_squared(&center) < eps2 {
+                    out.push(q);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// The cell of coordinate `v` on an axis of `len` cells starting at
+/// `origin`, clamped to the grid. The cast truncates, which is the floor on
+/// the grid, and saturates: everything left of the origin (and NaN) lands
+/// in cell 0. Monotone in `v`, so a clamped query range still covers every
+/// cell a point inside it can occupy.
+fn cell(v: f64, origin: f64, cell_size: f64, len: usize) -> usize {
+    (((v - origin) / cell_size) as usize).min(len - 1)
+}
+
 /// An immutable view of the engine at one committed epoch.
+///
+/// Per-point data is indexed by the dense [`PointId`]s of the window at the
+/// epoch; [`handle_at`](Self::handle_at) translates them to stable handles.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
-    epoch: u64,
-    state: StateSnapshot,
+    /// The dataset mutation counter at the epoch.
+    version: u64,
+    points: Vec<Point>,
+    rho: Vec<Rho>,
+    deltas: DeltaResult,
+    clustering: Clustering,
     /// Dense id → stable handle, frozen at the epoch.
     handles: Vec<Handle>,
-    /// Stable handle → dense id (inverse of `handles`).
-    dense: BTreeMap<Handle, PointId>,
-    /// Centre handle of every cluster, indexed by [`ClusterId`].
-    centre_handles: Vec<Handle>,
-    /// The delta that advanced the engine *to* this epoch. The initial
-    /// snapshot (published at attach time, before any commit) carries an
-    /// empty delta.
+    /// `(point handle, centre handle)` of every point, in ascending point
+    /// handle order: the engine's recluster output, shared.
+    assignment: Arc<Vec<(Handle, Handle)>>,
+    grid: EpsGrid,
+    /// The delta that advanced the engine *to* this epoch; its `epoch` is
+    /// the snapshot's. The initial snapshot (published at attach time,
+    /// before any commit) carries an empty delta.
     delta: ClusterDelta,
 }
 
 impl EpochSnapshot {
-    /// Assembles a snapshot from its parts.
+    /// Freezes a snapshot: copies the dataset's points and version, ρ, δ/µ
+    /// and the clustering, takes the dense-id → handle list and the shared
+    /// assignment, and builds the ε-grid. The snapshot's epoch is
+    /// `delta.epoch`.
     ///
     /// # Panics
-    /// Panics if `handles` does not have exactly one handle per frozen
-    /// point, or if a handle repeats.
-    pub fn new(
-        epoch: u64,
-        state: StateSnapshot,
+    /// Panics if the per-point inputs disagree on length. Whether the
+    /// handles, assignment and labels agree is left to
+    /// [`check_consistency`](Self::check_consistency).
+    pub fn capture(
+        dataset: &Dataset,
+        rho: &[Rho],
+        deltas: &DeltaResult,
+        clustering: &Clustering,
         handles: Vec<Handle>,
+        assignment: Arc<Vec<(Handle, Handle)>>,
         delta: ClusterDelta,
     ) -> Self {
+        let n = dataset.len();
+        assert_eq!(rho.len(), n, "rho length must match the point count");
         assert_eq!(
-            handles.len(),
-            state.len(),
-            "one handle per frozen point required"
+            deltas.delta.len(),
+            n,
+            "delta length must match the point count"
         );
-        let dense: BTreeMap<Handle, PointId> =
-            handles.iter().enumerate().map(|(id, &h)| (h, id)).collect();
-        assert_eq!(dense.len(), handles.len(), "handles must be distinct");
-        let centre_handles = state
-            .clustering()
-            .centers()
-            .iter()
-            .map(|&c| handles[c])
-            .collect();
+        assert_eq!(deltas.mu.len(), n, "mu length must match the point count");
+        assert_eq!(
+            clustering.len(),
+            n,
+            "clustering length must match the point count"
+        );
+        assert_eq!(handles.len(), n, "one handle per frozen point required");
+        let points = dataset.points().to_vec();
         EpochSnapshot {
-            epoch,
-            state,
+            version: dataset.version(),
+            grid: EpsGrid::build(&points, dataset.bounding_box()),
+            points,
+            rho: rho.to_vec(),
+            deltas: deltas.clone(),
+            clustering: clustering.clone(),
             handles,
-            dense,
-            centre_handles,
+            assignment,
             delta,
         }
     }
 
     /// The epoch this snapshot was committed at.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.delta.epoch
     }
 
     /// The dataset mutation counter at the epoch.
     pub fn version(&self) -> u64 {
-        self.state.version()
+        self.version
     }
 
     /// Number of points in the snapshot.
     pub fn len(&self) -> usize {
-        self.state.len()
+        self.points.len()
     }
 
     /// Whether the snapshot holds no points.
     pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
+        self.points.is_empty()
     }
 
-    /// The frozen dense per-point state (ρ, δ, µ, labels, centres).
-    pub fn state(&self) -> &StateSnapshot {
-        &self.state
+    /// The frozen coordinates, indexed by dense id.
+    pub fn points(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// The frozen ρ values.
+    pub fn rho(&self) -> &[Rho] {
+        &self.rho
+    }
+
+    /// The frozen δ/µ values.
+    pub fn deltas(&self) -> &DeltaResult {
+        &self.deltas
+    }
+
+    /// The frozen clustering (labels, centres, halo).
+    pub fn clustering(&self) -> &Clustering {
+        &self.clustering
     }
 
     /// The delta that advanced the engine to this epoch.
@@ -106,17 +269,6 @@ impl EpochSnapshot {
         &self.handles
     }
 
-    /// Centre handle of every cluster, indexed by [`ClusterId`].
-    pub fn centre_handles(&self) -> &[Handle] {
-        &self.centre_handles
-    }
-
-    /// The dense id behind a handle at this epoch, or `None` if the point
-    /// was not in the window.
-    pub fn dense_of(&self, handle: Handle) -> Option<PointId> {
-        self.dense.get(&handle).copied()
-    }
-
     /// The handle of the point at dense id `id`.
     ///
     /// # Panics
@@ -125,80 +277,125 @@ impl EpochSnapshot {
         self.handles[id]
     }
 
-    /// The frozen coordinates of a live handle.
-    pub fn point_of(&self, handle: Handle) -> Option<Point> {
-        self.dense_of(handle).map(|id| self.state.point(id))
-    }
-
-    /// The dense cluster id of a live handle.
-    pub fn label_of(&self, handle: Handle) -> Option<ClusterId> {
-        self.dense_of(handle)
-            .map(|id| self.state.clustering().label(id))
-    }
-
     /// Point lookup: the *centre handle* of the cluster a point belongs to
     /// at this epoch, or `None` if the handle is not in the window. Centre
-    /// handles are the stable cluster identity used by [`ClusterDelta`].
+    /// handles are the stable cluster identity used by [`ClusterDelta`]; a
+    /// centre is its own member.
     pub fn cluster_of(&self, handle: Handle) -> Option<Handle> {
-        self.label_of(handle)
-            .map(|label| self.centre_handles[label])
+        // Handles ascend strictly, so `handle` sits at most `handle − first`
+        // slots after the first entry and at most `last − handle` before the
+        // last. The binary search covers only those slots: one slot when
+        // the window has no gaps, as a sliding window has none.
+        let (first, last) = (self.assignment.first()?.0, self.assignment.last()?.0);
+        let end = self.assignment.len() as u64 - 1;
+        let lo = end.saturating_sub(last.0.checked_sub(handle.0)?);
+        let hi = end.min(handle.0.checked_sub(first.0)?);
+        let slots = self.assignment.get(lo as usize..=hi as usize)?;
+        let slot = slots.binary_search_by_key(&handle, |&(h, _)| h).ok()?;
+        Some(slots[slot].1)
     }
 
     /// Handles of all points strictly within `eps` of `center`, in
-    /// ascending dense-id order — the handle-addressed form of
-    /// [`StateSnapshot::eps_neighbors`], bit-identical to querying the
-    /// engine's index at the published epoch.
+    /// ascending dense-id order — bit-identical to a linear scan of the
+    /// frozen points with a strict `fl(d²) < fl(eps²)` test, and so to
+    /// querying the engine's index at the published epoch.
     ///
     /// # Errors
     /// Rejects a non-finite or non-positive `eps`.
     pub fn eps_neighbor_handles(&self, center: Point, eps: f64) -> Result<Vec<Handle>> {
+        validate_dc(eps)?;
         Ok(self
-            .state
-            .eps_neighbors(center, eps)?
+            .grid
+            .eps_neighbors(&self.points, center, eps)
             .into_iter()
             .map(|id| self.handles[id])
             .collect())
     }
 
-    /// Verifies internal consistency: the dense state checks out, the
-    /// handle maps are mutually inverse, and every cluster's centre handle
-    /// resolves back to its centre point. A torn snapshot (fields mixed
-    /// across epochs) cannot pass.
+    /// Verifies internal consistency: per-point vectors agree on length,
+    /// every label points at a centre labelled with its own cluster, the
+    /// assignment maps every frozen handle — each exactly once — to the
+    /// handle of its label's centre, and the ε-grid partitions exactly the
+    /// frozen ids. A torn snapshot (fields mixed across epochs) cannot pass.
     ///
     /// # Panics
     /// Panics with a descriptive message on the first violation.
     pub fn check_consistency(&self) {
-        self.state.check_consistency();
+        let n = self.points.len();
+        assert_eq!(self.rho.len(), n, "rho/points length mismatch");
+        assert_eq!(self.deltas.delta.len(), n, "delta/points length mismatch");
+        assert_eq!(self.deltas.mu.len(), n, "mu/points length mismatch");
+        assert_eq!(self.clustering.len(), n, "labels/points length mismatch");
+        assert_eq!(self.handles.len(), n, "handles/points length mismatch");
         assert_eq!(
-            self.handles.len(),
-            self.state.len(),
-            "handle map length mismatch"
+            self.assignment.len(),
+            n,
+            "assignment/points length mismatch"
         );
-        assert_eq!(
-            self.dense.len(),
-            self.handles.len(),
-            "dense map length mismatch"
-        );
-        for (id, &h) in self.handles.iter().enumerate() {
+        let centers = self.clustering.centers();
+        for (cluster, &c) in centers.iter().enumerate() {
+            assert!(c < n, "centre {c} of cluster {cluster} is out of range");
             assert_eq!(
-                self.dense.get(&h),
-                Some(&id),
-                "handle map is not its own inverse at dense id {id}"
+                self.clustering.label(c),
+                cluster,
+                "centre {c} is not labelled with its own cluster"
             );
         }
-        let centers = self.state.clustering().centers();
-        assert_eq!(
-            self.centre_handles.len(),
-            centers.len(),
-            "one centre handle per cluster required"
+        assert!(
+            self.assignment.windows(2).all(|w| w[0].0 < w[1].0),
+            "assignment must ascend strictly by point handle"
         );
-        for (cluster, (&ch, &c)) in self.centre_handles.iter().zip(centers.iter()).enumerate() {
+        let mut matched = vec![false; n];
+        for (p, (&h, &label)) in self
+            .handles
+            .iter()
+            .zip(self.clustering.labels())
+            .enumerate()
+        {
+            assert!(
+                label < centers.len(),
+                "point {p} labelled {label} but only {} clusters exist",
+                centers.len()
+            );
+            let slot = self
+                .assignment
+                .binary_search_by_key(&h, |&(h, _)| h)
+                .unwrap_or_else(|_| panic!("point {p}'s handle {h} is not in the assignment"));
+            assert!(!matched[slot], "handle {h} is frozen twice");
+            matched[slot] = true;
             assert_eq!(
-                self.dense_of(ch),
-                Some(c),
-                "centre handle of cluster {cluster} does not resolve to its centre"
+                self.assignment[slot].1, self.handles[centers[label]],
+                "point {p}'s label names another centre than the assignment"
             );
         }
+        let grid = &self.grid;
+        assert_eq!(
+            grid.offsets.len(),
+            grid.cols * grid.rows + 1,
+            "ε-grid offsets must bound every cell"
+        );
+        assert_eq!(grid.offsets[0], 0, "ε-grid must start at slot 0");
+        assert_eq!(grid.ids.len(), n, "ε-grid must hold every frozen id");
+        let mut seen = vec![false; n];
+        for (c, bounds) in grid.offsets.windows(2).enumerate() {
+            assert!(bounds[0] <= bounds[1], "ε-grid cell {c} has negative size");
+            for &q in &grid.ids[bounds[0] as usize..bounds[1] as usize] {
+                let q = q as PointId;
+                assert!(q < n, "ε-grid lists out-of-range id {q}");
+                assert!(!seen[q], "ε-grid lists id {q} twice");
+                seen[q] = true;
+                assert_eq!(
+                    grid.cell_of(self.points[q]),
+                    c,
+                    "point {q} is listed in cell {c} but keys elsewhere"
+                );
+            }
+        }
+        assert_eq!(
+            grid.offsets[grid.cols * grid.rows] as usize,
+            n,
+            "ε-grid must partition every frozen id"
+        );
     }
 }
 
@@ -218,8 +415,10 @@ pub trait SnapshotSink: fmt::Debug + Send + Sync {
 mod tests {
     use super::*;
     use crate::{StreamParams, StreamingDpc};
+    use dpc_core::brute::eps_neighbors_scan;
     use dpc_core::naive_reference::NaiveReferenceIndex;
-    use dpc_core::{CenterSelection, Dataset, DpcParams, UpdatableIndex};
+    use dpc_core::{CenterSelection, DpcIndex, DpcParams, UpdatableIndex};
+    use dpc_datasets::testsupport::{test_points, ulp_adversarial_points, TestDistribution};
     use std::sync::Mutex;
 
     /// A sink that remembers everything published to it.
@@ -248,6 +447,24 @@ mod tests {
         StreamingDpc::new(NaiveReferenceIndex::build(&seed), params).unwrap()
     }
 
+    /// An engine seeded with `points` under the adaptive γ-gap selection,
+    /// which clusters any non-empty window.
+    fn engine_over(points: Vec<Point>, dc: f64) -> StreamingDpc<NaiveReferenceIndex> {
+        let seed = Dataset::new(points);
+        StreamingDpc::new(NaiveReferenceIndex::build(&seed), StreamParams::new(dc)).unwrap()
+    }
+
+    fn grid_points() -> Vec<Point> {
+        let mut points = Vec::new();
+        for i in 0..13 {
+            for j in 0..11 {
+                let y = j as f64 * 2.3 + (i % 3) as f64 * 0.1;
+                points.push(Point::new(i as f64 * 1.7, y));
+            }
+        }
+        points
+    }
+
     #[test]
     fn snapshot_mirrors_engine_state() {
         let engine = engine();
@@ -256,19 +473,38 @@ mod tests {
         assert_eq!(snap.epoch(), engine.epoch());
         assert_eq!(snap.version(), engine.version());
         assert_eq!(snap.len(), engine.len());
-        assert_eq!(snap.state().rho(), engine.rho());
-        assert_eq!(snap.state().deltas(), engine.deltas());
-        assert_eq!(snap.state().clustering(), engine.clustering());
+        assert_eq!(snap.rho(), engine.rho());
+        assert_eq!(snap.deltas(), engine.deltas());
+        assert_eq!(snap.clustering(), engine.clustering());
         assert!(snap.delta().is_empty());
         for p in 0..engine.len() {
             let h = engine.handle_at(p);
             assert_eq!(snap.handle_at(p), h);
-            assert_eq!(snap.dense_of(h), Some(p));
             let label = engine.clustering().label(p);
             let centre = engine.clustering().centers()[label];
             assert_eq!(snap.cluster_of(h), Some(engine.handle_at(centre)));
         }
         assert_eq!(snap.cluster_of(Handle(u64::MAX)), None);
+    }
+
+    #[test]
+    fn cluster_of_resolves_every_handle_of_a_window_with_gaps() {
+        let mut engine = engine();
+        let gone = [engine.handle_at(1), engine.handle_at(4)];
+        engine.remove(gone[0]).unwrap();
+        engine.insert(Point::new(0.05, 0.05)).unwrap();
+        engine.remove(gone[1]).unwrap();
+        let snap = engine.snapshot();
+        snap.check_consistency();
+        for p in 0..engine.len() {
+            let centre = engine.clustering().centers()[engine.clustering().label(p)];
+            let expected = Some(engine.handle_at(centre));
+            assert_eq!(snap.cluster_of(engine.handle_at(p)), expected);
+        }
+        let past_the_end = Handle(engine.live_handles().last().unwrap().0 + 1);
+        for absent in gone.into_iter().chain([past_the_end]) {
+            assert_eq!(snap.cluster_of(absent), None, "{absent}");
+        }
     }
 
     #[test]
@@ -281,8 +517,8 @@ mod tests {
         engine.advance(&[], 0).unwrap();
         assert!(sink.published.lock().unwrap().is_empty());
 
-        let (_, d1) = engine.insert(dpc_core::Point::new(0.05, 0.05)).unwrap();
-        let (_, d2) = engine.insert(dpc_core::Point::new(5.05, 5.05)).unwrap();
+        let (_, d1) = engine.insert(Point::new(0.05, 0.05)).unwrap();
+        let (_, d2) = engine.insert(Point::new(5.05, 5.05)).unwrap();
         let published = sink.published.lock().unwrap().clone();
         assert_eq!(published.len(), 2);
         for (snap, delta) in published.iter().zip([&d1, &d2]) {
@@ -294,19 +530,19 @@ mod tests {
         let last = published.last().unwrap();
         assert_eq!(last.epoch(), engine.epoch());
         assert_eq!(last.version(), engine.version());
-        assert_eq!(last.state().rho(), engine.rho());
-        assert_eq!(last.state().clustering(), engine.clustering());
+        assert_eq!(last.rho(), engine.rho());
+        assert_eq!(last.clustering(), engine.clustering());
     }
 
     #[test]
     fn snapshot_eps_queries_match_the_engine_index() {
         let mut engine = engine();
-        engine.insert(dpc_core::Point::new(2.5, 2.5)).unwrap();
+        engine.insert(Point::new(2.5, 2.5)).unwrap();
         let snap = engine.snapshot();
         for (center, eps) in [
-            (dpc_core::Point::new(0.0, 0.0), 0.2),
-            (dpc_core::Point::new(5.0, 5.0), 0.5),
-            (dpc_core::Point::new(2.0, 2.0), 10.0),
+            (Point::new(0.0, 0.0), 0.2),
+            (Point::new(5.0, 5.0), 0.5),
+            (Point::new(2.0, 2.0), 10.0),
         ] {
             let ids = engine.index().eps_neighbors(center, eps).unwrap();
             let expected: Vec<Handle> = ids.iter().map(|&id| engine.handle_at(id)).collect();
@@ -316,5 +552,186 @@ mod tests {
                 "eps = {eps}"
             );
         }
+    }
+
+    #[test]
+    fn capture_freezes_state_and_passes_consistency() {
+        let engine = engine_over(grid_points(), 3.0);
+        let snap = engine.snapshot();
+        let dataset = engine.index().dataset();
+        assert_eq!(snap.len(), dataset.len());
+        assert_eq!(snap.version(), dataset.version());
+        assert_eq!(snap.points(), dataset.points());
+        snap.check_consistency();
+    }
+
+    #[test]
+    fn eps_neighbors_matches_a_linear_scan() {
+        let engine = engine_over(grid_points(), 3.0);
+        let snap = engine.snapshot();
+        let dataset = engine.index().dataset();
+        for (center, eps) in [
+            (dataset.point(0), 2.5),
+            (dataset.point(57), 4.0),
+            (Point::new(-3.0, -3.0), 1.0),
+            (dataset.point(8), 1.0e6),
+        ] {
+            let expected: Vec<Handle> = dataset
+                .iter()
+                .filter(|(_, p)| p.distance_squared(&center) < eps * eps)
+                .map(|(id, _)| engine.handle_at(id))
+                .collect();
+            let got = snap.eps_neighbor_handles(center, eps).unwrap();
+            assert_eq!(got, expected, "eps = {eps}");
+        }
+        assert!(snap
+            .eps_neighbor_handles(Point::new(0.0, 0.0), f64::NAN)
+            .is_err());
+        assert!(snap
+            .eps_neighbor_handles(Point::new(0.0, 0.0), -1.0)
+            .is_err());
+    }
+
+    #[test]
+    fn empty_snapshot_is_consistent() {
+        let snap = EpochSnapshot::capture(
+            &Dataset::new(Vec::new()),
+            &[],
+            &DeltaResult::unset(0),
+            &Clustering::new(vec![], vec![], vec![]),
+            Vec::new(),
+            Arc::default(),
+            ClusterDelta::empty(0, 0),
+        );
+        assert!(snap.is_empty());
+        snap.check_consistency();
+        assert!(snap
+            .eps_neighbor_handles(Point::new(0.0, 0.0), 1.0)
+            .unwrap()
+            .is_empty());
+        assert_eq!(snap.cluster_of(Handle(0)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "rho length")]
+    fn mismatched_lengths_panic() {
+        let _ = EpochSnapshot::capture(
+            &Dataset::from_coords(vec![(0.0, 0.0)]),
+            &[],
+            &DeltaResult::unset(1),
+            &Clustering::new(vec![0], vec![0], vec![false]),
+            vec![Handle(0)],
+            Arc::default(),
+            ClusterDelta::empty(0, 1),
+        );
+    }
+
+    /// Snapshots of one window size taken one slide (one point out, one
+    /// in) apart, both consistent on their own.
+    fn one_slide_apart() -> (EpochSnapshot, EpochSnapshot) {
+        let mut engine = engine();
+        let before = engine.snapshot();
+        engine.advance(&[Point::new(0.05, 0.05)], 1).unwrap();
+        let after = engine.snapshot();
+        assert_eq!(before.len(), after.len());
+        before.check_consistency();
+        after.check_consistency();
+        (before, after)
+    }
+
+    #[test]
+    #[should_panic(expected = "the assignment")]
+    fn an_assignment_from_another_epoch_is_a_torn_snapshot() {
+        let (before, after) = one_slide_apart();
+        let torn = EpochSnapshot {
+            assignment: before.assignment,
+            ..after
+        };
+        torn.check_consistency();
+    }
+
+    #[test]
+    #[should_panic(expected = "label names another centre than the assignment")]
+    fn labels_from_another_epoch_are_a_torn_snapshot() {
+        let (before, after) = one_slide_apart();
+        let torn = EpochSnapshot {
+            clustering: before.clustering,
+            ..after
+        };
+        torn.check_consistency();
+    }
+
+    /// Every ε-query of the snapshot equals the brute-force scan over the
+    /// engine's dataset, for radii from 1e-9 to ten diameters (and `dc`)
+    /// around centres inside the bounding box, on its edges and corners,
+    /// far outside it, and on up to 64 of the points themselves.
+    fn assert_eps_queries_match_the_brute_scan(engine: &StreamingDpc<NaiveReferenceIndex>) {
+        let snap = engine.snapshot();
+        snap.check_consistency();
+        let dataset = engine.index().dataset();
+        let bb = BoundingBox::from_points(dataset.points());
+        let (lo, hi) = if bb.is_empty() {
+            (Point::new(0.0, 0.0), Point::new(0.0, 0.0))
+        } else {
+            (
+                Point::new(bb.min_x(), bb.min_y()),
+                Point::new(bb.max_x(), bb.max_y()),
+            )
+        };
+        let scale = lo.distance(&hi).max(1.0);
+        let mid = Point::new((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0);
+        let mut centers = vec![
+            mid,
+            lo,
+            hi,
+            Point::new(lo.x, hi.y),
+            Point::new(mid.x, lo.y),
+            Point::new(hi.x, mid.y),
+            Point::new(lo.x - 100.0 * scale, mid.y),
+            Point::new(mid.x, lo.y - 3.0 * scale),
+            Point::new(hi.x + 1e6 * scale, hi.y + 1e6 * scale),
+        ];
+        centers.extend(dataset.points().iter().take(64));
+        let dc = engine.params().dpc.dc;
+        for center in centers {
+            for eps in [1e-9, dc, 1e-3 * scale, 0.1 * scale, scale, 10.0 * scale] {
+                let expected: Vec<Handle> = eps_neighbors_scan(dataset, center, eps)
+                    .unwrap()
+                    .into_iter()
+                    .map(|id| engine.handle_at(id))
+                    .collect();
+                let got = snap.eps_neighbor_handles(center, eps).unwrap();
+                assert_eq!(got, expected, "centre {center:?}, eps {eps}");
+            }
+        }
+    }
+
+    #[test]
+    fn eps_queries_on_degenerate_windows_match_the_brute_scan() {
+        for (seed, dc, w) in [
+            (1u64, 0.6098847240216778, 0.05),
+            (2, 7.799999999999999, 0.3),
+            (3, 3.1, 0.7),
+        ] {
+            let engine = engine_over(ulp_adversarial_points(dc, w, seed), dc);
+            assert_eps_queries_match_the_brute_scan(&engine);
+        }
+        let coincident = vec![Point::new(3.0, -4.0); 50];
+        let collinear = (0..50)
+            .map(|i| Point::new(1.0 + f64::from(i) * 0.37, 2.5))
+            .collect();
+        let clustered = test_points(TestDistribution::Clustered, 2000, 5);
+        for points in [
+            coincident,
+            collinear,
+            vec![Point::new(-7.5, 0.25)],
+            clustered,
+        ] {
+            assert_eps_queries_match_the_brute_scan(&engine_over(points, 0.5));
+        }
+        let mut drained = engine_over(vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)], 0.5);
+        drained.advance(&[], 2).unwrap();
+        assert!(drained.is_empty());
+        assert_eps_queries_match_the_brute_scan(&drained);
     }
 }
