@@ -29,21 +29,22 @@
 //!    **affected union** `U`, recording each member's ρ as the repair first
 //!    touches it. Points both inserted and expired within the batch are
 //!    *ephemeral* and contribute nothing.
-//! 4. **Repair δ/µ once**: the invalidation set `F` — the union `U`, the
-//!    inserted points, survivors renamed to a smaller id by a swap-remove,
-//!    points whose µ expired, was renamed, or sits in `U` (found by a single
-//!    µ scan that also renames surviving µ ids), and the old and new global
-//!    peaks — is recomputed from scratch through the index's
-//!    [`UpdatableIndex::delta_targets`] (the pruned search of Lemmas 1–2 on
-//!    the trees); everyone else min-folds the entrants: the inserted and
-//!    renamed points, and each member of `U` whose ρ rose, but only into
-//!    the points whose ρ lies in its band `[ρ_before, ρ_after]` (see
-//!    [`crate::maintenance`]). When `|F|` exceeds
-//!    [`StreamParams::max_affected_fraction`] of the window, and on every
-//!    decayed epoch, the engine instead re-ranks every point once through
-//!    the index's batch δ-query ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)).
-//!    Every δ query carries the engine's recorder, so a trace shows the
-//!    index's `query.delta.*` counters beside the `stream.delta.*` spans.
+//! 4. **Repair δ/µ once**: the invalidation set `F` — the members of `U`
+//!    whose ρ fell, the inserted points, points whose µ expired or is no
+//!    longer denser than them (found by a single µ scan that also renames
+//!    surviving µ ids), and the old and new global peaks — is recomputed
+//!    from scratch through the index's [`UpdatableIndex::delta_targets`]
+//!    (the pruned search of Lemmas 1–2 on the trees). Everyone else keeps
+//!    its `(δ, µ)` and min-folds the candidates: the inserted and renamed
+//!    points, and each member of `U` whose ρ rose. A point looks only at
+//!    the candidates in the cells its δ-disk overlaps (see
+//!    [`crate::maintenance`]). When
+//!    `|F|` exceeds [`StreamParams::max_affected_fraction`] of the window,
+//!    and on every decayed epoch, the engine instead re-ranks every point
+//!    once through the index's batch δ-query
+//!    ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)). Every δ query
+//!    carries the engine's recorder, so a trace shows the index's
+//!    `query.delta.*` counters beside the `stream.delta.*` spans.
 //! 5. **Re-cluster once** (centre selection + assignment on the maintained
 //!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch. The
 //!    step is linear in the window: a partial γ selection, the µ-chain
@@ -102,11 +103,19 @@ pub struct StreamParams {
     /// When an epoch's invalidation set exceeds this fraction of the window,
     /// fall back to re-ranking δ/µ of every point through the index's batch
     /// δ-query instead of recomputing the invalidation set through
-    /// [`UpdatableIndex::delta_targets`] and folding the entrants into
+    /// [`UpdatableIndex::delta_targets`] and folding the candidates into
     /// every other point. Both paths query the index; the fold visits every
-    /// point outside the set, though it computes distances only to entrants
-    /// that can have overtaken the point, and the threshold trades that
-    /// visit plus the targeted searches against one search per point.
+    /// point outside the set, but looks only at the candidates in the cells
+    /// its δ-disk overlaps, and the threshold trades that visit plus the
+    /// targeted searches against one search per point.
+    ///
+    /// The default, 0.6, is the measured crossover on the k-d tree: over
+    /// Gowalla-like windows at dc 0.1 (`dpc generate --dataset gowalla
+    /// --scale 0.005 --seed 42`), always-incremental against always-re-rank
+    /// epochs took 1.09 against 1.23 ms at window 1 000 with `|F|` 57% of
+    /// the window, 1.33 against 1.30 ms at 67%, and 5.47 against 6.25 ms at
+    /// window 4 000 with `|F|` 53%, 8.91 against 8.40 ms at 64% (2-vCPU VM;
+    /// the grid's crossover is higher, near 0.8).
     /// 1.0 (or anything ≥ 1.0) effectively disables the fallback; 0.0 forces
     /// it on every epoch (useful for testing).
     pub max_affected_fraction: f64,
@@ -125,11 +134,11 @@ pub struct StreamParams {
 
 impl StreamParams {
     /// Streaming parameters with the given cut-off and defaults for
-    /// everything else (fallback threshold 0.25, no decay).
+    /// everything else (fallback threshold 0.6, no decay).
     pub fn new(dc: f64) -> Self {
         StreamParams {
             dpc: DpcParams::new(dc),
-            max_affected_fraction: 0.25,
+            max_affected_fraction: 0.6,
             decay: 1.0,
         }
     }
@@ -296,15 +305,11 @@ struct CommitScratch {
     union: Vec<(PointId, Rho)>,
     /// The invalidation set F (recompute targets).
     invalidated: Vec<PointId>,
-    /// Survivors renamed to a smaller id by a swap-remove.
-    renamed: Vec<PointId>,
     /// Membership bitmap of F for the candidate fold.
     skip: Vec<bool>,
-    /// Entrants folded into every point outside F (inserted ∪ renamed).
-    entrants: Vec<PointId>,
-    /// Members of U whose ρ rose, with their pre-repair ρ: each folds only
-    /// into the points whose ρ lies in its band.
-    risen: Vec<(PointId, Rho)>,
+    /// The fold's candidates: the inserted and renamed points, and the
+    /// members of U whose ρ rose.
+    candidates: Vec<PointId>,
 }
 
 /// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
@@ -1014,39 +1019,50 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // the whole epoch.
         let delta_span = span(&rec, "stream.phase.delta_repair");
         let invalidate_span = span(&rec, "stream.delta.invalidate");
-        let new_peak = DensityOrder::new(&self.rho).global_peak();
+        let order = DensityOrder::new(&self.rho);
+        let new_peak = order.global_peak();
         let old_peak = self.peak.and_then(|pk| scratch.final_of_old[pk]);
 
+        // A member of U whose ρ fell gained, in its denser set, the
+        // unchanged points whose ρ lies between its new and its old value;
+        // those are never candidates, so only a recompute finds them. One
+        // whose ρ rose or stayed lost denser points but gained only
+        // candidates, so it keeps its minimum while its µ stays denser.
         scratch.invalidated.clear();
-        scratch
-            .invalidated
-            .extend(scratch.union.iter().map(|&(q, _)| q));
+        scratch.invalidated.extend(
+            scratch
+                .union
+                .iter()
+                .filter(|&&(q, before)| self.rho[q] < before)
+                .map(|&(q, _)| q),
+        );
+        let rho_fell = scratch.invalidated.len();
         scratch
             .invalidated
             .extend_from_slice(&scratch.inserted_final);
-        scratch.renamed.clear();
-        for (o, slot) in scratch.final_of_old.iter().enumerate() {
-            if let Some(i) = *slot {
-                if i != o {
-                    // A swap-remove renamed this survivor to a smaller id,
-                    // which raises its position among equal densities: it
-                    // may enter other points' minima (an entrant), and the
-                    // points it overtook are no longer in its denser set.
-                    scratch.renamed.push(i);
-                }
-            }
-        }
-        scratch.invalidated.extend_from_slice(&scratch.renamed);
-        // One µ scan: rename surviving µ ids into the final id space,
-        // invalidate points whose µ expired or whose µ's rank may have
-        // changed — because its ρ was touched (`visited`), or because the
-        // swap-remove renamed it (`m != mu_old`): an id change moves the µ's
-        // position in the density order and in the `(fl(d²), id)` µ order
-        // without any ρ change, so the rename alone invalidates.
-        let (mut mu_expired, mut mu_moved) = (0usize, 0usize);
+        // The candidates: the points that can have entered a denser set.
+        // The inserted and renamed points can enter any, a member of U
+        // whose ρ rose (added in the fold below) those of the points whose
+        // ρ it crossed, and one whose ρ fell or stayed none.
+        scratch.candidates.clear();
+        scratch
+            .candidates
+            .extend_from_slice(&scratch.inserted_final);
+        // One µ scan: rename surviving µ ids into the final id space, and
+        // invalidate the points whose µ expired or is no longer denser
+        // than them. The order between p and its µ can only have flipped
+        // if p's ρ or µ's ρ was touched, or p was renamed to a smaller id
+        // (it now wins ties it lost). A renamed µ only gets a smaller id,
+        // so it stays denser, and stays the `(fl(d²), id)` minimum.
+        let (mut mu_expired, mut mu_overtaken) = (0usize, 0usize);
         for (p, origin) in scratch.owner.iter().enumerate() {
-            if matches!(origin, Origin::New(_)) {
+            let Origin::Old(o) = *origin else {
                 continue; // placeholder µ; already invalidated above
+            };
+            if o != p {
+                // A swap-remove renamed this survivor: it now wins ties it
+                // lost, so it may enter other points' minima.
+                scratch.candidates.push(p);
             }
             if let Some(mu_old) = self.deltas.mu[p] {
                 match scratch.final_of_old[mu_old] {
@@ -1057,9 +1073,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     }
                     Some(m) => {
                         self.deltas.mu[p] = Some(m);
-                        if scratch.visited[m] || m != mu_old {
+                        let touched = scratch.visited[p] || scratch.visited[m] || o != p;
+                        if touched && !order.is_denser(m, p) {
                             scratch.invalidated.push(p);
-                            mu_moved += 1;
+                            mu_overtaken += 1;
                         }
                     }
                 }
@@ -1071,11 +1088,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // before the dedup below (a point can have several causes).
         if rec.enabled() {
             let causes = [
-                ("union", scratch.union.len()),
+                ("rho_fell", rho_fell),
                 ("inserted", scratch.inserted_final.len()),
-                ("renamed", scratch.renamed.len()),
                 ("mu_expired", mu_expired),
-                ("mu_moved", mu_moved),
+                ("mu_overtaken", mu_overtaken),
                 ("peak", peaks.iter().flatten().count()),
             ];
             for (cause, count) in causes {
@@ -1101,37 +1117,37 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for &f in &scratch.invalidated {
                 scratch.skip[f] = true;
             }
-            scratch.entrants.clear();
-            scratch.entrants.extend_from_slice(&scratch.inserted_final);
-            scratch.entrants.extend_from_slice(&scratch.renamed);
-            // A member of U whose ρ fell or stayed enters no denser set.
-            scratch.risen.clear();
-            scratch.risen.extend(
+            let inserted_or_renamed = scratch.candidates.len();
+            scratch.candidates.extend(
                 scratch
                     .union
                     .iter()
-                    .filter(|&&(c, before)| self.rho[c] > before),
+                    .filter(|&&(c, before)| self.rho[c] > before)
+                    .map(|&(c, _)| c),
             );
-            let band_pairs = candidate_pass(
+            let pairs = candidate_pass(
                 self.index.dataset(),
-                &DensityOrder::new(&self.rho),
-                &scratch.entrants,
-                &scratch.risen,
+                &order,
+                &scratch.candidates,
+                dc / 2.0,
                 &scratch.skip,
                 &mut self.deltas,
                 self.params.dpc.exec,
             );
-            // Why the fold cost what it did: its entrants by kind, the U
-            // members it dropped, and the (point, risen entrant) pairs it
-            // had to look at.
+            // Why the fold cost what it did: its candidates by kind, the U
+            // members it dropped, and the (point, candidate) pairs its cell
+            // filter passed.
             if rec.enabled() {
-                let risen = scratch.risen.len();
+                let risen = scratch.candidates.len() - inserted_or_renamed;
                 let counts = [
                     ("entrants.inserted", scratch.inserted_final.len() as u64),
-                    ("entrants.renamed", scratch.renamed.len() as u64),
+                    (
+                        "entrants.renamed",
+                        (inserted_or_renamed - scratch.inserted_final.len()) as u64,
+                    ),
                     ("entrants.risen", risen as u64),
                     ("unrisen", (scratch.union.len() - risen) as u64),
-                    ("band_pairs", band_pairs),
+                    ("pairs", pairs),
                 ];
                 for (name, count) in counts {
                     rec.counter(&format!("stream.fold.{name}"), count);
@@ -1465,6 +1481,63 @@ mod tests {
         let (rho, deltas) = batch.rho_delta(&engine.params().dpc.query()).unwrap();
         assert_eq!(engine.rho(), &rho[..]);
         assert_eq!(engine.deltas(), &deltas);
+    }
+
+    /// A 1-D window at dc 1: `m` (id 0, ρ 2 with its neighbours 2 and 3)
+    /// is µ of `p` (id 1, ρ 1 with its neighbour 4 at 3.6), and a far
+    /// cluster (ids 5–10, ρ 5) holds the global peak.
+    fn rise_engine() -> (
+        StreamingDpc<NaiveReferenceIndex>,
+        Arc<dpc_obs::MetricsRecorder>,
+    ) {
+        let mut coords = vec![(0.0, 0.0), (3.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (3.6, 0.0)];
+        coords.extend((0..6).map(|i| (100.0 + 0.1 * f64::from(i), 0.0)));
+        let params = StreamParams::new(1.0).with_max_affected_fraction(1.0);
+        let mut engine = StreamingDpc::new(
+            NaiveReferenceIndex::build(&Dataset::from_coords(coords)),
+            params,
+        )
+        .unwrap();
+        assert_eq!((engine.rho()[1], engine.deltas().mu[1]), (1.0, Some(0)));
+        let metrics = Arc::new(dpc_obs::MetricsRecorder::new());
+        engine.set_recorder(metrics.clone());
+        (engine, metrics)
+    }
+
+    #[test]
+    fn a_risen_point_whose_mu_stays_denser_is_folded_not_recomputed() {
+        // The arrival at 2.6 raises ρ(p) to 2, level with m, whose smaller
+        // id keeps it denser: p keeps (δ, µ), and so does 4, whose µ is p.
+        // F is the arrival and the (unchanged) peak; U = {p} is not in it.
+        let (mut engine, metrics) = rise_engine();
+        engine.advance(&[Point::new(2.6, 0.0)], 0).unwrap();
+        assert_eq!(engine.stats().incremental_epochs, 1);
+        assert_eq!(engine.stats().invalidated_points, 2);
+        assert_eq!((engine.rho()[1], engine.deltas().mu[1]), (2.0, Some(0)));
+        let snap = metrics.snapshot();
+        let cause = |name: &str| snap.counter(&format!("stream.invalidated.{name}"));
+        assert_eq!(cause("inserted"), Some(1));
+        assert_eq!(cause("peak"), Some(2));
+        assert_eq!(cause("rho_fell"), Some(0));
+        assert_eq!(cause("mu_overtaken"), Some(0));
+        assert_eq!(snap.counter("stream.fold.entrants.risen"), Some(1));
+        assert_matches_cold_batch(&engine);
+    }
+
+    #[test]
+    fn a_point_whose_rho_rises_past_its_mu_is_recomputed() {
+        // Arrivals at 2.6 and 3.3 raise ρ(p) to 3, past m's unchanged 2: m
+        // is no longer denser than p, though m itself was never touched.
+        let (mut engine, metrics) = rise_engine();
+        engine
+            .advance(&[Point::new(2.6, 0.0), Point::new(3.3, 0.0)], 0)
+            .unwrap();
+        assert_eq!(engine.stats().incremental_epochs, 1);
+        assert_eq!(engine.rho()[1], 3.0);
+        assert_eq!(engine.deltas().mu[1], Some(5));
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("stream.invalidated.mu_overtaken"), Some(1));
+        assert_matches_cold_batch(&engine);
     }
 
     #[test]

@@ -113,13 +113,13 @@ impl EpsGrid {
     /// order with a strict `< eps²` test.
     fn eps_neighbors(&self, points: &[Point], center: Point, eps: f64) -> Vec<PointId> {
         let eps2 = eps * eps;
-        // Widen the cell rectangle by one cell per side, a margin against
-        // the rounding of `center ± eps`; the exact strict `< eps²` test
-        // below keeps the result tight.
+        // The cells of `[fl(c − eps), fl(c + eps)]` on each axis hold every
+        // answer. `cell` is monotone, so a point outside them lies, say,
+        // left of `fl(c − eps)`; no double lies strictly between `c − eps`
+        // and its rounding, so `c − x ≥ eps` exactly, `|fl(dx)| ≥ eps` and
+        // `fl(d²) ≥ fl(dx²) ≥ fl(eps²)`: the strict test below rejects it.
         let span = |c: f64, origin: f64, len: usize| {
-            let lo = cell(c - eps, origin, self.cell_size, len).saturating_sub(1);
-            let hi = (cell(c + eps, origin, self.cell_size, len) + 1).min(len - 1);
-            lo..=hi
+            cell(c - eps, origin, self.cell_size, len)..=cell(c + eps, origin, self.cell_size, len)
         };
         let cols = span(center.x, self.origin.x, self.cols);
         let mut out = Vec::new();
@@ -664,7 +664,9 @@ mod tests {
     /// Every ε-query of the snapshot equals the brute-force scan over the
     /// engine's dataset, for radii from 1e-9 to ten diameters (and `dc`)
     /// around centres inside the bounding box, on its edges and corners,
-    /// far outside it, and on up to 64 of the points themselves.
+    /// far outside it, on up to 64 of the points themselves, and where the
+    /// query rectangle's edges land exactly on, or one ulp beside, a cell
+    /// boundary of the snapshot's grid.
     fn assert_eps_queries_match_the_brute_scan(engine: &StreamingDpc<NaiveReferenceIndex>) {
         let snap = engine.snapshot();
         snap.check_consistency();
@@ -692,9 +694,37 @@ mod tests {
             Point::new(hi.x + 1e6 * scale, hi.y + 1e6 * scale),
         ];
         centers.extend(dataset.points().iter().take(64));
+        // Each cell boundary and its neighbouring doubles, per axis.
+        let grid = &snap.grid;
+        let boundaries = |origin: f64, len: usize| -> Vec<f64> {
+            (0..=len)
+                .map(|k| origin + k as f64 * grid.cell_size)
+                .flat_map(|b| [b.next_down(), b, b.next_up()])
+                .collect()
+        };
+        let (xs, ys) = (
+            boundaries(grid.origin.x, grid.cols),
+            boundaries(grid.origin.y, grid.rows),
+        );
         let dc = engine.params().dpc.dc;
-        for center in centers {
-            for eps in [1e-9, dc, 1e-3 * scale, 0.1 * scale, scale, 10.0 * scale] {
+        for eps in [1e-9, dc, 1e-3 * scale, 0.1 * scale, scale, 10.0 * scale] {
+            // Centres eps (give or take an ulp) beside each boundary, so a
+            // rectangle edge `fl(c ∓ eps)` lands on or next to it.
+            let beside = |b: f64| {
+                [b - eps, b + eps]
+                    .into_iter()
+                    .flat_map(|c| [c.next_down(), c, c.next_up()])
+            };
+            let on_edges = xs
+                .iter()
+                .flat_map(|&b| beside(b))
+                .map(|x| Point::new(x, mid.y))
+                .chain(
+                    ys.iter()
+                        .flat_map(|&b| beside(b))
+                        .map(|y| Point::new(mid.x, y)),
+                );
+            for center in centers.iter().copied().chain(on_edges) {
                 let expected: Vec<Handle> = eps_neighbors_scan(dataset, center, eps)
                     .unwrap()
                     .into_iter()
@@ -721,11 +751,18 @@ mod tests {
             .map(|i| Point::new(1.0 + f64::from(i) * 0.37, 2.5))
             .collect();
         let clustered = test_points(TestDistribution::Clustered, 2000, 5);
+        // 17 × 17 points 0.5 apart on [0, 8]²: a 4 × 4 grid of cells of side
+        // 2, so points sit on cell boundaries and exactly dc from centres
+        // beside them.
+        let lattice = (0..17 * 17)
+            .map(|i| Point::new(f64::from(i % 17) * 0.5, f64::from(i / 17) * 0.5))
+            .collect();
         for points in [
             coincident,
             collinear,
             vec![Point::new(-7.5, 0.25)],
             clustered,
+            lattice,
         ] {
             assert_eps_queries_match_the_brute_scan(&engine_over(points, 0.5));
         }

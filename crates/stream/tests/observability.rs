@@ -308,20 +308,22 @@ fn maintenance_counters_surface_as_gauges() {
 /// of what a brute-force scan would. The bounds count points, not
 /// microseconds, so they hold on any machine; a repair that fell back to the
 /// brute-force kernel would publish no `query.delta.*` counters at all. The
-/// `stream.delta.*` spans show which path each epoch took, and the
-/// `stream.invalidated.*` counters account for every member of F.
+/// `stream.delta.*` spans show which path each epoch took, the
+/// `stream.invalidated.*` counters account for every member of F, and on a
+/// one-point and a 64-point epoch alike the fold's cell filter passes a
+/// small share of the (point, candidate) pairs.
 #[test]
 fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
     let n = 2_000;
     let dc = 0.1;
     let data = checkins(n + 2, &CheckinConfig::gowalla(), 11).into_dataset();
     let (seed, arrivals) = data.points().split_at(n);
-    let run_epoch = |params: StreamParams, arrival: Point| {
+    let run_epoch = |params: StreamParams, arrivals: &[Point]| {
         let metrics = Arc::new(MetricsRecorder::new());
         let mut engine =
             StreamingDpc::new(KdTree::build(&Dataset::new(seed.to_vec())), params).unwrap();
         engine.set_recorder(metrics.clone() as SharedRecorder);
-        engine.advance(&[arrival], 1).unwrap();
+        engine.advance(arrivals, arrivals.len()).unwrap();
         assert_matches_cold_pipeline(&engine);
         (engine.stats(), metrics.snapshot())
     };
@@ -334,7 +336,7 @@ fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
     // Forced fallback: one re-rank of every point through the batch query.
     let (stats, snap) = run_epoch(
         StreamParams::new(dc).with_max_affected_fraction(0.0),
-        arrivals[0],
+        &arrivals[..1],
     );
     assert_eq!(stats.fallback_epochs, 1);
     assert!(snap.histogram("stream.delta.rerank_us").is_some());
@@ -346,7 +348,7 @@ fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
     );
 
     // One-point incremental epoch: only F goes through the hook.
-    let (stats, snap) = run_epoch(StreamParams::new(dc), arrivals[1]);
+    let (stats, snap) = run_epoch(StreamParams::new(dc), &arrivals[1..]);
     assert_eq!(stats.incremental_epochs, 1);
     let invalidated = snap
         .histogram("stream.invalidated")
@@ -372,21 +374,50 @@ fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
         "repairing |F| = {invalidated} scanned {repair} points"
     );
 
-    // The fold's counters split U into the members whose ρ rose (entrants,
-    // each with a band) and the rest, and the band prune leaves few pairs.
-    let fold = |name: &str| snap.counter(&format!("stream.fold.{name}")).unwrap_or(0);
-    let risen = fold("entrants.risen");
-    assert_eq!(fold("entrants.inserted"), 1);
+    // The fold's counters split U into the members whose ρ rose
+    // (candidates) and the rest; of those only the members whose ρ fell are
+    // in F. The cell filter passes a point only the candidates near its
+    // δ-disk.
+    let fold = |snap: &dpc_obs::MetricsSnapshot, name: &str| {
+        snap.counter(&format!("stream.fold.{name}")).unwrap_or(0)
+    };
+    let filter_share = |snap: &dpc_obs::MetricsSnapshot, invalidated: u64| {
+        let candidates: u64 = ["entrants.inserted", "entrants.renamed", "entrants.risen"]
+            .iter()
+            .map(|name| fold(snap, name))
+            .sum();
+        (fold(snap, "pairs"), (n as u64 - invalidated) * candidates)
+    };
+    let risen = fold(&snap, "entrants.risen");
+    assert_eq!(fold(&snap, "entrants.inserted"), 1);
     assert!(risen > 0, "the arrival must raise some ρ");
-    assert_eq!(
-        risen + fold("unrisen"),
-        snap.counter("stream.invalidated.union").unwrap()
-    );
-    let band_pairs = fold("band_pairs");
-    let unpruned = (n as u64 - invalidated) * risen;
+    let union = snap
+        .histogram("stream.affected_union")
+        .expect("|U| is recorded every epoch")
+        .sum();
+    assert_eq!(risen + fold(&snap, "unrisen"), union);
+    assert!(snap.counter("stream.invalidated.rho_fell").unwrap() <= fold(&snap, "unrisen"));
+    let (filtered, unfiltered) = filter_share(&snap, invalidated);
     assert!(
-        band_pairs < unpruned / 4,
-        "{band_pairs} band pairs of {unpruned} (point, risen entrant) pairs"
+        filtered < unfiltered / 20,
+        "{filtered} pairs passed the cell filter of {unfiltered} (point, candidate) pairs"
+    );
+
+    // A 64-point epoch: 64 arrivals beside window points, the 64 oldest
+    // expire. It stays incremental, and the filter bound holds.
+    let batch: Vec<Point> = seed
+        .iter()
+        .step_by(31)
+        .take(64)
+        .map(|p| Point::new(p.x + 1e-3, p.y - 1e-3))
+        .collect();
+    let (stats, snap) = run_epoch(StreamParams::new(dc), &batch);
+    assert_eq!(stats.incremental_epochs, 1);
+    let invalidated = snap.histogram("stream.invalidated").unwrap().sum();
+    let (filtered, unfiltered) = filter_share(&snap, invalidated);
+    assert!(
+        filtered < unfiltered / 20,
+        "{filtered} pairs passed the cell filter of {unfiltered} (point, candidate) pairs"
     );
 }
 
