@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, Query, Rho};
+use dpc_core::{Dataset, DpcIndex, Query, Rho};
 use dpc_datasets::{DatasetKind, DatasetSpec};
 use dpc_metrics::ResultTable;
 
@@ -30,15 +30,6 @@ pub fn dataset_for(kind: DatasetKind, config: &ExperimentConfig) -> Dataset {
         .into_dataset()
 }
 
-/// Scales a paper distance parameter to the generated dataset.
-///
-/// The generators reproduce the paper's domains 1:1, so distances (`dc`, `w`,
-/// `τ`) transfer unchanged; this hook exists so every experiment documents
-/// that fact in one place.
-pub fn scaled_distance(value: f64, _kind: DatasetKind, _config: &ExperimentConfig) -> f64 {
-    value
-}
-
 /// Measures the combined ρ+δ query time (the quantity the paper's running-
 /// time figures report), returning the median over the configured
 /// repetitions. Runs under the configured thread count (`--threads`, default
@@ -57,13 +48,6 @@ pub fn rho_time(index: &dyn DpcIndex, dc: f64, config: &ExperimentConfig) -> (Du
     let reps = config.repetitions.max(1);
     let query = Query::new(dc).with_exec(config.exec_policy());
     dpc_metrics::measure_median(reps, || index.rho(&query).expect("rho query must succeed"))
-}
-
-/// Standard clustering parameters used when an experiment needs an actual
-/// clustering (Figures 1 and 10): automatic γ-gap centre selection capped at
-/// 64 clusters.
-pub fn clustering_params(dc: f64) -> DpcParams {
-    DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 64 })
 }
 
 /// Formats a duration in seconds with four significant decimals.

@@ -132,8 +132,10 @@ pub fn assign_clusters(
     Ok(Clustering::new(labels, centers.to_vec(), halo))
 }
 
-/// Index (cluster id) of the centre nearest to `p`.
-fn nearest_center(dataset: &Dataset, p: PointId, centers: &[PointId]) -> usize {
+/// Index (cluster id) of the centre nearest to `p`: the first of `centers`
+/// at the smallest squared distance. The assignment's fallback for a point
+/// without a denser `µ`.
+pub fn nearest_center(dataset: &Dataset, p: PointId, centers: &[PointId]) -> usize {
     let mut best = 0usize;
     let mut best_d2 = f64::INFINITY;
     for (cluster_id, &c) in centers.iter().enumerate() {
@@ -149,8 +151,9 @@ fn nearest_center(dataset: &Dataset, p: PointId, centers: &[PointId]) -> usize {
 /// Computes the halo flags following the original DPC paper: for every
 /// cluster, the border density is the maximum density of a member lying
 /// within `dc` of a member of a different cluster; members with strictly
-/// lower density than the border density are halo points.
-fn compute_halo(
+/// lower density than the border density are halo points. `labels` are
+/// cluster ids below `num_clusters`, one per point.
+pub fn compute_halo(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
     labels: &[usize],

@@ -49,6 +49,21 @@ impl Clustering {
         }
     }
 
+    /// Edits the labels, centres and halo flags in place, for a caller that
+    /// keeps a clustering in step with a changing dataset: the streaming
+    /// engine rewrites only the labels that changed in an epoch. The
+    /// invariants of [`new`](Self::new) must hold again when `edit` returns.
+    /// Checking them is a pass over every label, so only debug builds check.
+    pub fn edit(
+        &mut self,
+        edit: impl FnOnce(&mut Vec<ClusterId>, &mut Vec<PointId>, &mut Vec<bool>),
+    ) {
+        edit(&mut self.labels, &mut self.centers, &mut self.halo);
+        debug_assert_eq!(self.labels.len(), self.halo.len());
+        debug_assert!(self.labels.iter().all(|&l| l < self.centers.len()));
+        debug_assert!(self.centers.iter().all(|&c| c < self.labels.len()));
+    }
+
     /// Number of clustered points.
     pub fn len(&self) -> usize {
         self.labels.len()

@@ -66,16 +66,6 @@ impl DecisionGraph {
         self.delta[p]
     }
 
-    /// All densities.
-    pub fn rho_values(&self) -> &[Rho] {
-        &self.rho
-    }
-
-    /// All dependent distances.
-    pub fn delta_values(&self) -> &[f64] {
-        &self.delta
-    }
-
     /// The γ score of a point: normalised `ρ` times normalised `δ`.
     ///
     /// Normalisation divides by the maximum of each quantity so that γ lies

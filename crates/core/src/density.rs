@@ -61,11 +61,6 @@ impl DensityEstimate {
         self.values[id]
     }
 
-    /// The underlying per-point densities indexed by [`PointId`].
-    pub fn as_slice(&self) -> &[Rho] {
-        &self.values
-    }
-
     /// Consumes the estimate and returns the raw vector.
     pub fn into_vec(self) -> Vec<Rho> {
         self.values

@@ -76,7 +76,7 @@ pub mod pipeline;
 pub mod point;
 pub mod stats;
 
-pub use assign::{assign_clusters, AssignmentOptions};
+pub use assign::{assign_clusters, compute_halo, nearest_center, AssignmentOptions};
 pub use bbox::BoundingBox;
 pub use cluster::{ClusterId, Clustering};
 pub use dc_estimation::{estimate_dc, DcEstimation};

@@ -70,11 +70,6 @@ impl DatasetKind {
         }
     }
 
-    /// Whether the paper classifies the dataset as synthetic or real.
-    pub fn is_synthetic(&self) -> bool {
-        !matches!(self, DatasetKind::Brightkite | DatasetKind::Gowalla)
-    }
-
     /// Number of generating components of the dataset: the documented
     /// cluster count for the synthetic benchmarks (S1 has 15 clusters, Birch
     /// has 100, …) and the number of simulated hotspots for the check-in

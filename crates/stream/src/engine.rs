@@ -31,25 +31,33 @@
 //!    *ephemeral* and contribute nothing.
 //! 4. **Repair δ/µ once**: the invalidation set `F` — the members of `U`
 //!    whose ρ fell, the inserted points, points whose µ expired or is no
-//!    longer denser than them (found by a single µ scan that also renames
-//!    surviving µ ids), and the old and new global peaks — is recomputed
-//!    from scratch through the index's [`UpdatableIndex::delta_targets`]
-//!    (the pruned search of Lemmas 1–2 on the trees). Everyone else keeps
-//!    its `(δ, µ)` and min-folds the candidates: the inserted and renamed
+//!    longer denser than them, and the old and new global peaks — is
+//!    recomputed from scratch through the index's
+//!    [`UpdatableIndex::delta_targets`] (the pruned search of Lemmas 1–2 on
+//!    the trees). The µ links are kept as a persistent forest, a child list
+//!    per point in step with `µ`: the swap-removes of step 2 orphan the
+//!    removed points' children and rename the moved points' children, and
+//!    the overtaken µ are found over the links of `U` and the renamed
+//!    points, never by a pass over the window. Everyone else keeps its
+//!    `(δ, µ)` and min-folds the candidates: the inserted and renamed
 //!    points, and each member of `U` whose ρ rose. A point looks only at
 //!    the candidates in the cells its δ-disk overlaps (see
-//!    [`crate::maintenance`]). When
-//!    `|F|` exceeds [`StreamParams::max_affected_fraction`] of the window,
-//!    and on every decayed epoch, the engine instead re-ranks every point
-//!    once through the index's batch δ-query
-//!    ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)). Every δ query
-//!    carries the engine's recorder, so a trace shows the index's
-//!    `query.delta.*` counters beside the `stream.delta.*` spans.
-//! 5. **Re-cluster once** (centre selection + assignment on the maintained
-//!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch. The
-//!    step is linear in the window: a partial γ selection, the µ-chain
-//!    assignment walk, and a merge of the previous and new `(point handle,
-//!    centre handle)` lists, both kept in ascending handle order.
+//!    [`crate::maintenance`]). Every write of µ relinks the point in the
+//!    forest. When `|F|` exceeds [`StreamParams::max_affected_fraction`] of
+//!    the window, and on every decayed epoch, the engine instead re-ranks
+//!    every point once through the index's batch δ-query
+//!    ([`DpcIndex::delta`](dpc_core::DpcIndex::delta)) and rebuilds the
+//!    forest. Every δ query carries the engine's recorder, so a trace shows
+//!    the index's `query.delta.*` counters beside the `stream.delta.*`
+//!    spans.
+//! 5. **Re-cluster once** and emit one [`ClusterDelta`] for the whole batch:
+//!    a partial γ selection of the centres, then a relabel of the points
+//!    whose µ or centre status changed, densest first, walking the subtree
+//!    under each whose label changed. Each label is the handle of its
+//!    centre; the rank labels of [`Clustering`] are rebuilt in full only
+//!    when the centres or their id order changed. The delta is built from
+//!    the relabel, insert and evict events, which also update the shared
+//!    `(point handle, centre handle)` list in place.
 //!
 //! Why each piece of `F` is sufficient, and why everyone else only needs the
 //! candidate fold, is derived step by step in `docs/STREAMING.md`.
@@ -64,16 +72,20 @@
 //! same ops and to a cold batch run over the surviving points, for every
 //! [`UpdatableIndex`] implementation, at every thread count.
 
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dpc_core::{
-    assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
-    DpcParams, Kernel, Point, PointId, Result, Rho, UpdatableIndex,
+    compute_halo, nearest_center, BatchOp, CenterSelection, ClusterId, Clustering, DecisionGraph,
+    DeltaResult, DensityOrder, DpcError, DpcParams, Kernel, Point, PointId, Result, Rho,
+    UpdatableIndex,
 };
 use dpc_obs::{span, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
+use crate::forest::Forest;
 use crate::handle::{Handle, HandleMap};
 use crate::maintenance::candidate_pass;
 use crate::report::{ClusterDelta, LabelChange};
@@ -310,6 +322,21 @@ struct CommitScratch {
     /// The fold's candidates: the inserted and renamed points, and the
     /// members of U whose ρ rose.
     candidates: Vec<PointId>,
+    /// Survivors whose µ expired, by pre-epoch id while the plan is
+    /// applied, then by final id.
+    orphaned: Vec<PointId>,
+    /// Survivors a swap-remove moved, likewise (a point may move twice).
+    renamed: Vec<PointId>,
+    /// µ links the plan's swap-removes visited: orphaned and renamed
+    /// children.
+    links: usize,
+    /// Points whose µ is no longer denser than them.
+    overtaken: Vec<PointId>,
+    /// Points whose µ the fold replaced, with their previous µ.
+    moved: Vec<(PointId, Option<PointId>)>,
+    /// The relabel's roots: the points whose µ changed, the inserted
+    /// points and those whose µ expired.
+    roots: Vec<PointId>,
 }
 
 /// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
@@ -393,11 +420,29 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     handles: HandleMap,
     /// Dense id of the global peak (`None` for an empty window).
     peak: Option<PointId>,
+    /// The child lists of the µ links, in step with `deltas.mu`.
+    forest: Forest,
+    /// Each point's label: the handle of its cluster's centre, or `None`
+    /// for a point inserted since the last successful recluster. Follows
+    /// the push/swap-remove sequence of `rho`.
+    centre_of: Vec<Option<Handle>>,
+    /// The centres of the last successful epoch with their member counts,
+    /// ascending by handle.
+    centres: Vec<(Handle, usize)>,
+    /// The same centres' handles in ascending dense-id order, the order of
+    /// their rank labels in `clustering`.
+    ranked: Vec<Handle>,
+    /// Handles evicted since the last successful recluster.
+    evicted: Vec<Handle>,
+    /// Whether the next recluster relabels every point: after seeding, a
+    /// full re-rank, a decay tick or a failed recluster.
+    relabel_all: bool,
     clustering: Clustering,
     /// Stable view of the last successful epoch: `(point handle, centre
     /// handle)` for every point, in ascending point-handle order. Behind an
-    /// `Arc` so published snapshots share it instead of copying it.
-    assignment: Arc<Vec<(Handle, Handle)>>,
+    /// `Arc` so published snapshots share it instead of copying it; a
+    /// deque, so evicting the oldest point moves nothing.
+    assignment: Arc<VecDeque<(Handle, Handle)>>,
     epoch: u64,
     /// The decay clock: how many aging passes (committed epochs + effective
     /// ticks) have run. Decoupled from [`epoch`](Self::epoch) so a
@@ -447,10 +492,16 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             index,
             params,
             rho,
+            forest: Forest::new(&deltas.mu),
             deltas,
             births: vec![0; n],
             handles: HandleMap::with_dense_len(n),
             peak,
+            centre_of: vec![None; n],
+            centres: Vec::new(),
+            ranked: Vec::new(),
+            evicted: Vec::new(),
+            relabel_all: true,
             clustering: Clustering::new(vec![], vec![], vec![]),
             assignment: Arc::default(),
             epoch: 0,
@@ -634,13 +685,15 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     ///
     /// # Errors and partial progress
     ///
-    /// The window mutation and the density maintenance happen *before* the
-    /// clustering stage, so an error from centre selection or assignment
-    /// (possible with non-adaptive rules like
-    /// [`TopKGamma`](dpc_core::CenterSelection::TopKGamma) when `k` exceeds
-    /// the window, or a `Threshold` no point satisfies) leaves the point
-    /// **inserted** and ρ/δ/µ exact — only [`clustering`](Self::clustering)
-    /// still describes the previous epoch. The new point's handle is then
+    /// A rule that cannot cluster the new window for its size alone —
+    /// [`TopKGamma`](dpc_core::CenterSelection::TopKGamma) with `k` above a
+    /// non-empty post-epoch window — is rejected with
+    /// [`TooManyCenters`](DpcError::TooManyCenters) before anything is
+    /// applied, and the window is untouched. A rule that fails on the data
+    /// (a `Threshold` no point satisfies) shows only after the window
+    /// mutation and the density maintenance: the point stays **inserted**
+    /// and ρ/δ/µ exact — only [`clustering`](Self::clustering) still
+    /// describes the previous epoch. The new point's handle is then
     /// reachable via [`live_handles`](Self::live_handles) (it is the
     /// largest). Do not retry the mutation after such an error; fix the
     /// selection rule instead (the adaptive default,
@@ -658,9 +711,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     ///
     /// # Errors and partial progress
     ///
-    /// Same contract as [`insert`](Self::insert): if the clustering stage
-    /// fails, the point **has been evicted** and the density state is exact;
-    /// only the stored clustering is stale. Do not retry the eviction.
+    /// Same contract as [`insert`](Self::insert): an eviction that would
+    /// leave fewer points than `TopKGamma`'s `k` is rejected with the window
+    /// untouched; if the clustering stage fails on the data, the point
+    /// **has been evicted** and the density state is exact; only the stored
+    /// clustering is stale. Do not retry the eviction.
     pub fn remove(&mut self, handle: Handle) -> Result<ClusterDelta> {
         let mut plan = EpochPlan::new();
         plan.remove(handle);
@@ -680,10 +735,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// # Errors and partial progress
     ///
     /// The batch is validated before anything is applied, so an invalid
-    /// point (NaN/∞ coordinates) rejects the whole advance with the window
-    /// untouched. If the *clustering* stage fails, the contract of
-    /// [`insert`](Self::insert) applies: every update has been applied and
-    /// ρ/δ/µ are exact, only the stored clustering is stale.
+    /// point (NaN/∞ coordinates), or a slide that leaves a non-empty window
+    /// smaller than `TopKGamma`'s `k`, rejects the whole advance with the
+    /// window untouched. If the *clustering* stage fails on the data, the
+    /// contract of [`insert`](Self::insert) applies: every update has been
+    /// applied and ρ/δ/µ are exact, only the stored clustering is stale.
     pub fn advance(
         &mut self,
         batch_in: &[Point],
@@ -763,9 +819,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// # Errors and partial progress
     ///
     /// The plan is validated *before* any mutation (finite coordinates, live
-    /// un-duplicated handles, tokens belonging to this plan), so a rejected
-    /// plan leaves the engine untouched. After validation the only failable
-    /// stage is clustering; see [`insert`](Self::insert) for that contract.
+    /// un-duplicated handles, tokens belonging to this plan, and a
+    /// `TopKGamma` `k` no larger than a non-empty post-plan window), so a
+    /// rejected plan leaves the engine untouched. After validation the only
+    /// failable stage is clustering; see [`insert`](Self::insert) for that
+    /// contract.
     pub fn commit(&mut self, plan: &EpochPlan) -> Result<(Vec<Handle>, ClusterDelta)> {
         if plan.is_empty() {
             let delta = ClusterDelta::empty(self.epoch, self.clustering.num_clusters());
@@ -838,11 +896,13 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     }
 
     /// Phase 1 — translates the plan into resolved-id index ops, mirroring
-    /// every op in the handle map and the per-point arrays so handle → id
-    /// resolution tracks the mid-batch state. `scratch.owner` records, for
-    /// each dense slot, whether it holds a survivor (and its pre-epoch id)
-    /// or a point inserted this epoch. The dataset itself is not mutated
-    /// yet.
+    /// every op in the handle map, the per-point arrays and the µ-forest so
+    /// handle → id resolution tracks the mid-batch state. `scratch.owner`
+    /// records, for each dense slot, whether it holds a survivor (and its
+    /// pre-epoch id) or a point inserted this epoch. A removal orphans the
+    /// removed point's children and renames the moved point's children, so
+    /// µ ids stay current; the orphaned and the moved survivors are noted
+    /// by pre-epoch id. The dataset itself is not mutated yet.
     fn apply_plan(&mut self, plan: &EpochPlan, scratch: &mut CommitScratch) -> Vec<Handle> {
         let n_old = self.rho.len();
         scratch.owner.clear();
@@ -850,6 +910,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         scratch.batch_ops.clear();
         scratch.removed_old_locs.clear();
         scratch.removed_old_births.clear();
+        scratch.orphaned.clear();
+        scratch.renamed.clear();
+        scratch.links = 0;
+        scratch.roots.clear();
         let mut planned_handles: Vec<Handle> = Vec::with_capacity(plan.insert_count());
         for op in &plan.ops {
             let handle = match *op {
@@ -861,6 +925,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     self.births.push(self.age_epoch);
                     self.deltas.delta.push(f64::INFINITY);
                     self.deltas.mu.push(None);
+                    self.forest.push();
+                    self.centre_of.push(None);
                     continue;
                 }
                 PlanOp::Remove(h) => h,
@@ -878,13 +944,23 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     .push(self.index.dataset().point(old_id));
                 scratch.removed_old_births.push(self.births[id]);
             }
+            let last = self.rho.len() - 1;
+            if let (true, Origin::Old(moved)) = (last != id, scratch.owner[last]) {
+                scratch.renamed.push(moved);
+            }
+            let (owner, orphaned) = (&scratch.owner, &mut scratch.orphaned);
+            scratch.links += self.forest.swap_remove(id, &mut self.deltas.mu, |c| {
+                if let Origin::Old(o) = owner[c] {
+                    orphaned.push(o);
+                }
+            });
             scratch.batch_ops.push(BatchOp::Remove(id));
-            self.handles.swap_remove(id);
+            self.evicted.push(self.handles.swap_remove(id));
             scratch.owner.swap_remove(id);
             self.rho.swap_remove(id);
             self.births.swap_remove(id);
+            self.centre_of.swap_remove(id);
             self.deltas.delta.swap_remove(id);
-            self.deltas.mu.swap_remove(id);
         }
         planned_handles
     }
@@ -1020,8 +1096,15 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let delta_span = span(&rec, "stream.phase.delta_repair");
         let invalidate_span = span(&rec, "stream.delta.invalidate");
         let order = DensityOrder::new(&self.rho);
-        let new_peak = order.global_peak();
-        let old_peak = self.peak.and_then(|pk| scratch.final_of_old[pk]);
+        // The survivors whose µ expired and those a swap-remove renamed, by
+        // final id.
+        let final_of_old = &scratch.final_of_old;
+        for noted in [&mut scratch.orphaned, &mut scratch.renamed] {
+            noted.retain_mut(|o| final_of_old[*o].map(|p| *o = p).is_some());
+        }
+        scratch.renamed.sort_unstable();
+        scratch.renamed.dedup();
+        let old_peak = self.peak.and_then(|pk| final_of_old[pk]);
 
         // A member of U whose ρ fell gained, in its denser set, the
         // unchanged points whose ρ lies between its new and its old value;
@@ -1037,9 +1120,32 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 .map(|&(q, _)| q),
         );
         let rho_fell = scratch.invalidated.len();
+        // Only ρ (the members of U) and ids (the inserted and renamed
+        // points) move a point in the density order, so the old peak stays
+        // denser than every other point unless it expired, its ρ fell, or a
+        // decay pass scaled every ρ.
+        let new_peak = match old_peak {
+            Some(pk) if lambda == 1.0 && !scratch.invalidated.contains(&pk) => Some(
+                scratch
+                    .union
+                    .iter()
+                    .map(|&(q, _)| q)
+                    .chain(scratch.inserted_final.iter().copied())
+                    .chain(scratch.renamed.iter().copied())
+                    .fold(
+                        pk,
+                        |best, q| if order.is_denser(q, best) { q } else { best },
+                    ),
+            ),
+            _ => order.global_peak(),
+        };
         scratch
             .invalidated
             .extend_from_slice(&scratch.inserted_final);
+        scratch.invalidated.extend_from_slice(&scratch.orphaned);
+        // Their labels are unknown or came through the expired µ.
+        scratch.roots.extend_from_slice(&scratch.inserted_final);
+        scratch.roots.extend_from_slice(&scratch.orphaned);
         // The candidates: the points that can have entered a denser set.
         // The inserted and renamed points can enter any, a member of U
         // whose ρ rose (added in the fold below) those of the points whose
@@ -1048,40 +1154,42 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         scratch
             .candidates
             .extend_from_slice(&scratch.inserted_final);
-        // One µ scan: rename surviving µ ids into the final id space, and
-        // invalidate the points whose µ expired or is no longer denser
-        // than them. The order between p and its µ can only have flipped
-        // if p's ρ or µ's ρ was touched, or p was renamed to a smaller id
-        // (it now wins ties it lost). A renamed µ only gets a smaller id,
-        // so it stays denser, and stays the `(fl(d²), id)` minimum.
-        let (mut mu_expired, mut mu_overtaken) = (0usize, 0usize);
-        for (p, origin) in scratch.owner.iter().enumerate() {
-            let Origin::Old(o) = *origin else {
-                continue; // placeholder µ; already invalidated above
-            };
-            if o != p {
-                // A swap-remove renamed this survivor: it now wins ties it
-                // lost, so it may enter other points' minima.
-                scratch.candidates.push(p);
-            }
-            if let Some(mu_old) = self.deltas.mu[p] {
-                match scratch.final_of_old[mu_old] {
-                    None => {
-                        self.deltas.mu[p] = None;
-                        scratch.invalidated.push(p);
-                        mu_expired += 1;
+        scratch.candidates.extend_from_slice(&scratch.renamed);
+        // Invalidate the points whose µ is no longer denser than them. The
+        // order between p and µ(p) can only have flipped if p's ρ rose or
+        // stayed while it was touched, p was renamed to a smaller id (it now
+        // wins ties it lost), or µ's ρ fell. A p whose ρ fell, and a µ whose
+        // ρ rose or that was renamed, only widened the gap, and µ stays the
+        // `(fl(d²), id)` minimum. The forest reaches those links: the
+        // members of U whose ρ did not fall, the renamed points, and the
+        // children of the members whose ρ fell.
+        let mut links = scratch.links;
+        scratch.overtaken.clear();
+        for &(u, before) in &scratch.union {
+            if self.rho[u] < before {
+                for c in self.forest.children(u) {
+                    links += 1;
+                    if !order.is_denser(u, c) {
+                        scratch.overtaken.push(c);
                     }
-                    Some(m) => {
-                        self.deltas.mu[p] = Some(m);
-                        let touched = scratch.visited[p] || scratch.visited[m] || o != p;
-                        if touched && !order.is_denser(m, p) {
-                            scratch.invalidated.push(p);
-                            mu_overtaken += 1;
-                        }
-                    }
+                }
+            } else {
+                links += 1;
+                if self.deltas.mu[u].is_some_and(|m| !order.is_denser(m, u)) {
+                    scratch.overtaken.push(u);
                 }
             }
         }
+        for &r in &scratch.renamed {
+            links += 1;
+            if self.deltas.mu[r].is_some_and(|m| !order.is_denser(m, r)) {
+                scratch.overtaken.push(r);
+            }
+        }
+        scratch.overtaken.sort_unstable();
+        scratch.overtaken.dedup();
+        let mu_overtaken = scratch.overtaken.len();
+        scratch.invalidated.extend_from_slice(&scratch.overtaken);
         let peaks = [old_peak, new_peak];
         scratch.invalidated.extend(peaks.into_iter().flatten());
         // Why F is as large as it is: each cause's contributions, counted
@@ -1090,13 +1198,14 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             let causes = [
                 ("rho_fell", rho_fell),
                 ("inserted", scratch.inserted_final.len()),
-                ("mu_expired", mu_expired),
+                ("mu_expired", scratch.orphaned.len()),
                 ("mu_overtaken", mu_overtaken),
                 ("peak", peaks.iter().flatten().count()),
             ];
             for (cause, count) in causes {
                 rec.counter(&format!("stream.invalidated.{cause}"), count as u64);
             }
+            rec.counter("stream.invalidate.visited", links as u64);
         }
         scratch.invalidated.sort_unstable();
         scratch.invalidated.dedup();
@@ -1125,6 +1234,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     .filter(|&&(c, before)| self.rho[c] > before)
                     .map(|&(c, _)| c),
             );
+            scratch.moved.clear();
             let pairs = candidate_pass(
                 self.index.dataset(),
                 &order,
@@ -1133,7 +1243,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 &scratch.skip,
                 &mut self.deltas,
                 self.params.dpc.exec,
+                &mut scratch.moved,
             );
+            for &(p, before) in &scratch.moved {
+                self.forest.relink(p, before, self.deltas.mu[p]);
+                scratch.roots.push(p);
+            }
             // Why the fold cost what it did: its candidates by kind, the U
             // members it dropped, and the (point, candidate) pairs its cell
             // filter passed.
@@ -1141,10 +1256,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 let risen = scratch.candidates.len() - inserted_or_renamed;
                 let counts = [
                     ("entrants.inserted", scratch.inserted_final.len() as u64),
-                    (
-                        "entrants.renamed",
-                        (inserted_or_renamed - scratch.inserted_final.len()) as u64,
-                    ),
+                    ("entrants.renamed", scratch.renamed.len() as u64),
                     ("entrants.risen", risen as u64),
                     ("unrisen", (scratch.union.len() - risen) as u64),
                     ("pairs", pairs),
@@ -1162,7 +1274,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 .expect(QUERY_VALIDATED);
             for (k, &p) in scratch.invalidated.iter().enumerate() {
                 self.deltas.delta[p] = repaired.delta[k];
-                self.deltas.mu[p] = repaired.mu[k];
+                let mu = repaired.mu[k];
+                if mu != self.deltas.mu[p] {
+                    self.forest.relink(p, self.deltas.mu[p], mu);
+                    self.deltas.mu[p] = mu;
+                    scratch.roots.push(p);
+                }
             }
             EpochMode::Incremental
         };
@@ -1176,7 +1293,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     }
 
     /// Rejects a plan that could fail mid-application: non-finite insert
-    /// coordinates, dead/duplicated handles, or tokens from another plan.
+    /// coordinates, dead/duplicated handles, or tokens from another plan;
+    /// and one whose window the centre rule cannot cluster for its size
+    /// alone: `TopKGamma { k }` with `k` above a non-empty post-plan window.
     /// Runs before any mutation, so a rejected plan changes nothing.
     fn validate_plan(&self, plan: &EpochPlan) -> Result<()> {
         let mut removed: std::collections::HashSet<Handle> = std::collections::HashSet::new();
@@ -1228,16 +1347,30 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 }
             }
         }
-        Ok(())
+        let planned_kept = planned_removed.iter().filter(|&&gone| !gone).count();
+        let available = self.len() - removed.len() + planned_kept;
+        match self.params.dpc.centers {
+            CenterSelection::TopKGamma { k } if available > 0 && k > available => {
+                Err(DpcError::TooManyCenters {
+                    requested: k,
+                    available,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Re-ranks δ/µ of every point in full through the index's batch
     /// δ-query — the pruned search of Lemmas 1–2 on the trees — reporting
     /// the query's telemetry to `rec` under a `stream.delta.rerank` span.
+    /// Every µ may have moved, so the forest is rebuilt and the next
+    /// recluster relabels every point.
     fn rerank(&mut self, rec: &SharedRecorder) {
         let _rerank_span = span(rec, "stream.delta.rerank");
         let query = self.params.dpc.query().with_recorder(&**rec);
         self.deltas = self.index.delta(&query, &self.rho).expect(QUERY_VALIDATED);
+        self.forest.rebuild(&self.deltas.mu);
+        self.relabel_all = true;
     }
 
     /// Whether an invalidation set of `invalidated` points (out of `n`)
@@ -1246,54 +1379,204 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         invalidated as f64 > self.params.max_affected_fraction * n as f64
     }
 
-    /// Re-runs centre selection + assignment on the maintained `(ρ, δ, µ)`
-    /// and diffs the stable labelling against the previous epoch, under the
+    /// Re-runs centre selection on the maintained `(ρ, δ, µ)`, relabels the
+    /// points whose label can have changed, and builds the epoch's
+    /// [`ClusterDelta`] from its label changes, under the
     /// `stream.recluster.select`, `.assign` and `.diff` spans.
     ///
     /// On error (e.g. a centre-selection rule that no point satisfies this
     /// epoch) the density state remains exact, but the stored clustering and
     /// assignment still describe the last successful epoch. Handles are
-    /// stable, so the next successful epoch diffs against that one.
+    /// stable, so the next successful epoch relabels every point and diffs
+    /// against that one.
     fn recluster(&mut self) -> Result<ClusterDelta> {
         let rec = self.recorder.clone();
         let centers = {
             let _select_span = span(&rec, "stream.recluster.select");
-            if self.rho.is_empty() {
-                Vec::new()
+            let selected = if self.rho.is_empty() {
+                Ok(Vec::new())
             } else {
-                DecisionGraph::new(self.rho.clone(), &self.deltas)?
-                    .select_centers(&self.params.dpc.centers)?
+                DecisionGraph::new(self.rho.clone(), &self.deltas)
+                    .and_then(|graph| graph.select_centers(&self.params.dpc.centers))
+            };
+            selected.inspect_err(|_| self.relabel_all = true)?
+        };
+
+        let assign_span = span(&rec, "stream.recluster.assign");
+        // The centres' handles in id order, and each handle's rank label.
+        let ranked: Vec<Handle> = centers.iter().map(|&c| self.handles.handle_at(c)).collect();
+        let mut ranks: Vec<(Handle, ClusterId)> = ranked.iter().copied().zip(0..).collect();
+        ranks.sort_unstable();
+        let rank_of = |h: Option<Handle>| {
+            let h = h.expect("every point is labelled");
+            ranks[ranks
+                .binary_search_by_key(&h, |&(c, _)| c)
+                .expect("labels name centres")]
+            .1
+        };
+        let full = std::mem::take(&mut self.relabel_all);
+        let mut roots = std::mem::take(&mut self.scratch.roots);
+        if full {
+            roots.clear();
+            roots.extend(0..self.rho.len());
+        } else {
+            // A centre that came or went relabels its subtree.
+            let held = |centres: &[(Handle, ClusterId)], h| {
+                centres.binary_search_by_key(&h, |&(c, _)| c).is_ok()
+            };
+            for (&c, &h) in centers.iter().zip(&ranked) {
+                if !held(&self.centres, h) {
+                    roots.push(c);
+                }
             }
-        };
-        let (clustering, assignment) = {
-            let _assign_span = span(&rec, "stream.recluster.assign");
-            let clustering = assign_clusters(
-                self.index.dataset(),
-                &DensityOrder::new(&self.rho),
-                &self.deltas,
-                &centers,
-                self.params.dpc.dc,
-                &self.params.dpc.assignment,
-            )?;
-            let center_handles: Vec<Handle> =
-                centers.iter().map(|&c| self.handles.handle_at(c)).collect();
-            let assignment: Vec<(Handle, Handle)> = self
-                .handles
-                .iter()
-                .map(|(h, id)| (h, center_handles[clustering.label(id)]))
-                .collect();
-            (clustering, assignment)
-        };
+            for &(h, _) in &self.centres {
+                if !held(&ranks, h) {
+                    roots.extend(self.handles.dense_of(h));
+                }
+            }
+            // A point without µ that is no centre takes its nearest
+            // centre's label, which any change of centres can move.
+            roots.extend(self.peak.filter(|pk| centers.binary_search(pk).is_err()));
+        }
+        let relabelled = self.relabel(&centers, &ranked, &mut roots);
+        self.scratch.roots = roots;
+        rec.counter("stream.recluster.relabelled", relabelled.len() as u64);
+
+        // The rank labels follow the epoch's swap-removes and change only
+        // where a label did, unless the centres or their id order changed.
+        let same_ranks = !full && ranked == self.ranked;
+        let (ops, centre_of) = (&self.scratch.batch_ops, &self.centre_of);
+        let halo = self.params.dpc.assignment.compute_halo;
+        let (dataset, rho, dc) = (self.index.dataset(), &self.rho, self.params.dpc.dc);
+        self.clustering.edit(|labels, centres, flags| {
+            if same_ranks {
+                for op in ops {
+                    match *op {
+                        BatchOp::Insert(_) => {
+                            labels.push(0);
+                            flags.push(false);
+                        }
+                        BatchOp::Remove(id) => {
+                            labels.swap_remove(id);
+                            flags.swap_remove(id);
+                        }
+                    }
+                }
+                for &(p, _) in &relabelled {
+                    labels[p] = rank_of(centre_of[p]);
+                }
+            } else {
+                labels.clear();
+                labels.extend(centre_of.iter().map(|&h| rank_of(h)));
+                flags.clear();
+                flags.resize(labels.len(), false);
+            }
+            centres.clone_from(&centers);
+            if halo {
+                *flags = compute_halo(dataset, &DensityOrder::new(rho), labels, centers.len(), dc);
+            }
+        });
+
+        // The epoch's label changes: the relabelled and inserted points,
+        // then every point evicted since the last successful epoch that it
+        // labelled. They update the shared assignment in place.
+        let mut changed: Vec<LabelChange> = relabelled
+            .iter()
+            .map(|&(p, old)| LabelChange {
+                handle: self.handles.handle_at(p),
+                old,
+                new: self.centre_of[p],
+            })
+            .collect();
+        let assignment = Arc::make_mut(&mut self.assignment);
+        self.evicted.sort_unstable();
+        for &h in &self.evicted {
+            if let Ok(slot) = assignment.binary_search_by_key(&h, |&(p, _)| p) {
+                let (_, old) = assignment.remove(slot).expect("slot in range");
+                changed.push(LabelChange {
+                    handle: h,
+                    old: Some(old),
+                    new: None,
+                });
+            }
+        }
+        self.evicted.clear();
+        changed.sort_unstable_by_key(|change| change.handle);
+        for change in &changed {
+            match (change.old, change.new) {
+                (Some(_), Some(c)) => {
+                    let slot = assignment
+                        .binary_search_by_key(&change.handle, |&(p, _)| p)
+                        .expect("a relabelled point was assigned");
+                    assignment[slot].1 = c;
+                }
+                // Inserted handles are the largest yet.
+                (None, Some(c)) => assignment.push_back((change.handle, c)),
+                _ => {}
+            }
+        }
+        drop(assign_span);
 
         self.epoch += 1;
         self.stats.epochs += 1;
         let delta = {
             let _diff_span = span(&rec, "stream.recluster.diff");
-            diff_assignments(self.epoch, &self.assignment, &assignment)
+            let sizes = centre_sizes(&self.centres, &ranks, &changed);
+            let delta = diff(self.epoch, &self.centres, &sizes, changed);
+            self.centres = sizes;
+            delta
         };
-        self.assignment = Arc::new(assignment);
-        self.clustering = clustering;
+        self.ranked = ranked;
         Ok(delta)
+    }
+
+    /// Relabels every root and, under each root whose label changed, its
+    /// subtree, and returns the relabelled points with their previous
+    /// labels. A root takes its own handle if it is a centre, else the
+    /// final label of its µ, which is denser; so the roots are resolved
+    /// densest first, and a root's µ is final when its turn comes. A point
+    /// without µ that is no centre falls back to its nearest centre, as in
+    /// [`dpc_core::assign_clusters`]. A subtree walk stops at centres and at
+    /// points that already carry the new label: below them nothing changed
+    /// but other roots, which are resolved in their turn.
+    fn relabel(
+        &mut self,
+        centers: &[PointId],
+        ranked: &[Handle],
+        roots: &mut Vec<PointId>,
+    ) -> Vec<(PointId, Option<Handle>)> {
+        let order = DensityOrder::new(&self.rho);
+        roots.sort_unstable_by_key(|&p| Reverse(order.key(p)));
+        roots.dedup();
+        let is_centre = |p: PointId| centers.binary_search(&p).is_ok();
+        let mut relabelled = Vec::new();
+        let mut walk = Vec::new();
+        for &r in roots.iter() {
+            let label = if is_centre(r) {
+                self.handles.handle_at(r)
+            } else {
+                match self.deltas.mu[r] {
+                    Some(m) => self.centre_of[m].expect("a denser point is labelled first"),
+                    None => ranked[nearest_center(self.index.dataset(), r, centers)],
+                }
+            };
+            if self.centre_of[r] == Some(label) {
+                continue;
+            }
+            relabelled.push((r, self.centre_of[r]));
+            self.centre_of[r] = Some(label);
+            walk.push(r);
+            while let Some(p) = walk.pop() {
+                for c in self.forest.children(p) {
+                    if self.centre_of[c] != Some(label) && !is_centre(c) {
+                        relabelled.push((c, self.centre_of[c]));
+                        self.centre_of[c] = Some(label);
+                        walk.push(c);
+                    }
+                }
+            }
+        }
+        relabelled
     }
 }
 
@@ -1320,41 +1603,61 @@ pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
     kernel.weight_from_sq(d2) * decay_factor(lambda, age)
 }
 
-/// Diffs two stable assignments, each a list of `(point handle, centre
-/// handle)` in ascending point-handle order, in linear merges.
+/// The member count of every centre in `ranks` after the epoch's label
+/// `changes`, from the counts of the `old` centres, ascending by handle.
+fn centre_sizes(
+    old: &[(Handle, usize)],
+    ranks: &[(Handle, ClusterId)],
+    changes: &[LabelChange],
+) -> Vec<(Handle, usize)> {
+    let slot =
+        |centres: &[(Handle, usize)], c: Handle| centres.binary_search_by_key(&c, |&(h, _)| h).ok();
+    let mut sizes: Vec<(Handle, usize)> = ranks
+        .iter()
+        .map(|&(c, _)| (c, slot(old, c).map_or(0, |i| old[i].1)))
+        .collect();
+    for change in changes {
+        if let Some(i) = change.old.and_then(|c| slot(&sizes, c)) {
+            sizes[i].1 -= 1;
+        }
+        if let Some(i) = change.new.and_then(|c| slot(&sizes, c)) {
+            sizes[i].1 += 1;
+        }
+    }
+    sizes
+}
+
+/// Builds an epoch's delta from its label changes (ascending by handle)
+/// and the centres with their member counts before and after (each
+/// ascending by handle).
 ///
-/// Every centre is its own member, so a side's centres are the entries that
-/// map a point to itself: a sorted list of k handles, found without a sort.
 /// A centre handle that leaves the centre set does not necessarily mean its
 /// cluster died: when the centre *point* expires but the population
 /// persists, the next epoch elects a new centre among the survivors. Dying
 /// and newborn centres whose member sets overlap with Jaccard similarity of
 /// at least [`ClusterDelta::JACCARD_THRESHOLD`] are therefore matched
 /// greedily (best overlap first, deterministic handle-order tie-break) and
-/// reported as `recentred` survivors instead of a death + birth pair.
-fn diff_assignments(
+/// reported as `recentred` survivors instead of a death + birth pair. A
+/// point in both member sets changed label from the dying to the newborn
+/// centre, so the changes give every overlap.
+fn diff(
     epoch: u64,
-    old: &[(Handle, Handle)],
-    new: &[(Handle, Handle)],
+    old: &[(Handle, usize)],
+    new: &[(Handle, usize)],
+    changed: Vec<LabelChange>,
 ) -> ClusterDelta {
-    let centers_of = |assignment: &[(Handle, Handle)]| -> Vec<Handle> {
-        assignment
-            .iter()
-            .filter(|(h, c)| h == c)
-            .map(|&(h, _)| h)
-            .collect()
+    let absent_from = |centres: &[(Handle, usize)], c: Handle| {
+        centres.binary_search_by_key(&c, |&(h, _)| h).is_err()
     };
-    let (old_centers, new_centers) = (centers_of(old), centers_of(new));
-    let absent_from = |centers: &[Handle], c: &Handle| centers.binary_search(c).is_err();
-    let mut births: Vec<Handle> = new_centers
+    let mut births: Vec<Handle> = new
         .iter()
-        .filter(|c| absent_from(&old_centers, c))
-        .copied()
+        .map(|&(c, _)| c)
+        .filter(|&c| absent_from(old, c))
         .collect();
-    let mut deaths: Vec<Handle> = old_centers
+    let mut deaths: Vec<Handle> = old
         .iter()
-        .filter(|c| absent_from(&new_centers, c))
-        .copied()
+        .map(|&(c, _)| c)
+        .filter(|&c| absent_from(new, c))
         .collect();
 
     // Identity matching: pair each dying centre with the newborn centre
@@ -1364,23 +1667,23 @@ fn diff_assignments(
     let mut recentred: Vec<(Handle, Handle)> = Vec::new();
     if !births.is_empty() && !deaths.is_empty() {
         // Sizes of the dying and newborn clusters, and the overlap of each
-        // (dying, newborn) pair over the points present in both epochs,
-        // indexed by position in the sorted `deaths` / `births`.
+        // (dying, newborn) pair, indexed by position in the sorted
+        // `deaths` / `births`.
         let nb = births.len();
-        let mut old_size = vec![0usize; deaths.len()];
-        let mut new_size = vec![0usize; nb];
+        let size = |centres: &[(Handle, usize)], c: &Handle| {
+            centres[centres
+                .binary_search_by_key(c, |&(h, _)| h)
+                .expect("a centre")]
+            .1
+        };
+        let old_size: Vec<usize> = deaths.iter().map(|c| size(old, c)).collect();
+        let new_size: Vec<usize> = births.iter().map(|c| size(new, c)).collect();
         let mut overlap = vec![0usize; deaths.len() * nb];
-        for (_, co, cn) in merge(old, new) {
-            let d = co.and_then(|c| deaths.binary_search(&c).ok());
-            let b = cn.and_then(|c| births.binary_search(&c).ok());
-            if let Some(d) = d {
-                old_size[d] += 1;
-            }
-            if let Some(b) = b {
-                new_size[b] += 1;
-            }
-            if let (Some(d), Some(b)) = (d, b) {
-                overlap[d * nb + b] += 1;
+        for change in &changed {
+            if let (Some(co), Some(cn)) = (change.old, change.new) {
+                if let (Ok(d), Ok(b)) = (deaths.binary_search(&co), births.binary_search(&cn)) {
+                    overlap[d * nb + b] += 1;
+                }
             }
         }
         let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
@@ -1413,45 +1716,14 @@ fn diff_assignments(
         deaths.retain(|c| !recentred.iter().any(|&(d, _)| d == *c));
     }
 
-    let changed = merge(old, new)
-        .filter(|&(_, co, cn)| co != cn)
-        .map(|(handle, old, new)| LabelChange { handle, old, new })
-        .collect();
-
     ClusterDelta {
         epoch,
-        num_clusters: new_centers.len(),
+        num_clusters: new.len(),
         births,
         deaths,
         recentred,
         changed,
     }
-}
-
-/// Walks two assignments (ascending point handle) in step, yielding every
-/// handle present in either with its centre on each side.
-fn merge<'a>(
-    old: &'a [(Handle, Handle)],
-    new: &'a [(Handle, Handle)],
-) -> impl Iterator<Item = (Handle, Option<Handle>, Option<Handle>)> + 'a {
-    let (mut i, mut j) = (0, 0);
-    std::iter::from_fn(move || {
-        let handle = match (old.get(i), new.get(j)) {
-            (Some(&(ho, _)), Some(&(hn, _))) => ho.min(hn),
-            (Some(&(h, _)), None) | (None, Some(&(h, _))) => h,
-            (None, None) => return None,
-        };
-        let take = |side: &[(Handle, Handle)], k: &mut usize| match side.get(*k) {
-            Some(&(h, c)) if h == handle => {
-                *k += 1;
-                Some(c)
-            }
-            _ => None,
-        };
-        let co = take(old, &mut i);
-        let cn = take(new, &mut j);
-        Some((handle, co, cn))
-    })
 }
 
 #[cfg(test)]
@@ -1625,6 +1897,38 @@ mod tests {
         assert!(delta.recentred.is_empty());
     }
 
+    /// The delta between two `(point, centre)` assignments, through the
+    /// events and centre sizes the engine hands to [`diff`].
+    fn diff_assignments(
+        epoch: u64,
+        old: &[(Handle, Handle)],
+        new: &[(Handle, Handle)],
+    ) -> ClusterDelta {
+        use std::collections::BTreeMap;
+        let sizes = |assignment: &[(Handle, Handle)]| {
+            let mut sizes: BTreeMap<Handle, usize> = BTreeMap::new();
+            for &(_, c) in assignment {
+                *sizes.entry(c).or_default() += 1;
+            }
+            sizes.into_iter().collect::<Vec<_>>()
+        };
+        let (before, after): (BTreeMap<_, _>, BTreeMap<_, _>) =
+            (old.iter().copied().collect(), new.iter().copied().collect());
+        let mut handles: Vec<Handle> = before.keys().chain(after.keys()).copied().collect();
+        handles.sort_unstable();
+        handles.dedup();
+        let changed = handles
+            .into_iter()
+            .map(|handle| LabelChange {
+                handle,
+                old: before.get(&handle).copied(),
+                new: after.get(&handle).copied(),
+            })
+            .filter(|change| change.old != change.new)
+            .collect();
+        diff(epoch, &sizes(old), &sizes(new), changed)
+    }
+
     #[test]
     fn diff_matches_identity_only_above_the_jaccard_threshold() {
         let map = |pairs: &[(u64, u64)]| -> Vec<(Handle, Handle)> {
@@ -1761,6 +2065,48 @@ mod tests {
         assert_eq!(engine.version(), v0);
         assert_eq!(engine.len(), 6);
         assert_eq!(engine.epoch(), 0);
+    }
+
+    #[test]
+    fn top_k_above_the_post_plan_window_is_rejected_before_any_mutation() {
+        let seed = Dataset::from_coords(vec![
+            (0.0, 0.0),
+            (0.1, 0.0),
+            (5.0, 5.0),
+            (5.1, 5.0),
+            (9.0, 0.0),
+        ]);
+        let params = StreamParams::new(0.5)
+            .with_dpc(DpcParams::new(0.5).with_centers(CenterSelection::TopKGamma { k: 4 }));
+        let mut engine = StreamingDpc::new(NaiveReferenceIndex::build(&seed), params).unwrap();
+        engine.remove(engine.oldest().unwrap()).unwrap();
+        let (v, epoch) = (engine.version(), engine.epoch());
+        let err = engine.remove(engine.oldest().unwrap()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DpcError::TooManyCenters {
+                    requested: 4,
+                    available: 3
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            (engine.len(), engine.version(), engine.epoch()),
+            (4, v, epoch)
+        );
+        let snap = engine.snapshot();
+        snap.check_consistency();
+        assert_eq!(snap.epoch(), engine.epoch());
+        assert_matches_cold_batch(&engine);
+        // Draining the window to empty is no clustering failure.
+        let mut plan = EpochPlan::new();
+        for h in engine.live_handles().collect::<Vec<_>>() {
+            plan.remove(h);
+        }
+        engine.commit(&plan).unwrap();
+        assert!(engine.is_empty());
     }
 
     #[test]

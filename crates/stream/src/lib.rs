@@ -81,6 +81,7 @@
 
 pub mod engine;
 pub mod epoch;
+mod forest;
 pub mod handle;
 pub mod maintenance;
 pub mod report;

@@ -70,7 +70,8 @@ use dpc_obs::NoopRecorder;
 /// Folds the epoch's candidates into the δ/µ of every point outside the
 /// invalidation set, and returns the number of `(p, c)` pairs the cell
 /// filter passed: the pairs of a point `p` outside `F` and a candidate `c`
-/// in a cell that `p`'s δ-disk overlaps.
+/// in a cell that `p`'s δ-disk overlaps. Every point whose µ the fold
+/// replaced is appended to `moved` with its previous µ, in id order.
 ///
 /// For a point `p` with `skip[p] == false`, the existing `(δ(p), µ(p))` is
 /// the valid lexicographic minimum over `p`'s previous denser set, `µ(p)`
@@ -89,6 +90,7 @@ use dpc_obs::NoopRecorder;
 /// `skip`, and the engine always recomputes peaks from scratch. `cell_side`
 /// sets the cell size (at least the smallest normal double); it changes the
 /// work, never the result.
+#[allow(clippy::too_many_arguments)]
 pub fn candidate_pass(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
@@ -97,24 +99,26 @@ pub fn candidate_pass(
     skip: &[bool],
     deltas: &mut DeltaResult,
     policy: ExecPolicy,
+    moved: &mut Vec<(PointId, Option<PointId>)>,
 ) -> u64 {
     if candidates.is_empty() {
         return 0;
     }
     let pts = dataset.points();
     let cells = CandidateCells::new(dataset, candidates, cell_side);
-    let pairs = exec::fill_slice_pair(
+    let chunks = exec::fill_slice_pair(
         &mut deltas.delta,
         &mut deltas.mu,
         policy,
         &NoopRecorder,
         "",
-        || 0u64,
-        |p, delta_slot, mu_slot, pairs| {
+        || (0u64, Vec::new()),
+        |p, delta_slot, mu_slot, (pairs, moved)| {
             if skip[p] {
                 return;
             }
             let here = pts[p];
+            let before = *mu_slot;
             let mut incumbent_sq = None;
             cells.visit_reach(here, *delta_slot, |c| {
                 *pairs += 1;
@@ -132,9 +136,17 @@ pub fn candidate_pass(
                     }
                 }
             });
+            if *mu_slot != before {
+                moved.push((p, before));
+            }
         },
     );
-    pairs.into_iter().sum()
+    let mut pairs = 0;
+    for (chunk_pairs, chunk_moved) in chunks {
+        pairs += chunk_pairs;
+        moved.extend(chunk_moved);
+    }
+    pairs
 }
 
 /// The candidates of one fold, bucketed under a sparse cell key `(row,
@@ -251,6 +263,7 @@ mod tests {
             &[true, true, false],
             &mut deltas,
             ExecPolicy::Sequential,
+            &mut Vec::new(),
         );
         assert_eq!(deltas.delta[2], 1.0);
         assert_eq!(deltas.mu[2], Some(0));
@@ -271,6 +284,7 @@ mod tests {
             &[false, true],
             &mut deltas,
             ExecPolicy::Sequential,
+            &mut Vec::new(),
         );
         assert_eq!(deltas.mu[0], None);
         assert_eq!(deltas.mu[1], None);
@@ -284,6 +298,7 @@ mod tests {
             &[true, false],
             &mut deltas,
             ExecPolicy::Sequential,
+            &mut Vec::new(),
         );
         assert_eq!(deltas.mu[1], Some(0));
         assert_eq!(deltas.delta[1], 1.0);
@@ -328,6 +343,7 @@ mod tests {
             &skip,
             &mut deltas,
             ExecPolicy::Sequential,
+            &mut Vec::new(),
         );
         let expected = cold(&rho);
         for p in (0..data.len()).filter(|&p| !skip[p]) {
@@ -371,6 +387,7 @@ mod tests {
             &skip,
             &mut deltas,
             ExecPolicy::Sequential,
+            &mut Vec::new(),
         );
         (deltas.mu[p], pairs)
     }
@@ -460,8 +477,13 @@ mod tests {
                     }
                 }
             }
+            let expected_moved: Vec<(PointId, Option<PointId>)> = (0..n)
+                .filter(|&p| expected.mu[p] != deltas.mu[p])
+                .map(|p| (p, deltas.mu[p]))
+                .collect();
             for side in [0.25, 1.0, 7.5] {
                 let mut got = deltas.clone();
+                let mut moved = Vec::new();
                 candidate_pass(
                     &data,
                     &order,
@@ -470,8 +492,10 @@ mod tests {
                     &skip,
                     &mut got,
                     ExecPolicy::Sequential,
+                    &mut moved,
                 );
                 assert_eq!(got, expected, "case {case}, cell side {side}");
+                assert_eq!(moved, expected_moved, "case {case}, cell side {side}");
             }
         }
     }

@@ -13,6 +13,7 @@
 //! share them behind an `Arc` and read them from any thread without
 //! synchronisation; nothing here can observe later mutations of the engine.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -164,7 +165,7 @@ pub struct EpochSnapshot {
     handles: Vec<Handle>,
     /// `(point handle, centre handle)` of every point, in ascending point
     /// handle order: the engine's recluster output, shared.
-    assignment: Arc<Vec<(Handle, Handle)>>,
+    assignment: Arc<VecDeque<(Handle, Handle)>>,
     grid: EpsGrid,
     /// The delta that advanced the engine *to* this epoch; its `epoch` is
     /// the snapshot's. The initial snapshot (published at attach time,
@@ -188,7 +189,7 @@ impl EpochSnapshot {
         deltas: &DeltaResult,
         clustering: &Clustering,
         handles: Vec<Handle>,
-        assignment: Arc<Vec<(Handle, Handle)>>,
+        assignment: Arc<VecDeque<(Handle, Handle)>>,
         delta: ClusterDelta,
     ) -> Self {
         let n = dataset.len();
@@ -286,13 +287,20 @@ impl EpochSnapshot {
         // slots after the first entry and at most `last − handle` before the
         // last. The binary search covers only those slots: one slot when
         // the window has no gaps, as a sliding window has none.
-        let (first, last) = (self.assignment.first()?.0, self.assignment.last()?.0);
-        let end = self.assignment.len() as u64 - 1;
-        let lo = end.saturating_sub(last.0.checked_sub(handle.0)?);
-        let hi = end.min(handle.0.checked_sub(first.0)?);
-        let slots = self.assignment.get(lo as usize..=hi as usize)?;
-        let slot = slots.binary_search_by_key(&handle, |&(h, _)| h).ok()?;
-        Some(slots[slot].1)
+        let slots = &self.assignment;
+        let (first, last) = (slots.front()?.0, slots.back()?.0);
+        let end = slots.len() as u64 - 1;
+        let mut lo = end.saturating_sub(last.0.checked_sub(handle.0)?) as usize;
+        let mut hi = end.min(handle.0.checked_sub(first.0)?) as usize + 1;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match slots[mid].0.cmp(&handle) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(slots[mid].1),
+            }
+        }
+        None
     }
 
     /// Handles of all points strictly within `eps` of `center`, in
@@ -342,7 +350,10 @@ impl EpochSnapshot {
             );
         }
         assert!(
-            self.assignment.windows(2).all(|w| w[0].0 < w[1].0),
+            self.assignment
+                .iter()
+                .zip(self.assignment.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0),
             "assignment must ascend strictly by point handle"
         );
         let mut matched = vec![false; n];

@@ -11,9 +11,9 @@
 //! The streams drift three lattice blobs under a sliding window, so centres
 //! keep expiring, being re-elected and dying (centre churn), on the k-d tree
 //! and the naive engine, at epoch sizes 1, 7 and 64, under `GammaGap` and
-//! `TopKGamma`. A last scenario drains a `TopKGamma` window below `k`, so
-//! recluster fails, and then refills it: the recovering epoch must diff
-//! against the last epoch that clustered.
+//! `TopKGamma`. A last scenario drains a window until no point passes a
+//! `Threshold` rule, so recluster fails, and then refills it: the
+//! recovering epoch must diff against the last epoch that clustered.
 
 mod common;
 
@@ -125,14 +125,20 @@ fn cluster_deltas_match_the_reference_diff_under_centre_churn() {
     );
 }
 
-/// Drains a `TopKGamma { k: 6 }` window to four points, so two epochs fail
-/// to cluster, then refills it: the recovering epoch's delta diffs against
-/// the last epoch that clustered, whose handles are still valid names.
+/// Drains a window to four points, so two epochs fail to cluster under a
+/// `Threshold` rule, then refills it: the recovering epoch's delta diffs
+/// against the last epoch that clustered, whose handles are still valid
+/// names.
 #[test]
 fn an_epoch_after_failed_reclusters_diffs_against_the_last_good_one() {
-    let stream = drifting_stream(20, 7);
+    let stream = drifting_stream(20, 2);
     let seed_window = Dataset::new(stream[..10].to_vec());
-    let params = params(CenterSelection::TopKGamma { k: 6 });
+    // The densest point has ρ 3 in the 10-point seed, 1 in the drained 4-
+    // and 5-point windows, and 4 in the two 8-point windows after them.
+    let params = params(CenterSelection::Threshold {
+        rho_min: 2.0,
+        delta_min: 0.0,
+    });
     fail_then_recover(
         StreamingDpc::new(kd_build(&seed_window), params.clone()).unwrap(),
         &stream,
@@ -146,7 +152,7 @@ fn an_epoch_after_failed_reclusters_diffs_against_the_last_good_one() {
 fn fail_then_recover<I: UpdatableIndex>(mut engine: StreamingDpc<I>, stream: &[Point]) {
     let good_epoch = engine.epoch();
     let last_good = assignment_of(&engine);
-    // 10 → 4 points, then 4 → 5: fewer than k = 6 both times.
+    // 10 → 4 points, then 4 → 5: no point passes the threshold either time.
     assert!(engine.advance(&[], 6).is_err());
     assert!(engine.advance(&stream[10..11], 0).is_err());
     assert_eq!(engine.epoch(), good_epoch, "a failed recluster is no epoch");

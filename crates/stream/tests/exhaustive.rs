@@ -32,12 +32,13 @@
 //! cargo test --release -p dpc-stream --test exhaustive -- --ignored --nocapture
 //! ```
 //!
-//! A failure reports its shortest witness, as `[ins 0, ins 0, rm 1]` or as
-//! `plan [rm 0, ins 0] over seed cells [0, 2]`.
+//! A failure, a panic included, reports its shortest witness, as
+//! `[ins 0, ins 0, rm 1]` or as `plan [rm 0, ins 0] over seed cells [0, 2]`.
 
 mod common;
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::{assignment_of, reference_diff, Assignment};
 use dpc_core::naive_reference::NaiveReferenceIndex;
@@ -213,6 +214,18 @@ fn params(dc: f64, fraction: f64) -> StreamParams {
     StreamParams::new(dc).with_max_affected_fraction(fraction)
 }
 
+/// Runs one epoch and its check, turning a panic into a failure.
+fn guarded<T>(epoch: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(epoch)).unwrap_or_else(|panic| {
+        let why = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic");
+        Err(format!("panicked: {why}"))
+    })
+}
+
 /// Every sequence of up to `depth` one-op epochs from an empty window.
 fn sequences<I: UpdatableIndex + Clone>(build: fn(&Dataset) -> I, depth: usize) -> Tally {
     let mut tally = Tally::default();
@@ -244,18 +257,20 @@ fn extend<I: UpdatableIndex + Clone>(
     let ops = (0..CELLS).map(Op::Ins).chain((0..engine.len()).map(Op::Rm));
     for op in ops {
         let mut next = engine.clone();
-        let delta = match op {
-            Op::Ins(k) => next.insert(cell(k)).map(|(_, delta)| delta),
-            Op::Rm(j) => {
-                let victim = next.live_handles().nth(j).expect("j < len");
-                next.remove(victim)
-            }
-        };
         path.push(op);
         tally.cases += 1;
-        let checked = delta
-            .map_err(|e| format!("the epoch failed: {e}"))
-            .and_then(|delta| check(&next, &delta, before));
+        let checked = guarded(|| {
+            let delta = match op {
+                Op::Ins(k) => next.insert(cell(k)).map(|(_, delta)| delta),
+                Op::Rm(j) => {
+                    let victim = next.live_handles().nth(j).expect("j < len");
+                    next.remove(victim)
+                }
+            };
+            delta
+                .map_err(|e| format!("the epoch failed: {e}"))
+                .and_then(|delta| check(&next, &delta, before))
+        });
         match checked {
             Ok(now) if depth > 1 => extend(&next, &now, path, depth - 1, tally),
             Ok(_) => {}
@@ -344,10 +359,11 @@ fn seeded_plans<I: UpdatableIndex + Clone>(
                         }
                         let mut next = engine.clone();
                         tally.cases += 1;
-                        let checked = next
-                            .commit(&epoch)
-                            .map_err(|e| format!("the epoch failed: {e}"))
-                            .and_then(|(_, delta)| check(&next, &delta, &before));
+                        let checked = guarded(|| {
+                            next.commit(&epoch)
+                                .map_err(|e| format!("the epoch failed: {e}"))
+                                .and_then(|(_, delta)| check(&next, &delta, &before))
+                        });
                         if let Err(why) = checked {
                             let witness = at(format!("plan {}: {why}", show(plan)));
                             tally.fail(seed_len + plan.len(), witness);

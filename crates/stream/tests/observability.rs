@@ -421,6 +421,44 @@ fn kdtree_delta_repair_scans_a_fraction_of_the_window() {
     );
 }
 
+/// The µ-forest keeps a one-point epoch's invalidation and relabel local: in
+/// a 2 000-point window the invalidation examines the µ links of U, of
+/// their children and of the renamed points, under a tenth of the window,
+/// and the relabel rewrites the arrival's label and few others.
+#[test]
+fn a_one_point_epoch_examines_a_fraction_of_the_forest() {
+    let n = 2_000;
+    let data = checkins(n + 1, &CheckinConfig::gowalla(), 11).into_dataset();
+    let (seed, arrival) = data.points().split_at(n);
+    let metrics = Arc::new(MetricsRecorder::new());
+    let mut engine = StreamingDpc::new(
+        KdTree::build(&Dataset::new(seed.to_vec())),
+        StreamParams::new(0.1),
+    )
+    .unwrap();
+    engine.set_recorder(metrics.clone() as SharedRecorder);
+    engine.advance(arrival, 1).unwrap();
+    assert_eq!(engine.stats().incremental_epochs, 1);
+    assert_matches_cold_pipeline(&engine);
+    let snap = metrics.snapshot();
+    let visited = snap
+        .counter("stream.invalidate.visited")
+        .expect("the invalidation counts the links it examined");
+    let union = snap.histogram("stream.affected_union").unwrap().sum();
+    assert!(visited >= union, "{visited} links for |U| = {union}");
+    assert!(
+        visited < n as u64 / 10,
+        "the invalidation examined {visited} links in a window of {n}"
+    );
+    let relabelled = snap
+        .counter("stream.recluster.relabelled")
+        .expect("the relabel counts the labels it rewrote");
+    assert!(
+        (1..n as u64 / 10).contains(&relabelled),
+        "{relabelled} labels rewritten"
+    );
+}
+
 /// The engine's ρ, δ, µ, centres and labels equal a cold batch run of the
 /// naive reference over its window, bit for bit.
 fn assert_matches_cold_pipeline(engine: &StreamingDpc<KdTree>) {
