@@ -1416,10 +1416,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         };
         let full = std::mem::take(&mut self.relabel_all);
         let mut roots = std::mem::take(&mut self.scratch.roots);
-        if full {
-            roots.clear();
-            roots.extend(0..self.rho.len());
-        } else {
+        if !full {
             // A centre that came or went relabels its subtree.
             let held = |centres: &[(Handle, ClusterId)], h| {
                 centres.binary_search_by_key(&h, |&(c, _)| c).is_ok()
@@ -1438,7 +1435,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             // centre's label, which any change of centres can move.
             roots.extend(self.peak.filter(|pk| centers.binary_search(pk).is_err()));
         }
-        let relabelled = self.relabel(&centers, &ranked, &mut roots);
+        let relabelled = self.relabel(&centers, &ranked, &mut roots, full);
         self.scratch.roots = roots;
         rec.counter("stream.recluster.relabelled", relabelled.len() as u64);
 
@@ -1530,48 +1527,55 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         Ok(delta)
     }
 
-    /// Relabels every root and, under each root whose label changed, its
+    /// Relabels the roots and, under each root whose label changed, its
     /// subtree, and returns the relabelled points with their previous
-    /// labels. A root takes its own handle if it is a centre, else the
-    /// final label of its µ, which is denser; so the roots are resolved
-    /// densest first, and a root's µ is final when its turn comes. A point
-    /// without µ that is no centre falls back to its nearest centre, as in
-    /// [`dpc_core::assign_clusters`]. A subtree walk stops at centres and at
-    /// points that already carry the new label: below them nothing changed
-    /// but other roots, which are resolved in their turn.
+    /// labels. A point's label is its own handle if it is a centre, else
+    /// the label of its µ, which is denser; a point without µ that is no
+    /// centre takes its nearest centre's, as in
+    /// [`dpc_core::assign_clusters`]. The roots are resolved densest first,
+    /// so a root's µ is final when its turn comes, and a walk stops at
+    /// centres and at points that already carry the new label: below them
+    /// only other roots changed, and those are resolved in their turn. With
+    /// `full`, every point is relabelled: the roots are the points without
+    /// µ, and the walks cover the whole forest from the top.
     fn relabel(
         &mut self,
         centers: &[PointId],
         ranked: &[Handle],
         roots: &mut Vec<PointId>,
+        full: bool,
     ) -> Vec<(PointId, Option<Handle>)> {
-        let order = DensityOrder::new(&self.rho);
-        roots.sort_unstable_by_key(|&p| Reverse(order.key(p)));
-        roots.dedup();
+        if full {
+            roots.clear();
+            roots.extend((0..self.rho.len()).filter(|&p| self.deltas.mu[p].is_none()));
+        } else {
+            let order = DensityOrder::new(&self.rho);
+            roots.sort_unstable_by_key(|&p| Reverse(order.key(p)));
+            roots.dedup();
+        }
         let is_centre = |p: PointId| centers.binary_search(&p).is_ok();
         let mut relabelled = Vec::new();
         let mut walk = Vec::new();
         for &r in roots.iter() {
-            let label = if is_centre(r) {
-                self.handles.handle_at(r)
-            } else {
-                match self.deltas.mu[r] {
-                    Some(m) => self.centre_of[m].expect("a denser point is labelled first"),
-                    None => ranked[nearest_center(self.index.dataset(), r, centers)],
-                }
+            let label = match self.deltas.mu[r] {
+                _ if is_centre(r) => self.handles.handle_at(r),
+                Some(m) => self.centre_of[m].expect("a denser point is labelled first"),
+                None => ranked[nearest_center(self.index.dataset(), r, centers)],
             };
-            if self.centre_of[r] == Some(label) {
-                continue;
-            }
-            relabelled.push((r, self.centre_of[r]));
-            self.centre_of[r] = Some(label);
-            walk.push(r);
-            while let Some(p) = walk.pop() {
+            walk.push((r, label));
+            while let Some((p, label)) = walk.pop() {
+                if self.centre_of[p] == Some(label) && !full {
+                    continue;
+                }
+                if self.centre_of[p] != Some(label) {
+                    relabelled.push((p, self.centre_of[p]));
+                    self.centre_of[p] = Some(label);
+                }
                 for c in self.forest.children(p) {
-                    if self.centre_of[c] != Some(label) && !is_centre(c) {
-                        relabelled.push((c, self.centre_of[c]));
-                        self.centre_of[c] = Some(label);
-                        walk.push(c);
+                    match is_centre(c) {
+                        true if full => walk.push((c, self.handles.handle_at(c))),
+                        true => {}
+                        false => walk.push((c, label)),
                     }
                 }
             }

@@ -109,11 +109,6 @@ impl HandleMap {
     pub fn live(&self) -> impl Iterator<Item = Handle> + '_ {
         self.handle_to_dense.keys().copied()
     }
-
-    /// Every live point as `(handle, dense id)`, in ascending handle order.
-    pub fn iter(&self) -> impl Iterator<Item = (Handle, PointId)> + '_ {
-        self.handle_to_dense.iter().map(|(&h, &id)| (h, id))
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +172,7 @@ mod tests {
         m.swap_remove(2); // removes handle 2; handle 3 moves to id 2
         let live: Vec<u64> = m.live().map(|h| h.0).collect();
         assert_eq!(live, vec![1, 3, 4]);
-        let pairs: Vec<(u64, PointId)> = m.iter().map(|(h, id)| (h.0, id)).collect();
+        let pairs: Vec<(u64, PointId)> = m.live().map(|h| (h.0, m.dense_of(h).unwrap())).collect();
         assert_eq!(pairs, vec![(1, 1), (3, 2), (4, 0)]);
     }
 }
