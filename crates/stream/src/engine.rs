@@ -337,6 +337,17 @@ struct CommitScratch {
     /// The relabel's roots: the points whose µ changed, the inserted
     /// points and those whose µ expired.
     roots: Vec<PointId>,
+    /// The relabel's pending subtree roots, each with its new label.
+    walk: Vec<(PointId, Handle)>,
+    /// The points the relabel rewrote, with their previous labels.
+    relabelled: Vec<(PointId, Option<Handle>)>,
+    /// `(point handle, centre handle)` of the points evicted since the
+    /// last successful recluster.
+    evictions: Vec<(Handle, Handle)>,
+    /// The epoch's label changes by handle, with their index into
+    /// `relabelled` then `evictions`: a relabel of the whole window sorts
+    /// one key per point, not one `LabelChange`.
+    by_handle: Vec<(Handle, u32)>,
 }
 
 /// Why the engine's δ queries cannot fail: [`StreamParams::validate`] checks
@@ -1415,7 +1426,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             .1
         };
         let full = std::mem::take(&mut self.relabel_all);
-        let mut roots = std::mem::take(&mut self.scratch.roots);
+        let mut scratch = std::mem::take(&mut self.scratch);
         if !full {
             // A centre that came or went relabels its subtree.
             let held = |centres: &[(Handle, ClusterId)], h| {
@@ -1423,26 +1434,28 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             };
             for (&c, &h) in centers.iter().zip(&ranked) {
                 if !held(&self.centres, h) {
-                    roots.push(c);
+                    scratch.roots.push(c);
                 }
             }
             for &(h, _) in &self.centres {
                 if !held(&ranks, h) {
-                    roots.extend(self.handles.dense_of(h));
+                    scratch.roots.extend(self.handles.dense_of(h));
                 }
             }
             // A point without µ that is no centre takes its nearest
             // centre's label, which any change of centres can move.
-            roots.extend(self.peak.filter(|pk| centers.binary_search(pk).is_err()));
+            scratch
+                .roots
+                .extend(self.peak.filter(|pk| centers.binary_search(pk).is_err()));
         }
-        let relabelled = self.relabel(&centers, &ranked, &mut roots, full);
-        self.scratch.roots = roots;
+        self.relabel(&centers, &ranked, full, &mut scratch);
+        let relabelled = &scratch.relabelled;
         rec.counter("stream.recluster.relabelled", relabelled.len() as u64);
 
         // The rank labels follow the epoch's swap-removes and change only
         // where a label did, unless the centres or their id order changed.
         let same_ranks = !full && ranked == self.ranked;
-        let (ops, centre_of) = (&self.scratch.batch_ops, &self.centre_of);
+        let (ops, centre_of) = (&scratch.batch_ops, &self.centre_of);
         let halo = self.params.dpc.assignment.compute_halo;
         let (dataset, rho, dc) = (self.index.dataset(), &self.rho, self.params.dpc.dc);
         self.clustering.edit(|labels, centres, flags| {
@@ -1459,7 +1472,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                         }
                     }
                 }
-                for &(p, _) in &relabelled {
+                for &(p, _) in relabelled {
                     labels[p] = rank_of(centre_of[p]);
                 }
             } else {
@@ -1475,36 +1488,58 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         });
 
         // The epoch's label changes: the relabelled and inserted points,
-        // then every point evicted since the last successful epoch that it
-        // labelled. They update the shared assignment in place.
-        let mut changed: Vec<LabelChange> = relabelled
-            .iter()
-            .map(|&(p, old)| LabelChange {
-                handle: self.handles.handle_at(p),
-                old,
-                new: self.centre_of[p],
-            })
-            .collect();
+        // and every point evicted since the last successful epoch that it
+        // labelled, in handle order. They update the shared assignment in
+        // place.
         let assignment = Arc::make_mut(&mut self.assignment);
         self.evicted.sort_unstable();
+        scratch.evictions.clear();
+        let mut slot = 0;
         for &h in &self.evicted {
-            if let Ok(slot) = assignment.binary_search_by_key(&h, |&(p, _)| p) {
-                let (_, old) = assignment.remove(slot).expect("slot in range");
-                changed.push(LabelChange {
-                    handle: h,
-                    old: Some(old),
-                    new: None,
-                });
+            slot = seek(assignment, slot, h);
+            if assignment.get(slot).is_some_and(|&(p, _)| p == h) {
+                scratch
+                    .evictions
+                    .push(assignment.remove(slot).expect("slot in range"));
             }
         }
         self.evicted.clear();
-        changed.sort_unstable_by_key(|change| change.handle);
+        let keys = &mut scratch.by_handle;
+        keys.clear();
+        keys.extend(
+            relabelled
+                .iter()
+                .zip(0..)
+                .map(|(&(p, _), i)| (self.handles.handle_at(p), i)),
+        );
+        keys.extend(
+            scratch
+                .evictions
+                .iter()
+                .zip(relabelled.len() as u32..)
+                .map(|(&(h, _), i)| (h, i)),
+        );
+        keys.sort_unstable();
+        let changed: Vec<LabelChange> = keys
+            .iter()
+            .map(|&(handle, i)| match relabelled.get(i as usize) {
+                Some(&(p, old)) => LabelChange {
+                    handle,
+                    old,
+                    new: self.centre_of[p],
+                },
+                None => LabelChange {
+                    handle,
+                    old: Some(scratch.evictions[i as usize - relabelled.len()].1),
+                    new: None,
+                },
+            })
+            .collect();
+        let mut slot = 0;
         for change in &changed {
             match (change.old, change.new) {
                 (Some(_), Some(c)) => {
-                    let slot = assignment
-                        .binary_search_by_key(&change.handle, |&(p, _)| p)
-                        .expect("a relabelled point was assigned");
+                    slot = seek(assignment, slot, change.handle);
                     assignment[slot].1 = c;
                 }
                 // Inserted handles are the largest yet.
@@ -1512,6 +1547,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 _ => {}
             }
         }
+        self.scratch = scratch;
         drop(assign_span);
 
         self.epoch += 1;
@@ -1527,35 +1563,35 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         Ok(delta)
     }
 
-    /// Relabels the roots and, under each root whose label changed, its
-    /// subtree, and returns the relabelled points with their previous
-    /// labels. A point's label is its own handle if it is a centre, else
-    /// the label of its µ, which is denser; a point without µ that is no
-    /// centre takes its nearest centre's, as in
-    /// [`dpc_core::assign_clusters`]. The roots are resolved densest first,
-    /// so a root's µ is final when its turn comes, and a walk stops at
-    /// centres and at points that already carry the new label: below them
-    /// only other roots changed, and those are resolved in their turn. With
-    /// `full`, every point is relabelled: the roots are the points without
-    /// µ, and the walks cover the whole forest from the top.
+    /// Relabels the roots in `scratch.roots` and, under each root whose
+    /// label changed, its subtree, and lists the relabelled points with
+    /// their previous labels in `scratch.relabelled`. A point's label is its
+    /// own handle if it is a centre, else the label of its µ, which is
+    /// denser; a point without µ that is no centre takes its nearest
+    /// centre's, as in [`dpc_core::assign_clusters`]. The roots are resolved
+    /// densest first, so a root's µ is final when its turn comes, and a walk
+    /// stops at centres and at points that already carry the new label:
+    /// below them only other roots changed, and those are resolved in their
+    /// turn. With `full`, every point is relabelled: the roots are the
+    /// points without µ, and the walks cover the whole forest from the top.
     fn relabel(
         &mut self,
         centers: &[PointId],
         ranked: &[Handle],
-        roots: &mut Vec<PointId>,
         full: bool,
-    ) -> Vec<(PointId, Option<Handle>)> {
+        scratch: &mut CommitScratch,
+    ) {
+        let (roots, walk) = (&mut scratch.roots, &mut scratch.walk);
         if full {
             roots.clear();
             roots.extend((0..self.rho.len()).filter(|&p| self.deltas.mu[p].is_none()));
         } else {
             let order = DensityOrder::new(&self.rho);
-            roots.sort_unstable_by_key(|&p| Reverse(order.key(p)));
+            roots.sort_by_cached_key(|&p| Reverse(order.key(p)));
             roots.dedup();
         }
         let is_centre = |p: PointId| centers.binary_search(&p).is_ok();
-        let mut relabelled = Vec::new();
-        let mut walk = Vec::new();
+        scratch.relabelled.clear();
         for &r in roots.iter() {
             let label = match self.deltas.mu[r] {
                 _ if is_centre(r) => self.handles.handle_at(r),
@@ -1568,7 +1604,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     continue;
                 }
                 if self.centre_of[p] != Some(label) {
-                    relabelled.push((p, self.centre_of[p]));
+                    scratch.relabelled.push((p, self.centre_of[p]));
                     self.centre_of[p] = Some(label);
                 }
                 for c in self.forest.children(p) {
@@ -1580,7 +1616,6 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 }
             }
         }
-        relabelled
     }
 }
 
@@ -1605,6 +1640,30 @@ pub fn decay_factor(lambda: f64, age: u64) -> f64 {
 /// oracle round identically and can be compared for bit equality.
 pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
     kernel.weight_from_sq(d2) * decay_factor(lambda, age)
+}
+
+/// The first slot at or after `from` of `assignment` (ascending by point
+/// handle) whose handle is not below `h`. The search gallops from `from`,
+/// so a sweep over `c` ascending handles costs `O(c·log(n/c))`: a few
+/// relabels cost a binary search each, a relabel of the whole window one
+/// pass.
+fn seek(assignment: &VecDeque<(Handle, Handle)>, from: usize, h: Handle) -> usize {
+    let below = |slot: usize| slot < assignment.len() && assignment[slot].0 < h;
+    let (mut lo, mut step) = (from, 1);
+    while below(lo + step - 1) {
+        lo += step;
+        step *= 2;
+    }
+    let mut hi = (lo + step - 1).min(assignment.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// The member count of every centre in `ranks` after the epoch's label
