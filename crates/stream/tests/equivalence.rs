@@ -683,10 +683,10 @@ fn ephemeral_points_in_a_plan_match_batch() {
 }
 
 /// A swap-remove rename moves a point's rank among equal densities without
-/// any ρ change, so the µ scan must invalidate on the rename itself, not
-/// only on `visited[µ]`. Replays tie-heavy lattice sequences (per-update
-/// and batched), where equal densities and equal distances are the norm,
-/// and demands cold-batch bit-identity every epoch.
+/// any ρ change, so the invalidation must check the renamed point's µ on
+/// the rename itself, not only when a ρ changed. Replays tie-heavy lattice
+/// sequences (per-update and batched), where equal densities and equal
+/// distances are the norm, and demands cold-batch bit-identity every epoch.
 #[test]
 fn tie_heavy_lattice_replay_matches_batch() {
     let dc = 0.8;
