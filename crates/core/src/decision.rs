@@ -9,8 +9,6 @@
 //! automatic selection strategies that are commonly used in practice
 //! (`ρ·δ` ranking and the largest-gap heuristic).
 
-use std::cmp::Ordering;
-
 use crate::delta::DeltaResult;
 use crate::density::Rho;
 use crate::error::{DpcError, Result};
@@ -72,6 +70,14 @@ impl DecisionGraph {
     /// in `[0, 1]`; this is the standard way of ranking centre candidates
     /// when the decision graph is not inspected manually.
     pub fn gamma(&self) -> Vec<f64> {
+        let gamma = self.gamma_of();
+        (0..self.len()).map(gamma).collect()
+    }
+
+    /// The γ of one point, as a function of its id: the two maxima are
+    /// folded once, and every γ is the same expression [`gamma`](Self::gamma)
+    /// evaluates.
+    fn gamma_of(&self) -> impl Fn(PointId) -> f64 + '_ {
         let max_rho = self.rho.iter().copied().fold(0.0, f64::max).max(1.0);
         let max_delta = self
             .delta
@@ -79,21 +85,39 @@ impl DecisionGraph {
             .copied()
             .fold(0.0f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        self.rho
-            .iter()
-            .zip(&self.delta)
-            .map(|(&r, &d)| (r / max_rho) * (d / max_delta))
-            .collect()
+        move |p| (self.rho[p] / max_rho) * (self.delta[p] / max_delta)
+    }
+
+    /// The `m` points of largest γ (`m` ≤ n) as `(γ, id)`, in decreasing-γ
+    /// order, ties to the smaller id, in one pass over the points.
+    ///
+    /// The best `m` so far are kept in a buffer sorted that way. The ids
+    /// arrive in increasing order, so a point that only ties the buffer's
+    /// last entry loses to it, and one that enters goes after every entry
+    /// of equal γ. A point that does not beat the last entry costs one
+    /// comparison; one that does costs a binary search and a shift of at
+    /// most `m` entries.
+    fn top_by_gamma(&self, m: usize) -> Vec<(f64, PointId)> {
+        let gamma_of = self.gamma_of();
+        let mut top: Vec<(f64, PointId)> = Vec::with_capacity(m + 1);
+        for p in 0..self.len() {
+            let gamma = gamma_of(p);
+            if top.len() == m && top.last().is_none_or(|&(last, _)| gamma <= last) {
+                continue;
+            }
+            let at = top.partition_point(|&(g, _)| g >= gamma);
+            top.insert(at, (gamma, p));
+            top.truncate(m);
+        }
+        top
     }
 
     /// Selects cluster centres according to a strategy. The returned ids are
     /// sorted in increasing order.
     ///
     /// `TopKGamma` and `GammaGap` rank candidates by decreasing γ, ties to
-    /// the smaller id. Neither sorts all n points: γ is computed once, a
-    /// partial selection (`select_nth_unstable_by`) isolates the `k` (or
-    /// `max_centers + 1`) best candidates in `O(n)`, and only that head is
-    /// sorted.
+    /// the smaller id. Neither sorts the n points nor stores their γ: one
+    /// pass keeps the `k` (or `max_centers + 1`) best in a sorted buffer.
     pub fn select_centers(&self, selection: &CenterSelection) -> Result<Vec<PointId>> {
         if self.is_empty() {
             return Err(DpcError::EmptyDataset);
@@ -115,7 +139,7 @@ impl DecisionGraph {
                         available: self.len(),
                     });
                 }
-                top_by_gamma(&self.gamma(), *k)
+                self.top_by_gamma(*k).into_iter().map(|(_, p)| p).collect()
             }
             CenterSelection::GammaGap { max_centers } => {
                 if *max_centers == 0 {
@@ -125,8 +149,7 @@ impl DecisionGraph {
                     ));
                 }
                 let cap = (*max_centers).min(self.len());
-                let gamma = self.gamma();
-                let mut ranking = top_by_gamma(&gamma, (cap + 1).min(self.len()));
+                let ranking = self.top_by_gamma((cap + 1).min(self.len()));
                 // Find the largest *relative* drop between consecutive γ
                 // values within the first `cap + 1` candidates; the centres
                 // are everything before the drop. A relative (ratio) gap is
@@ -136,14 +159,13 @@ impl DecisionGraph {
                 let mut best_cut = 1;
                 let mut best_ratio = 0.0f64;
                 for (i, pair) in ranking.windows(2).enumerate() {
-                    let ratio = gamma[pair[0]] / gamma[pair[1]].max(1e-12);
+                    let ratio = pair[0].0 / pair[1].0.max(1e-12);
                     if ratio > best_ratio {
                         best_ratio = ratio;
                         best_cut = i + 1;
                     }
                 }
-                ranking.truncate(best_cut);
-                ranking
+                ranking[..best_cut].iter().map(|&(_, p)| p).collect()
             }
             CenterSelection::Explicit { centers } => {
                 for &c in centers {
@@ -176,25 +198,6 @@ impl DecisionGraph {
             .filter(|&p| self.rho[p] <= rho_max && self.delta[p] >= delta_min)
             .collect()
     }
-}
-
-/// The `m` ids of largest γ in decreasing-γ order, ties to the smaller id
-/// (`m` ≤ `gamma.len()`). A partial selection moves them to the front in
-/// `O(n)`; only those `m` are sorted.
-fn top_by_gamma(gamma: &[f64], m: usize) -> Vec<PointId> {
-    let by_gamma = |&a: &PointId, &b: &PointId| {
-        gamma[b]
-            .partial_cmp(&gamma[a])
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    };
-    let mut ids: Vec<PointId> = (0..gamma.len()).collect();
-    if m < ids.len() {
-        ids.select_nth_unstable_by(m, by_gamma);
-        ids.truncate(m);
-    }
-    ids.sort_unstable_by(by_gamma);
-    ids
 }
 
 /// Strategy for picking cluster centres from the decision graph.
@@ -347,6 +350,39 @@ mod tests {
     fn mismatched_lengths_are_rejected() {
         let delta = DeltaResult::unset(3);
         assert!(DecisionGraph::new(vec![1.0, 2.0], &delta).is_err());
+    }
+
+    /// γ values that collide exactly: a few ρ and δ levels, negative zero
+    /// and an infinite δ (clipped to the largest finite one).
+    fn tied_graph(levels: &[(u8, u8)]) -> DecisionGraph {
+        const RHO: [f64; 5] = [-0.0, 0.0, 1.0, 2.0, 3.0];
+        const DELTA: [f64; 5] = [0.0, 0.5, 1.0, 2.0, f64::INFINITY];
+        let rho = levels.iter().map(|&(r, _)| RHO[r as usize % 5]).collect();
+        let delta = levels.iter().map(|&(_, d)| DELTA[d as usize % 5]).collect();
+        DecisionGraph::new(rho, &DeltaResult::new(delta, vec![None; levels.len()])).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn top_by_gamma_is_the_prefix_of_a_full_sort(
+            levels in proptest::collection::vec((0u8..5, 0u8..5), 1..40),
+            pick in 0usize..3,
+        ) {
+            let g = tied_graph(&levels);
+            let n = g.len();
+            let m = [1, n - 1, n][pick].max(1);
+            let gamma = g.gamma();
+            let mut sorted: Vec<(f64, PointId)> = gamma.iter().copied().zip(0..n).collect();
+            sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+            let top = g.top_by_gamma(m);
+            proptest::prop_assert_eq!(
+                top.iter().map(|&(g, p)| (g.to_bits(), p)).collect::<Vec<_>>(),
+                sorted[..m].iter().map(|&(g, p)| (g.to_bits(), p)).collect::<Vec<_>>(),
+                "m = {} of {}", m, n
+            );
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! chunk, and hands every worker its own scratch state (query statistics,
 //! reusable traversal stacks/heaps) that the caller merges after the join.
 //! [`fill_slice`] fills one output slice, [`fill_slice_pair`] two (the shape
-//! of the δ-query); both take a [`Recorder`] and time each chunk only when
-//! it is enabled.
+//! of the δ-query), one point at a time; [`fill_chunks`] hands the body a
+//! whole chunk, for kernels that work on a group of points at once. All
+//! three take a [`Recorder`] and time each chunk only when it is enabled.
 //!
 //! Determinism is by construction: each output slot is written by exactly one
 //! worker running exactly the same per-point code as the sequential path, so
 //! parallel results are bit-identical to sequential results at every thread
-//! count. The chunk partitioning logic lives here and nowhere else — the
-//! brute-force kernels, the neighbour-list builder and every index's query
-//! all go through it.
+//! count (a chunk-level body must give each slot the same value wherever
+//! the chunk edges fall). The chunk partitioning logic lives here and
+//! nowhere else — the brute-force kernels, the neighbour-list builder and
+//! every index's query all go through it.
 
 use dpc_obs::Recorder;
 use std::time::Instant;
@@ -78,8 +80,14 @@ fn chunk_len(items: usize, workers: usize) -> usize {
 
 /// Output storage the executor can cut into contiguous per-worker chunks:
 /// one slice, or two slices of equal length split at the same point.
-trait Slots: Send + Sized {
+pub trait Slots: Send + Sized {
+    /// Number of output slots.
     fn len(&self) -> usize;
+    /// True when there are no output slots.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Splits the storage into slots `[0, mid)` and `[mid, len)`.
     fn split_at(self, mid: usize) -> (Self, Self);
 }
 
@@ -107,13 +115,20 @@ impl<A: Send, B: Send> Slots for (&mut [A], &mut [B]) {
 
 /// The one chunked executor: cuts `out` into contiguous chunks, one per
 /// worker, and runs `run(start, chunk, scratch)` on each (in the calling
-/// thread when there is a single worker, on scoped threads otherwise).
-/// Returns the per-worker scratches in chunk order.
+/// thread when there is a single worker, on scoped threads otherwise), where
+/// `start` is the index of the chunk's first slot. Returns the per-worker
+/// scratches in chunk order.
+///
+/// [`fill_slice`] and [`fill_slice_pair`] are this executor with a
+/// per-point loop as `run`. Call it directly when the body works on several
+/// points at once, such as the list indexes' grouped searches; the chunk
+/// edges then fall wherever the thread count puts them, so the body must
+/// not let them change a result.
 ///
 /// With an enabled recorder every chunk reports one `label` span and one
 /// `<label>.items` histogram sample; a disabled recorder costs one branch
 /// per chunk — no clock reads, no allocation.
-fn run_chunks<O, S, M, R>(
+pub fn fill_chunks<O, S, M, R>(
     out: O,
     policy: ExecPolicy,
     rec: &dyn Recorder,
@@ -195,7 +210,7 @@ where
     M: Fn() -> S + Sync,
     B: Fn(usize, &mut S) -> T + Sync,
 {
-    run_chunks(
+    fill_chunks(
         out,
         policy,
         rec,
@@ -238,7 +253,7 @@ where
         b.len(),
         "fill_slice_pair: output slices must have the same length"
     );
-    run_chunks(
+    fill_chunks(
         (a, b),
         policy,
         rec,
@@ -351,6 +366,35 @@ mod tests {
             || (),
             |_, _, _, ()| {},
         );
+    }
+
+    #[test]
+    fn fill_chunks_hands_out_contiguous_chunks_covering_every_slot() {
+        for threads in [1, 2, 3, 7, 200] {
+            let (mut a, mut b) = (vec![0usize; 23], vec![0usize; 23]);
+            let starts = fill_chunks(
+                (&mut a[..], &mut b[..]),
+                ExecPolicy::Threads(threads),
+                &NoopRecorder,
+                "",
+                Vec::new,
+                |start, (a, b): (&mut [usize], &mut [usize]), starts| {
+                    starts.push((start, a.len()));
+                    for (offset, (slot_a, slot_b)) in a.iter_mut().zip(b).enumerate() {
+                        (*slot_a, *slot_b) = (start + offset, start);
+                    }
+                },
+            );
+            let starts: Vec<(usize, usize)> = starts.into_iter().flatten().collect();
+            assert!(starts.len() <= ExecPolicy::Threads(threads).workers(23));
+            assert_eq!(starts[0].0, 0);
+            assert_eq!(starts.iter().map(|&(_, len)| len).sum::<usize>(), 23);
+            assert!(starts.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0));
+            assert!(a.iter().enumerate().all(|(i, &v)| v == i), "{threads}");
+            assert!(b
+                .iter()
+                .all(|&s| starts.iter().any(|&(start, _)| start == s)));
+        }
     }
 
     #[test]

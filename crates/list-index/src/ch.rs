@@ -7,7 +7,11 @@
 //! (Algorithm 4) first finds the bin containing `dc`, once per query, and
 //! then searches only the list section covered by that single bin, so with
 //! a well chosen `w` the per-object cost is constant and the whole ρ-query
-//! is `O(n)` (Theorem 2).
+//! is `O(n)` (Theorem 2). The sections are searched a group of objects at
+//! a time, like the List Index's whole lists ([`NeighborLists`](crate::nlist)
+//! module docs): the group's histogram entries are read first and its
+//! section searches then advance in lockstep, so their cache misses
+//! overlap.
 //!
 //! The δ-query is unchanged from the List Index — the histogram only helps
 //! the cut-off ρ, and weighted kernels take the canonical brute-force scan
@@ -15,6 +19,7 @@
 //! with the histogram in the obvious way (`τ` truncates the lists, the
 //! histogram covers what remains).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use dpc_core::stats::nested_vec_bytes;
@@ -171,21 +176,20 @@ impl ChIndex {
         lo
     }
 
-    /// ρ of a single object — Algorithm 4, one iteration — given the
-    /// query's [`first_bin_above`](Self::first_bin_above).
-    fn rho_one(&self, p: PointId, bin: usize, dc2: f64) -> Rho {
-        let list = self.lists.list(p);
+    /// The list section of object `p` (of `len` stored neighbours) that can
+    /// straddle `dc` — Algorithm 4, one iteration — given the query's
+    /// [`first_bin_above`](Self::first_bin_above): `[hist[bin-1],
+    /// hist[bin])`, everything before it inside `dc`, everything after it
+    /// outside.
+    fn section(&self, p: PointId, len: usize, bin: usize) -> Range<usize> {
         let hist = &self.histograms[p];
         if bin >= hist.len() {
             // Every edge up to the last one is within dc²: every stored
             // neighbour counts.
-            return list.len() as Rho;
+            return len..len;
         }
         let prev = if bin == 0 { 0 } else { hist[bin - 1] as usize };
-        let last = hist[bin] as usize;
-        // Only the section [prev, last) can straddle dc.
-        let extra = list[prev..last].partition_point(|nb| nb.dist_sq < dc2);
-        (prev + extra) as Rho
+        prev..hist[bin] as usize
     }
 }
 
@@ -236,12 +240,10 @@ impl DpcIndex for ChIndex {
         if !query.kernel.is_cutoff() {
             return Ok(brute::weighted_rho_scan(&self.dataset, query));
         }
-        let dc2 = query.dc * query.dc;
-        let bin = self.first_bin_above(dc2);
-        let n = self.dataset.len();
-        Ok(query
-            .fill_rho(n, || (), |p, ()| self.rho_one(p, bin, dc2))
-            .0)
+        let bin = self.first_bin_above(query.dc * query.dc);
+        Ok(self
+            .lists
+            .rho_by_search(query, |p, len| self.section(p, len, bin)))
     }
 
     fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {

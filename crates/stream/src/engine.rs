@@ -85,7 +85,7 @@ use dpc_core::{
 use dpc_obs::{span, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
-use crate::forest::Forest;
+use crate::forest::{Forest, CORRUPTED};
 use crate::handle::{Handle, HandleMap};
 use crate::maintenance::candidate_pass;
 use crate::report::{ClusterDelta, LabelChange};
@@ -1574,6 +1574,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// below them only other roots changed, and those are resolved in their
     /// turn. With `full`, every point is relabelled: the roots are the
     /// points without µ, and the walks cover the whole forest from the top.
+    ///
+    /// In a forest every point is reached at most once, so a walk that
+    /// steps to more points than the window holds has met a cycle of
+    /// corrupted links, and panics instead of looping.
     fn relabel(
         &mut self,
         centers: &[PointId],
@@ -1592,6 +1596,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         }
         let is_centre = |p: PointId| centers.binary_search(&p).is_ok();
         scratch.relabelled.clear();
+        let mut steps = 0;
         for &r in roots.iter() {
             let label = match self.deltas.mu[r] {
                 _ if is_centre(r) => self.handles.handle_at(r),
@@ -1608,6 +1613,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     self.centre_of[p] = Some(label);
                 }
                 for c in self.forest.children(p) {
+                    steps += 1;
+                    assert!(steps <= self.rho.len(), "{CORRUPTED}");
                     match is_centre(c) {
                         true if full => walk.push((c, self.handles.handle_at(c))),
                         true => {}

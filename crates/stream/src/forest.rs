@@ -17,6 +17,10 @@ use dpc_core::PointId;
 /// The end of a list: no child, no sibling.
 const NIL: u32 = u32::MAX;
 
+/// The panic message of a walk that visits more points than the forest
+/// holds.
+pub(crate) const CORRUPTED: &str = "a µ-forest walk visited more points than the window holds";
+
 /// The child lists of the µ-forest. The children of `p` are the points
 /// whose `µ` is `p`: `first[p]`, then along `next`. Ids are stored as `u32`
 /// to halve the lists' cache footprint.
@@ -63,9 +67,18 @@ impl Forest {
     }
 
     /// The children of `p`.
+    ///
+    /// # Panics
+    /// Panics when the list runs past as many points as the forest holds,
+    /// which only a corrupted list (a cycle) can: the walks over it fail
+    /// instead of looping.
     pub(crate) fn children(&self, p: PointId) -> impl Iterator<Item = PointId> + '_ {
         let linked = |c: u32| (c != NIL).then_some(c as PointId);
-        std::iter::successors(linked(self.first[p]), move |&c| linked(self.next[c]))
+        let mut left = self.first.len();
+        std::iter::successors(linked(self.first[p]), move |&c| {
+            left = left.checked_sub(1).expect(CORRUPTED);
+            linked(self.next[c])
+        })
     }
 
     /// Appends a point without links, in step with a push of `µ`.
@@ -110,6 +123,7 @@ impl Forest {
         }
         let mut visited = 0;
         while self.first[slot] != NIL {
+            assert!(visited < mu.len(), "{CORRUPTED}");
             let c = self.first[slot] as PointId;
             self.unlink(c, slot);
             mu[c] = None;

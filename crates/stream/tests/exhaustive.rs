@@ -23,7 +23,9 @@
 //!   of seed points, committed as one epoch on every seed multiset.
 //!
 //! The default suite runs sequences of up to 3 epochs and 2-op plans on
-//! seeds of up to two points. The `#[ignore]`d tests run the full depth:
+//! seeds of up to two points, plus the shortest known witnesses of two
+//! µ-forest faults that need more ops than that (named cases on every
+//! engine). The `#[ignore]`d tests run the full depth:
 //! every sequence of 5 epochs (135 594 of them per configuration), and
 //! every 3-op plan on the 495 four-point seed multisets. They print their
 //! deterministic case counts:
@@ -43,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use common::{assignment_of, reference_diff, Assignment};
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{Dataset, DpcPipeline, Point, UpdatableIndex};
-use dpc_stream::{ClusterDelta, EpochPlan, StreamParams, StreamingDpc};
+use dpc_stream::{ClusterDelta, EpochPlan, Handle, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 
 /// Lattice cells.
@@ -245,6 +247,27 @@ fn sequences<I: UpdatableIndex + Clone>(build: fn(&Dataset) -> I, depth: usize) 
     tally
 }
 
+/// Applies the one-op epoch `op` to `engine` and checks it against the
+/// assignment `before` it.
+fn step<I: UpdatableIndex>(
+    engine: &mut StreamingDpc<I>,
+    op: Op,
+    before: &Assignment,
+) -> Result<Assignment, String> {
+    guarded(|| {
+        let delta = match op {
+            Op::Ins(k) => engine.insert(cell(k)).map(|(_, delta)| delta),
+            Op::Rm(j) => {
+                let victim = engine.live_handles().nth(j).expect("j < len");
+                engine.remove(victim)
+            }
+        };
+        delta
+            .map_err(|e| format!("the epoch failed: {e}"))
+            .and_then(|delta| check(engine, &delta, before))
+    })
+}
+
 /// Applies every one-op epoch to `engine`, checks it, and recurses while
 /// `depth` allows. A failing prefix is not extended.
 fn extend<I: UpdatableIndex + Clone>(
@@ -259,19 +282,7 @@ fn extend<I: UpdatableIndex + Clone>(
         let mut next = engine.clone();
         path.push(op);
         tally.cases += 1;
-        let checked = guarded(|| {
-            let delta = match op {
-                Op::Ins(k) => next.insert(cell(k)).map(|(_, delta)| delta),
-                Op::Rm(j) => {
-                    let victim = next.live_handles().nth(j).expect("j < len");
-                    next.remove(victim)
-                }
-            };
-            delta
-                .map_err(|e| format!("the epoch failed: {e}"))
-                .and_then(|delta| check(&next, &delta, before))
-        });
-        match checked {
+        match step(&mut next, op, before) {
             Ok(now) if depth > 1 => extend(&next, &now, path, depth - 1, tally),
             Ok(_) => {}
             Err(why) => tally.fail(path.len(), format!("{}: {why}", show(path))),
@@ -323,6 +334,33 @@ fn plans(len: usize, seed_len: usize) -> Vec<Vec<Op>> {
     out
 }
 
+/// Commits `plan` as one epoch to a copy of `engine`, whose seed points
+/// have the handles `seeds`, and checks it against the assignment `before`
+/// it.
+fn commit_plan<I: UpdatableIndex + Clone>(
+    engine: &StreamingDpc<I>,
+    seeds: &[Handle],
+    plan: &[Op],
+    before: &Assignment,
+) -> Result<(), String> {
+    let mut epoch = EpochPlan::new();
+    for op in plan {
+        match *op {
+            Op::Ins(k) => {
+                epoch.insert(cell(k));
+            }
+            Op::Rm(j) => epoch.remove(seeds[j]),
+        }
+    }
+    let mut next = engine.clone();
+    guarded(|| {
+        next.commit(&epoch)
+            .map_err(|e| format!("the epoch failed: {e}"))
+            .and_then(|(_, delta)| check(&next, &delta, before))
+    })
+    .map(drop)
+}
+
 /// Every `plan_len`-op plan on every seed multiset of up to `seed_len`
 /// points, each committed as one epoch. The seeded state is checked too.
 fn seeded_plans<I: UpdatableIndex + Clone>(
@@ -348,23 +386,8 @@ fn seeded_plans<I: UpdatableIndex + Clone>(
                     let handles: Vec<_> = engine.live_handles().collect();
                     let before = assignment_of(&engine);
                     for plan in &plans {
-                        let mut epoch = EpochPlan::new();
-                        for op in plan {
-                            match *op {
-                                Op::Ins(k) => {
-                                    epoch.insert(cell(k));
-                                }
-                                Op::Rm(j) => epoch.remove(handles[j]),
-                            }
-                        }
-                        let mut next = engine.clone();
                         tally.cases += 1;
-                        let checked = guarded(|| {
-                            next.commit(&epoch)
-                                .map_err(|e| format!("the epoch failed: {e}"))
-                                .and_then(|(_, delta)| check(&next, &delta, &before))
-                        });
-                        if let Err(why) = checked {
+                        if let Err(why) = commit_plan(&engine, &handles, plan, &before) {
                             let witness = at(format!("plan {}: {why}", show(plan)));
                             tally.fail(seed_len + plan.len(), witness);
                         }
@@ -398,6 +421,48 @@ fn every_two_op_plan_on_a_small_seed_matches_the_cold_oracle() {
         let tally = seeded_plans(build, 0..=2, 2);
         tally.assert_clean(name);
         assert_eq!(tally.cases, 4 * (81 + 9 * 99 + 45 * 119), "[{name}]");
+    });
+}
+
+/// The shortest witnesses of two µ-forest faults, beyond the default depth:
+/// not renaming the children of the point a swap-remove moves (a sequence
+/// of 4 epochs), and not re-checking the children of a point whose ρ fell
+/// (5 epochs, and a 3-op plan on a 4-point seed).
+#[test]
+fn the_forest_witnesses_match_the_cold_oracle() {
+    use Op::{Ins, Rm};
+    let sequences: [(&[Op], f64, f64); 2] = [
+        (&[Ins(0), Ins(2), Ins(1), Rm(0)], 0.8, 0.6),
+        (&[Ins(0), Ins(2), Ins(1), Ins(4), Rm(0)], 0.8, 1.0),
+    ];
+    let (seed_cells, plan) = ([0, 0, 1, 1], [Ins(2), Ins(2), Rm(1)]);
+    for_each_engine!(|name, build| {
+        for (ops, dc, fraction) in sequences {
+            let mut engine =
+                StreamingDpc::new(build(&Dataset::new(Vec::new())), params(dc, fraction))
+                    .expect("an empty window seeds");
+            let mut before = Assignment::new();
+            for (i, &op) in ops.iter().enumerate() {
+                before = step(&mut engine, op, &before).unwrap_or_else(|why| {
+                    panic!(
+                        "[{name}] {} at dc {dc}, fraction {fraction}: {why}",
+                        show(&ops[..=i])
+                    )
+                });
+            }
+        }
+        for fraction in FRACTIONS {
+            let points: Vec<Point> = seed_cells.iter().map(|&k| cell(k)).collect();
+            let engine = StreamingDpc::new(build(&Dataset::new(points)), params(0.5, fraction))
+                .expect("a lattice seed clusters");
+            let handles: Vec<Handle> = engine.live_handles().collect();
+            if let Err(why) = commit_plan(&engine, &handles, &plan, &assignment_of(&engine)) {
+                panic!(
+                    "[{name}] plan {} over seed cells {seed_cells:?} at dc 0.5, fraction {fraction}: {why}",
+                    show(&plan)
+                );
+            }
+        }
     });
 }
 
