@@ -12,7 +12,7 @@
 //! ([`NeighborLists`](crate::nlist) module docs): a lone binary search over
 //! an 80 KB list waits on one cache miss after another, while 32 searches
 //! advanced in lockstep wait on them together. On a 2-vCPU VM, perfbench's
-//! `batch-lists` (S1, 5 000 points) spent 1.4–1.5 ms per ρ-query this way,
+//! `batch-lists` (S1, 5 000 points) spent 1.4–1.6 ms per ρ-query this way,
 //! against 4.0–5.0 ms one search at a time.
 
 use std::time::{Duration, Instant};
