@@ -93,13 +93,13 @@ impl DecisionGraph {
     /// The `m` points of largest γ (`m` ≤ n) as `(γ, id)`, in decreasing-γ
     /// order, ties to the smaller id, in one pass over the points.
     ///
-    /// The buffer holds the best `m` so far, sorted, followed by the points
-    /// that beat the m-th since; when they number `m` too, the buffer is
-    /// sorted and cut back to `m`. The ids arrive in increasing order, so a
-    /// point that only ties the m-th loses to it. A point that does not
-    /// beat it costs one comparison, and a cut costs `O(m log m)` for every
-    /// `m` points that did, so the pass stays linear for a small `m` and
-    /// is one sort for an `m` near n.
+    /// The buffer fills up to `2m` points, is sorted and cut back to the
+    /// best `m`; from then on only a point that beats the m-th of them
+    /// (`bar`) is appended, and every `m` appended points bring another
+    /// cut. The ids arrive in increasing order, so a point that only ties
+    /// the m-th loses to it. A point below the bar costs one comparison and
+    /// a cut `O(m log m)`, so the pass stays linear for a small `m` and is
+    /// one sort for an `m` near n.
     fn top_by_gamma(&self, m: usize) -> Vec<(f64, PointId)> {
         let by_rank = |a: &(f64, PointId), b: &(f64, PointId)| {
             b.0.partial_cmp(&a.0)
