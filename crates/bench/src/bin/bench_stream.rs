@@ -3,7 +3,7 @@
 //! snapshot.
 //!
 //! ```text
-//! bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000]
+//! bench_stream [--engines grid,kdtree] [--windows 1000,4000]
 //!              [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]]
 //!              [--updates N] [--dc F] [--seed S] [--threads N]
 //!              [--out FILE | --no-out]
@@ -32,7 +32,7 @@ fn main() {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!(
-                "usage: bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000] \
+                "usage: bench_stream [--engines grid,kdtree] [--windows 1000,4000] \
                  [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]] [--updates N] \
                  [--dc F] [--seed S] [--threads N] [--out FILE | --no-out]"
             );

@@ -7,8 +7,8 @@
 //! end of the cell.
 //!
 //! The sweep covers one row per updatable index family ([`StreamEngine`]):
-//! the uniform grid, the k-d tree (tombstone + partial rebuild) and the
-//! R-tree (forced reinsertion + bbox shrinking).
+//! the uniform grid and the k-d tree (tombstone + partial rebuild). The
+//! R-tree is the paper's static batch index and does not stream.
 //!
 //! The sweep also covers **epoch batch sizes** ([`StreamBenchOptions::
 //! batches`]): batch 1 is classic per-update maintenance (one ε-repair, one
@@ -33,7 +33,7 @@ use dpc_core::{CenterSelection, Dataset, DpcParams, DpcPipeline, Kernel, Updatab
 use dpc_datasets::generators::{checkins, CheckinConfig};
 use dpc_obs::{MetricsRecorder, MetricsSnapshot, SharedRecorder};
 use dpc_stream::{StreamParams, StreamingDpc};
-use dpc_tree_index::{GridIndex, KdTree, RTree};
+use dpc_tree_index::{GridIndex, KdTree};
 
 /// The updatable index families the streaming benchmark can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,24 +42,17 @@ pub enum StreamEngine {
     Grid,
     /// k-d tree with tombstone + partial-rebuild maintenance.
     KdTree,
-    /// R-tree with R*-style forced reinsertion and bbox shrinking.
-    RTree,
 }
 
 impl StreamEngine {
     /// Every engine, in sweep order.
-    pub const ALL: [StreamEngine; 3] = [
-        StreamEngine::Grid,
-        StreamEngine::KdTree,
-        StreamEngine::RTree,
-    ];
+    pub const ALL: [StreamEngine; 2] = [StreamEngine::Grid, StreamEngine::KdTree];
 
     /// The engine's stable name (CLI value and JSON field).
     pub fn name(self) -> &'static str {
         match self {
             StreamEngine::Grid => "grid",
             StreamEngine::KdTree => "kdtree",
-            StreamEngine::RTree => "rtree",
         }
     }
 
@@ -68,8 +61,7 @@ impl StreamEngine {
         match s.trim().to_ascii_lowercase().as_str() {
             "grid" => Ok(StreamEngine::Grid),
             "kdtree" | "kd" => Ok(StreamEngine::KdTree),
-            "rtree" => Ok(StreamEngine::RTree),
-            other => Err(format!("unknown engine {other:?} (grid, kdtree, rtree)")),
+            other => Err(format!("unknown engine {other:?} (grid, kdtree)")),
         }
     }
 }
@@ -281,15 +273,6 @@ pub fn run(options: &StreamBenchOptions) -> StreamBenchReport {
                         StreamEngine::KdTree => measure_engine(
                             engine,
                             KdTree::build,
-                            options,
-                            window,
-                            batch,
-                            kernel,
-                            &data,
-                        ),
-                        StreamEngine::RTree => measure_engine(
-                            engine,
-                            RTree::build,
                             options,
                             window,
                             batch,
@@ -640,16 +623,16 @@ mod tests {
     }
 
     #[test]
-    fn tree_engines_sweep_and_stay_consistent() {
+    fn every_engine_sweeps_and_stays_consistent() {
         let report = run(&StreamBenchOptions {
-            engines: vec![StreamEngine::KdTree, StreamEngine::RTree],
+            engines: StreamEngine::ALL.to_vec(),
             batches: vec![1, 8],
             ..tiny_options()
         });
         // One row per engine per batch size; the in-benchmark assertion
         // already checked each cell against a cold batch run.
         assert_eq!(report.measurements.len(), 4);
-        for e in [StreamEngine::KdTree, StreamEngine::RTree] {
+        for e in StreamEngine::ALL {
             assert!(report.batch_speedup(e, 150, 8).unwrap() > 0.0);
         }
     }
@@ -724,6 +707,7 @@ mod tests {
         }
         assert_eq!(StreamEngine::parse("kd").unwrap(), StreamEngine::KdTree);
         assert!(StreamEngine::parse("ball-tree").is_err());
+        assert!(StreamEngine::parse("rtree").is_err());
     }
 
     #[test]

@@ -307,17 +307,13 @@ macro_rules! with_engine {
                 let $engine = seeded(KdTree::build(&seed), setup)?;
                 $run
             }
-            "rtree" => {
-                let $engine = seeded(RTree::build(&seed), setup)?;
-                $run
-            }
             "naive" => {
                 let $engine = seeded(NaiveReferenceIndex::build(&seed), setup)?;
                 $run
             }
             other => {
                 return Err(format!(
-                    "unknown streaming engine {other:?} (grid, kdtree, rtree or naive)"
+                    "unknown streaming engine {other:?} (grid, kdtree or naive)"
                 ))
             }
         }
@@ -1342,9 +1338,9 @@ mod tests {
         );
         assert!(out.contains(" fallback), mean affected union "), "{out}");
 
-        // Every other engine must replay the same stream; `--engine` is the
-        // documented spelling, `--index` stays as an alias.
-        for engine in ["naive", "kdtree", "rtree"] {
+        // Every engine must replay the same stream; `--engine` is the
+        // documented spelling, `--index` (above) stays as an alias.
+        for engine in ["naive", "kdtree", "grid"] {
             let out = run(args(&[
                 "stream",
                 "--input",
@@ -1735,16 +1731,22 @@ mod tests {
         assert!(err.contains("unknown flag --policy"), "{err}");
     }
 
-    /// `lean` is no streaming engine: both commands reject it and list the
-    /// four engines there are.
+    /// `lean` is no streaming engine, and the R-tree is a static batch
+    /// index: both commands reject them and list the three engines there
+    /// are.
     #[test]
-    fn stream_and_serve_reject_the_lean_engine_and_list_the_four() {
+    fn stream_and_serve_reject_the_lean_and_rtree_engines_and_list_the_three() {
         for command in ["stream", "serve"] {
-            let err = streaming_error(command, &format!("{command}-lean"), &["--engine", "lean"]);
-            assert!(
-                err.contains("unknown streaming engine \"lean\" (grid, kdtree, rtree or naive)"),
-                "{command}: {err}"
-            );
+            for engine in ["lean", "rtree"] {
+                let tag = format!("{command}-{engine}");
+                let err = streaming_error(command, &tag, &["--engine", engine]);
+                assert!(
+                    err.contains(&format!(
+                        "unknown streaming engine \"{engine}\" (grid, kdtree or naive)"
+                    )),
+                    "{command}: {err}"
+                );
+            }
         }
     }
 

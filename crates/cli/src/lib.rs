@@ -59,12 +59,12 @@ USAGE:
   dpc knn-cluster --input points.csv --k N
                   [--centers top:K|auto[:MAX]] [--output labels.csv]
   dpc stream      --input points.csv --dc F
-                  [--engine grid|kdtree|rtree|naive] [--window N] [--batch N] [--threads N]
+                  [--engine grid|kdtree|naive] [--window N] [--batch N] [--threads N]
                   [--centers top:K|auto[:MAX]|threshold:RHO,DELTA]
                   [--kernel cutoff|gaussian|exponential] [--bandwidth F] [--decay L]
                   [--max-epochs N] [--quiet] [--json] [--metrics] [--trace-out trace.json]
   dpc serve       --input points.csv --dc F
-                  [--engine grid|kdtree|rtree|naive] [--window N] [--batch N] [--threads N]
+                  [--engine grid|kdtree|naive] [--window N] [--batch N] [--threads N]
                   [--readers N] [--ring N]
                   [--centers top:K|auto[:MAX]|threshold:RHO,DELTA]
                   [--kernel cutoff|gaussian|exponential] [--bandwidth F] [--decay L]

@@ -396,10 +396,10 @@ pub trait UpdatableIndex: DpcIndex {
     /// deterministic: an insert lands at the current length, a remove renames
     /// the last point into the hole). What an override **may** change is the
     /// *internal* structural maintenance: amortised triggers such as the k-d
-    /// tree's scapegoat/dead-fraction rebuilds or the R-tree's forced
-    /// reinsertion round are allowed to fire **once per batch** instead of
-    /// once per op, as long as every [`DpcIndex`] query still returns exactly
-    /// what a freshly built index over the final dataset would return.
+    /// tree's scapegoat/dead-fraction rebuilds are allowed to fire **once per
+    /// batch** instead of once per op, as long as every [`DpcIndex`] query
+    /// still returns exactly what a freshly built index over the final
+    /// dataset would return.
     ///
     /// # Errors and partial progress
     ///
@@ -461,8 +461,8 @@ pub trait UpdatableIndex: DpcIndex {
     }
 
     /// Counters describing the amortised structural maintenance the index
-    /// has performed so far (subtree rebuilds, forced reinsertions, node
-    /// merges, …).
+    /// has performed so far (the k-d tree's subtree and full rebuilds, the
+    /// grid's re-buckets, …).
     ///
     /// Indexes that keep themselves healthy through occasional restructuring
     /// expose their triggers here so the test harness can assert they

@@ -14,8 +14,8 @@
 //! 2. **Mutate the index** in one [`UpdatableIndex::apply_batch`] call —
 //!    ops execute in submission order with the exact per-update id semantics
 //!    (inserts append, removals swap-remove), but the index may defer its
-//!    internal amortised triggers (k-d scapegoat rebuilds, R-tree forced
-//!    reinsertion) to the end of the batch. The engine mirrors every op in
+//!    internal amortised triggers (k-d scapegoat and dead-fraction
+//!    rebuilds) to the end of the batch. The engine mirrors every op in
 //!    its handle map and per-point arrays, tracking the provenance of each
 //!    final slot (survivor of old id `o` / inserted this epoch).
 //! 3. **Repair ρ** with one ε-query per *net* mutation, all against the
@@ -877,8 +877,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             rec.record("stream.invalidated", outcome.invalidated as u64);
             rec.record("stream.epoch.maintenance_us", micros);
             // Index maintenance triggers (scapegoat/dead-fraction rebuilds,
-            // reinsertion rounds, …) as gauges: cumulative values, plottable
-            // as counter tracks.
+            // grid re-buckets) as gauges: cumulative values, plottable as
+            // counter tracks.
             let index_name = self.index.name();
             for (counter, value) in self.index.maintenance_counters() {
                 rec.gauge(&format!("index.{index_name}.{counter}"), value as f64);
@@ -990,7 +990,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let planned_handles = self.apply_plan(plan, scratch);
 
         // Phase 2 — one index call for the whole epoch; amortised triggers
-        // (scapegoat rebuilds, forced reinsertion) fire at most once here.
+        // (scapegoat and dead-fraction rebuilds) fire at most once here.
         // Validation guarantees the ops themselves cannot fail.
         self.index.apply_batch(&scratch.batch_ops)?;
         debug_assert_eq!(self.index.len(), self.rho.len());

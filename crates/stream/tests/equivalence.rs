@@ -38,7 +38,7 @@ use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
 use dpc_stream::{StreamParams, StreamingDpc};
-use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
+use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig};
 use proptest::prelude::*;
 
 /// One streamed operation. `insert` chooses between inserting `point` and
@@ -76,26 +76,15 @@ fn ops_strategy() -> impl Strategy<Value = Vec<RawOp>> {
     prop::collection::vec((any::<bool>(), 0u32..10, 0u32..10, 0u64..10_000), 1..18)
 }
 
-/// Small-node builders for the tree indexes: the lattice windows hold a few
-/// dozen points, and a default 32-entry node would degenerate to a single
-/// leaf — these configs make the suite exercise real tree structure
-/// (splits, reinsertions, rebuilds) at window sizes the batch replay can
-/// afford.
+/// Small-leaf builder for the k-d tree: the lattice windows hold a few
+/// dozen points, and a default 32-point leaf would hold most of them whole
+/// — this config makes the suite exercise real tree structure (splits,
+/// rebuilds) at window sizes the batch replay can afford.
 fn kd_build(data: &Dataset) -> KdTree {
     KdTree::with_config(
         data,
         &KdTreeConfig {
             leaf_capacity: 3,
-            ..Default::default()
-        },
-    )
-}
-
-fn rt_build(data: &Dataset) -> RTree {
-    RTree::with_config(
-        data,
-        &RTreeConfig {
-            node_capacity: 3,
             ..Default::default()
         },
     )
@@ -137,11 +126,6 @@ macro_rules! for_each_updatable_index {
         {
             let $name = "kdtree";
             let $build = kd_build;
-            $body
-        }
-        {
-            let $name = "rtree";
-            let $build = rt_build;
             $body
         }
     }};
@@ -362,8 +346,7 @@ fn counter(counters: &[(&'static str, u64)], name: &str) -> u64 {
 
 /// Deletion-heavy adversarial sequence: delete 90% of a clustered window,
 /// then refill it. This is the workload that accumulates tombstone
-/// structure — the k-d tree's dead-fraction full rebuild and the R-tree's
-/// underflow dissolution must both fire.
+/// structure — the k-d tree's dead-fraction full rebuild must fire.
 fn deletion_heavy_ops(n: usize, seed: u64) -> (Vec<Point>, Vec<Op>) {
     let seed_points = test_points(TestDistribution::Clustered, n, seed);
     let mut rng = SplitMix64::new(seed ^ 0x00DE_1E7E);
@@ -391,8 +374,8 @@ const DRIFT_LINGER: usize = 3;
 /// Drift-heavy adversarial sequence: a sliding window whose points
 /// random-walk away from the seed bounding box — every insert lands farther
 /// out while the oldest point expires. One-sided growth is the worst case
-/// for a frozen split structure (k-d scapegoat rebuilds) and keeps the
-/// R-tree shedding emptied nodes behind the moving window.
+/// for a frozen split structure (k-d scapegoat rebuilds) and for a grid
+/// with a frozen origin and cell size.
 ///
 /// The walk stays at its first position for [`DRIFT_LINGER`] inserts, so
 /// that cell holds more points than `grid_drift_build`'s re-bucket
@@ -432,7 +415,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Incremental path (default fallback threshold), sequential and 4-way
-    /// parallel, for all four updatable index kinds.
+    /// parallel, for every updatable index kind.
     #[test]
     fn incremental_matches_batch_for_every_index_and_thread_count(
         seed in seed_strategy(),
@@ -491,9 +474,8 @@ proptest! {
 
     /// Deletion-heavy adversarial scenario: delete 90% of the window, then
     /// refill. Equivalence holds at every step, no tombstone is visible to
-    /// the ε-query (both asserted inside the harness), and the trees'
-    /// amortised maintenance actually fires: the k-d tree's dead-fraction
-    /// full rebuild and the R-tree's underflow dissolution.
+    /// the ε-query (both asserted inside the harness), and the k-d tree's
+    /// dead-fraction full rebuild actually fires.
     #[test]
     fn deletion_heavy_stresses_rebuild_triggers(seed in any::<u64>()) {
         let (seed_points, ops) = deletion_heavy_ops(60, seed);
@@ -502,19 +484,12 @@ proptest! {
             counter(&kd, "full_rebuilds") >= 1,
             "k-d dead-fraction rebuild never fired: {:?}", kd
         );
-        let rt = check_equivalence("rtree", rt_build, 40.0, &seed_points, &ops, 1, 0.25)?;
-        prop_assert!(
-            counter(&rt, "nodes_dissolved") >= 1,
-            "R-tree underflow dissolution never fired: {:?}", rt
-        );
     }
 
     /// Drift-heavy adversarial scenario: the window random-walks away from
     /// the seed bounding box. Equivalence and invariants hold at every step
-    /// while the k-d tree rebuilds its drifting flank and the R-tree keeps
-    /// dissolving the nodes the window left behind (bbox shrinking is
-    /// asserted per-step by `check_invariants`: every entry inside its
-    /// node's box, counts exact).
+    /// while the k-d tree rebuilds its drifting flank and the grid
+    /// re-buckets.
     #[test]
     fn drift_heavy_stresses_rebalancing(seed in any::<u64>()) {
         let (seed_points, ops) = drift_heavy_ops(40, 40, seed);
@@ -522,11 +497,6 @@ proptest! {
         prop_assert!(
             counter(&kd, "subtree_rebuilds") + counter(&kd, "full_rebuilds") >= 1,
             "k-d never rebuilt under drift: {:?}", kd
-        );
-        let rt = check_equivalence("rtree", rt_build, 60.0, &seed_points, &ops, 1, 0.25)?;
-        prop_assert!(
-            counter(&rt, "nodes_dissolved") >= 1,
-            "R-tree never dissolved a node under drift: {:?}", rt
         );
         // The grid must re-anchor its origin/cell size as the window walks
         // away from the seed bounding box — and stay bit-identical to the
@@ -744,20 +714,19 @@ fn tie_heavy_lattice_replay_matches_batch() {
     }
 }
 
-/// The trees' amortised triggers are *deferred* inside a batched epoch: the
-/// R-tree's forced-reinsertion round is shared by the whole batch (at most
-/// one per epoch — later overflows split), and the k-d tree settles its
-/// scapegoat/dead-fraction violations in one end-of-batch sweep (which must
-/// still fire under a workload that overflows its tiny leaves).
+/// The k-d tree's amortised triggers are *deferred* inside a batched epoch:
+/// it settles its scapegoat/dead-fraction violations in one end-of-batch
+/// sweep, which must still fire under a workload that overflows its tiny
+/// leaves.
 #[test]
-fn deferred_triggers_fire_once_per_epoch() {
+fn kdtree_deferred_sweep_fires_after_a_large_epoch() {
     let dc = 120.0;
     let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
     let arrivals = test_points(TestDistribution::Clustered, 60, 21);
 
     let seed = Dataset::new(test_points(TestDistribution::Clustered, 10, 20));
     let params = StreamParams::new(dc).with_dpc(dpc.clone());
-    let mut kd_engine = StreamingDpc::new(kd_build(&seed), params.clone()).unwrap();
+    let mut kd_engine = StreamingDpc::new(kd_build(&seed), params).unwrap();
     kd_engine.advance(&arrivals, 0).unwrap();
     kd_engine.index().check_invariants();
     let kd = kd_engine.index().maintenance_counters();
@@ -766,20 +735,6 @@ fn deferred_triggers_fire_once_per_epoch() {
         "k-d deferred sweep never rebuilt after a 60-insert epoch: {kd:?}"
     );
     assert_cold_batch("kdtree", &kd_build, &kd_engine, &dpc);
-
-    let mut rt_engine = StreamingDpc::new(rt_build(&seed), params).unwrap();
-    rt_engine.advance(&arrivals, 0).unwrap();
-    rt_engine.index().check_invariants();
-    let rt = rt_engine.index().maintenance_counters();
-    assert!(
-        counter(&rt, "forced_reinserts") <= 1,
-        "R-tree spent more than one reinsertion round in a single epoch: {rt:?}"
-    );
-    assert!(
-        counter(&rt, "node_splits") >= 1,
-        "60 inserts into 3-entry nodes must split: {rt:?}"
-    );
-    assert_cold_batch("rtree", &rt_build, &rt_engine, &dpc);
 }
 
 /// The ulp-adversarial generator through every engine: a window seeded with

@@ -46,7 +46,7 @@ use common::{assignment_of, reference_diff, Assignment};
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{Dataset, DpcPipeline, Point, UpdatableIndex};
 use dpc_stream::{ClusterDelta, EpochPlan, Handle, StreamParams, StreamingDpc};
-use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
+use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig};
 
 /// Lattice cells.
 const CELLS: usize = 9;
@@ -84,23 +84,13 @@ fn show(ops: &[Op]) -> String {
     format!("[{}]", ops.join(", "))
 }
 
-/// Small-node builders, as in the equivalence suite, so a handful of points
-/// already splits the trees.
+/// A small-leaf builder, as in the equivalence suite, so a handful of
+/// points already splits the k-d tree.
 fn kd_build(data: &Dataset) -> KdTree {
     KdTree::with_config(
         data,
         &KdTreeConfig {
             leaf_capacity: 3,
-            ..Default::default()
-        },
-    )
-}
-
-fn rt_build(data: &Dataset) -> RTree {
-    RTree::with_config(
-        data,
-        &RTreeConfig {
-            node_capacity: 3,
             ..Default::default()
         },
     )
@@ -120,10 +110,6 @@ macro_rules! for_each_engine {
         }
         {
             let ($name, $build) = ("kdtree", kd_build);
-            $body
-        }
-        {
-            let ($name, $build) = ("rtree", rt_build);
             $body
         }
     }};

@@ -34,7 +34,7 @@ use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
 use dpc_stream::{aged_weight, EpochMode, StreamParams, StreamingDpc};
-use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
+use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig};
 use proptest::prelude::*;
 
 const DC: f64 = 0.8;
@@ -82,16 +82,6 @@ fn kd_build(data: &Dataset) -> KdTree {
     )
 }
 
-fn rt_build(data: &Dataset) -> RTree {
-    RTree::with_config(
-        data,
-        &RTreeConfig {
-            node_capacity: 3,
-            ..Default::default()
-        },
-    )
-}
-
 macro_rules! for_each_updatable_index {
     (|$name:ident, $build:ident| $body:expr) => {{
         {
@@ -107,11 +97,6 @@ macro_rules! for_each_updatable_index {
         {
             let $name = "kdtree";
             let $build = kd_build;
-            $body
-        }
-        {
-            let $name = "rtree";
-            let $build = rt_build;
             $body
         }
     }};
@@ -321,8 +306,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The generic weighted ρ path with `Kernel::Cutoff` is bit-identical to
-    /// the integer-counting cold pipeline after every epoch, for all four
-    /// engines at threads {1, 4}.
+    /// the integer-counting cold pipeline after every epoch, for every
+    /// engine at threads {1, 4}.
     #[test]
     fn cutoff_kernel_is_bit_identical_for_every_engine_and_thread_count(
         seed in seed_strategy(),
@@ -340,8 +325,8 @@ proptest! {
     }
 
     /// Gaussian and Exponential streamed ρ equals the explicit
-    /// weight-accumulation oracle **bit-for-bit** after every epoch, for all
-    /// four engines at threads {1, 4}, and stays within 1e-9 (relative) of a
+    /// weight-accumulation oracle **bit-for-bit** after every epoch, for
+    /// every engine at threads {1, 4}, and stays within 1e-9 (relative) of a
     /// cold pipeline run with the same kernel. Unlike cutoff's exact-1.0
     /// sums, incremental ±w(d) repair regroups f64 additions, so the cold
     /// scan — which re-sums each neighbourhood ascending from scratch — can
@@ -513,7 +498,7 @@ proptest! {
 }
 
 /// The ulp-adversarial generator through the kernel battery: cut-off
-/// bit-identity against the cold pipeline for all four engines at threads
+/// bit-identity against the cold pipeline for every engine at threads
 /// {1, 4}, and a decayed window whose δ/µ
 /// re-rank must match a from-scratch re-rank of the explicit weight table.
 #[test]
@@ -568,7 +553,7 @@ fn ulp_adversarial_points_keep_every_engine_exact() {
 /// Undecayed weighted windows: `+w − w` repair leaves some densities a few
 /// ulps below zero, and the engine must still find the true global peak
 /// among them. After every epoch its `(δ, µ)` equal a brute re-rank of its
-/// own ρ, for all four engines; the run must actually reach negative ρ.
+/// own ρ, for every engine; the run must actually reach negative ρ.
 #[test]
 fn undecayed_weighted_windows_rerank_exactly_over_their_own_densities() {
     let (window, dc) = (80, 0.1);

@@ -256,10 +256,6 @@ proptest! {
             &initial,
             &KdTreeConfig { leaf_capacity: 4, ..Default::default() },
         );
-        let mut rt = RTree::with_config(
-            &initial,
-            &RTreeConfig { node_capacity: 4, ..Default::default() },
-        );
         let mut grid = GridIndex::build(&initial);
         for &(insert, sel, pseed) in &ops {
             if insert || kd.len() == 0 {
@@ -268,27 +264,22 @@ proptest! {
                     None => adversarial[pseed as usize % adversarial.len()],
                 };
                 let a = UpdatableIndex::insert(&mut kd, p).unwrap();
-                prop_assert_eq!(UpdatableIndex::insert(&mut rt, p).unwrap(), a);
                 prop_assert_eq!(UpdatableIndex::insert(&mut grid, p).unwrap(), a);
             } else {
                 let victim = sel % kd.len();
                 let a = kd.remove(victim).unwrap();
-                prop_assert_eq!(rt.remove(victim).unwrap(), a);
                 prop_assert_eq!(grid.remove(victim).unwrap(), a);
             }
             kd.check_invariants();
-            rt.check_invariants();
             grid.check_invariants();
             if kd.len() > 0 {
                 let center = kd.dataset().point(sel % kd.len());
                 let expected = eps_neighbors_scan(kd.dataset(), center, 50.0).unwrap();
                 prop_assert_eq!(&kd.eps_neighbors(center, 50.0).unwrap(), &expected);
-                prop_assert_eq!(&rt.eps_neighbors(center, 50.0).unwrap(), &expected);
                 prop_assert_eq!(&grid.eps_neighbors(center, 50.0).unwrap(), &expected);
             }
         }
         let data = kd.dataset();
-        prop_assert_eq!(rt.dataset().points(), data.points());
         prop_assert_eq!(grid.dataset().points(), data.points());
         if data.is_empty() {
             return Ok(());
@@ -303,7 +294,7 @@ proptest! {
             .map(|_| (rng.next_u64() % data.len() as u64) as usize)
             .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let trees: [(&str, &dyn UpdatableIndex); 3] = [("kdtree", &kd), ("rtree", &rt), ("grid", &grid)];
+        let trees: [(&str, &dyn UpdatableIndex); 2] = [("kdtree", &kd), ("grid", &grid)];
         for (name, tree) in trees {
             prop_assert_eq!(&tree.rho(&query).unwrap(), &counted, "{} rho after updates", name);
             for rho in [&counted, &fractional] {
