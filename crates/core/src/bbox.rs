@@ -7,6 +7,10 @@
 //! distance from a query point to such a region, which is what
 //! [`BoundingBox::min_dist_squared`] and [`BoundingBox::max_dist_squared`]
 //! provide — squared, like every distance comparison in the workspace.
+//! [`BoundingBox::min_dist_squared_to_box`] and
+//! [`BoundingBox::max_dist_squared_to_box`] give the same two bounds for a
+//! whole box of query points, which lets the tree queries test a node once
+//! for every point of a leaf.
 
 use crate::point::Point;
 
@@ -125,11 +129,6 @@ impl BoundingBox {
         (w * w + h * h).sqrt()
     }
 
-    /// Area of the box (0 for the empty box).
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Centre of the box.
     ///
     /// # Panics
@@ -161,17 +160,6 @@ impl BoundingBox {
             && self.min_y <= other.min_y
             && self.max_x >= other.max_x
             && self.max_y >= other.max_y
-    }
-
-    /// Whether the two boxes overlap (boundary touching counts as overlap).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
     }
 
     /// Returns this box grown to also cover `p`.
@@ -240,6 +228,53 @@ impl BoundingBox {
         dx * dx + dy * dy
     }
 
+    /// Squared minimum Euclidean distance between any point of this box and
+    /// any point of `other`: [`min_dist_squared`](Self::min_dist_squared)
+    /// for a whole box of query points at once, `0` when the boxes touch,
+    /// `+∞` when either is empty.
+    ///
+    /// Each axis gap is the rounded difference of the facing sides. For
+    /// members `p` of one box and `q` of the other, `|fl(q.x − p.x)|` is at
+    /// least that gap, because rounded subtraction is monotone in each
+    /// operand; rounded squaring and addition are monotone too. So the bound
+    /// never exceeds any member pair's [`Point::distance_squared`].
+    #[inline]
+    pub fn min_dist_squared_to_box(&self, other: &BoundingBox) -> f64 {
+        if self.is_empty() || other.is_empty() {
+            return f64::INFINITY;
+        }
+        let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| {
+            if b_min > a_max {
+                b_min - a_max
+            } else if a_min > b_max {
+                a_min - b_max
+            } else {
+                0.0
+            }
+        };
+        let dx = gap(self.min_x, self.max_x, other.min_x, other.max_x);
+        let dy = gap(self.min_y, self.max_y, other.min_y, other.max_y);
+        dx * dx + dy * dy
+    }
+
+    /// Squared maximum Euclidean distance between any point of this box and
+    /// any point of `other`: [`max_dist_squared`](Self::max_dist_squared)
+    /// for a whole box of query points at once, `0` when either is empty.
+    ///
+    /// Each axis span runs between far sides, `other.max − self.min` or
+    /// `self.max − other.min`, whichever is larger, and by the same
+    /// monotonicity the bound never falls below any member pair's
+    /// [`Point::distance_squared`].
+    #[inline]
+    pub fn max_dist_squared_to_box(&self, other: &BoundingBox) -> f64 {
+        if self.is_empty() || other.is_empty() {
+            return 0.0;
+        }
+        let dx = (other.max_x - self.min_x).max(self.max_x - other.min_x);
+        let dy = (other.max_y - self.min_y).max(self.max_y - other.min_y);
+        dx * dx + dy * dy
+    }
+
     /// Splits the box into four equal quadrants: `[SW, SE, NW, NE]`.
     ///
     /// Used by the quadtree. The quadrants share their boundaries; the
@@ -256,19 +291,6 @@ impl BoundingBox {
             BoundingBox::new(self.min_x, c.y, c.x, self.max_y), // NW
             BoundingBox::new(c.x, c.y, self.max_x, self.max_y), // NE
         ]
-    }
-
-    /// Returns this box expanded by `margin` on every side.
-    pub fn inflated(&self, margin: f64) -> BoundingBox {
-        if self.is_empty() {
-            return *self;
-        }
-        BoundingBox {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
-        }
     }
 }
 
@@ -288,10 +310,14 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.width(), 0.0);
         assert_eq!(e.height(), 0.0);
-        assert_eq!(e.area(), 0.0);
         assert!(!e.contains(Point::origin()));
         assert_eq!(e.min_dist_squared(Point::origin()), f64::INFINITY);
         assert_eq!(e.max_dist_squared(Point::origin()), 0.0);
+        let unit = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
+        for (a, b) in [(e, unit), (unit, e), (e, e)] {
+            assert_eq!(a.min_dist_squared_to_box(&b), f64::INFINITY);
+            assert_eq!(a.max_dist_squared_to_box(&b), 0.0);
+        }
     }
 
     #[test]
@@ -379,29 +405,52 @@ mod tests {
     fn quadrants_partition_area() {
         let bb = BoundingBox::new(0.0, 0.0, 8.0, 4.0);
         let qs = bb.quadrants();
-        let total: f64 = qs.iter().map(|q| q.area()).sum();
-        assert!((total - bb.area()).abs() < 1e-12);
+        let c = bb.center();
+        // SW's far corner and NE's near corner are the centre, so the four
+        // quadrants meet there without a gap or an overlap of area.
+        assert_eq!((qs[0].max_x(), qs[0].max_y()), (c.x, c.y));
+        assert_eq!((qs[3].min_x(), qs[3].min_y()), (c.x, c.y));
+        assert_eq!((qs[1].min_x(), qs[1].max_y()), (c.x, c.y));
+        assert_eq!((qs[2].max_x(), qs[2].min_y()), (c.x, c.y));
+        let union = qs.iter().fold(BoundingBox::EMPTY, |u, q| u.union(q));
+        assert_eq!(union, bb);
         for q in &qs {
             assert!(bb.contains_box(q));
         }
     }
 
     #[test]
-    fn intersects_and_contains_box() {
+    fn contains_box_needs_every_side_inside() {
         let a = BoundingBox::new(0.0, 0.0, 4.0, 4.0);
         let b = BoundingBox::new(2.0, 2.0, 6.0, 6.0);
-        let c = BoundingBox::new(5.0, 5.0, 6.0, 6.0);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
         assert!(a.contains_box(&BoundingBox::new(1.0, 1.0, 2.0, 2.0)));
         assert!(!a.contains_box(&b));
     }
 
     #[test]
-    fn inflated_grows_every_side() {
-        let bb = BoundingBox::new(0.0, 0.0, 1.0, 1.0).inflated(0.5);
-        assert_eq!(bb, BoundingBox::new(-0.5, -0.5, 1.5, 1.5));
+    fn box_to_box_bounds_are_gap_and_far_corners() {
+        let a = BoundingBox::new(0.0, 0.0, 2.0, 1.0);
+        // Apart on x only, on both axes, touching, and nested.
+        let right = BoundingBox::new(5.0, 0.5, 6.0, 3.0);
+        assert_eq!(a.min_dist_squared_to_box(&right), 9.0);
+        assert_eq!(a.max_dist_squared_to_box(&right), 36.0 + 9.0);
+        let corner = BoundingBox::new(5.0, 5.0, 6.0, 6.0);
+        assert_eq!(a.min_dist_squared_to_box(&corner), 9.0 + 16.0);
+        assert_eq!(a.max_dist_squared_to_box(&corner), 36.0 + 36.0);
+        let touching = BoundingBox::new(2.0, -3.0, 3.0, 0.0);
+        assert_eq!(a.min_dist_squared_to_box(&touching), 0.0);
+        let inner = BoundingBox::new(0.5, 0.5, 1.0, 1.0);
+        assert_eq!(a.min_dist_squared_to_box(&inner), 0.0);
+        assert_eq!(a.max_dist_squared_to_box(&inner), 1.5 * 1.5 + 1.0);
+        for b in [right, corner, touching, inner] {
+            assert_eq!(a.min_dist_squared_to_box(&b), b.min_dist_squared_to_box(&a));
+            assert_eq!(a.max_dist_squared_to_box(&b), b.max_dist_squared_to_box(&a));
+        }
+        // A degenerate box is one query point.
+        let q = Point::new(7.0, -2.0);
+        let point = BoundingBox::from_point(q);
+        assert_eq!(point.min_dist_squared_to_box(&a), a.min_dist_squared(q));
+        assert_eq!(point.max_dist_squared_to_box(&a), a.max_dist_squared(q));
     }
 
     #[test]

@@ -79,7 +79,8 @@ fn chunk_len(items: usize, workers: usize) -> usize {
 }
 
 /// Output storage the executor can cut into contiguous per-worker chunks:
-/// one slice, or two slices of equal length split at the same point.
+/// one slice, two slices of equal length split at the same point, or a
+/// caller's own storage of indivisible groups.
 pub trait Slots: Send + Sized {
     /// Number of output slots.
     fn len(&self) -> usize;
@@ -87,7 +88,10 @@ pub trait Slots: Send + Sized {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Splits the storage into slots `[0, mid)` and `[mid, len)`.
+    /// Splits the storage into slots `[0, mid)` and `[mid, len)`. Storage
+    /// made of indivisible groups of slots may cut at the first group edge
+    /// at or after `mid` instead; the executor starts the next chunk where
+    /// the head ends.
     fn split_at(self, mid: usize) -> (Self, Self);
 }
 
@@ -121,9 +125,11 @@ impl<A: Send, B: Send> Slots for (&mut [A], &mut [B]) {
 ///
 /// [`fill_slice`] and [`fill_slice_pair`] are this executor with a
 /// per-point loop as `run`. Call it directly when the body works on several
-/// points at once, such as the list indexes' grouped searches; the chunk
-/// edges then fall wherever the thread count puts them, so the body must
-/// not let them change a result.
+/// points at once. With plain slices, as in the list indexes' grouped
+/// searches, the chunk edges fall wherever the thread count puts them, so
+/// the body must not let them change a result. Storage whose
+/// [`Slots::split_at`] cuts only between groups, as in the tree queries'
+/// leaf groups, keeps every group whole in one chunk.
 ///
 /// With an enabled recorder every chunk reports one `label` span and one
 /// `<label>.items` histogram sample; a disabled recorder costs one branch
@@ -163,13 +169,17 @@ where
     if workers <= 1 {
         return vec![worker(0, out)];
     }
+    // Chunk `i` ends at the first edge the storage allows at or after
+    // `(i + 1) · chunk`, so the number of chunks never depends on where the
+    // storage lets them end; a chunk may be empty.
     let chunk = chunk_len(n, workers);
     let mut chunks = Vec::with_capacity(workers);
     let (mut rest, mut start) = (out, 0);
-    while rest.len() > chunk {
-        let (head, tail) = rest.split_at(chunk);
+    for edge in (chunk..n).step_by(chunk) {
+        let (head, tail) = rest.split_at(edge.saturating_sub(start));
+        let len = head.len();
         chunks.push((start, head));
-        (rest, start) = (tail, start + chunk);
+        (rest, start) = (tail, start + len);
     }
     chunks.push((start, rest));
     let worker = &worker;
@@ -394,6 +404,63 @@ mod tests {
             assert!(b
                 .iter()
                 .all(|&s| starts.iter().any(|&(start, _)| start == s)));
+        }
+    }
+
+    /// Slots in groups of `width` that cut only between groups.
+    struct Grouped<'a> {
+        slots: &'a mut [usize],
+        width: usize,
+    }
+
+    impl Slots for Grouped<'_> {
+        fn len(&self) -> usize {
+            self.slots.len()
+        }
+
+        fn split_at(self, mid: usize) -> (Self, Self) {
+            let cut = mid.next_multiple_of(self.width).min(self.slots.len());
+            let (head, tail) = self.slots.split_at_mut(cut);
+            let width = self.width;
+            (
+                Grouped { slots: head, width },
+                Grouped { slots: tail, width },
+            )
+        }
+    }
+
+    #[test]
+    fn group_storage_keeps_groups_whole_and_the_chunk_count() {
+        for (n, width) in [(23, 5), (30, 7), (12, 20), (40, 1)] {
+            for threads in [1, 2, 3, 7] {
+                let mut slots = vec![usize::MAX; n];
+                let chunks = fill_chunks(
+                    Grouped {
+                        slots: &mut slots,
+                        width,
+                    },
+                    ExecPolicy::Threads(threads),
+                    &NoopRecorder,
+                    "",
+                    Vec::new,
+                    |start, chunk: Grouped, seen| {
+                        seen.push((start, chunk.slots.len()));
+                        for (offset, slot) in chunk.slots.iter_mut().enumerate() {
+                            *slot = start + offset;
+                        }
+                    },
+                );
+                let what = format!("n = {n}, width = {width}, threads = {threads}");
+                let workers = ExecPolicy::Threads(threads).workers(n);
+                assert_eq!(chunks.len(), n.div_ceil(chunk_len(n, workers)), "{what}");
+                let seen: Vec<(usize, usize)> = chunks.into_iter().flatten().collect();
+                assert!(seen.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0), "{what}");
+                let on_edges = seen
+                    .iter()
+                    .all(|&(start, _)| start % width == 0 || start == n);
+                assert!(on_edges, "{what}");
+                assert!(slots.iter().enumerate().all(|(i, &v)| v == i), "{what}");
+            }
         }
     }
 

@@ -157,6 +157,57 @@ proptest! {
         }
     }
 
+    /// The box-to-box bounds hold for every member pair of two random boxes,
+    /// exactly, and never cut tighter than a member's own point-to-box
+    /// bounds. Half the coordinates sit a few ulps off a shared base, so
+    /// gaps and spans round across their neighbours.
+    #[test]
+    fn box_to_box_bounds_hold_for_every_member_pair(
+        a in prop::collection::vec((0usize..4, 0usize..4, -1e3f64..1e3, -1e3f64..1e3), 1..12),
+        b in prop::collection::vec((0usize..4, 0usize..4, -1e3f64..1e3, -1e3f64..1e3), 1..12),
+        base in (-1e3f64..1e3, -1e3f64..1e3)
+    ) {
+        let ulps_off = |v: f64, k: usize| f64::from_bits((v.to_bits() as i64 + k as i64 - 2) as u64);
+        let coord = |pick: usize, ulp: usize, free: f64, base: f64| match pick {
+            0 => free,
+            1 => ulps_off(base, ulp),
+            2 => ulps_off(-base, ulp),
+            _ => ulps_off(base * 0.5, ulp),
+        };
+        let members = |raw: &[(usize, usize, f64, f64)]| -> Vec<Point> {
+            raw.iter()
+                .map(|&(pick, ulp, x, y)| {
+                    Point::new(coord(pick, ulp, x, base.0), coord(pick ^ ulp & 1, ulp, y, base.1))
+                })
+                .collect()
+        };
+        let (a, b) = (members(&a), members(&b));
+        let (box_a, box_b) = (BoundingBox::from_points(&a), BoundingBox::from_points(&b));
+        let min2 = box_a.min_dist_squared_to_box(&box_b);
+        let max2 = box_a.max_dist_squared_to_box(&box_b);
+        prop_assert_eq!(min2, box_b.min_dist_squared_to_box(&box_a));
+        prop_assert_eq!(max2, box_b.max_dist_squared_to_box(&box_a));
+        let corners = |bb: &BoundingBox| {
+            [
+                Point::new(bb.min_x(), bb.min_y()),
+                Point::new(bb.min_x(), bb.max_y()),
+                Point::new(bb.max_x(), bb.min_y()),
+                Point::new(bb.max_x(), bb.max_y()),
+            ]
+        };
+        let all_a: Vec<Point> = a.iter().copied().chain(corners(&box_a)).collect();
+        let all_b: Vec<Point> = b.iter().copied().chain(corners(&box_b)).collect();
+        for p in &all_a {
+            prop_assert!(min2 <= box_b.min_dist_squared(*p), "tighter than a member's min");
+            prop_assert!(max2 >= box_b.max_dist_squared(*p), "tighter than a member's max");
+            for q in &all_b {
+                let d2 = p.distance_squared(q);
+                prop_assert!(min2 <= d2, "pair {p:?}-{q:?} closer than the box minimum");
+                prop_assert!(d2 <= max2, "pair {p:?}-{q:?} farther than the box maximum");
+            }
+        }
+    }
+
     #[test]
     fn union_is_commutative_and_covers_operands(
         a in points_strategy(20),

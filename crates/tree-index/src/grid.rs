@@ -391,7 +391,11 @@ impl UpdatableIndex for GridIndex {
     ) -> Result<DeltaResult> {
         query.validate_targets(rho, self.dataset.len(), targets)?;
         let config = &self.config.delta;
-        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets).0)
+        let leaf_of = |p: PointId| {
+            self.cell_node(self.dataset.point(p))
+                .expect("GridIndex: every point has a cell")
+        };
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets, leaf_of).0)
     }
 
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {

@@ -655,7 +655,8 @@ impl UpdatableIndex for KdTree {
     ) -> Result<DeltaResult> {
         query.validate_targets(rho, self.dataset.len(), targets)?;
         let config = &self.config.delta;
-        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets).0)
+        let leaf_of = |p: PointId| self.leaf_of[p];
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets, leaf_of).0)
     }
 
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {

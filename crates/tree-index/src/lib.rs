@@ -23,10 +23,25 @@
 //!   below the query point's density) and *distance pruning* (Lemma 2: skip
 //!   nodes farther than the best candidate δ found so far).
 //!
+//! Both answer the points of one leaf together. The ρ-query runs one
+//! traversal per leaf and classifies each node against the leaf's whole box
+//! ([`BoundingBox::min_dist_squared_to_box`],
+//! [`BoundingBox::max_dist_squared_to_box`]); only at a leaf this group
+//! test cannot decide is each point tested and scanned on its own. Every δ
+//! search starts with the best denser point of the point's own leaf, so
+//! Lemma 2 prunes children before they are queued. Rounded subtraction,
+//! squaring and addition are monotone, so the box-to-box bounds hold for
+//! every member pair's `fl(d²)`, and both queries stay bit-identical to the
+//! brute-force kernels of [`dpc_core::brute`] at every thread count (the
+//! [`query`] module docs give the argument).
+//!
 //! The pruning rules can be switched off individually via
 //! [`DeltaQueryConfig`] for the ablation experiments, and every query
 //! returns its [`QueryStats`] (nodes visited/pruned, points scanned), which
 //! an enabled recorder on the query also receives.
+//!
+//! [`BoundingBox::min_dist_squared_to_box`]: dpc_core::BoundingBox::min_dist_squared_to_box
+//! [`BoundingBox::max_dist_squared_to_box`]: dpc_core::BoundingBox::max_dist_squared_to_box
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

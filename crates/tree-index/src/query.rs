@@ -20,31 +20,72 @@
 //!   prune test is exact and the result is the brute-force `(fl(d²), id)`
 //!   minimum bit for bit (see the distance contract in [`dpc_core::metric`]).
 //!
-//! The batch entry points are [`rho`] and [`delta`], one per query and for
-//! every kernel; every tree index's [`DpcIndex`](dpc_core::DpcIndex) impl
-//! delegates to them, and the updatable ones answer
-//! [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
-//! — δ for a list of points, the streaming engine's repair — through
-//! [`delta_targets`], the same search over fewer points. The per-point
-//! [`rho_one`], [`weighted_rho_one`], [`delta_one`], [`eps_query`] and
-//! [`subtree_max_density`] are the pieces they are built from. Both queries
-//! run per point with no data dependency between points, so they
-//! parallelise over the chunked engine of [`dpc_core::exec`] under the
-//! [`Query`]'s [`ExecPolicy`](dpc_core::ExecPolicy): each worker thread
-//! gets its own [`QueryScratch`] — a reusable node stack, best-first heap
-//! and [`QueryStats`] — merged deterministically after the join. Results
-//! are bit-identical at every thread count.
+//! # A leaf at a time
+//!
+//! The batch entry points [`rho`] and [`delta`] walk the tree's leaves once
+//! per query and answer the points of each leaf together, as one *leaf
+//! group*:
+//!
+//! * **ρ** runs one traversal per group and tests every node against the
+//!   leaf's box `B`. A node whose box-to-box minimum squared distance from
+//!   `B` is at least `dc²` is discarded for the whole group; with the
+//!   cut-off kernel, a node whose box-to-box maximum is below `dc²` is
+//!   counted in full for every member. Only at a leaf this group test cannot
+//!   decide does each member run the per-point test against the leaf's box
+//!   and scan it. The weighted kernels take the same traversal without the
+//!   count-in-full shortcut; each member collects its in-range pairs and
+//!   sums their weights in ascending id order, the canonical order of
+//!   [`dpc_core::brute::weighted_rho_scan`].
+//! * **δ** starts every best-first search with the best denser point of the
+//!   point's own leaf, found by one scan of that leaf. The search would
+//!   expand that leaf anyway (its box holds the point, and its `maxrho` is at
+//!   least the point's ρ), but with a candidate in hand Lemma 2 prunes
+//!   children before they are queued, and the own leaf is not scanned again.
+//!   The batch δ learns each point's leaf from the leaf walk;
+//!   [`delta_targets`] — δ for a list of points, behind
+//!   [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
+//!   and the streaming engine's repair — takes it from the index's own map.
+//!
+//! **Exactness.** The box-to-box bounds are
+//! [`BoundingBox::min_dist_squared_to_box`] and
+//! [`BoundingBox::max_dist_squared_to_box`]. For a member `p` of the leaf's
+//! box and a point `q` of a node's box, the axis gap between the boxes'
+//! facing sides is at most `|fl(q.x − p.x)|`, and the span between their far
+//! sides at least that, because rounded subtraction is monotone in each
+//! operand; rounded squaring is monotone in the magnitude, and rounded
+//! addition in each operand. So the minimum bound never exceeds any member
+//! pair's `fl(d²)` and the maximum bound never falls below it: a group
+//! discard drops only pairs with `fl(d²) ≥ dc²`, and a count in full counts
+//! only pairs with `fl(d²) < dc²`, as the brute-force partition does. The
+//! same argument puts each group bound outside the member's own
+//! point-to-box bound, so the group test decides a node only where every
+//! member's own test would decide it the same way: each member's ρ and
+//! `points_scanned` are what a traversal of its own would give.
+//!
+//! **Threads.** The leaf-ordered result slots go through
+//! [`dpc_core::exec::fill_chunks`] as storage that may only be cut between
+//! two leaves, and are scattered back to id order after the join. Each
+//! group is traversed once, by one worker, at any thread count, so ρ, δ, µ
+//! and every [`QueryStats`] count are identical at every thread count.
+//! Every worker gets its own scratch — a reusable node stack, best-first
+//! heap and [`QueryStats`] — merged deterministically after the join.
 //!
 //! Both return their [`QueryStats`], counted on every call; with an enabled
 //! recorder on the query they also publish them as the `query.rho.*` /
 //! `query.delta.*` counters, beside one `query.{rho,delta}.chunk` span per
-//! worker. Both pruning rules can be disabled individually through
-//! [`DeltaQueryConfig`] — that is what the pruning-ablation benchmark
-//! measures.
+//! worker. The ρ node counters count once per leaf group; `points_scanned`
+//! counts per member. Both pruning rules can be disabled individually
+//! through [`DeltaQueryConfig`] — that is what the pruning-ablation
+//! benchmark measures. [`eps_query`] and [`subtree_max_density`] are the
+//! other traversals the indexes share.
+//!
+//! [`BoundingBox::min_dist_squared_to_box`]: dpc_core::BoundingBox::min_dist_squared_to_box
+//! [`BoundingBox::max_dist_squared_to_box`]: dpc_core::BoundingBox::max_dist_squared_to_box
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use dpc_core::exec::{self, Slots};
 use dpc_core::{
     brute, closer, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query, Rho,
 };
@@ -57,11 +98,11 @@ use crate::common::{NodeId, SpatialPartition};
 pub struct QueryStats {
     /// Nodes popped/descended into.
     pub nodes_visited: u64,
-    /// Nodes skipped because they lie entirely outside the query circle
-    /// (ρ-query only).
+    /// Nodes skipped because they lie entirely outside the query circle of
+    /// every point of a leaf group (ρ-query only).
     pub nodes_discarded: u64,
     /// Nodes counted wholesale because they lie entirely inside the query
-    /// circle (ρ-query only).
+    /// circle of every point of a leaf group (ρ-query only).
     pub nodes_fully_contained: u64,
     /// Nodes skipped by density pruning (δ-query only).
     pub nodes_density_pruned: u64,
@@ -117,26 +158,21 @@ impl QueryStats {
     }
 }
 
-/// Per-worker reusable traversal state: the depth-first stack of the ρ-query,
-/// the best-first heap of the δ-query, and the traversal counters.
+/// Per-worker reusable traversal state: the depth-first stack of the ρ-query
+/// and the leaves its group test left undecided, the weighted kernels'
+/// pairs, the best-first heap of the δ-query, and the traversal counters.
 ///
 /// One scratch lives per worker thread (or one for the whole query when
-/// sequential) and is reused across every point of that worker's chunk, so
-/// the per-point hot loops allocate nothing.
+/// sequential) and is reused across every group and point of that worker's
+/// chunk, so the hot loops allocate nothing once warm.
 #[derive(Debug, Default)]
-pub struct QueryScratch {
+struct QueryScratch {
     /// Counters accumulated over every query this scratch served.
-    pub stats: QueryStats,
+    stats: QueryStats,
     stack: Vec<NodeId>,
+    undecided: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(OrdF64, NodeId)>>,
     pairs: Vec<(PointId, f64)>,
-}
-
-impl QueryScratch {
-    /// A fresh scratch with empty stack, heap and zeroed counters.
-    pub fn new() -> Self {
-        QueryScratch::default()
-    }
 }
 
 /// Configuration of the δ-query; both pruning rules default to enabled.
@@ -170,134 +206,208 @@ impl DeltaQueryConfig {
     }
 }
 
-/// ρ of every point under the query's kernel: [`rho_one`] for the cut-off
-/// kernel, [`weighted_rho_one`] otherwise, on the query's workers. Returns
-/// the densities and the merged traversal statistics, which an enabled
-/// recorder also receives as the `query.rho.*` counters.
+/// ρ of every point under the query's kernel, a leaf group at a time on
+/// the query's workers (see the [module docs](self)). Returns the densities
+/// and the merged traversal statistics, which an enabled recorder also
+/// receives as the `query.rho.*` counters.
 pub fn rho<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
     query: &Query<'_>,
 ) -> (Vec<Rho>, QueryStats) {
-    let (n, dc, kernel) = (dataset.len(), query.dc, query.kernel);
-    let (rho, scratches) = if kernel.is_cutoff() {
-        query.fill_rho(n, QueryScratch::new, |p, scratch| {
-            rho_one(tree, dataset, p, dc, scratch)
-        })
-    } else {
-        query.fill_rho(n, QueryScratch::new, |p, scratch| {
-            weighted_rho_one(tree, dataset, p, dc, kernel, scratch)
-        })
-    };
+    let (dc2, kernel) = (query.dc * query.dc, query.kernel);
+    let (rho, scratches) = by_leaf(
+        tree,
+        dataset.len(),
+        query,
+        "query.rho.chunk",
+        |leaf, out, scratch| rho_group(tree, dataset, leaf, dc2, kernel, out, scratch),
+    );
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.rho");
     (rho, stats)
 }
 
-/// ρ of a single point: counts points strictly within `dc`, excluding the
-/// point itself. Sqrt-free: all comparisons are against `dc²`.
-pub fn rho_one<T: SpatialPartition + ?Sized>(
+/// ρ of every member of `leaf`, into `out` in the leaf's point order: one
+/// traversal tests each node against the leaf's box for the whole group,
+/// and each member tests and scans only the leaves it left undecided.
+///
+/// The cut-off count includes the member itself (distance 0 is within any
+/// `dc`), which lets nodes be counted in full without asking which one
+/// holds it, and subtracts it at the end. The weighted sum skips the member
+/// and adds its pairs' weights in ascending id order.
+fn rho_group<T: SpatialPartition + ?Sized>(
     tree: &T,
     dataset: &Dataset,
-    p: PointId,
-    dc: f64,
+    leaf: NodeId,
+    dc2: f64,
+    kernel: Kernel,
+    out: &mut [Rho],
     scratch: &mut QueryScratch,
-) -> Rho {
-    let Some(root) = tree.root() else { return 0.0 };
-    let query = dataset.point(p);
-    let pts = dataset.points();
-    let dc2 = dc * dc;
-    let stats = &mut scratch.stats;
-    // Count all points (including p itself, which is trivially within dc of
-    // itself) and subtract 1 at the end; this lets fully-contained nodes be
-    // added wholesale without worrying about which node holds p.
-    let mut count = 0usize;
-    let stack = &mut scratch.stack;
+) {
+    let Some(root) = tree.root() else { return };
+    let QueryScratch {
+        stats,
+        stack,
+        undecided,
+        pairs,
+        ..
+    } = scratch;
+    let group = tree.bbox(leaf);
+    let cutoff = kernel.is_cutoff();
+    let mut full = 0usize;
+    undecided.clear();
     stack.clear();
     stack.push(root);
     while let Some(node) = stack.pop() {
         stats.nodes_visited += 1;
         let bbox = tree.bbox(node);
-        if bbox.min_dist_squared(query) >= dc2 {
+        if tree.point_count(node) == 0 || group.min_dist_squared_to_box(&bbox) >= dc2 {
             stats.nodes_discarded += 1;
-            continue;
-        }
-        if bbox.max_dist_squared(query) < dc2 {
+        } else if cutoff && group.max_dist_squared_to_box(&bbox) < dc2 {
             stats.nodes_fully_contained += 1;
-            count += tree.point_count(node);
-            continue;
-        }
-        if tree.is_leaf(node) {
-            for &q in tree.points(node) {
-                stats.points_scanned += 1;
-                if pts[q as usize].distance_squared(&query) < dc2 {
-                    count += 1;
-                }
-            }
+            full += tree.point_count(node);
+        } else if tree.is_leaf(node) {
+            undecided.push(node);
         } else {
             stack.extend_from_slice(tree.children(node));
         }
     }
-    // `count` includes p itself (distance 0 < dc always holds for dc > 0).
-    (count.saturating_sub(1)) as Rho
-}
 
-/// Kernel-weighted ρ of a single point: sums `w(d)` over all points strictly
-/// within `dc`, excluding the point itself.
-///
-/// Unlike [`rho_one`] there is no fully-contained shortcut — every in-range
-/// neighbour's distance feeds the kernel — so the traversal mirrors
-/// [`eps_query`]: prune nodes entirely outside the circle (and nodes emptied
-/// by deletions), scan surviving leaves. Collected `(id, d²)` pairs are
-/// sorted by id and summed ascending, the canonical order of
-/// [`dpc_core::brute::weighted_rho_scan`], so the result is bit-identical to
-/// the brute-force scan.
-pub fn weighted_rho_one<T: SpatialPartition + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    p: PointId,
-    dc: f64,
-    kernel: Kernel,
-    scratch: &mut QueryScratch,
-) -> Rho {
-    let Some(root) = tree.root() else { return 0.0 };
-    let query = dataset.point(p);
     let pts = dataset.points();
-    let dc2 = dc * dc;
-    let stats = &mut scratch.stats;
-    let pairs = &mut scratch.pairs;
-    pairs.clear();
-    let stack = &mut scratch.stack;
-    stack.clear();
-    stack.push(root);
-    while let Some(node) = stack.pop() {
-        stats.nodes_visited += 1;
-        if tree.point_count(node) == 0 || tree.bbox(node).min_dist_squared(query) >= dc2 {
-            stats.nodes_discarded += 1;
-            continue;
-        }
-        if tree.is_leaf(node) {
-            for &q in tree.points(node) {
-                let q = q as PointId;
-                if q == p {
+    for (slot, &p) in out.iter_mut().zip(tree.points(leaf)) {
+        let p = p as PointId;
+        let query = pts[p];
+        if cutoff {
+            let mut count = full;
+            for &node in undecided.iter() {
+                let bbox = tree.bbox(node);
+                if bbox.min_dist_squared(query) >= dc2 {
                     continue;
                 }
-                stats.points_scanned += 1;
-                let d2 = pts[q].distance_squared(&query);
-                if d2 < dc2 {
-                    pairs.push((q, d2));
+                if bbox.max_dist_squared(query) < dc2 {
+                    count += tree.point_count(node);
+                    continue;
+                }
+                for &q in tree.points(node) {
+                    stats.points_scanned += 1;
+                    if pts[q as usize].distance_squared(&query) < dc2 {
+                        count += 1;
+                    }
                 }
             }
+            *slot = count.saturating_sub(1) as Rho;
         } else {
-            stack.extend_from_slice(tree.children(node));
+            pairs.clear();
+            for &node in undecided.iter() {
+                if tree.bbox(node).min_dist_squared(query) >= dc2 {
+                    continue;
+                }
+                for &q in tree.points(node) {
+                    let q = q as PointId;
+                    if q == p {
+                        continue;
+                    }
+                    stats.points_scanned += 1;
+                    let d2 = pts[q].distance_squared(&query);
+                    if d2 < dc2 {
+                        pairs.push((q, d2));
+                    }
+                }
+            }
+            pairs.sort_unstable_by_key(|&(q, _)| q);
+            let mut mass = 0.0f64;
+            for &(_, d2) in pairs.iter() {
+                mass += kernel.weight_from_sq(d2);
+            }
+            *slot = mass;
         }
     }
-    pairs.sort_unstable_by_key(|&(q, _)| q);
-    let mut mass = 0.0f64;
-    for &(_, d2) in pairs.iter() {
-        mass += kernel.weight_from_sq(d2);
+}
+
+/// Runs `group(leaf, out, scratch)` for every leaf group of `tree` — `out`
+/// holds one slot per member, in the leaf's point order — on the query's
+/// workers, whose chunks hold whole groups, and returns the `n` slots in id
+/// order with the per-worker scratches.
+fn by_leaf<T, V, G>(
+    tree: &T,
+    n: usize,
+    query: &Query<'_>,
+    label: &str,
+    group: G,
+) -> (Vec<V>, Vec<QueryScratch>)
+where
+    T: SpatialPartition + ?Sized,
+    V: Copy + Default + Send,
+    G: Fn(NodeId, &mut [V], &mut QueryScratch) + Sync,
+{
+    // The non-empty leaves in depth-first order, with their sizes.
+    let mut leaves = Vec::new();
+    let mut stack: Vec<NodeId> = tree.root().into_iter().collect();
+    while let Some(node) = stack.pop() {
+        match tree.points(node).len() {
+            0 => stack.extend_from_slice(tree.children(node)),
+            members => leaves.push((node, members)),
+        }
     }
-    mass
+    let mut slots = vec![V::default(); n];
+    let groups = Groups {
+        leaves: &leaves,
+        out: &mut slots[..],
+    };
+    let scratches = exec::fill_chunks(
+        groups,
+        query.exec,
+        query.recorder,
+        label,
+        QueryScratch::default,
+        |_, chunk: Groups<'_, V>, scratch| {
+            let mut rest = chunk.out;
+            for &(leaf, members) in chunk.leaves {
+                let (out, tail) = rest.split_at_mut(members);
+                group(leaf, out, scratch);
+                rest = tail;
+            }
+        },
+    );
+    let mut by_id = vec![V::default(); n];
+    let ids = leaves.iter().flat_map(|&(leaf, _)| tree.points(leaf));
+    for (&p, &value) in ids.zip(&slots) {
+        by_id[p as usize] = value;
+    }
+    (by_id, scratches)
+}
+
+/// Whole leaf groups for [`exec::fill_chunks`]: the leaf-ordered slots
+/// `out` of `leaves`, each given with its member count. It cuts only
+/// between two leaves, so no group straddles two workers.
+struct Groups<'a, V> {
+    leaves: &'a [(NodeId, usize)],
+    out: &'a mut [V],
+}
+
+impl<V: Send> Slots for Groups<'_, V> {
+    fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        // The head takes leaves until it holds at least `mid` slots.
+        let (mut taken, mut cut) = (0, 0);
+        while cut < mid && taken < self.leaves.len() {
+            cut += self.leaves[taken].1;
+            taken += 1;
+        }
+        let (leaves, rest) = self.leaves.split_at(taken);
+        let (out, tail) = self.out.split_at_mut(cut);
+        (
+            Groups { leaves, out },
+            Groups {
+                leaves: rest,
+                out: tail,
+            },
+        )
+    }
 }
 
 /// Ids of all points strictly within `eps` of `center`, ascending — the
@@ -371,9 +481,10 @@ pub fn subtree_max_density<T: SpatialPartition + ?Sized>(tree: &T, rho: &[Rho]) 
 }
 
 /// δ and µ of every point under the density order of `rho`: the
-/// best-first [`delta_one`] with `config`'s pruning, on the query's workers.
-/// Returns the result and the merged traversal statistics, which an enabled
-/// recorder also receives as the `query.delta.*` counters.
+/// best-first search with `config`'s pruning, seeded from each point's own
+/// leaf, a leaf group at a time on the query's workers. Returns the result
+/// and the merged traversal statistics, which an enabled recorder also
+/// receives as the `query.delta.*` counters.
 pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -381,13 +492,30 @@ pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     config: &DeltaQueryConfig,
     query: &Query<'_>,
 ) -> (DeltaResult, QueryStats) {
-    delta_of(tree, dataset, rho, config, query, dataset.len(), |k| k)
+    let search = DeltaSearch::new(tree, dataset, rho, config);
+    let (found, scratches) = by_leaf(
+        tree,
+        dataset.len(),
+        query,
+        "query.delta.chunk",
+        |leaf, out, scratch| {
+            for (slot, &p) in out.iter_mut().zip(tree.points(leaf)) {
+                *slot = search.one(p as PointId, leaf, scratch);
+            }
+        },
+    );
+    let (delta, mu) = found.into_iter().unzip();
+    let stats = QueryStats::sum(&scratches);
+    stats.publish(query.recorder, "query.delta");
+    (DeltaResult::new(delta, mu), stats)
 }
 
 /// [`delta`] for the points of `targets` only — entry `k` of the result
 /// belongs to `targets[k]` — behind every tree's
 /// [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets).
-/// The `maxrho` annotation is built once per call, for the whole tree.
+/// `leaf_of(p)` is the leaf holding `p`, from the index's own map; each
+/// search starts from it. The `maxrho` annotation is built once per call,
+/// for the whole tree.
 pub fn delta_targets<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -395,27 +523,13 @@ pub fn delta_targets<T: SpatialPartition + Sync + ?Sized>(
     config: &DeltaQueryConfig,
     query: &Query<'_>,
     targets: &[PointId],
+    leaf_of: impl Fn(PointId) -> NodeId + Sync,
 ) -> (DeltaResult, QueryStats) {
-    delta_of(tree, dataset, rho, config, query, targets.len(), |k| {
-        targets[k]
-    })
-}
-
-/// The δ-query over `n` points, the `k`-th of which is `id(k)`.
-fn delta_of<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    rho: &[Rho],
-    config: &DeltaQueryConfig,
-    query: &Query<'_>,
-    n: usize,
-    id: impl Fn(usize) -> PointId + Sync,
-) -> (DeltaResult, QueryStats) {
-    let order = DensityOrder::new(rho);
-    let maxrho = subtree_max_density(tree, rho);
-    let (result, scratches) = query.fill_delta(n, QueryScratch::new, |k, scratch| {
-        delta_one(tree, dataset, &order, &maxrho, id(k), config, scratch)
-    });
+    let search = DeltaSearch::new(tree, dataset, rho, config);
+    let (result, scratches) =
+        query.fill_delta(targets.len(), QueryScratch::default, |k, scratch| {
+            search.one(targets[k], leaf_of(targets[k]), scratch)
+        });
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.delta");
     (result, stats)
@@ -439,90 +553,135 @@ impl Ord for OrdF64 {
     }
 }
 
-/// δ and µ of a single point — the best-first search of Algorithm 6.
-///
-/// Every comparison is in squared space under the workspace's distance
-/// contract: candidates are ranked by [`closer`] on `(fl(d²), id)`, nodes
-/// are keyed and pruned on [`BoundingBox::min_dist_squared`], and the only
-/// root is the one taken of the winning `fl(d²)`.
-///
-/// [`BoundingBox::min_dist_squared`]: dpc_core::BoundingBox::min_dist_squared
-pub fn delta_one<T: SpatialPartition + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    p: PointId,
-    config: &DeltaQueryConfig,
-    scratch: &mut QueryScratch,
-) -> (f64, Option<PointId>) {
-    let Some(root) = tree.root() else {
-        return (0.0, None);
-    };
-    let query = dataset.point(p);
-    let pts = dataset.points();
-    let rho_p = order.rho()[p];
-    let stats = &mut scratch.stats;
+/// What every δ search of one query shares: the tree and its dataset, the
+/// density order, the `maxrho` annotation of Lemma 1 and the pruning rules.
+struct DeltaSearch<'a, T: ?Sized> {
+    tree: &'a T,
+    dataset: &'a Dataset,
+    order: DensityOrder<'a>,
+    maxrho: Vec<Rho>,
+    config: &'a DeltaQueryConfig,
+}
 
-    let mut best_d2 = f64::INFINITY;
-    let mut best_q: Option<PointId> = None;
-
-    // Min-heap on dmin²: the node most likely to contain the dependent
-    // neighbour is explored first, so the candidate δ shrinks quickly and
-    // distance pruning bites early. The heap is per-worker scratch — cleared
-    // (it may hold leftovers from an early-terminated previous query) but
-    // never re-allocated.
-    let heap = &mut scratch.heap;
-    heap.clear();
-    heap.push(Reverse((
-        OrdF64(tree.bbox(root).min_dist_squared(query)),
-        root,
-    )));
-
-    while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
-        // Strict `>`: a node at exactly the best d² may still hold a
-        // candidate with a smaller id.
-        if config.distance_pruning && dmin2 > best_d2 {
-            // The heap is ordered by dmin², so every remaining node is at
-            // least this far: nothing can improve the candidate any more.
-            stats.nodes_distance_pruned += heap.len() as u64 + 1;
-            break;
+impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
+    fn new(
+        tree: &'a T,
+        dataset: &'a Dataset,
+        rho: &'a [Rho],
+        config: &'a DeltaQueryConfig,
+    ) -> Self {
+        DeltaSearch {
+            tree,
+            dataset,
+            order: DensityOrder::new(rho),
+            maxrho: subtree_max_density(tree, rho),
+            config,
         }
+    }
+
+    /// δ and µ of `p` — the best-first search of Algorithm 6, seeded with
+    /// the best denser point of `own`, the leaf holding `p`.
+    ///
+    /// Every comparison is in squared space under the workspace's distance
+    /// contract: candidates are ranked by [`closer`] on `(fl(d²), id)`,
+    /// nodes are keyed and pruned on [`BoundingBox::min_dist_squared`], and
+    /// the only root is the one taken of the winning `fl(d²)`.
+    ///
+    /// A search without the seed expands `own` too, since its box holds `p`
+    /// and its `maxrho` is at least `ρ(p)`, and either search expands
+    /// exactly the nodes that pass density pruning and lie no farther than
+    /// the final candidate. So the seed changes which nodes are queued, not
+    /// which are expanded, and the counters are the same: `own` counts as
+    /// visited, and a node pruned before it is queued counts as
+    /// distance-pruned, as it would have when left in the heap.
+    ///
+    /// [`BoundingBox::min_dist_squared`]: dpc_core::BoundingBox::min_dist_squared
+    fn one(&self, p: PointId, own: NodeId, scratch: &mut QueryScratch) -> (f64, Option<PointId>) {
+        let (tree, config) = (self.tree, self.config);
+        let Some(root) = tree.root() else {
+            return (0.0, None);
+        };
+        let query = self.dataset.point(p);
+        let rho_p = self.order.rho()[p];
+        let QueryScratch { stats, heap, .. } = scratch;
+
+        let mut best = (f64::INFINITY, None);
         stats.nodes_visited += 1;
-        if tree.is_leaf(node) {
-            for &q in tree.points(node) {
-                let q = q as PointId;
-                stats.points_scanned += 1;
-                if q == p || !order.is_denser(q, p) {
+        self.scan_leaf(p, own, &mut best, stats);
+
+        // Min-heap on dmin²: the node most likely to contain the dependent
+        // neighbour is explored first, so the candidate δ shrinks quickly and
+        // distance pruning bites early. The heap is per-worker scratch —
+        // cleared (it may hold leftovers from an early-terminated previous
+        // query) but never re-allocated.
+        heap.clear();
+        if root != own {
+            heap.push(Reverse((
+                OrdF64(tree.bbox(root).min_dist_squared(query)),
+                root,
+            )));
+        }
+
+        while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
+            // Strict `>`: a node at exactly the best d² may still hold a
+            // candidate with a smaller id.
+            if config.distance_pruning && dmin2 > best.0 {
+                // The heap is ordered by dmin², so every remaining node is at
+                // least this far: nothing can improve the candidate any more.
+                stats.nodes_distance_pruned += heap.len() as u64 + 1;
+                break;
+            }
+            stats.nodes_visited += 1;
+            if tree.is_leaf(node) {
+                self.scan_leaf(p, node, &mut best, stats);
+                continue;
+            }
+            for &c in tree.children(node) {
+                if c == own {
                     continue;
                 }
-                let d2 = pts[q].distance_squared(&query);
-                if closer(d2, q, best_d2, best_q) {
-                    best_d2 = d2;
-                    best_q = Some(q);
-                }
-            }
-        } else {
-            for &c in tree.children(node) {
-                if config.density_pruning && maxrho[c] < rho_p {
+                if config.density_pruning && self.maxrho[c] < rho_p {
                     stats.nodes_density_pruned += 1;
                     continue;
                 }
                 let child_dmin2 = tree.bbox(c).min_dist_squared(query);
-                if config.distance_pruning && child_dmin2 > best_d2 {
+                if config.distance_pruning && child_dmin2 > best.0 {
                     stats.nodes_distance_pruned += 1;
                     continue;
                 }
                 heap.push(Reverse((OrdF64(child_dmin2), c)));
             }
         }
+
+        match best {
+            (d2, Some(q)) => (d2.sqrt(), Some(q)),
+            // No denser point exists: p is the global peak, whose δ (the
+            // largest distance to any other point) only a full scan can give.
+            (_, None) => brute::delta_one(self.dataset, &self.order, p),
+        }
     }
 
-    match best_q {
-        Some(q) => (best_d2.sqrt(), Some(q)),
-        // No denser point exists: p is the global peak, whose δ (the largest
-        // distance to any other point) only a full scan can give.
-        None => brute::delta_one(dataset, order, p),
+    /// Improves `best`, the `(fl(d²), id)` of `p`'s nearest denser point so
+    /// far, with the points of the leaf `node`.
+    fn scan_leaf(
+        &self,
+        p: PointId,
+        node: NodeId,
+        best: &mut (f64, Option<PointId>),
+        stats: &mut QueryStats,
+    ) {
+        let pts = self.dataset.points();
+        for &q in self.tree.points(node) {
+            let q = q as PointId;
+            stats.points_scanned += 1;
+            if q == p || !self.order.is_denser(q, p) {
+                continue;
+            }
+            let d2 = pts[q].distance_squared(&pts[p]);
+            if closer(d2, q, best.0, best.1) {
+                *best = (d2, Some(q));
+            }
+        }
     }
 }
 
