@@ -66,7 +66,6 @@ impl DpcIndex for LeanDpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::MatrixDpc;
     use dpc_core::{ExecPolicy, Kernel, Point};
     use dpc_datasets::generators::{query, s1};
 
@@ -116,28 +115,6 @@ mod tests {
         // A comfortably-above-the-limit dc counts coincident points.
         let rho = lean.rho(&Query::new(1e-100).with_exec(threads)).unwrap();
         assert_eq!(rho, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn matches_matrix_baseline_on_synthetic_data() {
-        let data = s1(11, 0.04).into_dataset(); // 200 points
-        let lean = LeanDpc::build(&data);
-        let matrix = MatrixDpc::build(&data);
-        for dc in [10_000.0, 50_000.0, 200_000.0] {
-            let query = Query::new(dc);
-            let (r1, d1) = lean.rho_delta(&query).unwrap();
-            let (r2, d2) = matrix.rho_delta(&query).unwrap();
-            assert_eq!(r1, r2, "dc = {dc}");
-            assert_eq!(d1, d2, "dc = {dc}");
-        }
-    }
-
-    #[test]
-    fn memory_is_linear_not_quadratic() {
-        let data = s1(11, 0.1).into_dataset(); // 500 points
-        let lean = LeanDpc::build(&data);
-        let matrix = MatrixDpc::build(&data);
-        assert!(lean.memory_bytes() < matrix.memory_bytes() / 10);
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub enum ExecPolicy {
     /// Use this many worker threads (clamped to the number of work items;
     /// `0` and `1` behave like `Sequential`).
     Threads(usize),
-    /// One worker per available CPU core.
-    Auto,
 }
 
 impl ExecPolicy {
@@ -63,9 +61,6 @@ impl ExecPolicy {
         let requested = match *self {
             ExecPolicy::Sequential => 1,
             ExecPolicy::Threads(t) => t.max(1),
-            ExecPolicy::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
         };
         requested.min(items).max(1)
     }
@@ -296,7 +291,6 @@ mod tests {
         assert_eq!(ExecPolicy::Threads(4).workers(3), 3);
         assert_eq!(ExecPolicy::Threads(0).workers(10), 1);
         assert_eq!(ExecPolicy::Threads(8).workers(0), 1);
-        assert!(ExecPolicy::Auto.workers(1000) >= 1);
     }
 
     #[test]
@@ -370,7 +364,7 @@ mod tests {
         fill_slice_pair(
             &mut a,
             &mut b,
-            ExecPolicy::Auto,
+            ExecPolicy::Threads(8),
             &NoopRecorder,
             "",
             || (),

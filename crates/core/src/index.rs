@@ -302,43 +302,6 @@ pub trait DpcIndex {
     }
 }
 
-/// One mutation of an epoch batch, consumed by
-/// [`UpdatableIndex::apply_batch`].
-///
-/// A batch is an ordered sequence of these: the streaming engine translates
-/// a whole epoch of inserts and expiries into `BatchOp`s (resolving handles
-/// to the dense ids they hold *at execution time*) and hands them to the
-/// index in one call, so the index can amortise its internal maintenance
-/// triggers over the epoch instead of paying them per update.
-///
-/// ```
-/// use dpc_core::naive_reference::NaiveReferenceIndex;
-/// use dpc_core::{BatchOp, Dataset, DpcIndex, Point, UpdatableIndex};
-///
-/// let data = Dataset::from_coords(vec![(0.0, 0.0), (1.0, 1.0)]);
-/// let mut index = NaiveReferenceIndex::build(&data);
-/// // Insert two points, then swap-remove the point at dense id 0: the
-/// // default implementation replays the ops through insert()/remove().
-/// index
-///     .apply_batch(&[
-///         BatchOp::Insert(Point::new(2.0, 2.0)),
-///         BatchOp::Insert(Point::new(3.0, 3.0)),
-///         BatchOp::Remove(0),
-///     ])
-///     .unwrap();
-/// assert_eq!(index.len(), 3);
-/// // Swap-remove semantics: the last point (3,3) was renamed to id 0.
-/// assert_eq!(index.dataset().point(0), Point::new(3.0, 3.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchOp {
-    /// Append a point (its id becomes the dataset length before the op).
-    Insert(Point),
-    /// Swap-remove the point at this dense id (resolved against the dataset
-    /// state at the moment the op executes, mid-batch).
-    Remove(PointId),
-}
-
 /// An index that supports online point insertion and deletion, plus the
 /// ε-range query the streaming engine uses to find the *affected set* of an
 /// update.
@@ -352,10 +315,12 @@ pub enum BatchOp {
 /// Shun 2023; Shan et al. 2022).
 ///
 /// The engine builds the index once, when it is seeded, and from then on
-/// only mutates it in place: one [`apply_batch`](UpdatableIndex::apply_batch)
-/// per epoch, [`eps_neighbors`](UpdatableIndex::eps_neighbors) for the ρ
-/// repair, and [`delta_targets`](UpdatableIndex::delta_targets) or
-/// [`DpcIndex::delta`] for the δ/µ repair.
+/// only mutates it in place: one [`insert`](UpdatableIndex::insert) or
+/// [`remove`](UpdatableIndex::remove) per op of an epoch,
+/// [`eps_neighbors`](UpdatableIndex::eps_neighbors) for the ρ repair, and
+/// [`delta_targets`](UpdatableIndex::delta_targets) or [`DpcIndex::delta`]
+/// for the δ/µ repair. An index with amortised maintenance (the k-d tree's
+/// rebuilds) runs it inside the insert or remove that trips it.
 ///
 /// ## Contract
 ///
@@ -386,40 +351,6 @@ pub trait UpdatableIndex: DpcIndex {
     /// (`Some(len - 1)`), or `None` when the last point was removed. Errors
     /// when `id` is out of range.
     fn remove(&mut self, id: PointId) -> Result<Option<PointId>>;
-
-    /// Applies a whole epoch of mutations in order.
-    ///
-    /// Semantically this is exactly a loop over [`insert`](Self::insert) and
-    /// [`remove`](Self::remove) — the default implementation *is* that loop,
-    /// and every override must leave the dataset in the identical state
-    /// (same points at the same dense ids; the id effects of each op are
-    /// deterministic: an insert lands at the current length, a remove renames
-    /// the last point into the hole). What an override **may** change is the
-    /// *internal* structural maintenance: amortised triggers such as the k-d
-    /// tree's scapegoat/dead-fraction rebuilds are allowed to fire **once per
-    /// batch** instead of once per op, as long as every [`DpcIndex`] query
-    /// still returns exactly what a freshly built index over the final
-    /// dataset would return.
-    ///
-    /// # Errors and partial progress
-    ///
-    /// An op that fails (non-finite point, out-of-range id) aborts the batch
-    /// at that op; ops already applied **stay applied**, mirroring the
-    /// per-update contract. Callers that need atomicity must validate the
-    /// batch first (the streaming engine does).
-    fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<()> {
-        for op in ops {
-            match *op {
-                BatchOp::Insert(p) => {
-                    self.insert(p)?;
-                }
-                BatchOp::Remove(id) => {
-                    self.remove(id)?;
-                }
-            }
-        }
-        Ok(())
-    }
 
     /// Ids of all points strictly within `eps` of `center`, ascending.
     ///

@@ -82,10 +82,10 @@ pub use cluster::{ClusterId, Clustering};
 pub use dc_estimation::{estimate_dc, DcEstimation};
 pub use decision::{CenterSelection, DecisionGraph};
 pub use delta::{DeltaResult, DensityOrder};
-pub use density::{DensityEstimate, Rho};
+pub use density::Rho;
 pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
-pub use index::{BatchOp, DpcIndex, IndexStats, Query, UpdatableIndex};
+pub use index::{DpcIndex, IndexStats, Query, UpdatableIndex};
 pub use kernel::Kernel;
 pub use metric::{closer, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
 pub use params::DpcParams;

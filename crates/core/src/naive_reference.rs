@@ -1,12 +1,12 @@
 //! A deliberately simple O(n²) reference implementation of the ρ- and
 //! δ-queries.
 //!
-//! This is *not* the paper's baseline (that lives in the `dpc-baseline`
-//! crate, with matrix-based and memory-lean variants); it is the
-//! smallest possible implementation of [`DpcIndex`] — a dataset handed to
-//! the sequential [`brute`] kernels — used as ground truth in unit tests,
-//! doctests and property tests throughout the workspace, and as the default
-//! index for tiny datasets in examples.
+//! This is *not* the paper's baseline (that is `LeanDpc` in the
+//! `dpc-baseline` crate); it is the smallest possible implementation of
+//! [`DpcIndex`] — a dataset handed to the sequential [`brute`] kernels —
+//! used as ground truth in unit tests, doctests and property tests
+//! throughout the workspace, and as the default index for tiny datasets in
+//! examples.
 
 use std::time::Duration;
 

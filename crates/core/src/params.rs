@@ -152,8 +152,8 @@ mod tests {
             ExecPolicy::Sequential
         );
         assert_eq!(
-            DpcParams::new(1.0).with_exec(ExecPolicy::Auto).exec,
-            ExecPolicy::Auto
+            DpcParams::new(1.0).with_exec(ExecPolicy::Threads(3)).exec,
+            ExecPolicy::Threads(3)
         );
     }
 

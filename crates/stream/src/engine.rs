@@ -11,13 +11,13 @@
 //!
 //! 1. **Validate** the whole batch up front (finite coordinates, live
 //!    handles, no duplicates) so a rejected plan leaves the engine untouched.
-//! 2. **Mutate the index** in one [`UpdatableIndex::apply_batch`] call —
-//!    ops execute in submission order with the exact per-update id semantics
-//!    (inserts append, removals swap-remove), but the index may defer its
-//!    internal amortised triggers (k-d scapegoat and dead-fraction
-//!    rebuilds) to the end of the batch. The engine mirrors every op in
-//!    its handle map and per-point arrays, tracking the provenance of each
-//!    final slot (survivor of old id `o` / inserted this epoch).
+//! 2. **Mutate the index** one [`UpdatableIndex::insert`] or
+//!    [`UpdatableIndex::remove`] per op, in submission order (inserts
+//!    append, removals swap-remove); the index's amortised triggers (k-d
+//!    scapegoat and dead-fraction rebuilds) fire inside the op that trips
+//!    them. The engine mirrors every op in its handle map and per-point
+//!    arrays, tracking the provenance of each final slot (survivor of old
+//!    id `o` / inserted this epoch).
 //! 3. **Repair ρ** with one ε-query per *net* mutation, all against the
 //!    final index: each expired pre-epoch location subtracts its (aged)
 //!    pair weight `λᵃᵍᵉ·w(d)` from the surviving neighbours it used to
@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dpc_core::{
-    compute_halo, nearest_center, BatchOp, CenterSelection, ClusterId, Clustering, DecisionGraph,
+    compute_halo, nearest_center, CenterSelection, ClusterId, Clustering, DecisionGraph,
     DeltaResult, DensityOrder, DpcError, DpcParams, Kernel, Point, PointId, Result, Rho,
     UpdatableIndex,
 };
@@ -121,13 +121,15 @@ pub struct StreamParams {
     /// its δ-disk overlaps, and the threshold trades that visit plus the
     /// targeted searches against one search per point.
     ///
-    /// The default, 0.6, is the measured crossover on the k-d tree: over
-    /// Gowalla-like windows at dc 0.1 (`dpc generate --dataset gowalla
-    /// --scale 0.005 --seed 42`), always-incremental against always-re-rank
-    /// epochs took 1.09 against 1.23 ms at window 1 000 with `|F|` 57% of
-    /// the window, 1.33 against 1.30 ms at 67%, and 5.47 against 6.25 ms at
-    /// window 4 000 with `|F|` 53%, 8.91 against 8.40 ms at 64% (2-vCPU VM;
-    /// the grid's crossover is higher, near 0.8).
+    /// The default, 0.6, sits at the measured crossover on the k-d tree.
+    /// On a Gowalla-like window of 4 000 at dc 0.1 (`dpc generate --dataset
+    /// gowalla --scale 0.05 --seed 42`, 20 epochs per run, 6 runs per side,
+    /// 2-vCPU VM), always-incremental against always-re-rank epochs took
+    /// 3.4–3.6 against 3.9–4.3 ms with `|F|` 38% of the window, tied at 52%
+    /// (5.0–6.6 against 5.1–6.9 ms), and lost at 62% (6.7–8.6 against
+    /// 6.0–7.7 ms) and 70% (8.1–10.9 against 7.3–10.7 ms). The grid's
+    /// crossover is higher: it still won at 70% (16.4–20.1 against
+    /// 19.5–21.3 ms) and lost at 90% (25.1–26.1 against 22.9–23.8 ms).
     /// 1.0 (or anything ≥ 1.0) effectively disables the fallback; 0.0 forces
     /// it on every epoch (useful for testing).
     pub max_affected_fraction: f64,
@@ -291,6 +293,15 @@ enum Origin {
     New(usize),
 }
 
+/// One index mutation of an epoch, with the dense id it has when it runs.
+#[derive(Debug, Clone, Copy)]
+enum IndexOp {
+    /// Append a point at the current length.
+    Insert(Point),
+    /// Swap-remove the point at this id.
+    Remove(PointId),
+}
+
 /// Reusable per-epoch working memory of [`StreamingDpc::commit`]. Every
 /// buffer is cleared (not shrunk) at the start of the phase that fills it,
 /// so a steady-state stream commits epochs without allocating.
@@ -299,7 +310,7 @@ struct CommitScratch {
     /// Provenance of each dense slot while the plan is applied.
     owner: Vec<Origin>,
     /// The plan translated to resolved-id index ops.
-    batch_ops: Vec<BatchOp>,
+    index_ops: Vec<IndexOp>,
     /// Pre-epoch coordinates of every expired survivor.
     removed_old_locs: Vec<Point>,
     /// Birth epoch of every expired survivor, parallel to
@@ -918,7 +929,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let n_old = self.rho.len();
         scratch.owner.clear();
         scratch.owner.extend((0..n_old).map(Origin::Old));
-        scratch.batch_ops.clear();
+        scratch.index_ops.clear();
         scratch.removed_old_locs.clear();
         scratch.removed_old_births.clear();
         scratch.orphaned.clear();
@@ -929,7 +940,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         for op in &plan.ops {
             let handle = match *op {
                 PlanOp::Insert(p, _) => {
-                    scratch.batch_ops.push(BatchOp::Insert(p));
+                    scratch.index_ops.push(IndexOp::Insert(p));
                     planned_handles.push(self.handles.push());
                     scratch.owner.push(Origin::New(planned_handles.len() - 1));
                     self.rho.push(0.0);
@@ -965,7 +976,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     orphaned.push(o);
                 }
             });
-            scratch.batch_ops.push(BatchOp::Remove(id));
+            scratch.index_ops.push(IndexOp::Remove(id));
             self.evicted.push(self.handles.swap_remove(id));
             scratch.owner.swap_remove(id);
             self.rho.swap_remove(id);
@@ -976,7 +987,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         planned_handles
     }
 
-    /// Phases 2–4 of the pipeline: batch index mutation, ρ repair, and the
+    /// Phases 2–4 of the pipeline: index mutation, ρ repair, and the
     /// bounded δ/µ repair with its fallback. Re-clustering and the stats
     /// bookkeeping happen in [`commit`](Self::commit).
     fn maintain(&mut self, plan: &EpochPlan, scratch: &mut CommitScratch) -> Result<EpochOutcome> {
@@ -989,13 +1000,17 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         self.age_epoch += 1;
         let planned_handles = self.apply_plan(plan, scratch);
 
-        // Phase 2 — one index call for the whole epoch; amortised triggers
-        // (scapegoat and dead-fraction rebuilds) fire at most once here.
+        // Phase 2 — the ops in submission order, one insert or remove each.
         // Validation guarantees the ops themselves cannot fail.
-        self.index.apply_batch(&scratch.batch_ops)?;
+        for op in &scratch.index_ops {
+            match *op {
+                IndexOp::Insert(p) => self.index.insert(p).map(drop),
+                IndexOp::Remove(id) => self.index.remove(id).map(drop),
+            }?;
+        }
         debug_assert_eq!(self.index.len(), self.rho.len());
         debug_assert_eq!(self.handles.len(), self.rho.len());
-        self.stats.updates += scratch.batch_ops.len() as u64;
+        self.stats.updates += scratch.index_ops.len() as u64;
         drop(apply_span);
 
         let n = self.rho.len();
@@ -1455,18 +1470,18 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // The rank labels follow the epoch's swap-removes and change only
         // where a label did, unless the centres or their id order changed.
         let same_ranks = !full && ranked == self.ranked;
-        let (ops, centre_of) = (&scratch.batch_ops, &self.centre_of);
+        let (ops, centre_of) = (&scratch.index_ops, &self.centre_of);
         let halo = self.params.dpc.assignment.compute_halo;
         let (dataset, rho, dc) = (self.index.dataset(), &self.rho, self.params.dpc.dc);
         self.clustering.edit(|labels, centres, flags| {
             if same_ranks {
                 for op in ops {
                     match *op {
-                        BatchOp::Insert(_) => {
+                        IndexOp::Insert(_) => {
                             labels.push(0);
                             flags.push(false);
                         }
-                        BatchOp::Remove(id) => {
+                        IndexOp::Remove(id) => {
                             labels.swap_remove(id);
                             flags.swap_remove(id);
                         }

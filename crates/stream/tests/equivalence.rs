@@ -581,7 +581,7 @@ where
 /// mutations per epoch) for every engine, checked against the per-update
 /// replay and the cold batch run at every epoch. The proptest above covers
 /// the same batch sizes on short sequences; this pins genuinely large
-/// epochs, where the union/invalidation machinery and the trees' deferred
+/// epochs, where the union/invalidation machinery and the trees' rebuild
 /// triggers actually amortise.
 #[test]
 fn large_epochs_match_per_update_replay_across_engines() {
@@ -714,12 +714,10 @@ fn tie_heavy_lattice_replay_matches_batch() {
     }
 }
 
-/// The k-d tree's amortised triggers are *deferred* inside a batched epoch:
-/// it settles its scapegoat/dead-fraction violations in one end-of-batch
-/// sweep, which must still fire under a workload that overflows its tiny
-/// leaves.
+/// The k-d tree's amortised triggers fire inside the inserts of a large
+/// epoch that overflows its tiny leaves.
 #[test]
-fn kdtree_deferred_sweep_fires_after_a_large_epoch() {
+fn kdtree_rebuilds_fire_within_a_large_epoch() {
     let dc = 120.0;
     let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
     let arrivals = test_points(TestDistribution::Clustered, 60, 21);
@@ -732,7 +730,7 @@ fn kdtree_deferred_sweep_fires_after_a_large_epoch() {
     let kd = kd_engine.index().maintenance_counters();
     assert!(
         counter(&kd, "subtree_rebuilds") + counter(&kd, "full_rebuilds") >= 1,
-        "k-d deferred sweep never rebuilt after a 60-insert epoch: {kd:?}"
+        "k-d tree never rebuilt within a 60-insert epoch: {kd:?}"
     );
     assert_cold_batch("kdtree", &kd_build, &kd_engine, &dpc);
 }

@@ -37,8 +37,6 @@ pub struct GridConfig {
     /// re-bucketing; explicit `cell_size` grids never re-bucket (a fixed
     /// geometry cannot adapt). Must be greater than 1.
     pub rebucket_skew: f64,
-    /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
-    pub delta: DeltaQueryConfig,
 }
 
 impl Default for GridConfig {
@@ -47,7 +45,6 @@ impl Default for GridConfig {
             cell_size: None,
             target_points_per_cell: 32,
             rebucket_skew: 8.0,
-            delta: DeltaQueryConfig::default(),
         }
     }
 }
@@ -390,12 +387,11 @@ impl UpdatableIndex for GridIndex {
         targets: &[PointId],
     ) -> Result<DeltaResult> {
         query.validate_targets(rho, self.dataset.len(), targets)?;
-        let config = &self.config.delta;
         let leaf_of = |p: PointId| {
             self.cell_node(self.dataset.point(p))
                 .expect("GridIndex: every point has a cell")
         };
-        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets, leaf_of).0)
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, query, targets, leaf_of).0)
     }
 
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {
@@ -465,8 +461,8 @@ impl DpcIndex for GridIndex {
 
     fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
         query.validate_delta(rho, self.dataset.len())?;
-        let config = &self.config.delta;
-        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
+        let config = DeltaQueryConfig::default();
+        Ok(tree_query::delta(self, &self.dataset, rho, &config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -694,7 +690,6 @@ mod tests {
                 cell_size: Some(1.0e7),
                 target_points_per_cell: 2,
                 rebucket_skew: 1.5,
-                ..Default::default()
             },
         );
         for i in 0..40 {

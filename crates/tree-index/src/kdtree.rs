@@ -14,13 +14,15 @@
 //! entry out of its leaf, leaving *tombstone structure* behind — empty
 //! leaves, conservative bounding boxes and growing imbalance. Two amortised
 //! triggers keep that decay bounded, in the spirit of the sparse-search
-//! k-d tree of Shan et al. (arXiv:2203.00973):
+//! k-d tree of Shan et al. (arXiv:2203.00973). Each runs inside the
+//! [`insert`](UpdatableIndex::insert) or [`remove`](UpdatableIndex::remove)
+//! that trips it:
 //!
 //! * **partial rebuild** — after an insert, the highest node on the
 //!   insertion path that is overweight (a leaf past its capacity, or an
-//!   internal node one of whose children holds more than
-//!   [`KdTreeConfig::rebuild_imbalance`] of its live points — the scapegoat
-//!   rule) is rebuilt from its surviving points by fresh median splits;
+//!   internal node one of whose children holds more than 3/4 of its live
+//!   points — the scapegoat rule) is rebuilt from its surviving points by
+//!   fresh median splits;
 //! * **full rebuild** — when the number of removals since the last full
 //!   rebuild exceeds [`KdTreeConfig::rebuild_dead_fraction`] of the live
 //!   size, the whole tree is rebuilt, compacting every tombstone and
@@ -44,17 +46,15 @@ use dpc_obs::Timer;
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
 use crate::query::{self as tree_query, eps_query, DeltaQueryConfig};
 
+/// Scapegoat weight bound: an internal node is rebuilt when one child holds
+/// more than this fraction of its live points.
+const REBUILD_IMBALANCE: f64 = 0.75;
+
 /// Configuration of a [`KdTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KdTreeConfig {
     /// Maximum number of points per leaf.
     pub leaf_capacity: usize,
-    /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
-    pub delta: DeltaQueryConfig,
-    /// Scapegoat weight bound `α ∈ (0.5, 1.0]`: an internal node is rebuilt
-    /// when one child holds more than `α` of its live points (1.0 disables
-    /// imbalance rebuilds; leaf-overflow rebuilds still run).
-    pub rebuild_imbalance: f64,
     /// Full-rebuild trigger: rebuild the whole tree when the removals since
     /// the last full rebuild exceed this fraction of the live size.
     pub rebuild_dead_fraction: f64,
@@ -64,8 +64,6 @@ impl Default for KdTreeConfig {
     fn default() -> Self {
         KdTreeConfig {
             leaf_capacity: 32,
-            delta: DeltaQueryConfig::default(),
-            rebuild_imbalance: 0.75,
             rebuild_dead_fraction: 0.5,
         }
     }
@@ -112,10 +110,6 @@ pub struct KdTree {
     subtree_rebuilds: u64,
     /// Whole-tree rebuilds (dead-fraction trigger, or a scapegoat at root).
     full_rebuilds: u64,
-    /// True while an `apply_batch` epoch is in flight: the per-update
-    /// scapegoat and dead-fraction triggers are deferred to one
-    /// [`Self::run_deferred_maintenance`] pass at the end of the batch.
-    in_batch: bool,
     config: KdTreeConfig,
     construction_time: Duration,
 }
@@ -129,17 +123,12 @@ impl KdTree {
     /// Builds a k-d tree with an explicit configuration.
     ///
     /// # Panics
-    /// Panics if `leaf_capacity` is 0, `rebuild_imbalance` is outside
-    /// `(0.5, 1.0]`, or `rebuild_dead_fraction` is not positive.
+    /// Panics if `leaf_capacity` is 0 or `rebuild_dead_fraction` is not
+    /// positive.
     pub fn with_config(dataset: &Dataset, config: &KdTreeConfig) -> Self {
         assert!(
             config.leaf_capacity > 0,
             "KdTree: leaf capacity must be positive"
-        );
-        assert!(
-            config.rebuild_imbalance > 0.5 && config.rebuild_imbalance <= 1.0,
-            "KdTree: rebuild_imbalance must be in (0.5, 1.0], got {}",
-            config.rebuild_imbalance
         );
         assert!(
             config.rebuild_dead_fraction > 0.0,
@@ -156,7 +145,6 @@ impl KdTree {
             removed_since_rebuild: 0,
             subtree_rebuilds: 0,
             full_rebuilds: 0,
-            in_batch: false,
             config: *config,
             construction_time: Duration::ZERO,
         };
@@ -309,57 +297,18 @@ impl KdTree {
     }
 
     /// Whether `node` violates its weight bound: a leaf past its capacity,
-    /// or an internal node one of whose children carries more than `α` of
-    /// its live points (checked only above `2 × leaf_capacity` points so
-    /// tiny subtrees are not churned).
+    /// or an internal node one of whose children carries more than
+    /// [`REBUILD_IMBALANCE`] of its live points (checked only above
+    /// `2 × leaf_capacity` points so tiny subtrees are not churned).
     fn is_overweight(&self, node: NodeId) -> bool {
         let n = self.nodes[node].count;
         match &self.nodes[node].kind {
             NodeKind::Leaf { points } => points.len() > self.config.leaf_capacity,
             NodeKind::Internal { children, .. } => {
                 n > 2 * self.config.leaf_capacity
-                    && children.iter().any(|&c| {
-                        self.nodes[c].count as f64 > self.config.rebuild_imbalance * n as f64
-                    })
-            }
-        }
-    }
-
-    /// The end-of-batch maintenance pass of
-    /// [`UpdatableIndex::apply_batch`]: runs the amortised triggers **once
-    /// per epoch** instead of once per update.
-    ///
-    /// The dead-fraction check comes first — one full rebuild settles every
-    /// deferred violation at once. Otherwise a single top-down sweep
-    /// rebuilds each highest overweight node (a rebuilt subtree is balanced,
-    /// so the sweep does not descend into it); this is the batch analogue of
-    /// the per-insert scapegoat pass. The sweep only runs when the batch
-    /// inserted something (`inserted`): removals cannot create overweight
-    /// nodes, and the sweep's node ids would be the only cost of a pure
-    /// eviction epoch. Subtrees small enough to hold no violation
-    /// (`count ≤ leaf_capacity`) are skipped.
-    fn run_deferred_maintenance(&mut self, inserted: bool) {
-        let Some(root) = self.root else { return };
-        if self.removed_since_rebuild as f64
-            > self.config.rebuild_dead_fraction * self.dataset.len() as f64
-        {
-            self.rebuild_subtree(root);
-            return;
-        }
-        if !inserted {
-            return;
-        }
-        let mut stack = vec![root];
-        while let Some(node) = stack.pop() {
-            if self.is_overweight(node) {
-                self.rebuild_subtree(node);
-                continue;
-            }
-            if self.nodes[node].count <= self.config.leaf_capacity {
-                continue; // nothing below can overflow or be imbalanced
-            }
-            if let NodeKind::Internal { children, .. } = &self.nodes[node].kind {
-                stack.extend_from_slice(children);
+                    && children
+                        .iter()
+                        .any(|&c| self.nodes[c].count as f64 > REBUILD_IMBALANCE * n as f64)
             }
         }
     }
@@ -454,8 +403,8 @@ impl DpcIndex for KdTree {
 
     fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
         query.validate_delta(rho, self.dataset.len())?;
-        let config = &self.config.delta;
-        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
+        let config = DeltaQueryConfig::default();
+        Ok(tree_query::delta(self, &self.dataset, rho, &config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -529,12 +478,6 @@ impl UpdatableIndex for KdTree {
 
         // Scapegoat pass: rebuild the *highest* overweight node on the
         // insertion path, so one rebuild fixes every violation beneath it.
-        // Inside an apply_batch epoch the pass is deferred: overflowing
-        // leaves stay correct (queries scan them regardless of size) and one
-        // end-of-batch sweep settles every violation at once.
-        if self.in_batch {
-            return Ok(id);
-        }
         let mut scapegoat = None;
         let mut cur = node;
         loop {
@@ -606,40 +549,13 @@ impl UpdatableIndex for KdTree {
             return Ok(moved);
         }
         self.removed_since_rebuild += 1;
-        if !self.in_batch
-            && self.removed_since_rebuild as f64
-                > self.config.rebuild_dead_fraction * self.dataset.len() as f64
+        if self.removed_since_rebuild as f64
+            > self.config.rebuild_dead_fraction * self.dataset.len() as f64
         {
             let root = self.root.expect("non-empty tree has a root");
             self.rebuild_subtree(root);
         }
         Ok(moved)
-    }
-
-    fn apply_batch(&mut self, ops: &[dpc_core::BatchOp]) -> Result<()> {
-        // A single-op batch is exactly a per-update mutation: take the
-        // per-update path (O(log n) insertion-path scapegoat walk) rather
-        // than paying the end-of-batch whole-tree sweep for one op.
-        if let [op] = ops {
-            return match *op {
-                dpc_core::BatchOp::Insert(p) => self.insert(p).map(drop),
-                dpc_core::BatchOp::Remove(id) => self.remove(id).map(drop),
-            };
-        }
-        self.in_batch = true;
-        let mut inserted = false;
-        let result = ops.iter().try_for_each(|op| match *op {
-            dpc_core::BatchOp::Insert(p) => {
-                inserted = true;
-                self.insert(p).map(drop)
-            }
-            dpc_core::BatchOp::Remove(id) => self.remove(id).map(drop),
-        });
-        self.in_batch = false;
-        // Even a failed batch leaves its applied prefix in place, so the
-        // deferred triggers must still run to keep the tree healthy.
-        self.run_deferred_maintenance(inserted);
-        result
     }
 
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
@@ -654,9 +570,8 @@ impl UpdatableIndex for KdTree {
         targets: &[PointId],
     ) -> Result<DeltaResult> {
         query.validate_targets(rho, self.dataset.len(), targets)?;
-        let config = &self.config.delta;
         let leaf_of = |p: PointId| self.leaf_of[p];
-        Ok(tree_query::delta_targets(self, &self.dataset, rho, config, query, targets, leaf_of).0)
+        Ok(tree_query::delta_targets(self, &self.dataset, rho, query, targets, leaf_of).0)
     }
 
     fn maintenance_counters(&self) -> Vec<(&'static str, u64)> {

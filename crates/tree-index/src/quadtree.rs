@@ -25,8 +25,6 @@ pub struct QuadtreeConfig {
     /// Maximum tree depth; a leaf at this depth is never split (guards
     /// against unbounded recursion on coincident points).
     pub max_depth: usize,
-    /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
-    pub delta: DeltaQueryConfig,
 }
 
 impl Default for QuadtreeConfig {
@@ -34,7 +32,6 @@ impl Default for QuadtreeConfig {
         QuadtreeConfig {
             node_capacity: 32,
             max_depth: 32,
-            delta: DeltaQueryConfig::default(),
         }
     }
 }
@@ -247,8 +244,8 @@ impl DpcIndex for Quadtree {
 
     fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
         query.validate_delta(rho, self.dataset.len())?;
-        let config = &self.config.delta;
-        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
+        let config = DeltaQueryConfig::default();
+        Ok(tree_query::delta(self, &self.dataset, rho, &config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -335,7 +332,6 @@ mod tests {
         let config = QuadtreeConfig {
             node_capacity: 4,
             max_depth: 6,
-            ..Default::default()
         };
         let tree = Quadtree::with_config(&data, &config);
         check_partition_invariants(&tree, &data);

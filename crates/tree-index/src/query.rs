@@ -510,8 +510,8 @@ pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     (DeltaResult::new(delta, mu), stats)
 }
 
-/// [`delta`] for the points of `targets` only — entry `k` of the result
-/// belongs to `targets[k]` — behind every tree's
+/// [`delta`] with both pruning rules for the points of `targets` only —
+/// entry `k` of the result belongs to `targets[k]` — behind every tree's
 /// [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets).
 /// `leaf_of(p)` is the leaf holding `p`, from the index's own map; each
 /// search starts from it. The `maxrho` annotation is built once per call,
@@ -520,12 +520,12 @@ pub fn delta_targets<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
     rho: &[Rho],
-    config: &DeltaQueryConfig,
     query: &Query<'_>,
     targets: &[PointId],
     leaf_of: impl Fn(PointId) -> NodeId + Sync,
 ) -> (DeltaResult, QueryStats) {
-    let search = DeltaSearch::new(tree, dataset, rho, config);
+    let config = DeltaQueryConfig::default();
+    let search = DeltaSearch::new(tree, dataset, rho, &config);
     let (result, scratches) =
         query.fill_delta(targets.len(), QueryScratch::default, |k, scratch| {
             search.one(targets[k], leaf_of(targets[k]), scratch)

@@ -28,16 +28,11 @@ pub struct RTreeConfig {
     /// Maximum number of entries per node (`M`), for both leaves and internal
     /// nodes.
     pub node_capacity: usize,
-    /// Pruning configuration used by the δ-query of the [`DpcIndex`] impl.
-    pub delta: DeltaQueryConfig,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
-        RTreeConfig {
-            node_capacity: 32,
-            delta: DeltaQueryConfig::default(),
-        }
+        RTreeConfig { node_capacity: 32 }
     }
 }
 
@@ -289,8 +284,8 @@ impl DpcIndex for RTree {
 
     fn delta(&self, query: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
         query.validate_delta(rho, self.dataset.len())?;
-        let config = &self.config.delta;
-        Ok(tree_query::delta(self, &self.dataset, rho, config, query).0)
+        let config = DeltaQueryConfig::default();
+        Ok(tree_query::delta(self, &self.dataset, rho, &config, query).0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -394,10 +389,7 @@ mod tests {
     #[test]
     fn small_fanout_still_correct() {
         let data = s1(151, 0.03).into_dataset(); // 150 points
-        let config = RTreeConfig {
-            node_capacity: 3,
-            ..Default::default()
-        };
+        let config = RTreeConfig { node_capacity: 3 };
         let tree = RTree::with_config(&data, &config);
         tree.check_structure();
         assert_matches_baseline(&data, &tree, 40_000.0);
@@ -450,12 +442,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn capacity_below_two_panics() {
-        RTree::with_config(
-            &Dataset::new(vec![]),
-            &RTreeConfig {
-                node_capacity: 1,
-                ..Default::default()
-            },
-        );
+        RTree::with_config(&Dataset::new(vec![]), &RTreeConfig { node_capacity: 1 });
     }
 }

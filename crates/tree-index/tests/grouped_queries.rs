@@ -201,17 +201,10 @@ fn check_every_tree(points: Vec<Point>, dcs: &[f64]) -> Result<(), TestCaseError
         &QuadtreeConfig {
             node_capacity: 3,
             max_depth: 5,
-            ..Default::default()
         },
     );
     check_tree("quadtree", &quadtree, dcs, None)?;
-    let rtree = RTree::with_config(
-        &data,
-        &RTreeConfig {
-            node_capacity: 4,
-            ..Default::default()
-        },
-    );
+    let rtree = RTree::with_config(&data, &RTreeConfig { node_capacity: 4 });
     check_tree("rtree", &rtree, dcs, None)?;
     let kdtree = KdTree::with_config(
         &data,
@@ -266,7 +259,7 @@ proptest! {
         let data = Dataset::new(lattice(n, pile, seed));
         let mut kdtree = KdTree::with_config(
             &data,
-            &KdTreeConfig { leaf_capacity: 3, rebuild_dead_fraction: 1e9, ..Default::default() },
+            &KdTreeConfig { leaf_capacity: 3, rebuild_dead_fraction: 1e9 },
         );
         let mut grid = GridIndex::with_config(
             &data,

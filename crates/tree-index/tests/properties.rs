@@ -53,7 +53,7 @@ proptest! {
         let data = Dataset::from_coords(coords);
         let tree = Quadtree::with_config(
             &data,
-            &QuadtreeConfig { node_capacity: capacity, max_depth, ..Default::default() },
+            &QuadtreeConfig { node_capacity: capacity, max_depth },
         );
         check_partition_invariants(&tree, &data);
     }
@@ -63,7 +63,7 @@ proptest! {
         let data = Dataset::from_coords(coords);
         let tree = RTree::with_config(
             &data,
-            &RTreeConfig { node_capacity: fanout, ..Default::default() },
+            &RTreeConfig { node_capacity: fanout },
         );
         check_partition_invariants(&tree, &data);
     }

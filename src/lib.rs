@@ -8,8 +8,8 @@
 //!
 //! * [`core`] — the DPC model: points, datasets, ρ/δ, decision graph,
 //!   assignment, the [`DpcIndex`](core::DpcIndex) trait and the pipeline;
-//! * [`baseline`] — the original O(n²) DPC algorithm (matrix and lean
-//!   variants);
+//! * [`baseline`] — the original O(n²) DPC algorithm, recomputing
+//!   distances on the fly;
 //! * [`list_index`] — the paper's List Index and Cumulative Histogram Index,
 //!   with the approximate RN-List option;
 //! * [`tree_index`] — Quadtree, STR R-tree, k-d tree and uniform grid with
@@ -53,7 +53,7 @@ pub use dpc_tree_index as tree_index;
 
 /// The most commonly used items, re-exported for `use density_peaks::prelude::*`.
 pub mod prelude {
-    pub use dpc_baseline::{LeanDpc, MatrixDpc};
+    pub use dpc_baseline::LeanDpc;
     pub use dpc_core::{
         cluster_with_index, estimate_dc, CenterSelection, Clustering, Dataset, DcEstimation,
         DpcIndex, DpcParams, DpcPipeline, ExecPolicy, Point, Query, UpdatableIndex,

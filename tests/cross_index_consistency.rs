@@ -28,13 +28,12 @@ fn dc_strategy() -> impl Strategy<Value = f64> {
 /// CH bin width for the tests that do not plant points at bin edges.
 const BIN_WIDTH: f64 = 7.5;
 
-/// Every exact index: the lean brute-force baseline, the matrix, the lists,
+/// Every exact index: the lean brute-force baseline, the lists,
 /// CH at bin width `w` and at a fifteenth of it, and the four spatial
 /// indexes. Each test compares all of them with the naive reference.
 fn exact_indexes(data: &Dataset, w: f64) -> Vec<(&'static str, Box<dyn DpcIndex>)> {
     vec![
         ("lean", Box::new(LeanDpc::build(data))),
-        ("matrix", Box::new(MatrixDpc::build(data))),
         ("list", Box::new(ListIndex::build(data))),
         ("ch", Box::new(ChIndex::build(data, w))),
         ("ch-fine", Box::new(ChIndex::build(data, w / 15.0))),

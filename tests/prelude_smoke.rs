@@ -34,7 +34,6 @@ fn every_prelude_index_matches_the_naive_reference() {
         ("kdtree", Box::new(KdTree::build(&data))),
         ("grid", Box::new(GridIndex::build(&data))),
         ("lean", Box::new(LeanDpc::build(&data))),
-        ("matrix", Box::new(MatrixDpc::build(&data))),
     ];
 
     for (name, index) in &indexes {
