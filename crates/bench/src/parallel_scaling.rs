@@ -2,8 +2,8 @@
 //!
 //! Measures the combined ρ+δ query time of the tree indexes at a fixed
 //! dataset size across a sweep of thread counts, and renders the result as a
-//! small JSON snapshot (machine info, per-run medians, speedups relative to
-//! one thread). The committed `BENCH_parallel.json` at the repository root is
+//! small JSON snapshot (machine info, each cell's median with the fastest
+//! and slowest repetition beside it, speedups relative to one thread). The committed `BENCH_parallel.json` at the repository root is
 //! produced by the `bench_parallel` binary and gives future PRs a perf
 //! baseline to compare against.
 //!
@@ -27,7 +27,8 @@ pub struct ScalingOptions {
     pub dc: f64,
     /// Seed of the dataset generator.
     pub seed: u64,
-    /// Repetitions per (index, threads) cell; the median is reported.
+    /// Repetitions per (index, threads) cell; the median is reported, with
+    /// the fastest and slowest repetition as the cell's spread.
     pub repetitions: usize,
     /// Thread counts to sweep. Must start with 1: the first entry is the
     /// speedup baseline the later entries are divided by.
@@ -40,7 +41,7 @@ impl Default for ScalingOptions {
             n: 20_000,
             dc: 30_000.0,
             seed: 42,
-            repetitions: 3,
+            repetitions: 7,
             threads: vec![1, 2, 4, 8],
         }
     }
@@ -55,6 +56,10 @@ pub struct ScalingMeasurement {
     pub threads: usize,
     /// Median combined ρ+δ query time.
     pub median: Duration,
+    /// Fastest repetition.
+    pub min: Duration,
+    /// Slowest repetition.
+    pub max: Duration,
     /// `median(1 thread) / median(this)` for the same index.
     pub speedup: f64,
 }
@@ -107,19 +112,25 @@ pub fn run(options: &ScalingOptions) -> ScalingReport {
         let mut base = Duration::ZERO;
         for &threads in &options.threads {
             let query = sequential.with_exec(ExecPolicy::Threads(threads));
-            let (median, result) = dpc_metrics::measure_median(options.repetitions, || {
-                index
-                    .rho_delta(&query)
-                    .expect("parallel query must succeed")
-            });
-            assert_eq!(
-                result.0, reference.0,
-                "{name}: parallel rho must be bit-identical"
-            );
-            assert_eq!(
-                result.1.mu, reference.1.mu,
-                "{name}: parallel mu must be bit-identical"
-            );
+            let mut times = Vec::with_capacity(options.repetitions);
+            for _ in 0..options.repetitions {
+                let (time, result) = dpc_metrics::measure_once(|| {
+                    index
+                        .rho_delta(&query)
+                        .expect("parallel query must succeed")
+                });
+                assert_eq!(
+                    result.0, reference.0,
+                    "{name}: parallel rho must be bit-identical"
+                );
+                assert_eq!(
+                    result.1.mu, reference.1.mu,
+                    "{name}: parallel mu must be bit-identical"
+                );
+                times.push(time);
+            }
+            times.sort_unstable();
+            let (min, median, max) = (times[0], times[times.len() / 2], times[times.len() - 1]);
             if threads == 1 {
                 base = median;
             }
@@ -132,6 +143,8 @@ pub fn run(options: &ScalingOptions) -> ScalingReport {
                 index: name,
                 threads,
                 median,
+                min,
+                max,
                 speedup,
             });
         }
@@ -153,10 +166,13 @@ impl ScalingReport {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{ \"index\": \"{}\", \"threads\": {}, \"median_query_ms\": {:.3}, \"speedup\": {:.2} }}",
+                "    {{ \"index\": \"{}\", \"threads\": {}, \"median_query_ms\": {:.3}, \
+                 \"min_query_ms\": {:.3}, \"max_query_ms\": {:.3}, \"speedup\": {:.2} }}",
                 m.index,
                 m.threads,
                 m.median.as_secs_f64() * 1e3,
+                m.min.as_secs_f64() * 1e3,
+                m.max.as_secs_f64() * 1e3,
                 m.speedup
             ));
         }
@@ -192,7 +208,7 @@ impl ScalingReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "parallel scaling @ n = {}, dc = {}, {} repetition(s), {} cpu(s)\n\
-             {:<10} {:>8} {:>16} {:>9}\n",
+             {:<10} {:>8} {:>12} {:>10} {:>10} {:>9}\n",
             self.options.n,
             self.options.dc,
             self.options.repetitions,
@@ -200,14 +216,18 @@ impl ScalingReport {
             "index",
             "threads",
             "median (ms)",
+            "min (ms)",
+            "max (ms)",
             "speedup"
         );
         for m in &self.measurements {
             out.push_str(&format!(
-                "{:<10} {:>8} {:>16.3} {:>8.2}x\n",
+                "{:<10} {:>8} {:>12.3} {:>10.3} {:>10.3} {:>8.2}x\n",
                 m.index,
                 m.threads,
                 m.median.as_secs_f64() * 1e3,
+                m.min.as_secs_f64() * 1e3,
+                m.max.as_secs_f64() * 1e3,
                 m.speedup
             ));
         }
@@ -243,6 +263,7 @@ mod tests {
             assert_eq!(rows[0].threads, 1);
             assert!((rows[0].speedup - 1.0).abs() < 1e-9, "{index}");
             assert!(rows.iter().all(|m| m.speedup > 0.0), "{index}");
+            assert!(rows.iter().all(|m| m.min <= m.median && m.median <= m.max));
         }
     }
 
@@ -257,6 +278,8 @@ mod tests {
             "\"cpus\"",
             "\"results\"",
             "\"median_query_ms\"",
+            "\"min_query_ms\"",
+            "\"max_query_ms\"",
             "\"speedup\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");

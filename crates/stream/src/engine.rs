@@ -248,8 +248,9 @@ pub struct StreamStats {
     /// Sum over epochs of the affected-union size |U| (distinct surviving
     /// points whose ρ was touched by the epoch's ε-neighbourhoods).
     pub affected_points: u64,
-    /// Sum over epochs of the invalidation-set size |F| (points fully
-    /// recomputed when on the incremental path).
+    /// Sum over committed epochs of the invalidation-set size |F|: the
+    /// points an incremental epoch recomputes, and on a fallback epoch the
+    /// set whose size sent it to the full re-rank.
     pub invalidated_points: u64,
     /// Wall-clock µs the *last* epoch spent in density maintenance (plan
     /// application through δ/µ repair; excludes re-clustering).
@@ -871,13 +872,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let micros = started.elapsed().as_micros() as u64;
 
         match outcome.mode {
-            EpochMode::Incremental => {
-                self.stats.incremental_epochs += 1;
-                self.stats.invalidated_points += outcome.invalidated as u64;
-            }
+            EpochMode::Incremental => self.stats.incremental_epochs += 1,
             EpochMode::Fallback => self.stats.fallback_epochs += 1,
             EpochMode::Decay => unreachable!("decay epochs come from tick(), not commit()"),
         }
+        self.stats.invalidated_points += outcome.invalidated as u64;
         self.stats.last_epoch_micros = micros;
         self.stats.last_epoch_mode = Some(outcome.mode);
 
@@ -2237,6 +2236,31 @@ mod tests {
         engine.remove(engine.handle_at(0)).unwrap();
         assert_eq!(engine.stats().fallback_epochs, 2);
         assert_eq!(engine.stats().incremental_epochs, 0);
+        assert_matches_cold_batch(&engine);
+    }
+
+    #[test]
+    fn fallback_epochs_count_their_invalidation_sets() {
+        // Every epoch falls back, and each still adds the |F| that sent it
+        // there, as the `stream.invalidated` histogram records it.
+        let seed = Dataset::from_coords((0..12).map(|i| (f64::from(i % 4), f64::from(i / 4))));
+        let params = StreamParams::new(1.5).with_max_affected_fraction(0.0);
+        let mut engine = StreamingDpc::new(NaiveReferenceIndex::build(&seed), params).unwrap();
+        let metrics = Arc::new(dpc_obs::MetricsRecorder::new());
+        engine.set_recorder(metrics.clone());
+        engine.advance(&[Point::new(0.5, 0.5)], 0).unwrap();
+        engine
+            .advance(&[Point::new(2.5, 1.5), Point::new(3.0, 2.5)], 2)
+            .unwrap();
+        engine.remove(engine.handle_at(4)).unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.fallback_epochs, 3);
+        assert_eq!(stats.incremental_epochs, 0);
+        let sets = metrics.snapshot().histogram("stream.invalidated").cloned();
+        let sets = sets.expect("every epoch records its |F|");
+        assert_eq!(sets.count(), 3);
+        assert!(sets.sum() > 0);
+        assert_eq!(stats.invalidated_points, sets.sum());
         assert_matches_cold_batch(&engine);
     }
 

@@ -255,13 +255,14 @@ impl KdTree {
     }
 
     /// Frees every arena slot of the subtree under `node` and returns the
-    /// live point ids it held.
+    /// live point ids it held. A freed leaf gives up its id buffer, so a
+    /// slot waiting on the free list holds no heap memory.
     fn collect_and_free(&mut self, node: NodeId) -> Vec<u32> {
         let mut ids = Vec::with_capacity(self.nodes[node].count);
         let mut stack = vec![node];
         while let Some(m) = stack.pop() {
-            match &self.nodes[m].kind {
-                NodeKind::Leaf { points } => ids.extend_from_slice(points),
+            match &mut self.nodes[m].kind {
+                NodeKind::Leaf { points } => ids.extend(std::mem::take(points)),
                 NodeKind::Internal { children, .. } => stack.extend_from_slice(children),
             }
             self.free.push(m);
@@ -734,6 +735,42 @@ mod tests {
         tree.check_structure();
         assert!(tree.subtree_rebuilds() > 0);
         assert!(tree.height() <= 13, "height = {}", tree.height());
+    }
+
+    #[test]
+    fn freed_slots_hold_no_leaf_buffers() {
+        let mut tree = KdTree::with_config(
+            &Dataset::new(vec![]),
+            &KdTreeConfig {
+                leaf_capacity: 4,
+                ..Default::default()
+            },
+        );
+        // Bytes of leaf buffers held by slots on the free list.
+        let stale = |tree: &KdTree| -> usize {
+            let held = |&slot: &NodeId| match &tree.nodes[slot].kind {
+                NodeKind::Leaf { points } => points.capacity() * std::mem::size_of::<u32>(),
+                NodeKind::Internal { .. } => 0,
+            };
+            tree.free.iter().map(held).sum()
+        };
+        // One-sided drift forces subtree rebuilds; the removals then force
+        // full rebuilds, which free most of the arena.
+        let mut most_free = 0;
+        for i in 0..200 {
+            tree.insert(Point::new(i as f64, (i % 7) as f64)).unwrap();
+            assert_eq!(stale(&tree), 0, "after insert {i}");
+            most_free = most_free.max(tree.free.len());
+        }
+        assert!(tree.subtree_rebuilds() > 0);
+        while tree.len() > 40 {
+            tree.remove(tree.len() / 3).unwrap();
+            assert_eq!(stale(&tree), 0, "after removal at {} points", tree.len());
+            most_free = most_free.max(tree.free.len());
+        }
+        assert!(tree.full_rebuilds() > 0);
+        assert!(most_free > 0, "no rebuild left a slot on the free list");
+        tree.check_structure();
     }
 
     #[test]

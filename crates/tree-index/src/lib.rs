@@ -23,13 +23,18 @@
 //!   below the query point's density) and *distance pruning* (Lemma 2: skip
 //!   nodes farther than the best candidate δ found so far).
 //!
-//! Both answer the points of one leaf together. The ρ-query runs one
-//! traversal per leaf and classifies each node against the leaf's whole box
+//! Both answer the points of one leaf together and test each node once
+//! against the tight box of those points
 //! ([`BoundingBox::min_dist_squared_to_box`],
-//! [`BoundingBox::max_dist_squared_to_box`]); only at a leaf this group
-//! test cannot decide is each point tested and scanned on its own. Every δ
-//! search starts with the best denser point of the point's own leaf, so
-//! Lemma 2 prunes children before they are queued. Rounded subtraction,
+//! [`BoundingBox::max_dist_squared_to_box`]). The ρ-query runs one
+//! traversal per leaf; only at a leaf this group test cannot decide is each
+//! point tested and scanned on its own. The δ-query runs one best-first
+//! search per leaf: every point starts from the best denser point of its
+//! own leaf, a node is pruned by density against the least ρ of the points
+//! still searching and by distance against their largest candidate, and a
+//! point stops once the popped nodes lie beyond its own candidate. The
+//! batch δ reads each leaf densest first from a per-query copy, so a scan
+//! stops at the first point that is not denser. Rounded subtraction,
 //! squaring and addition are monotone, so the box-to-box bounds hold for
 //! every member pair's `fl(d²)`, and both queries stay bit-identical to the
 //! brute-force kernels of [`dpc_core::brute`] at every thread count (the

@@ -11,73 +11,118 @@
 //!   between squared distances and a precomputed `dc²` (see the safety
 //!   discussion in [`dpc_core::metric`]).
 //! * **δ-query** (Algorithm 6): best-first search over nodes ordered by
-//!   `dmin(p, node)`, with **density pruning** (Lemma 1: a node whose
-//!   `maxrho` is below `ρ(p)` cannot contain the dependent neighbour) and
-//!   **distance pruning** (Lemma 2: a node farther than the best candidate δ
-//!   cannot improve it). Candidates, heap keys and prune tests are all
-//!   squared distances, and one root is taken at the end: the rounded
-//!   squared box bound never exceeds a member's `fl(d²)`, so the strict
-//!   prune test is exact and the result is the brute-force `(fl(d²), id)`
-//!   minimum bit for bit (see the distance contract in [`dpc_core::metric`]).
+//!   their minimum squared distance from the query, with **density
+//!   pruning** (Lemma 1: a node whose `maxrho` is below `ρ(p)` cannot
+//!   contain the dependent neighbour) and **distance pruning** (Lemma 2: a
+//!   node farther than the best candidate δ cannot improve it). Candidates,
+//!   heap keys and prune tests are all squared distances, and one root is
+//!   taken at the end: the rounded squared box bound never exceeds a
+//!   member's `fl(d²)`, so the strict prune test is exact and the result is
+//!   the brute-force `(fl(d²), id)` minimum bit for bit (see the distance
+//!   contract in [`dpc_core::metric`]).
 //!
 //! # A leaf at a time
 //!
 //! The batch entry points [`rho`] and [`delta`] walk the tree's leaves once
 //! per query and answer the points of each leaf together, as one *leaf
-//! group*:
+//! group*; [`delta_targets`] groups its targets by the leaf that holds them.
+//! Each group carries its tight box `B`, the smallest box holding its
+//! members, computed once when the group is formed, and both queries test
+//! nodes against it:
 //!
-//! * **ρ** runs one traversal per group and tests every node against the
-//!   leaf's box `B`. A node whose box-to-box minimum squared distance from
-//!   `B` is at least `dc²` is discarded for the whole group; with the
-//!   cut-off kernel, a node whose box-to-box maximum is below `dc²` is
-//!   counted in full for every member. Only at a leaf this group test cannot
-//!   decide does each member run the per-point test against the leaf's box
-//!   and scan it. The weighted kernels take the same traversal without the
-//!   count-in-full shortcut; each member collects its in-range pairs and
-//!   sums their weights in ascending id order, the canonical order of
-//!   [`dpc_core::brute::weighted_rho_scan`].
-//! * **δ** starts every best-first search with the best denser point of the
-//!   point's own leaf, found by one scan of that leaf. The search would
-//!   expand that leaf anyway (its box holds the point, and its `maxrho` is at
-//!   least the point's ρ), but with a candidate in hand Lemma 2 prunes
-//!   children before they are queued, and the own leaf is not scanned again.
-//!   The batch δ learns each point's leaf from the leaf walk;
-//!   [`delta_targets`] — δ for a list of points, behind
-//!   [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
-//!   and the streaming engine's repair — takes it from the index's own map.
+//! * **ρ** runs one traversal per group. A node whose box-to-box minimum
+//!   squared distance from `B` is at least `dc²` is discarded for the whole
+//!   group; with the cut-off kernel, a node whose box-to-box maximum is below
+//!   `dc²` is counted in full for every member. Only at a leaf this group
+//!   test cannot decide does each member run the per-point test against the
+//!   leaf's box and scan it. The weighted kernels take the same traversal
+//!   without the count-in-full shortcut; each member collects its in-range
+//!   pairs and sums their weights in ascending id order, the canonical order
+//!   of [`dpc_core::brute::weighted_rho_scan`].
+//! * **δ** runs one best-first search per group, keyed by
+//!   `B.min_dist_squared_to_box(N)` for a node `N`. Every member first takes
+//!   the best denser point of its own leaf as its candidate and is *open*.
+//!   A child is density-pruned when its `maxrho` is below the least ρ of the
+//!   open members, and distance-pruned when its key is above their largest
+//!   candidate `fl(d²)`; a member closes once a popped key exceeds its own
+//!   candidate, and the search ends when every member has closed. A popped
+//!   leaf is scanned by the open members it could improve — those no denser
+//!   than its `maxrho` and within their candidate of its box — for the
+//!   points denser than each.
 //!
-//! **Exactness.** The box-to-box bounds are
+//! The batch δ scans leaves through a per-query layout that stores each
+//! leaf's points contiguously as `(x, y, ρ, id)`, densest first by
+//! [`DensityOrder::key`], so a member's own-leaf seed is the prefix before
+//! it and every other scan stops at the first point that is not denser.
+//! [`delta_targets`] — δ for a list of points, behind
+//! [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets)
+//! and the streaming engine's repair — takes each target's leaf from the
+//! index's own map and scans the tree's own id lists, one pass per leaf
+//! that offers each point to every scanning member: a few targets do not
+//! pay back a layout of the whole window.
+//!
+//! **Exactness of ρ.** The box-to-box bounds are
 //! [`BoundingBox::min_dist_squared_to_box`] and
-//! [`BoundingBox::max_dist_squared_to_box`]. For a member `p` of the leaf's
-//! box and a point `q` of a node's box, the axis gap between the boxes'
-//! facing sides is at most `|fl(q.x − p.x)|`, and the span between their far
-//! sides at least that, because rounded subtraction is monotone in each
-//! operand; rounded squaring is monotone in the magnitude, and rounded
-//! addition in each operand. So the minimum bound never exceeds any member
-//! pair's `fl(d²)` and the maximum bound never falls below it: a group
-//! discard drops only pairs with `fl(d²) ≥ dc²`, and a count in full counts
-//! only pairs with `fl(d²) < dc²`, as the brute-force partition does. The
-//! same argument puts each group bound outside the member's own
-//! point-to-box bound, so the group test decides a node only where every
-//! member's own test would decide it the same way: each member's ρ and
-//! `points_scanned` are what a traversal of its own would give.
+//! [`BoundingBox::max_dist_squared_to_box`]. For a member `p` of `B` and a
+//! point `q` of a node's box, the axis gap between the boxes' facing sides
+//! is at most `|fl(q.x − p.x)|`, and the span between their far sides at
+//! least that, because rounded subtraction is monotone in each operand;
+//! rounded squaring is monotone in the magnitude, and rounded addition in
+//! each operand. So the minimum bound never exceeds any member pair's
+//! `fl(d²)` and the maximum bound never falls below it: a group discard
+//! drops only pairs with `fl(d²) ≥ dc²`, and a count in full counts only
+//! pairs with `fl(d²) < dc²`, as the brute-force partition does. The same
+//! argument puts each group bound outside the member's own point-to-box
+//! bound, so the group test decides a node only where every member's own
+//! test would decide it the same way: each member's ρ and `points_scanned`
+//! are what a traversal of its own would give, whatever box holds the
+//! members.
 //!
-//! **Threads.** The leaf-ordered result slots go through
+//! **Exactness of δ.** The result is the brute-force `(fl(d²), id)` minimum
+//! over the denser points ([`closer`]) for every member, in five steps:
+//!
+//! 1. *Group Lemma 1.* If a node's `maxrho` is below the least ρ among the
+//!    open members, it holds no point denser than any open member. The
+//!    strict `<` keeps id ties.
+//! 2. *Group Lemma 2.* The monotone bound above puts
+//!    `B.min_dist_squared_to_box(N)` at or below every member pair's
+//!    `fl(d²)`. So a child whose key is above the largest open candidate
+//!    cannot win under [`closer`]'s strict order.
+//! 3. *Closing.* Take any point that would improve member `p`. Every node
+//!    on the path to it has a key no larger than that pair's `fl(d²)`, which
+//!    is no larger than `p`'s candidate, and by steps 1 and 2 none of them
+//!    is pruned while `p` is open. So that node pops before `p` closes.
+//! 4. *Sorted prefix.* `key(q) > key(p)` holds exactly when
+//!    `is_denser(q, p)` does, so the points denser than `p` are a prefix of
+//!    each leaf's layout. [`closer`]'s `(fl(d²), id)` minimum does not
+//!    depend on the scan order.
+//! 5. *Group of one.* A group holding a single target is exactly the
+//!    per-point search of Algorithm 6. Its box is the point itself, so its
+//!    keys equal the point-to-box bounds.
+//!
+//! A member with no denser point anywhere is the global peak, whose δ (the
+//! largest distance to any other point) only a full scan can give.
+//!
+//! **Threads.** The group-ordered result slots go through
 //! [`dpc_core::exec::fill_chunks`] as storage that may only be cut between
-//! two leaves, and are scattered back to id order after the join. Each
-//! group is traversed once, by one worker, at any thread count, so ρ, δ, µ
+//! two groups, and are scattered back to their owners after the join. Each
+//! group is answered once, by one worker, at any thread count, so ρ, δ, µ
 //! and every [`QueryStats`] count are identical at every thread count.
 //! Every worker gets its own scratch — a reusable node stack, best-first
-//! heap and [`QueryStats`] — merged deterministically after the join.
+//! heap, open-member list and [`QueryStats`] — merged deterministically
+//! after the join.
 //!
 //! Both return their [`QueryStats`], counted on every call; with an enabled
 //! recorder on the query they also publish them as the `query.rho.*` /
 //! `query.delta.*` counters, beside one `query.{rho,delta}.chunk` span per
-//! worker. The ρ node counters count once per leaf group; `points_scanned`
-//! counts per member. Both pruning rules can be disabled individually
+//! worker. The node counters of both queries count once per group;
+//! `points_scanned` counts per member: the points each ρ member compares at
+//! the leaves the group test left undecided, and the denser points each δ
+//! member compares. Both pruning rules can be disabled individually
 //! through [`DeltaQueryConfig`] — that is what the pruning-ablation
-//! benchmark measures. [`eps_query`] and [`subtree_max_density`] are the
-//! other traversals the indexes share.
+//! benchmark measures; without distance pruning no member closes early.
+//! [`eps_query`] and [`subtree_max_density`] are the other traversals the
+//! indexes share.
 //!
 //! [`BoundingBox::min_dist_squared_to_box`]: dpc_core::BoundingBox::min_dist_squared_to_box
 //! [`BoundingBox::max_dist_squared_to_box`]: dpc_core::BoundingBox::max_dist_squared_to_box
@@ -87,7 +132,8 @@ use std::collections::BinaryHeap;
 
 use dpc_core::exec::{self, Slots};
 use dpc_core::{
-    brute, closer, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query, Rho,
+    brute, closer, BoundingBox, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query,
+    Rho,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -160,11 +206,12 @@ impl QueryStats {
 
 /// Per-worker reusable traversal state: the depth-first stack of the ρ-query
 /// and the leaves its group test left undecided, the weighted kernels'
-/// pairs, the best-first heap of the δ-query, and the traversal counters.
+/// pairs, the best-first heap and open members of the δ-query, and the
+/// traversal counters.
 ///
 /// One scratch lives per worker thread (or one for the whole query when
-/// sequential) and is reused across every group and point of that worker's
-/// chunk, so the hot loops allocate nothing once warm.
+/// sequential) and is reused across every group of that worker's chunk, so
+/// the hot loops allocate nothing once warm.
 #[derive(Debug, Default)]
 struct QueryScratch {
     /// Counters accumulated over every query this scratch served.
@@ -173,6 +220,7 @@ struct QueryScratch {
     undecided: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(OrdF64, NodeId)>>,
     pairs: Vec<(PointId, f64)>,
+    open: Vec<Member>,
 }
 
 /// Configuration of the δ-query; both pruning rules default to enabled.
@@ -216,21 +264,18 @@ pub fn rho<T: SpatialPartition + Sync + ?Sized>(
     query: &Query<'_>,
 ) -> (Vec<Rho>, QueryStats) {
     let (dc2, kernel) = (query.dc * query.dc, query.kernel);
-    let (rho, scratches) = by_leaf(
-        tree,
-        dataset.len(),
-        query,
-        "query.rho.chunk",
-        |leaf, out, scratch| rho_group(tree, dataset, leaf, dc2, kernel, out, scratch),
-    );
+    let groups = leaf_groups(tree, dataset);
+    let (slots, scratches) = by_leaf(&groups, query, "query.rho.chunk", |group, out, scratch| {
+        rho_group(tree, dataset, group, dc2, kernel, out, scratch)
+    });
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.rho");
-    (rho, stats)
+    (scatter(&slots, member_ids(&groups), dataset.len()), stats)
 }
 
-/// ρ of every member of `leaf`, into `out` in the leaf's point order: one
-/// traversal tests each node against the leaf's box for the whole group,
-/// and each member tests and scans only the leaves it left undecided.
+/// ρ of every member of `group`, into `out` in member order: one traversal
+/// tests each node against the group's box, and each member tests and
+/// scans only the leaves it left undecided.
 ///
 /// The cut-off count includes the member itself (distance 0 is within any
 /// `dc`), which lets nodes be counted in full without asking which one
@@ -239,7 +284,7 @@ pub fn rho<T: SpatialPartition + Sync + ?Sized>(
 fn rho_group<T: SpatialPartition + ?Sized>(
     tree: &T,
     dataset: &Dataset,
-    leaf: NodeId,
+    group: &LeafGroup<'_>,
     dc2: f64,
     kernel: Kernel,
     out: &mut [Rho],
@@ -253,7 +298,6 @@ fn rho_group<T: SpatialPartition + ?Sized>(
         pairs,
         ..
     } = scratch;
-    let group = tree.bbox(leaf);
     let cutoff = kernel.is_cutoff();
     let mut full = 0usize;
     undecided.clear();
@@ -262,9 +306,9 @@ fn rho_group<T: SpatialPartition + ?Sized>(
     while let Some(node) = stack.pop() {
         stats.nodes_visited += 1;
         let bbox = tree.bbox(node);
-        if tree.point_count(node) == 0 || group.min_dist_squared_to_box(&bbox) >= dc2 {
+        if tree.point_count(node) == 0 || group.bbox.min_dist_squared_to_box(&bbox) >= dc2 {
             stats.nodes_discarded += 1;
-        } else if cutoff && group.max_dist_squared_to_box(&bbox) < dc2 {
+        } else if cutoff && group.bbox.max_dist_squared_to_box(&bbox) < dc2 {
             stats.nodes_fully_contained += 1;
             full += tree.point_count(node);
         } else if tree.is_leaf(node) {
@@ -275,7 +319,7 @@ fn rho_group<T: SpatialPartition + ?Sized>(
     }
 
     let pts = dataset.points();
-    for (slot, &p) in out.iter_mut().zip(tree.points(leaf)) {
+    for (slot, &p) in out.iter_mut().zip(group.members) {
         let p = p as PointId;
         let query = pts[p];
         if cutoff {
@@ -325,64 +369,106 @@ fn rho_group<T: SpatialPartition + ?Sized>(
     }
 }
 
-/// Runs `group(leaf, out, scratch)` for every leaf group of `tree` — `out`
-/// holds one slot per member, in the leaf's point order — on the query's
-/// workers, whose chunks hold whole groups, and returns the `n` slots in id
-/// order with the per-worker scratches.
-fn by_leaf<T, V, G>(
-    tree: &T,
-    n: usize,
+/// A leaf and the ids of the points one query answers together from it —
+/// every point of the leaf for the batch queries, the targets it holds for
+/// [`delta_targets`] — with the tight box of those points, which both
+/// queries test nodes against.
+struct LeafGroup<'a> {
+    leaf: NodeId,
+    members: &'a [u32],
+    bbox: BoundingBox,
+}
+
+impl<'a> LeafGroup<'a> {
+    fn new(dataset: &Dataset, leaf: NodeId, members: &'a [u32]) -> Self {
+        let pts = dataset.points();
+        let bbox = members
+            .iter()
+            .fold(BoundingBox::EMPTY, |bb, &p| bb.extended(pts[p as usize]));
+        LeafGroup {
+            leaf,
+            members,
+            bbox,
+        }
+    }
+}
+
+/// Every non-empty leaf of `tree` as a group of all its points, in
+/// depth-first order: the groups of the batch queries.
+fn leaf_groups<'a, T: SpatialPartition + ?Sized>(
+    tree: &'a T,
+    dataset: &Dataset,
+) -> Vec<LeafGroup<'a>> {
+    let mut groups = Vec::new();
+    let mut stack: Vec<NodeId> = tree.root().into_iter().collect();
+    while let Some(node) = stack.pop() {
+        match tree.points(node) {
+            [] => stack.extend_from_slice(tree.children(node)),
+            members => groups.push(LeafGroup::new(dataset, node, members)),
+        }
+    }
+    groups
+}
+
+/// Runs `group(g, out, scratch)` for every group `g` of `groups` — `out`
+/// holds one slot per member, in member order — on the query's workers,
+/// whose chunks hold whole groups. Returns the slots in group order with
+/// the per-worker scratches.
+fn by_leaf<V, G>(
+    groups: &[LeafGroup<'_>],
     query: &Query<'_>,
     label: &str,
     group: G,
 ) -> (Vec<V>, Vec<QueryScratch>)
 where
-    T: SpatialPartition + ?Sized,
     V: Copy + Default + Send,
-    G: Fn(NodeId, &mut [V], &mut QueryScratch) + Sync,
+    G: Fn(&LeafGroup<'_>, &mut [V], &mut QueryScratch) + Sync,
 {
-    // The non-empty leaves in depth-first order, with their sizes.
-    let mut leaves = Vec::new();
-    let mut stack: Vec<NodeId> = tree.root().into_iter().collect();
-    while let Some(node) = stack.pop() {
-        match tree.points(node).len() {
-            0 => stack.extend_from_slice(tree.children(node)),
-            members => leaves.push((node, members)),
-        }
-    }
-    let mut slots = vec![V::default(); n];
-    let groups = Groups {
-        leaves: &leaves,
-        out: &mut slots[..],
-    };
+    let members = groups.iter().map(|g| g.members.len()).sum();
+    let mut slots = vec![V::default(); members];
     let scratches = exec::fill_chunks(
-        groups,
+        Groups {
+            groups,
+            out: &mut slots[..],
+        },
         query.exec,
         query.recorder,
         label,
         QueryScratch::default,
         |_, chunk: Groups<'_, V>, scratch| {
             let mut rest = chunk.out;
-            for &(leaf, members) in chunk.leaves {
-                let (out, tail) = rest.split_at_mut(members);
-                group(leaf, out, scratch);
+            for g in chunk.groups {
+                let (out, tail) = rest.split_at_mut(g.members.len());
+                group(g, out, scratch);
                 rest = tail;
             }
         },
     );
-    let mut by_id = vec![V::default(); n];
-    let ids = leaves.iter().flat_map(|&(leaf, _)| tree.points(leaf));
-    for (&p, &value) in ids.zip(&slots) {
-        by_id[p as usize] = value;
-    }
-    (by_id, scratches)
+    (slots, scratches)
 }
 
-/// Whole leaf groups for [`exec::fill_chunks`]: the leaf-ordered slots
-/// `out` of `leaves`, each given with its member count. It cuts only
-/// between two leaves, so no group straddles two workers.
+/// The ids of the members of `groups`, in group order.
+fn member_ids<'a>(groups: &'a [LeafGroup<'_>]) -> impl Iterator<Item = usize> + 'a {
+    groups
+        .iter()
+        .flat_map(|g| g.members.iter().map(|&p| p as usize))
+}
+
+/// `n` slots holding the group-ordered `slots`, each moved to its entry of
+/// `dest`.
+fn scatter<V: Copy + Default>(slots: &[V], dest: impl Iterator<Item = usize>, n: usize) -> Vec<V> {
+    let mut out = vec![V::default(); n];
+    for (k, &value) in dest.zip(slots) {
+        out[k] = value;
+    }
+    out
+}
+
+/// Whole groups for [`exec::fill_chunks`]: the group-ordered slots `out` of
+/// `groups`. It cuts only between two groups, so no group straddles two
+/// workers.
 struct Groups<'a, V> {
-    leaves: &'a [(NodeId, usize)],
+    groups: &'a [LeafGroup<'a>],
     out: &'a mut [V],
 }
 
@@ -392,18 +478,18 @@ impl<V: Send> Slots for Groups<'_, V> {
     }
 
     fn split_at(self, mid: usize) -> (Self, Self) {
-        // The head takes leaves until it holds at least `mid` slots.
+        // The head takes groups until it holds at least `mid` slots.
         let (mut taken, mut cut) = (0, 0);
-        while cut < mid && taken < self.leaves.len() {
-            cut += self.leaves[taken].1;
+        while cut < mid && taken < self.groups.len() {
+            cut += self.groups[taken].members.len();
             taken += 1;
         }
-        let (leaves, rest) = self.leaves.split_at(taken);
+        let (groups, rest) = self.groups.split_at(taken);
         let (out, tail) = self.out.split_at_mut(cut);
         (
-            Groups { leaves, out },
+            Groups { groups, out },
             Groups {
-                leaves: rest,
+                groups: rest,
                 out: tail,
             },
         )
@@ -480,9 +566,9 @@ pub fn subtree_max_density<T: SpatialPartition + ?Sized>(tree: &T, rho: &[Rho]) 
     maxrho
 }
 
-/// δ and µ of every point under the density order of `rho`: the
-/// best-first search with `config`'s pruning, seeded from each point's own
-/// leaf, a leaf group at a time on the query's workers. Returns the result
+/// δ and µ of every point under the density order of `rho`: one
+/// best-first search with `config`'s pruning per leaf group, over the
+/// densest-first leaf layout, on the query's workers. Returns the result
 /// and the merged traversal statistics, which an enabled recorder also
 /// receives as the `query.delta.*` counters.
 pub fn delta<T: SpatialPartition + Sync + ?Sized>(
@@ -492,19 +578,18 @@ pub fn delta<T: SpatialPartition + Sync + ?Sized>(
     config: &DeltaQueryConfig,
     query: &Query<'_>,
 ) -> (DeltaResult, QueryStats) {
-    let search = DeltaSearch::new(tree, dataset, rho, config);
-    let (found, scratches) = by_leaf(
-        tree,
-        dataset.len(),
+    let groups = leaf_groups(tree, dataset);
+    let layout = Layout::new(tree, dataset, &DensityOrder::new(rho), &groups);
+    let search = DeltaSearch::new(tree, dataset, rho, config, Some(layout));
+    let (slots, scratches) = by_leaf(
+        &groups,
         query,
         "query.delta.chunk",
-        |leaf, out, scratch| {
-            for (slot, &p) in out.iter_mut().zip(tree.points(leaf)) {
-                *slot = search.one(p as PointId, leaf, scratch);
-            }
-        },
+        |group, out, scratch| search.group(group, out, scratch),
     );
-    let (delta, mu) = found.into_iter().unzip();
+    let (delta, mu) = scatter(&slots, member_ids(&groups), dataset.len())
+        .into_iter()
+        .unzip();
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.delta");
     (DeltaResult::new(delta, mu), stats)
@@ -513,26 +598,47 @@ pub fn delta<T: SpatialPartition + Sync + ?Sized>(
 /// [`delta`] with both pruning rules for the points of `targets` only —
 /// entry `k` of the result belongs to `targets[k]` — behind every tree's
 /// [`UpdatableIndex::delta_targets`](dpc_core::UpdatableIndex::delta_targets).
-/// `leaf_of(p)` is the leaf holding `p`, from the index's own map; each
-/// search starts from it. The `maxrho` annotation is built once per call,
-/// for the whole tree.
+/// `leaf_of(p)` is the leaf holding `p`, from the index's own map; the
+/// targets one leaf holds, duplicates included, are answered as one group,
+/// and the search scans the tree's own id lists. The `maxrho` annotation is
+/// built once per call, for the whole tree.
 pub fn delta_targets<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
     rho: &[Rho],
     query: &Query<'_>,
     targets: &[PointId],
-    leaf_of: impl Fn(PointId) -> NodeId + Sync,
+    leaf_of: impl Fn(PointId) -> NodeId,
 ) -> (DeltaResult, QueryStats) {
+    // Target positions sorted by leaf, so each leaf's targets are one run.
+    let mut placed: Vec<(NodeId, usize)> = targets
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| (leaf_of(p), k))
+        .collect();
+    placed.sort_unstable();
+    let ids: Vec<u32> = placed.iter().map(|&(_, k)| targets[k] as u32).collect();
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for run in placed.chunk_by(|a, b| a.0 == b.0) {
+        let members = &ids[start..start + run.len()];
+        groups.push(LeafGroup::new(dataset, run[0].0, members));
+        start += run.len();
+    }
     let config = DeltaQueryConfig::default();
-    let search = DeltaSearch::new(tree, dataset, rho, &config);
-    let (result, scratches) =
-        query.fill_delta(targets.len(), QueryScratch::default, |k, scratch| {
-            search.one(targets[k], leaf_of(targets[k]), scratch)
-        });
+    let search = DeltaSearch::new(tree, dataset, rho, &config, None);
+    let (slots, scratches) = by_leaf(
+        &groups,
+        query,
+        "query.delta.chunk",
+        |group, out, scratch| search.group(group, out, scratch),
+    );
+    let (delta, mu) = scatter(&slots, placed.iter().map(|&(_, k)| k), targets.len())
+        .into_iter()
+        .unzip();
     let stats = QueryStats::sum(&scratches);
     stats.publish(query.recorder, "query.delta");
-    (result, stats)
+    (DeltaResult::new(delta, mu), stats)
 }
 
 /// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin²`.
@@ -553,14 +659,92 @@ impl Ord for OrdF64 {
     }
 }
 
+/// The batch δ's copy of the tree's leaves: each leaf's points stored
+/// contiguously, densest first, so a scan reads one run of memory and stops
+/// at the first point that is not denser than the member it serves.
+struct Layout {
+    /// Offset of each leaf's first entry, indexed by [`NodeId`].
+    start: Vec<usize>,
+    entries: Vec<Entry>,
+}
+
+/// A point of the [`Layout`]: its location and its [`DensityOrder::key`],
+/// the `(ρ, id)` pair as one totally ordered value.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at: Point,
+    key: (u64, i64),
+}
+
+impl Entry {
+    /// The point's id, which the key's second half holds negated.
+    fn id(&self) -> PointId {
+        (-self.key.1) as PointId
+    }
+}
+
+impl Layout {
+    /// Lays out the leaves of `groups`, each sorted by descending key.
+    fn new<T: SpatialPartition + ?Sized>(
+        tree: &T,
+        dataset: &Dataset,
+        order: &DensityOrder<'_>,
+        groups: &[LeafGroup<'_>],
+    ) -> Self {
+        let pts = dataset.points();
+        let mut start = vec![0; tree.num_nodes()];
+        let mut entries = Vec::with_capacity(dataset.len());
+        for &LeafGroup { leaf, members, .. } in groups {
+            start[leaf] = entries.len();
+            entries.extend(members.iter().map(|&q| Entry {
+                at: pts[q as usize],
+                key: order.key(q as PointId),
+            }));
+            entries[start[leaf]..].sort_unstable_by_key(|e| Reverse(e.key));
+        }
+        Layout { start, entries }
+    }
+}
+
+/// The points of one leaf as a δ scan reads them.
+#[derive(Clone, Copy)]
+enum LeafPoints<'a> {
+    /// The leaf's run of the batch [`Layout`], densest first.
+    Sorted(&'a [Entry]),
+    /// The tree's own id list, in storage order.
+    Ids(&'a [u32]),
+}
+
+/// A member of the δ group being answered: its id, location, density key
+/// and ρ, its candidate `(fl(d²), id)` so far, and its result slot.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    id: PointId,
+    at: Point,
+    key: (u64, i64),
+    rho: Rho,
+    best: (f64, Option<PointId>),
+    slot: usize,
+}
+
+/// The least ρ and the largest candidate `fl(d²)` of the open members.
+fn bounds(open: &[Member]) -> (Rho, f64) {
+    open.iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(least, reach), m| {
+            (least.min(m.rho), reach.max(m.best.0))
+        })
+}
+
 /// What every δ search of one query shares: the tree and its dataset, the
-/// density order, the `maxrho` annotation of Lemma 1 and the pruning rules.
+/// density order, the `maxrho` annotation of Lemma 1, the pruning rules,
+/// and the batch δ's leaf layout (`None` scans the tree's id lists).
 struct DeltaSearch<'a, T: ?Sized> {
     tree: &'a T,
     dataset: &'a Dataset,
     order: DensityOrder<'a>,
     maxrho: Vec<Rho>,
     config: &'a DeltaQueryConfig,
+    layout: Option<Layout>,
 }
 
 impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
@@ -569,6 +753,7 @@ impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
         dataset: &'a Dataset,
         rho: &'a [Rho],
         config: &'a DeltaQueryConfig,
+        layout: Option<Layout>,
     ) -> Self {
         DeltaSearch {
             tree,
@@ -576,111 +761,184 @@ impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
             order: DensityOrder::new(rho),
             maxrho: subtree_max_density(tree, rho),
             config,
+            layout,
         }
     }
 
-    /// δ and µ of `p` — the best-first search of Algorithm 6, seeded with
-    /// the best denser point of `own`, the leaf holding `p`.
+    /// δ and µ of every member of `group`, into `out` in member order — the
+    /// best-first search of Algorithm 6 for the whole group, seeded with
+    /// each member's best denser point of its own leaf (see the
+    /// [module docs](self) for why each result is exact).
     ///
     /// Every comparison is in squared space under the workspace's distance
     /// contract: candidates are ranked by [`closer`] on `(fl(d²), id)`,
-    /// nodes are keyed and pruned on [`BoundingBox::min_dist_squared`], and
-    /// the only root is the one taken of the winning `fl(d²)`.
-    ///
-    /// A search without the seed expands `own` too, since its box holds `p`
-    /// and its `maxrho` is at least `ρ(p)`, and either search expands
-    /// exactly the nodes that pass density pruning and lie no farther than
-    /// the final candidate. So the seed changes which nodes are queued, not
-    /// which are expanded, and the counters are the same: `own` counts as
-    /// visited, and a node pruned before it is queued counts as
-    /// distance-pruned, as it would have when left in the heap.
+    /// nodes are keyed and pruned on the group box's
+    /// [`BoundingBox::min_dist_squared_to_box`], each member's leaf test is
+    /// its own [`BoundingBox::min_dist_squared`], and the only root is the
+    /// one taken of each winning `fl(d²)`. The own leaf counts as visited;
+    /// a child pruned before it is queued counts as pruned, a popped node
+    /// whose `maxrho` fell below the open members' least ρ as
+    /// density-pruned, and when the popped key exceeds every open
+    /// candidate, the rest of the heap counts as distance-pruned.
     ///
     /// [`BoundingBox::min_dist_squared`]: dpc_core::BoundingBox::min_dist_squared
-    fn one(&self, p: PointId, own: NodeId, scratch: &mut QueryScratch) -> (f64, Option<PointId>) {
+    fn group(
+        &self,
+        group: &LeafGroup<'_>,
+        out: &mut [(f64, Option<PointId>)],
+        scratch: &mut QueryScratch,
+    ) {
         let (tree, config) = (self.tree, self.config);
-        let Some(root) = tree.root() else {
-            return (0.0, None);
-        };
-        let query = self.dataset.point(p);
-        let rho_p = self.order.rho()[p];
-        let QueryScratch { stats, heap, .. } = scratch;
-
-        let mut best = (f64::INFINITY, None);
+        let Some(root) = tree.root() else { return };
+        let QueryScratch {
+            stats, heap, open, ..
+        } = scratch;
+        let (own, pts, rho) = (group.leaf, self.dataset.points(), self.order.rho());
+        open.clear();
+        open.extend(group.members.iter().enumerate().map(|(slot, &p)| {
+            let p = p as PointId;
+            Member {
+                id: p,
+                at: pts[p],
+                key: self.order.key(p),
+                rho: rho[p],
+                best: (f64::INFINITY, None),
+                slot,
+            }
+        }));
+        self.scan(self.leaf(own), open, stats);
         stats.nodes_visited += 1;
-        self.scan_leaf(p, own, &mut best, stats);
 
-        // Min-heap on dmin²: the node most likely to contain the dependent
-        // neighbour is explored first, so the candidate δ shrinks quickly and
+        // Min-heap on the key: the node most likely to hold a dependent
+        // neighbour is explored first, so the candidates shrink quickly and
         // distance pruning bites early. The heap is per-worker scratch —
         // cleared (it may hold leftovers from an early-terminated previous
-        // query) but never re-allocated.
+        // group) but never re-allocated.
         heap.clear();
         if root != own {
-            heap.push(Reverse((
-                OrdF64(tree.bbox(root).min_dist_squared(query)),
-                root,
-            )));
+            let key = group.bbox.min_dist_squared_to_box(&tree.bbox(root));
+            heap.push(Reverse((OrdF64(key), root)));
         }
-
-        while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
-            // Strict `>`: a node at exactly the best d² may still hold a
-            // candidate with a smaller id.
-            if config.distance_pruning && dmin2 > best.0 {
-                // The heap is ordered by dmin², so every remaining node is at
-                // least this far: nothing can improve the candidate any more.
-                stats.nodes_distance_pruned += heap.len() as u64 + 1;
-                break;
+        let (mut least, mut reach) = bounds(open);
+        while let Some(Reverse((OrdF64(key), node))) = heap.pop() {
+            if config.distance_pruning {
+                // Strict `>`: a node at exactly a candidate's d² may still
+                // hold one with a smaller id.
+                if key > reach {
+                    // The heap is ordered by key, so every remaining node is
+                    // at least this far: no open member can improve.
+                    stats.nodes_distance_pruned += heap.len() as u64 + 1;
+                    break;
+                }
+                if open.iter().any(|m| m.best.0 < key) {
+                    open.retain(|m| {
+                        let closes = m.best.0 < key;
+                        if closes {
+                            out[m.slot] = self.finish(m);
+                        }
+                        !closes
+                    });
+                    (least, reach) = bounds(open);
+                }
+            }
+            if config.density_pruning && self.maxrho[node] < least {
+                stats.nodes_density_pruned += 1;
+                continue;
             }
             stats.nodes_visited += 1;
             if tree.is_leaf(node) {
-                self.scan_leaf(p, node, &mut best, stats);
+                // The members this leaf can improve go to the front of
+                // `open`, whose order nothing depends on.
+                let bbox = tree.bbox(node);
+                let mut scanning = 0;
+                for i in 0..open.len() {
+                    let m = &open[i];
+                    if (!config.density_pruning || m.rho <= self.maxrho[node])
+                        && (!config.distance_pruning || bbox.min_dist_squared(m.at) <= m.best.0)
+                    {
+                        open.swap(i, scanning);
+                        scanning += 1;
+                    }
+                }
+                self.scan(self.leaf(node), &mut open[..scanning], stats);
+                reach = bounds(open).1;
                 continue;
             }
             for &c in tree.children(node) {
                 if c == own {
                     continue;
                 }
-                if config.density_pruning && self.maxrho[c] < rho_p {
+                if config.density_pruning && self.maxrho[c] < least {
                     stats.nodes_density_pruned += 1;
                     continue;
                 }
-                let child_dmin2 = tree.bbox(c).min_dist_squared(query);
-                if config.distance_pruning && child_dmin2 > best.0 {
+                let child_key = group.bbox.min_dist_squared_to_box(&tree.bbox(c));
+                if config.distance_pruning && child_key > reach {
                     stats.nodes_distance_pruned += 1;
                     continue;
                 }
-                heap.push(Reverse((OrdF64(child_dmin2), c)));
+                heap.push(Reverse((OrdF64(child_key), c)));
             }
         }
-
-        match best {
-            (d2, Some(q)) => (d2.sqrt(), Some(q)),
-            // No denser point exists: p is the global peak, whose δ (the
-            // largest distance to any other point) only a full scan can give.
-            (_, None) => brute::delta_one(self.dataset, &self.order, p),
+        for m in open.iter() {
+            out[m.slot] = self.finish(m);
         }
     }
 
-    /// Improves `best`, the `(fl(d²), id)` of `p`'s nearest denser point so
-    /// far, with the points of the leaf `node`.
-    fn scan_leaf(
-        &self,
-        p: PointId,
-        node: NodeId,
-        best: &mut (f64, Option<PointId>),
-        stats: &mut QueryStats,
-    ) {
-        let pts = self.dataset.points();
-        for &q in self.tree.points(node) {
-            let q = q as PointId;
+    /// The points of `leaf`, from the layout when the query has one.
+    fn leaf(&self, leaf: NodeId) -> LeafPoints<'_> {
+        let ids = self.tree.points(leaf);
+        match &self.layout {
+            Some(layout) => LeafPoints::Sorted(&layout.entries[layout.start[leaf]..][..ids.len()]),
+            None => LeafPoints::Ids(ids),
+        }
+    }
+
+    /// Improves the candidates of `members` with the points of one leaf
+    /// that are denser than each; only those count as scanned. A sorted
+    /// leaf is scanned once per member, up to the first point that is not
+    /// denser; an id list once for all of them, so each point is read once.
+    fn scan(&self, points: LeafPoints<'_>, members: &mut [Member], stats: &mut QueryStats) {
+        let mut offer = |m: &mut Member, at: Point, q: PointId| {
             stats.points_scanned += 1;
-            if q == p || !self.order.is_denser(q, p) {
-                continue;
+            let d2 = at.distance_squared(&m.at);
+            if closer(d2, q, m.best.0, m.best.1) {
+                m.best = (d2, Some(q));
             }
-            let d2 = pts[q].distance_squared(&pts[p]);
-            if closer(d2, q, best.0, best.1) {
-                *best = (d2, Some(q));
+        };
+        match points {
+            LeafPoints::Sorted(entries) => {
+                for m in members {
+                    for e in entries {
+                        if e.key <= m.key {
+                            break;
+                        }
+                        offer(m, e.at, e.id());
+                    }
+                }
             }
+            LeafPoints::Ids(ids) => {
+                let pts = self.dataset.points();
+                for &q in ids {
+                    let q = q as PointId;
+                    let (at, key) = (pts[q], self.order.key(q));
+                    for m in members.iter_mut() {
+                        if key > m.key {
+                            offer(m, at, q);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `m`'s δ and µ from its final candidate. A member with none is the
+    /// global peak, whose δ (the largest distance to any other point) only
+    /// a full scan can give.
+    fn finish(&self, m: &Member) -> (f64, Option<PointId>) {
+        match m.best {
+            (d2, Some(q)) => (d2.sqrt(), Some(q)),
+            (_, None) => brute::delta_one(self.dataset, &self.order, m.id),
         }
     }
 }
@@ -728,7 +986,7 @@ mod tests {
             assert_eq!(par_delta.mu, seq_delta.mu, "threads = {threads}");
             // Distance pruning's "rest of the heap" counter depends on how
             // many nodes are still queued at the early exit, which is
-            // per-point state — identical regardless of the partitioning.
+            // per-group state — identical regardless of the partitioning.
             assert_eq!(delta_stats, seq_delta_stats, "threads = {threads}");
         }
     }

@@ -1,5 +1,5 @@
-//! The leaf-group ρ and the own-leaf-seeded δ of the tree indexes against
-//! the brute-force kernels of `dpc_core::brute` and the naive reference.
+//! The leaf-group ρ and the group δ search of the tree indexes against the
+//! brute-force kernels of `dpc_core::brute` and the naive reference.
 //!
 //! The queries answer one leaf at a time, so the inputs aim at leaves:
 //! small capacities give many leaves, coincident points overfill a
@@ -7,9 +7,11 @@
 //! and a grid with conservative boxes and empty leaves. Points sit on a
 //! unit lattice, so whole leaves lie at exactly `dc` from each other and
 //! the box-to-box bounds decide them; the ulp-adversarial points plant
-//! squared distances a few ulps either side of `dc²`. The thread counts
-//! cut the leaf order at different places, and every result and every
-//! traversal counter must be the same at each.
+//! squared distances a few ulps either side of `dc²`. The batch δ runs
+//! under every combination of the two pruning rules, and `delta_targets`
+//! groups shuffled, duplicated targets by leaf. The thread counts cut the
+//! group order at different places, and every result and every traversal
+//! counter must be the same at each.
 
 use dpc_core::brute::{delta_one, delta_scan, rho_scan, weighted_rho_scan};
 use dpc_core::naive_reference::NaiveReferenceIndex;
@@ -72,10 +74,59 @@ fn tied_rho(n: usize, seed: u64) -> Vec<Rho> {
     (0..n).map(|_| (next() % 4) as Rho / 3.0).collect()
 }
 
+/// The four combinations of the two pruning rules.
+fn configs() -> [DeltaQueryConfig; 4] {
+    [(true, true), (true, false), (false, true), (false, false)].map(
+        |(density_pruning, distance_pruning)| DeltaQueryConfig {
+            density_pruning,
+            distance_pruning,
+        },
+    )
+}
+
+/// The leaf holding each point of `tree`, from a walk of its leaves.
+fn leaf_map<T: SpatialPartition + DpcIndex>(tree: &T) -> Vec<usize> {
+    let mut leaf = vec![usize::MAX; tree.dataset().len()];
+    let mut stack: Vec<usize> = tree.root().into_iter().collect();
+    while let Some(node) = stack.pop() {
+        stack.extend_from_slice(tree.children(node));
+        for &p in tree.points(node) {
+            leaf[p as usize] = node;
+        }
+    }
+    leaf
+}
+
+/// Target lists for `delta_targets`, each shuffled and with every third
+/// target repeated: every point of the fullest leaf, and one point of every
+/// leaf.
+fn target_lists<T: SpatialPartition + DpcIndex>(tree: &T, seed: u64) -> [Vec<PointId>; 2] {
+    let leaf = leaf_map(tree);
+    let mut by_leaf = std::collections::BTreeMap::<usize, Vec<PointId>>::new();
+    for (p, &l) in leaf.iter().enumerate() {
+        by_leaf.entry(l).or_default().push(p);
+    }
+    let first_of_each = by_leaf.values().map(|members| members[0]).collect();
+    let fullest = by_leaf
+        .into_values()
+        .max_by_key(Vec::len)
+        .unwrap_or_default();
+    let mut next = rng(seed ^ 0x7A12);
+    [fullest, first_of_each].map(|mut targets| {
+        let repeats: Vec<PointId> = targets.iter().copied().step_by(3).collect();
+        targets.extend(repeats);
+        for i in (1..targets.len()).rev() {
+            targets.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        targets
+    })
+}
+
 /// Checks one tree against the brute-force kernels and the naive
-/// reference over its own dataset: ρ under every kernel, δ and µ under the
-/// counted ρ and a tie-heavy ρ, at every thread count with identical
-/// counters, and `delta_targets` when the tree has one.
+/// reference over its own dataset: ρ under every kernel; δ and µ under the
+/// counted ρ and a tie-heavy ρ, with every pruning configuration, at every
+/// thread count with identical counters; and `delta_targets` on shuffled,
+/// duplicated targets, through the tree's own leaf map when it has one.
 fn check_tree<T>(
     name: &str,
     tree: &T,
@@ -87,7 +138,6 @@ where
 {
     let data = tree.dataset();
     let naive = NaiveReferenceIndex::build(data);
-    let config = DeltaQueryConfig::default();
     for &dc in dcs {
         for kernel in [
             Kernel::Cutoff,
@@ -108,22 +158,30 @@ where
             if !kernel.is_cutoff() {
                 continue;
             }
+            check_rho_threads(tree, (&rho, &rho_stats), &query, &what)?;
             for rho in [rho.clone(), tied_rho(data.len(), dc.to_bits())] {
                 let order = DensityOrder::new(&rho);
                 let expected = delta_scan(data, &order, &query);
-                let (delta, delta_stats) = tree_query::delta(tree, data, &rho, &config, &query);
-                prop_assert_eq!(bits(&delta.delta), bits(&expected.delta), "{}: delta", what);
-                prop_assert_eq!(&delta.mu, &expected.mu, "{}: mu", what);
                 let reference = naive.delta(&query, &rho).unwrap();
-                prop_assert_eq!(bits(&delta.delta), bits(&reference.delta), "{}", what);
-                prop_assert_eq!(&delta.mu, &reference.mu, "{}", what);
-                check_threads(
-                    tree,
-                    &rho,
-                    (&rho_stats, &delta, &delta_stats),
-                    &query,
-                    &what,
-                )?;
+                prop_assert_eq!(bits(&reference.delta), bits(&expected.delta), "{}", what);
+                prop_assert_eq!(&reference.mu, &expected.mu, "{}", what);
+                for config in configs() {
+                    let what = format!("{what}, {config:?}");
+                    let (delta, delta_stats) = tree_query::delta(tree, data, &rho, &config, &query);
+                    prop_assert_eq!(bits(&delta.delta), bits(&expected.delta), "{}: delta", what);
+                    prop_assert_eq!(&delta.mu, &expected.mu, "{}: mu", what);
+                    check_delta_threads(
+                        tree,
+                        &rho,
+                        &config,
+                        (&delta, &delta_stats),
+                        &query,
+                        &what,
+                    )?;
+                }
+                for targets in target_lists(tree, dc.to_bits()) {
+                    check_targets(tree, &rho, &query, &targets, &what)?;
+                }
                 if let Some(index) = updatable {
                     let ids: Vec<PointId> = (0..data.len()).rev().step_by(2).collect();
                     let repaired = index.delta_targets(&query, &rho, &ids).unwrap();
@@ -145,12 +203,11 @@ where
     Ok(())
 }
 
-/// Every thread count gives the sequential ρ, δ and µ bit for bit, the same
+/// Every thread count gives the sequential ρ bit for bit, the same
 /// `QueryStats`, and one chunk sample per worker covering every point.
-fn check_threads<T>(
+fn check_rho_threads<T>(
     tree: &T,
-    rho: &[Rho],
-    (rho_stats, delta, delta_stats): (&QueryStats, &dpc_core::DeltaResult, &QueryStats),
+    (rho, rho_stats): (&[Rho], &QueryStats),
     query: &Query<'_>,
     what: &str,
 ) -> Result<(), TestCaseError>
@@ -158,17 +215,40 @@ where
     T: SpatialPartition + DpcIndex + Sync,
 {
     let data = tree.dataset();
-    let config = DeltaQueryConfig::default();
-    let (seq_rho, _) = tree_query::rho(tree, data, query);
     for t in THREADS {
         let metrics = MetricsRecorder::new();
         let threaded = query
             .with_exec(ExecPolicy::Threads(t))
             .with_recorder(&metrics);
         let (par_rho, par_rho_stats) = tree_query::rho(tree, data, &threaded);
-        prop_assert_eq!(bits(&par_rho), bits(&seq_rho), "{}, threads = {}", what, t);
+        prop_assert_eq!(bits(&par_rho), bits(rho), "{}, threads = {}", what, t);
         prop_assert_eq!(&par_rho_stats, rho_stats, "{}, threads = {}", what, t);
-        let (par_delta, par_delta_stats) = tree_query::delta(tree, data, rho, &config, &threaded);
+        check_chunks(&metrics, "query.rho.chunk", data.len(), t, what)?;
+    }
+    Ok(())
+}
+
+/// Every thread count gives the sequential δ and µ of `config` bit for bit,
+/// the same `QueryStats`, and one chunk sample per worker covering every
+/// point.
+fn check_delta_threads<T>(
+    tree: &T,
+    rho: &[Rho],
+    config: &DeltaQueryConfig,
+    (delta, delta_stats): (&dpc_core::DeltaResult, &QueryStats),
+    query: &Query<'_>,
+    what: &str,
+) -> Result<(), TestCaseError>
+where
+    T: SpatialPartition + DpcIndex + Sync,
+{
+    let data = tree.dataset();
+    for t in THREADS {
+        let metrics = MetricsRecorder::new();
+        let threaded = query
+            .with_exec(ExecPolicy::Threads(t))
+            .with_recorder(&metrics);
+        let (par_delta, par_delta_stats) = tree_query::delta(tree, data, rho, config, &threaded);
         prop_assert_eq!(
             bits(&par_delta.delta),
             bits(&delta.delta),
@@ -178,17 +258,69 @@ where
         );
         prop_assert_eq!(&par_delta.mu, &delta.mu, "{}, threads = {}", what, t);
         prop_assert_eq!(&par_delta_stats, delta_stats, "{}, threads = {}", what, t);
-        let snap = metrics.snapshot();
-        for label in ["query.rho.chunk", "query.delta.chunk"] {
-            let items = snap.histogram(&format!("{label}.items")).map(|h| h.sum());
-            prop_assert_eq!(items, Some(data.len() as u64), "{}, {}", what, label);
-            let chunks = snap
-                .histogram(&format!("{label}_us"))
-                .map(|h| h.count() as usize);
-            prop_assert!(chunks <= Some(ExecPolicy::Threads(t).workers(data.len())));
-        }
+        check_chunks(&metrics, "query.delta.chunk", data.len(), t, what)?;
     }
     Ok(())
+}
+
+/// The `label` chunks of a query over `n` points at `t` threads cover every
+/// point, with at most one chunk per worker.
+fn check_chunks(
+    metrics: &MetricsRecorder,
+    label: &str,
+    n: usize,
+    t: usize,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let snap = metrics.snapshot();
+    let items = snap.histogram(&format!("{label}.items")).map(|h| h.sum());
+    prop_assert_eq!(items, Some(n as u64), "{}, {}", what, label);
+    let chunks = snap
+        .histogram(&format!("{label}_us"))
+        .map(|h| h.count() as usize);
+    prop_assert!(chunks <= Some(ExecPolicy::Threads(t).workers(n)));
+    Ok(())
+}
+
+/// `tree_query::delta_targets` over `targets`, with the leaves of a walk as
+/// its leaf map, gives every target's `brute::delta_one` bit for bit, and
+/// the same result and `QueryStats` at every thread count. Returns the
+/// sequential counters.
+fn check_targets<T>(
+    tree: &T,
+    rho: &[Rho],
+    query: &Query<'_>,
+    targets: &[PointId],
+    what: &str,
+) -> Result<QueryStats, TestCaseError>
+where
+    T: SpatialPartition + DpcIndex + Sync,
+{
+    let data = tree.dataset();
+    let order = DensityOrder::new(rho);
+    let leaf = leaf_map(tree);
+    let run = |query: &Query<'_>| {
+        tree_query::delta_targets(tree, data, rho, query, targets, |p: PointId| leaf[p])
+    };
+    let (seq, seq_stats) = run(query);
+    for (k, &p) in targets.iter().enumerate() {
+        let (d, mu) = delta_one(data, &order, p);
+        prop_assert_eq!(seq.delta[k].to_bits(), d.to_bits(), "{}: δ({})", what, p);
+        prop_assert_eq!(seq.mu[k], mu, "{}: µ({})", what, p);
+    }
+    for t in THREADS {
+        let (par, par_stats) = run(&query.with_exec(ExecPolicy::Threads(t)));
+        prop_assert_eq!(
+            bits(&par.delta),
+            bits(&seq.delta),
+            "{}, threads = {}",
+            what,
+            t
+        );
+        prop_assert_eq!(&par.mu, &seq.mu, "{}, threads = {}", what, t);
+        prop_assert_eq!(&par_stats, &seq_stats, "{}, threads = {}", what, t);
+    }
+    Ok(seq_stats)
 }
 
 /// Quadtree, R-tree, k-d tree and grid over `points`, with leaves of a few
@@ -301,4 +433,52 @@ fn a_leaf_exactly_dc_away_is_discarded_for_the_whole_group() {
         ..Default::default()
     };
     assert_eq!(stats, expected);
+}
+
+/// Eight clusters of four points on a diagonal, one k-d tree leaf each. In
+/// the first cluster the densest member's nearest denser point is the peak,
+/// six leaves away, while its group-mates find their µ inside their own
+/// leaf and close at the first node they pop. One group answers all four
+/// exactly, and visits fewer nodes than four searches of one.
+#[test]
+fn the_densest_member_searches_far_while_its_group_mates_close_at_home() {
+    let corners = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)];
+    let data = Dataset::from_coords((0..8).flat_map(|j| {
+        corners.map(|(dx, dy)| (10.0 * f64::from(j) + dx, 10.0 * f64::from(j) + dy))
+    }));
+    let tree = KdTree::with_config(
+        &data,
+        &KdTreeConfig {
+            leaf_capacity: 4,
+            ..Default::default()
+        },
+    );
+    let leaf = leaf_map(&tree);
+    for cluster in leaf.chunks(4) {
+        assert!(
+            cluster.iter().all(|&l| l == cluster[0]),
+            "one leaf per cluster"
+        );
+    }
+    let mut rho = vec![1.0; data.len()];
+    rho[..4].copy_from_slice(&[3.0, 2.0, 4.0, 1.0]);
+    let peak = 6 * 4 + 1;
+    rho[peak] = 5.0;
+    let query = Query::new(1.0);
+    let targets = [3, 0, 2, 1];
+    let what = "the first cluster";
+    let grouped = check_targets(&tree, &rho, &query, &targets, what).unwrap();
+    let (found, _) = tree_query::delta_targets(&tree, &data, &rho, &query, &targets, |p| leaf[p]);
+    assert_eq!(found.mu, vec![Some(1), Some(2), Some(peak), Some(0)]);
+    assert_ne!(leaf[peak], leaf[2]);
+    let mut alone = QueryStats::default();
+    for p in targets {
+        alone.merge(&check_targets(&tree, &rho, &query, &[p], what).unwrap());
+    }
+    assert!(
+        grouped.nodes_visited < alone.nodes_visited,
+        "one group visited {} nodes, four searches of one {}",
+        grouped.nodes_visited,
+        alone.nodes_visited
+    );
 }
