@@ -1260,7 +1260,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     .map(|&(c, _)| c),
             );
             scratch.moved.clear();
-            let pairs = candidate_pass(
+            let fold = candidate_pass(
                 self.index.dataset(),
                 &order,
                 &scratch.candidates,
@@ -1275,8 +1275,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 scratch.roots.push(p);
             }
             // Why the fold cost what it did: its candidates by kind, the U
-            // members it dropped, and the (point, candidate) pairs its cell
-            // filter passed.
+            // members it dropped, the points its box test passed and the
+            // (point, candidate) pairs its cell filter passed.
             if rec.enabled() {
                 let risen = scratch.candidates.len() - inserted_or_renamed;
                 let counts = [
@@ -1284,7 +1284,8 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                     ("entrants.renamed", scratch.renamed.len() as u64),
                     ("entrants.risen", risen as u64),
                     ("unrisen", (scratch.union.len() - risen) as u64),
-                    ("pairs", pairs),
+                    ("scanned", fold.scanned),
+                    ("pairs", fold.pairs),
                 ];
                 for (name, count) in counts {
                     rec.counter(&format!("stream.fold.{name}"), count);

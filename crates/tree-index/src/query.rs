@@ -100,8 +100,19 @@
 //!    per-point search of Algorithm 6. Its box is the point itself, so its
 //!    keys equal the point-to-box bounds.
 //!
-//! A member with no denser point anywhere is the global peak, whose δ (the
-//! largest distance to any other point) only a full scan can give.
+//! A member with no denser point anywhere is the global peak, whose δ is the
+//! largest distance to any other point. A second best-first search finds
+//! it, the farthest point first: nodes are keyed by
+//! [`BoundingBox::max_dist_squared`] from the peak, largest first, empty
+//! nodes are skipped, and the search stops once the largest queued key is
+//! at most the best `fl(d²)` found. That is Lemma 2 with the bound
+//! reversed, and it is exact for the same reason: rounded subtraction is
+//! monotone in each operand, so the key never falls below the `fl(d²)` of
+//! any point of the node, and a node whose key is at most the best cannot
+//! raise it. Only the largest value matters, not which point gives it, so
+//! the root of that maximum is the brute-force sentinel bit for bit (the
+//! peak itself adds `fl(d²) = 0`, which never raises a maximum that starts
+//! at 0). This search counts nothing in [`QueryStats`].
 //!
 //! **Threads.** The group-ordered result slots go through
 //! [`dpc_core::exec::fill_chunks`] as storage that may only be cut between
@@ -132,8 +143,7 @@ use std::collections::BinaryHeap;
 
 use dpc_core::exec::{self, Slots};
 use dpc_core::{
-    brute, closer, BoundingBox, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query,
-    Rho,
+    closer, BoundingBox, Dataset, DeltaResult, DensityOrder, Kernel, Point, PointId, Query, Rho,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -715,11 +725,10 @@ enum LeafPoints<'a> {
     Ids(&'a [u32]),
 }
 
-/// A member of the δ group being answered: its id, location, density key
-/// and ρ, its candidate `(fl(d²), id)` so far, and its result slot.
+/// A member of the δ group being answered: its location, density key and
+/// ρ, its candidate `(fl(d²), id)` so far, and its result slot.
 #[derive(Debug, Clone, Copy)]
 struct Member {
-    id: PointId,
     at: Point,
     key: (u64, i64),
     rho: Rho,
@@ -798,7 +807,6 @@ impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
         open.extend(group.members.iter().enumerate().map(|(slot, &p)| {
             let p = p as PointId;
             Member {
-                id: p,
                 at: pts[p],
                 key: self.order.key(p),
                 rho: rho[p],
@@ -933,13 +941,41 @@ impl<'a, T: SpatialPartition + ?Sized> DeltaSearch<'a, T> {
     }
 
     /// `m`'s δ and µ from its final candidate. A member with none is the
-    /// global peak, whose δ (the largest distance to any other point) only
-    /// a full scan can give.
+    /// global peak, whose δ is the root of its [`farthest`](Self::farthest)
+    /// `fl(d²)`, with no µ: `brute::delta_one`'s sentinel bit for bit.
     fn finish(&self, m: &Member) -> (f64, Option<PointId>) {
         match m.best {
             (d2, Some(q)) => (d2.sqrt(), Some(q)),
-            (_, None) => brute::delta_one(self.dataset, &self.order, m.id),
+            (_, None) => (self.farthest(m.at).sqrt(), None),
         }
+    }
+
+    /// The largest `fl(d²)` from `from` to any point of the tree, and 0 for
+    /// none: a best-first search that pops the node with the largest
+    /// [`BoundingBox::max_dist_squared`] first, skips empty nodes, and stops
+    /// once no queued node can beat the best (see the [module docs](self)).
+    ///
+    /// [`BoundingBox::max_dist_squared`]: dpc_core::BoundingBox::max_dist_squared
+    fn farthest(&self, from: Point) -> f64 {
+        let (tree, pts) = (self.tree, self.dataset.points());
+        let key = |node: NodeId| OrdF64(tree.bbox(node).max_dist_squared(from));
+        let mut best = 0.0f64;
+        let mut heap = BinaryHeap::new();
+        heap.extend(tree.root().map(|root| (key(root), root)));
+        while let Some((OrdF64(bound), node)) = heap.pop() {
+            if bound <= best {
+                break;
+            }
+            for &q in tree.points(node) {
+                best = best.max(pts[q as usize].distance_squared(&from));
+            }
+            for &c in tree.children(node) {
+                if tree.point_count(c) > 0 {
+                    heap.push((key(c), c));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -948,6 +984,7 @@ mod tests {
     use super::*;
     use crate::common::check_partition_invariants;
     use crate::testutil::FlatPartition;
+    use dpc_core::brute;
     use dpc_core::naive_reference::NaiveReferenceIndex;
     use dpc_core::{DpcIndex, ExecPolicy};
     use dpc_datasets::generators::{query as query_dataset, s1};

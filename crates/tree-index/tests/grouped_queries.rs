@@ -9,7 +9,8 @@
 //! the box-to-box bounds decide them; the ulp-adversarial points plant
 //! squared distances a few ulps either side of `dc²`. The batch δ runs
 //! under every combination of the two pruning rules, and `delta_targets`
-//! groups shuffled, duplicated targets by leaf. The thread counts cut the
+//! groups shuffled, duplicated targets, the global peak among them, by
+//! leaf. The thread counts cut the
 //! group order at different places, and every result and every traversal
 //! counter must be the same at each.
 
@@ -97,10 +98,21 @@ fn leaf_map<T: SpatialPartition + DpcIndex>(tree: &T) -> Vec<usize> {
     leaf
 }
 
+/// The global peak of `rho`: the point with no denser point.
+fn peak(rho: &[Rho]) -> Option<PointId> {
+    let order = DensityOrder::new(rho);
+    (0..rho.len()).max_by_key(|&p| order.key(p))
+}
+
 /// Target lists for `delta_targets`, each shuffled and with every third
 /// target repeated: every point of the fullest leaf, and one point of every
-/// leaf.
-fn target_lists<T: SpatialPartition + DpcIndex>(tree: &T, seed: u64) -> [Vec<PointId>; 2] {
+/// leaf, each with the global peak of `rho`, whose δ is its farthest
+/// distance.
+fn target_lists<T: SpatialPartition + DpcIndex>(
+    tree: &T,
+    rho: &[Rho],
+    seed: u64,
+) -> [Vec<PointId>; 2] {
     let leaf = leaf_map(tree);
     let mut by_leaf = std::collections::BTreeMap::<usize, Vec<PointId>>::new();
     for (p, &l) in leaf.iter().enumerate() {
@@ -113,6 +125,7 @@ fn target_lists<T: SpatialPartition + DpcIndex>(tree: &T, seed: u64) -> [Vec<Poi
         .unwrap_or_default();
     let mut next = rng(seed ^ 0x7A12);
     [fullest, first_of_each].map(|mut targets| {
+        targets.extend(peak(rho));
         let repeats: Vec<PointId> = targets.iter().copied().step_by(3).collect();
         targets.extend(repeats);
         for i in (1..targets.len()).rev() {
@@ -179,7 +192,7 @@ where
                         &what,
                     )?;
                 }
-                for targets in target_lists(tree, dc.to_bits()) {
+                for targets in target_lists(tree, &rho, dc.to_bits()) {
                     check_targets(tree, &rho, &query, &targets, &what)?;
                 }
                 if let Some(index) = updatable {
@@ -481,4 +494,148 @@ fn the_densest_member_searches_far_while_its_group_mates_close_at_home() {
         grouped.nodes_visited,
         alone.nodes_visited
     );
+}
+
+/// The peak of an 8 × 10 block of lattice points 2 apart, and one point far
+/// out at (40, 30): the peak's farthest point. Its δ is that distance, from
+/// the batch δ under every pruning rule, from `delta_targets` and from the
+/// updatable indexes' own `delta_targets`, bit for bit as
+/// `brute::delta_one` gives it.
+fn check_farthest<T>(name: &str, tree: &T, updatable: Option<&dyn UpdatableIndex>)
+where
+    T: SpatialPartition + DpcIndex + Sync,
+{
+    let data = tree.dataset();
+    let at = |x: f64, y: f64| {
+        let p = Point::new(x, y);
+        data.points().iter().position(|&q| q == p).unwrap()
+    };
+    let (top, far) = (at(-1.0, -1.0), at(40.0, 30.0));
+    let mut rho = vec![1.0; data.len()];
+    rho[top] = 9.0;
+    assert_eq!(peak(&rho), Some(top));
+    let order = DensityOrder::new(&rho);
+    let expected = delta_one(data, &order, top);
+    assert_eq!(expected, (data.distance(top, far), None), "{name}");
+    let query = Query::new(1.0);
+    for config in configs() {
+        let (delta, _) = tree_query::delta(tree, data, &rho, &config, &query);
+        let got = (delta.delta[top], delta.mu[top]);
+        assert_eq!(got, expected, "{name}, {config:?}");
+    }
+    check_targets(tree, &rho, &query, &[top, far, top], name).unwrap();
+    if let Some(index) = updatable {
+        let repaired = index.delta_targets(&query, &rho, &[top]).unwrap();
+        assert_eq!((repaired.delta[0], repaired.mu[0]), expected, "{name}");
+    }
+}
+
+/// How many points share the leaf that holds `p`.
+fn leaf_size<T: SpatialPartition + DpcIndex>(tree: &T, p: Point) -> usize {
+    let leaf = leaf_map(tree);
+    let k = tree
+        .dataset()
+        .points()
+        .iter()
+        .position(|&q| q == p)
+        .unwrap();
+    leaf.iter().filter(|&&l| l == leaf[k]).count()
+}
+
+/// The block of [`check_farthest`], its far point, and `extra` more.
+fn block_and_far(extra: &[(f64, f64)]) -> Dataset {
+    let block = (0..80).map(|i| (f64::from(i % 8) * 2.0 - 7.0, f64::from(i / 8) * 2.0 - 9.0));
+    Dataset::from_coords(block.chain([(40.0, 30.0)]).chain(extra.iter().copied()))
+}
+
+/// The peak's farthest point sits alone in a far leaf, behind the block's
+/// nearer and fuller leaves, on the quadtree, the R-tree and the grid (the
+/// k-d tree's median splits leave no point alone at build). Then two decoys
+/// farther out than it are removed from a k-d tree and a grid, with the far
+/// point's leaf-mates: the far point is alone in both, and the decoys'
+/// leaves keep stale boxes that reach past it, and the grid empty cells.
+#[test]
+fn the_peaks_farthest_point_alone_in_a_far_leaf_behind_nearer_fuller_leaves() {
+    let far = Point::new(40.0, 30.0);
+    let data = block_and_far(&[]);
+    let quadtree = Quadtree::with_config(
+        &data,
+        &QuadtreeConfig {
+            node_capacity: 3,
+            max_depth: 5,
+        },
+    );
+    let rtree = RTree::with_config(&data, &RTreeConfig { node_capacity: 4 });
+    let kdtree = KdTree::with_config(
+        &data,
+        &KdTreeConfig {
+            leaf_capacity: 3,
+            ..Default::default()
+        },
+    );
+    let grid = GridIndex::with_config(
+        &data,
+        &GridConfig {
+            target_points_per_cell: 3,
+            ..Default::default()
+        },
+    );
+    assert_eq!(leaf_size(&quadtree, far), 1, "quadtree");
+    assert_eq!(leaf_size(&rtree, far), 1, "rtree");
+    assert_eq!(leaf_size(&grid, far), 1, "grid");
+    check_farthest("quadtree", &quadtree, None);
+    check_farthest("rtree", &rtree, None);
+    check_farthest("kdtree", &kdtree, Some(&kdtree));
+    check_farthest("grid", &grid, Some(&grid));
+
+    let decoys = [(-50.0, -45.0), (-45.0, 48.0)];
+    let data = block_and_far(&decoys);
+    let mut kdtree = KdTree::with_config(
+        &data,
+        &KdTreeConfig {
+            leaf_capacity: 3,
+            rebuild_dead_fraction: 1e9,
+        },
+    );
+    let mut grid = GridIndex::with_config(
+        &data,
+        &GridConfig {
+            target_points_per_cell: 3,
+            ..Default::default()
+        },
+    );
+    let leaf = leaf_map(&kdtree);
+    let k = |p: Point| data.points().iter().position(|&q| q == p).unwrap();
+    let mut victims: Vec<Point> = (0..data.len())
+        .filter(|&q| leaf[q] == leaf[k(far)] && data.point(q) != far)
+        .map(|q| data.point(q))
+        .collect();
+    victims.extend(decoys.map(|(x, y)| Point::new(x, y)));
+    let stale = decoys.map(|(x, y)| leaf[k(Point::new(x, y))]);
+    for victim in victims {
+        let id = kdtree
+            .dataset()
+            .points()
+            .iter()
+            .position(|&q| q == victim)
+            .unwrap();
+        assert_eq!(kdtree.remove(id).unwrap(), grid.remove(id).unwrap());
+    }
+    kdtree.check_invariants();
+    grid.check_invariants();
+    assert_eq!(leaf_size(&kdtree, far), 1, "kdtree after removals");
+    assert_eq!(leaf_size(&grid, far), 1, "grid after removals");
+    // The decoys' leaves still hold block points, in boxes that reach
+    // farther from the peak than the far point.
+    let top = Point::new(-1.0, -1.0);
+    for node in stale {
+        let bbox = kdtree.bbox(node);
+        assert!(
+            bbox.max_dist_squared(top) > far.distance_squared(&top),
+            "{bbox:?}"
+        );
+        assert!(!kdtree.points(node).is_empty(), "{bbox:?}");
+    }
+    check_farthest("kdtree after removals", &kdtree, Some(&kdtree));
+    check_farthest("grid after removals", &grid, Some(&grid));
 }
