@@ -665,8 +665,17 @@ fn serve_replay<I: UpdatableIndex>(
                     );
                     let mut tally = ReaderTally::default();
                     let mut seen = reader.epoch();
-                    while !stop.load(Ordering::Acquire) {
-                        match rng.next_u64() % 3 {
+                    // One query of every family before the first look at
+                    // `stop`, so a replay that ends before a reader is
+                    // scheduled still reports each family.
+                    let mut first = 0..3;
+                    loop {
+                        let family = match first.next() {
+                            Some(family) => family,
+                            None if stop.load(Ordering::Acquire) => break,
+                            None => rng.next_u64() % 3,
+                        };
+                        match family {
                             0 => {
                                 let snap = reader.current();
                                 if snap.is_empty() {
@@ -1668,6 +1677,17 @@ mod tests {
                 summary.contains(field),
                 "summary missing {field}: {summary}"
             );
+        }
+        // Each of the 2 readers issues one query of every family, however
+        // soon the replay ends.
+        for family in ["lookups", "eps_queries", "sub_polls"] {
+            let key = format!("\"{family}\":");
+            let at = summary.find(&key).unwrap() + key.len();
+            let count: String = summary[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            assert!(count.parse::<u64>().unwrap() >= 2, "{family}: {summary}");
         }
         assert!(out.contains("\"recentred\":"), "{out}");
 

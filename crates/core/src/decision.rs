@@ -37,12 +37,7 @@ impl DecisionGraph {
                 what: "decision graph delta",
             });
         }
-        let clip = delta_result.max_finite_delta();
-        let delta = delta_result
-            .delta
-            .iter()
-            .map(|&d| if d.is_finite() { d } else { clip })
-            .collect();
+        let delta = delta_result.clipped_delta();
         Ok(DecisionGraph { rho, delta })
     }
 
@@ -66,20 +61,14 @@ impl DecisionGraph {
         self.delta[p]
     }
 
-    /// The γ score of a point: normalised `ρ` times normalised `δ`.
+    /// The normalised γ of every point, `(ρ/ρmax)·(δ/δmax)`, for display
+    /// (`dpc cluster --decision-graph`, the quickstart's candidate list).
     ///
     /// Normalisation divides by the maximum of each quantity so that γ lies
-    /// in `[0, 1]`; this is the standard way of ranking centre candidates
-    /// when the decision graph is not inspected manually.
+    /// in `[0, 1]`. Centre selection does not read it: it ranks by
+    /// [`gamma_key`], which orders the points the same way in exact
+    /// arithmetic.
     pub fn gamma(&self) -> Vec<f64> {
-        let gamma = self.gamma_of();
-        (0..self.len()).map(gamma).collect()
-    }
-
-    /// The γ of one point, as a function of its id: the two maxima are
-    /// folded once, and every γ is the same expression [`gamma`](Self::gamma)
-    /// evaluates.
-    fn gamma_of(&self) -> impl Fn(PointId) -> f64 + '_ {
         let max_rho = self.rho.iter().copied().fold(0.0, f64::max).max(1.0);
         let max_delta = self
             .delta
@@ -87,121 +76,21 @@ impl DecisionGraph {
             .copied()
             .fold(0.0f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        move |p| (self.rho[p] / max_rho) * (self.delta[p] / max_delta)
+        self.rho
+            .iter()
+            .zip(&self.delta)
+            .map(|(&rho, &delta)| (rho / max_rho) * (delta / max_delta))
+            .collect()
     }
 
-    /// The `m` points of largest γ (`m` ≤ n) as `(γ, id)`, in decreasing-γ
-    /// order, ties to the smaller id, in one pass over the points.
-    ///
-    /// The buffer fills up to `2m` points, is sorted and cut back to the
-    /// best `m`; from then on only a point that beats the m-th of them
-    /// (`bar`) is appended, and every `m` appended points bring another
-    /// cut. The ids arrive in increasing order, so a point that only ties
-    /// the m-th loses to it. A point below the bar costs one comparison and
-    /// a cut `O(m log m)`, so the pass stays linear for a small `m` and is
-    /// one sort for an `m` near n.
-    fn top_by_gamma(&self, m: usize) -> Vec<(f64, PointId)> {
-        let by_rank = |a: &(f64, PointId), b: &(f64, PointId)| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-        let gamma_of = self.gamma_of();
-        let mut top: Vec<(f64, PointId)> = Vec::with_capacity(2 * m);
-        let mut bar = f64::NEG_INFINITY;
-        for p in 0..self.len() {
-            let gamma = gamma_of(p);
-            if gamma <= bar {
-                continue;
-            }
-            top.push((gamma, p));
-            if top.len() == 2 * m {
-                top.sort_unstable_by(by_rank);
-                top.truncate(m);
-                bar = top[m - 1].0;
-            }
-        }
-        top.sort_unstable_by(by_rank);
-        top.truncate(m);
-        top
-    }
-
-    /// Selects cluster centres according to a strategy. The returned ids are
-    /// sorted in increasing order.
-    ///
-    /// `TopKGamma` and `GammaGap` rank candidates by decreasing γ, ties to
-    /// the smaller id. Neither sorts the n points nor stores their γ: one
-    /// pass keeps the `k` (or `max_centers + 1`) best in a sorted buffer.
+    /// Selects cluster centres according to a strategy, by
+    /// [`select_centers`] over the graph's `ρ` and clipped `δ`, ranking by
+    /// [`top_by_gamma`]'s one pass. The returned ids are sorted in
+    /// increasing order.
     pub fn select_centers(&self, selection: &CenterSelection) -> Result<Vec<PointId>> {
-        if self.is_empty() {
-            return Err(DpcError::EmptyDataset);
-        }
-        let mut centers = match selection {
-            CenterSelection::Threshold { rho_min, delta_min } => (0..self.len())
-                .filter(|&p| self.rho[p] >= *rho_min && self.delta[p] >= *delta_min)
-                .collect::<Vec<_>>(),
-            CenterSelection::TopKGamma { k } => {
-                if *k == 0 {
-                    return Err(DpcError::invalid_parameter(
-                        "k",
-                        "must select at least one centre",
-                    ));
-                }
-                if *k > self.len() {
-                    return Err(DpcError::TooManyCenters {
-                        requested: *k,
-                        available: self.len(),
-                    });
-                }
-                self.top_by_gamma(*k).into_iter().map(|(_, p)| p).collect()
-            }
-            CenterSelection::GammaGap { max_centers } => {
-                if *max_centers == 0 {
-                    return Err(DpcError::invalid_parameter(
-                        "max_centers",
-                        "must consider at least one centre",
-                    ));
-                }
-                let cap = (*max_centers).min(self.len());
-                let ranking = self.top_by_gamma((cap + 1).min(self.len()));
-                // Find the largest *relative* drop between consecutive γ
-                // values within the first `cap + 1` candidates; the centres
-                // are everything before the drop. A relative (ratio) gap is
-                // used rather than an absolute one because the global peak's
-                // γ is 1 by construction and would otherwise always dominate
-                // the gap search, collapsing every selection to one cluster.
-                let mut best_cut = 1;
-                let mut best_ratio = 0.0f64;
-                for (i, pair) in ranking.windows(2).enumerate() {
-                    let ratio = pair[0].0 / pair[1].0.max(1e-12);
-                    if ratio > best_ratio {
-                        best_ratio = ratio;
-                        best_cut = i + 1;
-                    }
-                }
-                ranking[..best_cut].iter().map(|&(_, p)| p).collect()
-            }
-            CenterSelection::Explicit { centers } => {
-                for &c in centers {
-                    if c >= self.len() {
-                        return Err(DpcError::invalid_parameter(
-                            "centers",
-                            format!("explicit centre {c} is out of range (n = {})", self.len()),
-                        ));
-                    }
-                }
-                centers.clone()
-            }
-        };
-        centers.sort_unstable();
-        centers.dedup();
-        if centers.is_empty() {
-            return Err(DpcError::invalid_parameter(
-                "selection",
-                "no point satisfies the centre-selection criterion",
-            ));
-        }
-        Ok(centers)
+        select_centers(&self.rho, &self.delta, selection, |m| {
+            top_by_gamma(&self.rho, &self.delta, m)
+        })
     }
 
     /// Points that the decision graph flags as outliers: density at or below
@@ -212,6 +101,152 @@ impl DecisionGraph {
             .filter(|&p| self.rho[p] <= rho_max && self.delta[p] >= delta_min)
             .collect()
     }
+}
+
+/// The ranking key of `TopKGamma` and `GammaGap`: the raw product
+/// `fl(ρ·δ)` of a point's density and its (clipped) dependent distance,
+/// γ as Rodriguez and Laio define it.
+///
+/// The normalised γ of [`DecisionGraph::gamma`] ranks the same in exact
+/// arithmetic, but in floating point it ties every key to the two maxima,
+/// so a new maximum moves all n keys. The raw key changes only with the
+/// point's own `ρ` and `δ`, which lets the streaming engine keep the best
+/// keys across epochs.
+pub fn gamma_key(rho: Rho, delta: f64) -> f64 {
+    rho * delta
+}
+
+/// The `m` largest of `(key, id)` pairs that arrive in increasing id order
+/// (`m` ≥ 1), in decreasing-key order, ties to the smaller id, in one pass.
+///
+/// The buffer fills up to `2m` pairs, is sorted and cut back to the best
+/// `m`; from then on only a pair that beats the m-th of them (`bar`) is
+/// appended, and every `m` appended pairs bring another cut. The ids
+/// arrive in increasing order, so a pair that only ties the m-th loses to
+/// it. A pair below the bar costs one comparison and a cut `O(m log m)`,
+/// so the pass stays linear for a small `m` and is one sort for an `m`
+/// near the number of pairs.
+pub fn top_keys(keys: impl IntoIterator<Item = (f64, PointId)>, m: usize) -> Vec<(f64, PointId)> {
+    let by_rank = |a: &(f64, PointId), b: &(f64, PointId)| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(Ordering::Equal)
+            .then(a.1.cmp(&b.1))
+    };
+    let mut top: Vec<(f64, PointId)> = Vec::with_capacity(2 * m);
+    let mut bar = f64::NEG_INFINITY;
+    for (key, p) in keys {
+        if key <= bar {
+            continue;
+        }
+        top.push((key, p));
+        if top.len() == 2 * m {
+            top.sort_unstable_by(by_rank);
+            top.truncate(m);
+            bar = top[m - 1].0;
+        }
+    }
+    top.sort_unstable_by(by_rank);
+    top.truncate(m);
+    top
+}
+
+/// The `m` points of largest [`gamma_key`] (`1 ≤ m ≤ n`) as `(key, id)`,
+/// in decreasing-key order, ties to the smaller id: [`top_keys`] over every
+/// point, with no window-sized vector.
+pub fn top_by_gamma(rho: &[Rho], delta: &[f64], m: usize) -> Vec<(f64, PointId)> {
+    let keys = rho.iter().zip(delta).map(|(&r, &d)| gamma_key(r, d));
+    top_keys(keys.zip(0..), m)
+}
+
+/// Selects cluster centres from borrowed densities and dependent distances
+/// (`δ` clipped, never infinite). The returned ids are sorted in increasing
+/// order.
+///
+/// `TopKGamma` and `GammaGap` read only the `m` best points by
+/// [`gamma_key`]: `k`, or `max_centers + 1`, at most n. `top(m)` returns
+/// them in decreasing-key order, ties to the smaller id.
+/// [`DecisionGraph::select_centers`] passes [`top_by_gamma`]'s one pass;
+/// the streaming engine passes a set of candidates it keeps across epochs.
+/// `Threshold` and `Explicit` read `ρ` and `δ` directly.
+pub fn select_centers(
+    rho: &[Rho],
+    delta: &[f64],
+    selection: &CenterSelection,
+    top: impl FnOnce(usize) -> Vec<(f64, PointId)>,
+) -> Result<Vec<PointId>> {
+    let n = rho.len();
+    if n == 0 {
+        return Err(DpcError::EmptyDataset);
+    }
+    let mut centers = match selection {
+        CenterSelection::Threshold { rho_min, delta_min } => (0..n)
+            .filter(|&p| rho[p] >= *rho_min && delta[p] >= *delta_min)
+            .collect::<Vec<_>>(),
+        CenterSelection::TopKGamma { k } => {
+            if *k == 0 {
+                return Err(DpcError::invalid_parameter(
+                    "k",
+                    "must select at least one centre",
+                ));
+            }
+            if *k > n {
+                return Err(DpcError::TooManyCenters {
+                    requested: *k,
+                    available: n,
+                });
+            }
+            top(*k).into_iter().map(|(_, p)| p).collect()
+        }
+        CenterSelection::GammaGap { max_centers } => {
+            if *max_centers == 0 {
+                return Err(DpcError::invalid_parameter(
+                    "max_centers",
+                    "must consider at least one centre",
+                ));
+            }
+            let ranking = top(((*max_centers).min(n) + 1).min(n));
+            // Find the largest *relative* drop between consecutive keys
+            // within the first `max_centers + 1` candidates; the centres
+            // are everything before the drop. A relative (ratio) gap is
+            // used rather than an absolute one because the global peak,
+            // whose ρ and δ are both the largest, ranks first and would
+            // otherwise always dominate the gap search, collapsing every
+            // selection to one cluster. Each divisor is floored at 1e-12 of
+            // the top key, so a zero key gives a finite ratio; on the
+            // normalised γ, whose top is 1, the floor was 1e-12.
+            let floor = 1e-12 * ranking[0].0.abs();
+            let mut best_cut = 1;
+            let mut best_ratio = 0.0f64;
+            for (i, pair) in ranking.windows(2).enumerate() {
+                let ratio = pair[0].0 / pair[1].0.max(floor);
+                if ratio > best_ratio {
+                    best_ratio = ratio;
+                    best_cut = i + 1;
+                }
+            }
+            ranking[..best_cut].iter().map(|&(_, p)| p).collect()
+        }
+        CenterSelection::Explicit { centers } => {
+            for &c in centers {
+                if c >= n {
+                    return Err(DpcError::invalid_parameter(
+                        "centers",
+                        format!("explicit centre {c} is out of range (n = {n})"),
+                    ));
+                }
+            }
+            centers.clone()
+        }
+    };
+    centers.sort_unstable();
+    centers.dedup();
+    if centers.is_empty() {
+        return Err(DpcError::invalid_parameter(
+            "selection",
+            "no point satisfies the centre-selection criterion",
+        ));
+    }
+    Ok(centers)
 }
 
 /// Strategy for picking cluster centres from the decision graph.
@@ -225,14 +260,17 @@ pub enum CenterSelection {
         /// Minimum dependent distance.
         delta_min: f64,
     },
-    /// The `k` points with the largest γ = ρ̂·δ̂ score.
+    /// The `k` points with the largest γ = ρ·δ ([`gamma_key`], the raw
+    /// product, not the normalised [`DecisionGraph::gamma`]), ties to the
+    /// smaller id.
     TopKGamma {
         /// Number of centres (= number of clusters).
         k: usize,
     },
-    /// Automatic selection: rank by γ and cut at the largest *relative* drop
-    /// among the first `max_centers + 1` candidates, so between 1 and
-    /// `max_centers` centres are chosen.
+    /// Automatic selection: rank by γ = ρ·δ ([`gamma_key`]) and cut at the
+    /// largest *relative* drop among the first `max_centers + 1` candidates,
+    /// so between 1 and `max_centers` centres are chosen. A γ below 1e-12 of
+    /// the top one divides as that floor.
     GammaGap {
         /// Upper bound on the number of centres (at least 1).
         max_centers: usize,
@@ -388,15 +426,38 @@ mod tests {
             let n = g.len();
             // Small m cut the buffer many times; m near n never does.
             let m = [1, 2, n / 3, n - 1, n][pick].clamp(1, n);
-            let gamma = g.gamma();
-            let mut sorted: Vec<(f64, PointId)> = gamma.iter().copied().zip(0..n).collect();
+            let mut sorted: Vec<(f64, PointId)> =
+                (0..n).map(|p| (g.rho(p) * g.delta(p), p)).collect();
             sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-            let top = g.top_by_gamma(m);
+            let top = top_by_gamma(&g.rho, &g.delta, m);
             proptest::prop_assert_eq!(
                 top.iter().map(|&(g, p)| (g.to_bits(), p)).collect::<Vec<_>>(),
                 sorted[..m].iter().map(|&(g, p)| (g.to_bits(), p)).collect::<Vec<_>>(),
                 "m = {} of {}", m, n
             );
+        }
+    }
+
+    /// The keys (1e7, 1, 0): the normalised γ (1, 1e-7, 0) cut after the
+    /// first point, and so must the raw keys. A floor of 1e-12 that ignored
+    /// the top key's scale would divide the second key by it and cut after
+    /// the second point (1 / 1e-12 beats 1e7 / 1).
+    #[test]
+    fn the_gamma_gap_floor_scales_with_the_top_key() {
+        let delta = DeltaResult::new(vec![1e4, 1.0, 0.0], vec![None, Some(0), Some(0)]);
+        let g = DecisionGraph::new(vec![1e3, 1.0, 1.0], &delta).unwrap();
+        assert_eq!(
+            top_by_gamma(&g.rho, &g.delta, 3),
+            [(1e7, 0), (1.0, 1), (0.0, 2)]
+        );
+        let gamma = g.gamma();
+        assert_eq!((gamma[0], gamma[2]), (1.0, 0.0));
+        assert!((gamma[1] - 1e-7).abs() < 1e-20, "{gamma:?}");
+        for max_centers in [2, 3] {
+            let centers = g
+                .select_centers(&CenterSelection::GammaGap { max_centers })
+                .unwrap();
+            assert_eq!(centers, [0], "max_centers {max_centers}");
         }
     }
 

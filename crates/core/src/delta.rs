@@ -205,6 +205,17 @@ impl DeltaResult {
             .filter(|d| d.is_finite())
             .fold(0.0, f64::max)
     }
+
+    /// `δ` with every infinite value clipped to the largest finite one
+    /// ([`max_finite_delta`](Self::max_finite_delta)): the `δ` centre
+    /// selection ranks by.
+    pub fn clipped_delta(&self) -> Vec<f64> {
+        let clip = self.max_finite_delta();
+        self.delta
+            .iter()
+            .map(|&d| if d.is_finite() { d } else { clip })
+            .collect()
+    }
 }
 
 #[cfg(test)]

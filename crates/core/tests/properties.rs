@@ -41,11 +41,18 @@ fn tabled_graph(entries: &[(usize, usize)]) -> DecisionGraph {
     DecisionGraph::new(rho, &DeltaResult::new(delta, vec![None; entries.len()])).unwrap()
 }
 
+/// Every point's γ = ρ·δ, the raw product of its density and clipped δ.
+fn gamma_keys(graph: &DecisionGraph) -> Vec<f64> {
+    (0..graph.len())
+        .map(|p| graph.rho(p) * graph.delta(p))
+        .collect()
+}
+
 /// Every id ranked by decreasing γ, ties to the smaller id, by a full sort:
 /// the ranking centre selection used before it switched to a partial
 /// selection.
 fn full_sort_gamma_ranking(graph: &DecisionGraph) -> Vec<PointId> {
-    let gamma = graph.gamma();
+    let gamma = gamma_keys(graph);
     let mut ids: Vec<PointId> = (0..graph.len()).collect();
     ids.sort_by(|&a, &b| {
         gamma[b]
@@ -64,14 +71,16 @@ fn reference_top_k(graph: &DecisionGraph, k: usize) -> Vec<PointId> {
 }
 
 /// γ-gap centres from the full-sort ranking: cut at the largest relative
-/// drop among the first `max_centers + 1` candidates.
+/// drop among the first `max_centers + 1` candidates, each divisor floored
+/// at 1e-12 of the top γ's magnitude.
 fn reference_gamma_gap(graph: &DecisionGraph, max_centers: usize) -> Vec<PointId> {
     let ranking = full_sort_gamma_ranking(graph);
-    let gamma = graph.gamma();
+    let gamma = gamma_keys(graph);
+    let floor = 1e-12 * gamma[ranking[0]].abs();
     let cap = max_centers.min(ranking.len());
     let (mut best_cut, mut best_ratio) = (1, 0.0f64);
     for i in 0..cap.min(ranking.len() - 1) {
-        let ratio = gamma[ranking[i]] / gamma[ranking[i + 1]].max(1e-12);
+        let ratio = gamma[ranking[i]] / gamma[ranking[i + 1]].max(floor);
         if ratio > best_ratio {
             best_ratio = ratio;
             best_cut = i + 1;

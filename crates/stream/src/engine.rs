@@ -51,13 +51,14 @@
 //!    the index's `query.delta.*` counters beside the `stream.delta.*`
 //!    spans.
 //! 5. **Re-cluster once** and emit one [`ClusterDelta`] for the whole batch:
-//!    a partial γ selection of the centres, then a relabel of the points
-//!    whose µ or centre status changed, densest first, walking the subtree
-//!    under each whose label changed. Each label is the handle of its
-//!    centre; the rank labels of [`Clustering`] are rebuilt in full only
-//!    when the centres or their id order changed. The delta is built from
-//!    the relabel, insert and evict events, which also update the shared
-//!    `(point handle, centre handle)` list in place.
+//!    a selection of the centres from the γ candidates kept across epochs,
+//!    which keys only the points whose ρ or δ changed, then a relabel of
+//!    the points whose µ or centre status changed, densest first, walking
+//!    the subtree under each whose label changed. Each label is the handle
+//!    of its centre; the rank labels of [`Clustering`] are rebuilt in full
+//!    only when the centres or their id order changed. The delta is built
+//!    from the relabel, insert and evict events, which also update the
+//!    shared `(point handle, centre handle)` list in place.
 //!
 //! Why each piece of `F` is sufficient, and why everyone else only needs the
 //! candidate fold, is derived step by step in `docs/STREAMING.md`.
@@ -77,6 +78,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
+use dpc_core::decision::select_centers;
 use dpc_core::{
     compute_halo, nearest_center, CenterSelection, ClusterId, Clustering, DecisionGraph,
     DeltaResult, DensityOrder, DpcError, DpcParams, Kernel, Point, PointId, Result, Rho,
@@ -89,6 +91,7 @@ use crate::forest::{Forest, CORRUPTED};
 use crate::handle::{Handle, HandleMap};
 use crate::maintenance::candidate_pass;
 use crate::report::{ClusterDelta, LabelChange};
+use crate::select::TopSet;
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
 
 /// Parameters of a streaming run: the batch DPC parameters plus the
@@ -460,6 +463,8 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     /// Whether the next recluster relabels every point: after seeding, a
     /// full re-rank, a decay tick or a failed recluster.
     relabel_all: bool,
+    /// The `TopKGamma` / `GammaGap` candidates kept across epochs.
+    top_set: TopSet,
     clustering: Clustering,
     /// Stable view of the last successful epoch: `(point handle, centre
     /// handle)` for every point, in ascending point-handle order. Behind an
@@ -525,6 +530,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             ranked: Vec::new(),
             evicted: Vec::new(),
             relabel_all: true,
+            top_set: TopSet::default(),
             clustering: Clustering::new(vec![], vec![], vec![]),
             assignment: Arc::default(),
             epoch: 0,
@@ -1419,12 +1425,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let rec = self.recorder.clone();
         let centers = {
             let _select_span = span(&rec, "stream.recluster.select");
-            let selected = if self.rho.is_empty() {
-                Ok(Vec::new())
-            } else {
-                DecisionGraph::new(self.rho.clone(), &self.deltas)
-                    .and_then(|graph| graph.select_centers(&self.params.dpc.centers))
-            };
+            let selected = self.select(&rec);
             selected.inspect_err(|_| self.relabel_all = true)?
         };
 
@@ -1576,6 +1577,52 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         };
         self.ranked = ranked;
         Ok(delta)
+    }
+
+    /// Selects the centres of the maintained `(ρ, δ)`, as
+    /// [`DecisionGraph::select_centers`] would over the window.
+    /// `TopKGamma` and `GammaGap` rank the candidates kept across epochs:
+    /// an incremental epoch carries them over its renames and keys, besides
+    /// them, only the points whose ρ or δ changed, the members of U and F
+    /// and the points whose µ the fold moved. F holds the inserted points,
+    /// and a renamed point's key is unchanged. An epoch that relabels every
+    /// point scans the window instead. `Threshold` and `Explicit` run
+    /// their one pass.
+    fn select(&mut self, rec: &SharedRecorder) -> Result<Vec<PointId>> {
+        let rule = &self.params.dpc.centers;
+        if self.rho.is_empty() {
+            self.top_set.clear();
+            return Ok(Vec::new());
+        }
+        if !matches!(
+            rule,
+            CenterSelection::TopKGamma { .. } | CenterSelection::GammaGap { .. }
+        ) {
+            return DecisionGraph::new(self.rho.clone(), &self.deltas)
+                .and_then(|graph| graph.select_centers(rule));
+        }
+        let (rho, deltas, scratch) = (&self.rho, &self.deltas, &self.scratch);
+        let (top_set, full) = (&mut self.top_set, self.relabel_all);
+        let (mut keyed, mut scanned) = (0, false);
+        let selected = select_centers(rho, &deltas.delta, rule, |m| {
+            if full {
+                top_set.clear();
+            } else {
+                let changed = (scratch.union.iter().map(|&(q, _)| q))
+                    .chain(scratch.invalidated.iter().copied())
+                    .chain(scratch.moved.iter().map(|&(p, _)| p));
+                keyed = top_set.carry(&scratch.final_of_old, changed, rho, &deltas.delta);
+            }
+            let (best, scan) = top_set.best(m, rho, deltas);
+            scanned = scan;
+            best
+        });
+        if scanned {
+            keyed += rho.len();
+        }
+        rec.counter("stream.select.keyed", keyed as u64);
+        rec.counter("stream.select.rebuilds", u64::from(scanned));
+        selected
     }
 
     /// Relabels the roots in `scratch.roots` and, under each root whose

@@ -85,6 +85,7 @@ mod forest;
 pub mod handle;
 pub mod maintenance;
 pub mod report;
+mod select;
 pub mod snapshot;
 
 pub use engine::{aged_weight, decay_factor, EpochMode, StreamParams, StreamStats, StreamingDpc};

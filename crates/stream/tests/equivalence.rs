@@ -30,6 +30,8 @@
 //! assert that the trees' amortised rebuild triggers actually fire
 //! ([`UpdatableIndex::maintenance_counters`]).
 
+use std::sync::Arc;
+
 use dpc_core::brute::eps_neighbors_scan;
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Point, UpdatableIndex};
@@ -37,7 +39,8 @@ use dpc_datasets::rng::SplitMix64;
 use dpc_datasets::testsupport::{
     lattice_point, test_points, ulp_adversarial_points, TestDistribution,
 };
-use dpc_stream::{StreamParams, StreamingDpc};
+use dpc_obs::MetricsRecorder;
+use dpc_stream::{EpochPlan, Handle, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig};
 use proptest::prelude::*;
 
@@ -797,6 +800,272 @@ fn probe_between_tied_root_candidates_matches_the_cold_oracle() {
         assert_cold_batch(name, &build, &engine, &dpc);
         assert_cold_batch(name, &NaiveReferenceIndex::build, &engine, &dpc);
     });
+}
+
+/// Two groups 2e200 apart, where every squared distance between them
+/// overflows: their densest points take δ = +∞ from every exact index, and
+/// the batch ranks them on the δ clipped to the largest finite one. With
+/// `TopKGamma { k: 2 }` the clip decides the second centre: the middle
+/// group's densest point (ρ 2, δ 9.7) beats the far pair's (ρ 1, clipped
+/// to 9.7), which an unclipped +∞ would rank second. Epochs insert and
+/// remove far points, so infinite δs come and go, and every epoch must
+/// match the cold batch run.
+#[test]
+fn overflowed_distances_rank_on_the_clipped_delta_like_the_batch() {
+    let far = 1e200;
+    let near: Vec<Point> = [0.0, 0.1, 0.2, 0.3, 10.0, 10.1, 10.2]
+        .iter()
+        .map(|&y| Point::new(-far, y))
+        .collect();
+    let mut seed = near.clone();
+    seed.extend([Point::new(far, 0.0), Point::new(far, 0.1)]);
+    let dc = 0.8;
+    let dpc = DpcParams::new(dc).with_centers(CenterSelection::TopKGamma { k: 2 });
+    for_each_updatable_index!(|name, build| {
+        let params = StreamParams::new(dc).with_dpc(dpc.clone());
+        let mut engine = StreamingDpc::new(build(&Dataset::new(seed.clone())), params).unwrap();
+        assert!(engine.deltas().delta.contains(&f64::INFINITY), "[{name}]");
+        assert_cold_batch(name, &build, &engine, &dpc);
+        engine.insert(Point::new(far, 0.2)).unwrap();
+        assert_cold_batch(name, &build, &engine, &dpc);
+        let far_handles: Vec<Handle> = engine
+            .live_handles()
+            .filter(|&h| engine.point_of(h).unwrap().x > 0.0)
+            .collect();
+        let mut plan = EpochPlan::new();
+        for &h in &far_handles {
+            plan.remove(h);
+        }
+        engine.commit(&plan).unwrap();
+        assert!(
+            engine.deltas().delta.iter().all(|d| d.is_finite()),
+            "[{name}]"
+        );
+        assert_cold_batch(name, &build, &engine, &dpc);
+        for y in [5.0, 0.05] {
+            let (h, _) = engine.insert(Point::new(far, y)).unwrap();
+            assert_cold_batch(name, &build, &engine, &dpc);
+            engine.remove(h).unwrap();
+            assert_cold_batch(name, &build, &engine, &dpc);
+        }
+        engine.insert(Point::new(-far, 0.15)).unwrap();
+        assert_cold_batch(name, &build, &engine, &dpc);
+    });
+}
+
+/// What the small-m epochs did to the points ranked among the m best by
+/// γ = ρ·δ before each epoch.
+#[derive(Debug, Default)]
+struct RankedEvents {
+    /// Epochs that evicted a ranked point.
+    evicted: usize,
+    /// Epochs whose swap-removes moved a ranked point to another id.
+    renamed: usize,
+    /// Epochs after which a surviving ranked point's γ fell below the
+    /// epoch's own 2m-th γ before it.
+    pushed_down: usize,
+}
+
+/// Streams `epochs` plans of 1–7 ops through a `rule` engine over a window
+/// of about `window` points on a `side` × `side` lattice, checking every
+/// epoch against a cold batch run. Besides random inserts and evictions,
+/// the plans evict a ranked point (one of the m best by γ), the neighbours
+/// of a ranked point (its ρ, and with it its γ, falls), and, once a ranked
+/// point is last in id order, another point, so that the swap-remove
+/// renames it. Returns the events and the engine's `stream.select.keyed`
+/// and `.rebuilds` counters.
+fn check_small_m<I, F>(
+    label: &str,
+    build: F,
+    rule: &CenterSelection,
+    (window, side): (usize, u32),
+    epochs: usize,
+    seed: u64,
+) -> (RankedEvents, u64, u64)
+where
+    I: UpdatableIndex,
+    F: Fn(&Dataset) -> I,
+{
+    let dc = 0.8;
+    let dpc = DpcParams::new(dc).with_centers(rule.clone());
+    let mut rng = SplitMix64::new(seed);
+    let lattice = move |rng: &mut SplitMix64| {
+        let (x, y) = (rng.next_u64() % side as u64, rng.next_u64() % side as u64);
+        lattice_point(x as u32, y as u32)
+    };
+    let seed_points: Vec<Point> = (0..window).map(|_| lattice(&mut rng)).collect();
+    let params = StreamParams::new(dc).with_dpc(dpc.clone());
+    let mut engine = StreamingDpc::new(build(&Dataset::new(seed_points)), params).unwrap();
+    let metrics = Arc::new(MetricsRecorder::new());
+    engine.set_recorder(metrics.clone());
+    let mut events = RankedEvents::default();
+    for epoch in 0..epochs {
+        let n = engine.len();
+        let key = |p: usize| engine.rho()[p] * engine.deltas().delta[p];
+        let mut by_key: Vec<usize> = (0..n).collect();
+        by_key.sort_by(|&a, &b| key(b).partial_cmp(&key(a)).unwrap().then(a.cmp(&b)));
+        let m = match *rule {
+            CenterSelection::TopKGamma { k } => k,
+            CenterSelection::GammaGap { max_centers } => (max_centers + 1).min(n),
+            _ => unreachable!("the small-m rules rank"),
+        };
+        let slack_key = key(by_key[(2 * m).min(n) - 1]);
+        let ranked: Vec<Handle> = by_key[..m].iter().map(|&p| engine.handle_at(p)).collect();
+        let ranked_ids: Vec<(Handle, usize)> = ranked
+            .iter()
+            .map(|&h| (h, engine.dense_of(h).unwrap()))
+            .collect();
+
+        // The plan's ids as the engine will swap-remove them (`None` for a
+        // planned insert).
+        let mut ids: Vec<Option<Handle>> = (0..n).map(|p| Some(engine.handle_at(p))).collect();
+        let mut plan = EpochPlan::new();
+        let mut removed: Vec<Handle> = Vec::new();
+        let mut evict = |at: usize, ids: &mut Vec<Option<Handle>>, plan: &mut EpochPlan| {
+            if let Some(h) = ids[at] {
+                plan.remove(h);
+                removed.push(h);
+                ids.swap_remove(at);
+            }
+        };
+        let survivors = |ids: &[Option<Handle>]| ids.iter().filter(|h| h.is_some()).count();
+        for _ in 0..1 + rng.next_u64() % 7 {
+            let grow = ids.len() < window;
+            match rng.next_u64() % 6 {
+                0 | 1 if grow => {
+                    plan.insert(lattice(&mut rng));
+                    ids.push(None);
+                }
+                _ if survivors(&ids) <= m + 1 => {}
+                0 | 1 => {
+                    let at = (rng.next_u64() as usize) % ids.len();
+                    evict(at, &mut ids, &mut plan);
+                }
+                2 => {
+                    let at = ids
+                        .iter()
+                        .position(|h| h.is_some_and(|h| ranked.contains(&h)));
+                    if let Some(at) = at {
+                        evict(at, &mut ids, &mut plan);
+                    }
+                }
+                3 => {
+                    let r = ranked[(rng.next_u64() as usize) % m];
+                    let Some(at_r) = ids.iter().position(|&h| h == Some(r)) else {
+                        continue;
+                    };
+                    let near = engine
+                        .index()
+                        .eps_neighbors(engine.point_of(r).unwrap(), dc)
+                        .unwrap();
+                    let near: Vec<Handle> = near
+                        .into_iter()
+                        .map(|q| engine.handle_at(q))
+                        .filter(|&h| h != r)
+                        .collect();
+                    let at = ids
+                        .iter()
+                        .position(|h| h.is_some_and(|h| near.contains(&h)));
+                    if let Some(at) = at.filter(|&at| at != at_r) {
+                        evict(at, &mut ids, &mut plan);
+                    }
+                }
+                _ => {
+                    let last = ids.len() - 1;
+                    if ids[last].is_some_and(|h| ranked.contains(&h)) && last > 0 {
+                        let at = (rng.next_u64() as usize) % last;
+                        evict(at, &mut ids, &mut plan);
+                    } else {
+                        evict(last, &mut ids, &mut plan);
+                    }
+                }
+            }
+        }
+        if plan.is_empty() {
+            plan.insert(lattice(&mut rng));
+        }
+        engine.commit(&plan).unwrap();
+        assert_cold_batch(
+            &format!("{label} {rule:?} epoch {epoch}"),
+            &build,
+            &engine,
+            &dpc,
+        );
+
+        events.evicted += usize::from(removed.iter().any(|h| ranked.contains(h)));
+        let survived = ranked_ids
+            .iter()
+            .filter_map(|&(h, before)| engine.dense_of(h).map(|now| (now, before)));
+        events.renamed += usize::from(survived.clone().any(|(now, before)| now != before));
+        let key = |p: usize| engine.rho()[p] * engine.deltas().delta[p];
+        events.pushed_down += usize::from(survived.clone().any(|(now, _)| key(now) < slack_key));
+    }
+    let snap = metrics.snapshot();
+    let counter = |name| snap.counter(name).unwrap_or(0);
+    (
+        events,
+        counter("stream.select.keyed"),
+        counter("stream.select.rebuilds"),
+    )
+}
+
+/// Small-m centre rules make the bar of the kept candidates live: with
+/// m ≤ 5 of about 40 or 90 lattice points, most points sit below it, and
+/// the plans keep evicting, renaming and pushing down the ranked points
+/// (see [`check_small_m`]). Every epoch matches the cold batch run on the
+/// naive and k-d tree engines, every kind of event occurs, and the
+/// selection counters show epochs answered from the kept set as well as
+/// epochs that rescanned the window.
+#[test]
+fn small_m_rules_match_batch_while_their_candidates_churn() {
+    let rules = [
+        CenterSelection::TopKGamma { k: 1 },
+        CenterSelection::TopKGamma { k: 2 },
+        CenterSelection::TopKGamma { k: 3 },
+        CenterSelection::GammaGap { max_centers: 1 },
+        CenterSelection::GammaGap { max_centers: 2 },
+        CenterSelection::GammaGap { max_centers: 4 },
+    ];
+    let epochs = 200;
+    for (w, shape) in [(40, 8), (90, 12)].into_iter().enumerate() {
+        let mut totals = RankedEvents::default();
+        let (mut keyed, mut rebuilds) = (0, 0);
+        for (r, rule) in rules.iter().enumerate() {
+            let seed = 100 * w as u64 + r as u64;
+            let runs = [
+                check_small_m(
+                    "naive",
+                    NaiveReferenceIndex::build,
+                    rule,
+                    shape,
+                    epochs,
+                    seed,
+                ),
+                check_small_m("kdtree", kd_build, rule, shape, epochs, seed),
+            ];
+            for (events, k, b) in runs {
+                totals.evicted += events.evicted;
+                totals.renamed += events.renamed;
+                totals.pushed_down += events.pushed_down;
+                keyed += k;
+                rebuilds += b;
+            }
+        }
+        let total = (2 * rules.len() * epochs) as u64;
+        println!(
+            "window {shape:?}: {totals:?}, keyed {keyed}, rebuilds {rebuilds} of {total} epochs"
+        );
+        assert!(
+            totals.evicted > 0 && totals.renamed > 0 && totals.pushed_down > 0,
+            "{totals:?}"
+        );
+        assert!(rebuilds > 0, "no epoch rescanned the window");
+        assert!(rebuilds < total, "every epoch rescanned the window");
+        assert!(
+            keyed < total * shape.0 as u64,
+            "keyed {keyed} in {total} epochs"
+        );
+    }
 }
 
 /// Emits one wall-clock line per engine for a fixed replay. CI runs this

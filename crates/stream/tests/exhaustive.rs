@@ -14,13 +14,18 @@
 //! are routine there. Each case runs at dc 0.8 and at dc 0.5, where lattice
 //! neighbours sit exactly at dc, outside the strict `<`; and with the
 //! re-rank fallback at the default 0.6 and disabled (1.0). Centres come
-//! from the default `GammaGap`, which clusters every non-empty window.
+//! from the default `GammaGap`, which clusters every non-empty window. Its
+//! m = 33 best candidates hold every window of the scope whole, so the
+//! sequences also run `TopKGamma { k: 1 }`, whose m = 1 leaves the bar of
+//! the engine's kept candidates at the second γ from three points on.
 //!
-//! * **Sequences**: every sequence of one-op epochs from an empty window.
-//!   An op is `ins k` (insert cell `k`) or `rm j` (remove the `j`-th live
-//!   point in handle order). Every prefix is checked.
+//! * **Sequences**: every sequence of one-op epochs from an empty window,
+//!   under both centre rules. An op is `ins k` (insert cell `k`) or `rm j`
+//!   (remove the `j`-th live point in handle order). Every prefix is
+//!   checked.
 //! * **Plans**: every plan of inserts on the lattice and distinct removals
-//!   of seed points, committed as one epoch on every seed multiset.
+//!   of seed points, committed as one epoch on every seed multiset, under
+//!   the default rule.
 //!
 //! The default suite runs sequences of up to 3 epochs and 2-op plans on
 //! seeds of up to two points, plus the shortest known witnesses of two
@@ -44,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::{assignment_of, reference_diff, Assignment};
 use dpc_core::naive_reference::NaiveReferenceIndex;
-use dpc_core::{Dataset, DpcPipeline, Point, UpdatableIndex};
+use dpc_core::{CenterSelection, Dataset, DpcParams, DpcPipeline, Point, UpdatableIndex};
 use dpc_stream::{ClusterDelta, EpochPlan, Handle, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig};
 
@@ -54,6 +59,12 @@ const CELLS: usize = 9;
 const DCS: [f64; 2] = [0.8, 0.5];
 /// The fallback threshold at its default, and disabled.
 const FRACTIONS: [f64; 2] = [0.6, 1.0];
+/// The sequences' centre rules: the default `GammaGap { max_centers: 32 }`,
+/// and one best γ.
+const RULES: [CenterSelection; 2] = [
+    CenterSelection::GammaGap { max_centers: 32 },
+    CenterSelection::TopKGamma { k: 1 },
+];
 
 /// The point of lattice cell `k`.
 fn cell(k: usize) -> Point {
@@ -198,8 +209,10 @@ fn check<I: UpdatableIndex>(
     Ok(now)
 }
 
-fn params(dc: f64, fraction: f64) -> StreamParams {
-    StreamParams::new(dc).with_max_affected_fraction(fraction)
+fn params(dc: f64, fraction: f64, rule: &CenterSelection) -> StreamParams {
+    StreamParams::new(dc)
+        .with_dpc(DpcParams::new(dc).with_centers(rule.clone()))
+        .with_max_affected_fraction(fraction)
 }
 
 /// Runs one epoch and its check, turning a panic into a failure.
@@ -214,20 +227,25 @@ fn guarded<T>(epoch: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     })
 }
 
-/// Every sequence of up to `depth` one-op epochs from an empty window.
+/// Every sequence of up to `depth` one-op epochs from an empty window,
+/// under every rule of [`RULES`].
 fn sequences<I: UpdatableIndex + Clone>(build: fn(&Dataset) -> I, depth: usize) -> Tally {
     let mut tally = Tally::default();
-    for dc in DCS {
-        for fraction in FRACTIONS {
-            let engine = StreamingDpc::new(build(&Dataset::new(Vec::new())), params(dc, fraction))
-                .expect("an empty window seeds");
-            let mut path = Vec::new();
-            let mut run = Tally::default();
-            extend(&engine, &Assignment::new(), &mut path, depth, &mut run);
-            if let Some((length, witness)) = run.witness.take() {
-                run.witness = Some((length, format!("{witness} at dc {dc}, fraction {fraction}")));
+    for rule in &RULES {
+        for dc in DCS {
+            for fraction in FRACTIONS {
+                let empty = build(&Dataset::new(Vec::new()));
+                let engine = StreamingDpc::new(empty, params(dc, fraction, rule))
+                    .expect("an empty window seeds");
+                let mut path = Vec::new();
+                let mut run = Tally::default();
+                extend(&engine, &Assignment::new(), &mut path, depth, &mut run);
+                if let Some((length, witness)) = run.witness.take() {
+                    let at = format!("{witness} at dc {dc}, fraction {fraction}, {rule:?}");
+                    run.witness = Some((length, at));
+                }
+                tally.absorb(run);
             }
-            tally.absorb(run);
         }
     }
     tally
@@ -366,7 +384,7 @@ fn seeded_plans<I: UpdatableIndex + Clone>(
                     };
                     let engine = StreamingDpc::new(
                         build(&Dataset::new(points.clone())),
-                        params(dc, fraction),
+                        params(dc, fraction, &CenterSelection::default()),
                     )
                     .expect("a lattice seed clusters");
                     let handles: Vec<_> = engine.live_handles().collect();
@@ -397,7 +415,7 @@ fn every_three_epoch_sequence_matches_the_cold_oracle() {
     for_each_engine!(|name, build| {
         let tally = sequences(build, 3);
         tally.assert_clean(name);
-        assert_eq!(tally.cases, 4 * (9 + 90 + 972), "[{name}]");
+        assert_eq!(tally.cases, 8 * (9 + 90 + 972), "[{name}]");
     });
 }
 
@@ -424,9 +442,12 @@ fn the_forest_witnesses_match_the_cold_oracle() {
     let (seed_cells, plan) = ([0, 0, 1, 1], [Ins(2), Ins(2), Rm(1)]);
     for_each_engine!(|name, build| {
         for (ops, dc, fraction) in sequences {
-            let mut engine =
-                StreamingDpc::new(build(&Dataset::new(Vec::new())), params(dc, fraction))
-                    .expect("an empty window seeds");
+            let rule = CenterSelection::default();
+            let mut engine = StreamingDpc::new(
+                build(&Dataset::new(Vec::new())),
+                params(dc, fraction, &rule),
+            )
+            .expect("an empty window seeds");
             let mut before = Assignment::new();
             for (i, &op) in ops.iter().enumerate() {
                 before = step(&mut engine, op, &before).unwrap_or_else(|why| {
@@ -439,8 +460,10 @@ fn the_forest_witnesses_match_the_cold_oracle() {
         }
         for fraction in FRACTIONS {
             let points: Vec<Point> = seed_cells.iter().map(|&k| cell(k)).collect();
-            let engine = StreamingDpc::new(build(&Dataset::new(points)), params(0.5, fraction))
-                .expect("a lattice seed clusters");
+            let rule = CenterSelection::default();
+            let engine =
+                StreamingDpc::new(build(&Dataset::new(points)), params(0.5, fraction, &rule))
+                    .expect("a lattice seed clusters");
             let handles: Vec<Handle> = engine.live_handles().collect();
             if let Err(why) = commit_plan(&engine, &handles, &plan, &assignment_of(&engine)) {
                 panic!(

@@ -26,8 +26,8 @@
 
 use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{
-    CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, Query,
-    UpdatableIndex,
+    CenterSelection, Dataset, DecisionGraph, DpcIndex, DpcParams, DpcPipeline, Kernel, Point,
+    Query, UpdatableIndex,
 };
 use dpc_datasets::rng::SplitMix64;
 use dpc_datasets::testsupport::{
@@ -389,6 +389,20 @@ proptest! {
                         if engine.is_empty() {
                             continue;
                         }
+                        // The centres kept across epochs are those one pass
+                        // over the engine's own (ρ, δ) selects, whose ρ may
+                        // differ from the cold batch's in the last ulps.
+                        let own = DecisionGraph::new(engine.rho().to_vec(), engine.deltas())
+                            .and_then(|graph| graph.select_centers(&dpc.centers))
+                            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        prop_assert_eq!(
+                            engine.clustering().centers(),
+                            &own[..],
+                            "[{}] {} centres at step {}",
+                            name,
+                            kernel.name(),
+                            step
+                        );
                         let run = DpcPipeline::new(dpc.clone())
                             .run(&build(engine.index().dataset()))
                             .map_err(|e| {

@@ -24,7 +24,7 @@ fn main() {
     let index = ChIndex::build(&data, 2_000.0);
 
     // 3. Cluster at a chosen dc. The decision graph ranks centre candidates
-    //    by gamma = normalised rho * delta; we ask for the top 15.
+    //    by gamma = rho * delta; we ask for the top 15.
     let dc = 30_000.0;
     let params = DpcParams::new(dc).with_centers(CenterSelection::TopKGamma { k: 15 });
     let run = DpcPipeline::new(params)
